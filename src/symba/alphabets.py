@@ -7,6 +7,10 @@ alphabets follow their table indices. A map A^m -> A is stored either as a
 full lookup table over the mixed-radix input index (again leftmost memory
 coordinate most significant) or, for module alphabets, as a list of m
 matrices acting by x -> sum_j mat[j] @ x_j mod n.
+
+`radix` and `scan_assignments` are the only place this index order is
+computed: every table lookup, window scan and witness decode goes through
+them (or `decode_index` / `decode_assignments`, built on `radix`).
 """
 
 from __future__ import annotations
@@ -19,6 +23,8 @@ from .errors import InvalidInputError
 _PLAIN = "plain"
 _MODULE = "module"
 _GROUP = "group"
+
+_SCAN_CHUNK = 1 << 16
 
 
 class Alphabet:
@@ -35,11 +41,8 @@ class Alphabet:
             raise InvalidInputError(f"alphabet size must be >= 1, got {size}")
         if flavor == _MODULE:
             # index <-> vector tables, index 0 = zero vector = basepoint
-            radix = modulus ** np.arange(dim - 1, -1, -1, dtype=np.int64)
-            idx = np.arange(self.size, dtype=np.int64)
-            vecs = (idx[:, None] // radix[None, :]) % modulus
-            self._vectors = vecs
-            self._radix = radix
+            self._vectors = decode_assignments(modulus, dim)
+            self._radix = radix(modulus, dim)
 
     @classmethod
     def plain(cls, size: int) -> "Alphabet":
@@ -135,19 +138,33 @@ class Alphabet:
         return f"Alphabet.plain({self.size})"
 
 
-def _input_radix(size: int, arity: int) -> np.ndarray:
-    return size ** np.arange(arity - 1, -1, -1, dtype=np.int64)
+def radix(size: int, n: int) -> np.ndarray:
+    """Place values of an n-digit canonical index, most significant first."""
+    return size ** np.arange(n - 1, -1, -1, dtype=np.int64)
+
+
+def decode_index(index, size: int, n: int) -> np.ndarray:
+    """Digits of canonical indices: shape index.shape + (n,)."""
+    return (np.asarray(index, dtype=np.int64)[..., None] // radix(size, n)) % size
 
 
 def decode_assignments(size: int, arity: int) -> np.ndarray:
     """(size^arity, arity) array of all input tuples in canonical index order."""
     count = size**arity
     check_size(count, "assignment enumeration")
-    if arity == 0:
-        return np.zeros((1, 0), dtype=np.int64)
-    radix = _input_radix(size, arity)
-    idx = np.arange(count, dtype=np.int64)
-    return (idx[:, None] // radix[None, :]) % size
+    return decode_index(np.arange(count, dtype=np.int64), size, arity)
+
+
+def scan_assignments(size: int, n: int):
+    """Yield (indices, X) chunks covering all of A^n in canonical index order.
+
+    X[k] is the n-tuple with canonical index indices[k]; a chunk holds at
+    most _SCAN_CHUNK rows, so a scan's memory does not grow with size^n.
+    """
+    total = size**n
+    for start in range(0, total, _SCAN_CHUNK):
+        idx = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
+        yield idx, decode_index(idx, size, n)
 
 
 class StructuredMap:
@@ -198,11 +215,17 @@ class StructuredMap:
         if self.table is not None:
             if self.arity == 0:
                 return np.broadcast_to(self.table[0], (X.shape[0],)).copy()
-            radix = _input_radix(A.size, self.arity)
-            return self.table[X @ radix]
+            return self.table[X @ radix(A.size, self.arity)]
         vecs = A.vectors()[X]  # (n, arity, dim)
         out = np.einsum("jkd,njd->nk", self.matrices, vecs) % A.modulus
         return out @ A._radix
+
+    def evaluate_windows(self, X: np.ndarray, pos) -> np.ndarray:
+        """(n, len(pos)) array whose column i applies the map to X[:, pos[i]]."""
+        out = np.empty((X.shape[0], len(pos)), dtype=np.int64)
+        for i, cols in enumerate(pos):
+            out[:, i] = self.evaluate_batch(X[:, cols])
+        return out
 
     def evaluate(self, window) -> int:
         return int(self.evaluate_batch(np.asarray(window, dtype=np.int64)[None, :])[0])
@@ -262,18 +285,18 @@ def verify_structure(smap: StructuredMap, A: Alphabet | None = None) -> bool:
 
     if A.is_module:
         vecs = A.vectors()
-        radix = A._radix
+        place = A._radix
         XV = vecs[X]  # (count, m, dim)
         for i in range(count):
-            summed = ((XV[i][None, :, :] + XV) % A.modulus) @ radix  # (count, m)
+            summed = ((XV[i][None, :, :] + XV) % A.modulus) @ place  # (count, m)
             lhs = smap.evaluate_batch(summed)
-            rhs = (vecs[fX[i]][None, :] + vecs[fX]) % A.modulus @ radix
+            rhs = (vecs[fX[i]][None, :] + vecs[fX]) % A.modulus @ place
             if not np.array_equal(lhs, rhs):
                 return False
         for c in range(A.modulus):
-            scaled = ((c * XV) % A.modulus) @ radix
+            scaled = ((c * XV) % A.modulus) @ place
             lhs = smap.evaluate_batch(scaled)
-            rhs = ((c * vecs[fX]) % A.modulus) @ radix
+            rhs = ((c * vecs[fX]) % A.modulus) @ place
             if not np.array_equal(lhs, rhs):
                 return False
         return True
@@ -296,12 +319,8 @@ def finite_map_classify(endomap) -> dict:
     n = f.shape[0]
     if n and (f.min() < 0 or f.max() >= n):
         raise InvalidInputError("endomap values must stay within 0..n-1")
+    # On a finite set an endomap is injective iff it is surjective.
     hit = np.zeros(n, dtype=bool)
     hit[f] = True
-    surjective = bool(hit.all())
-    injective = bool(np.unique(f).size == n)
-    return {
-        "injective": injective,
-        "surjective": surjective,
-        "bijective": injective and surjective,
-    }
+    bijective = bool(hit.all())
+    return {"injective": bijective, "surjective": bijective, "bijective": bijective}

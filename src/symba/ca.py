@@ -13,12 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabets import Alphabet, StructuredMap, decode_assignments, verify_pointed
+from .alphabets import Alphabet, StructuredMap, decode_assignments, scan_assignments, verify_pointed
 from .caps import check_size
 from .errors import EmptyWindowError, InvalidInputError
 from .groups import FiniteSubset, Group, set_product, symmetrize
-
-_SCAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -201,10 +199,7 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     check_size(A.size ** len(Mc), "composite rule table")
     pos = window_positions(Mc, Ms, Mt)
     X = decode_assignments(A.size, len(Mc))
-    inner = np.empty((X.shape[0], len(Ms)), dtype=np.int64)
-    for i in range(len(Ms)):
-        inner[:, i] = tau.rule.map.evaluate_batch(X[:, pos[i]])
-    table = sigma.rule.map.evaluate_batch(inner)
+    table = sigma.rule.map.evaluate_batch(tau.rule.map.evaluate_windows(X, pos))
     rule = LocalRule(Mc, StructuredMap(A, len(Mc), table=table))
     return CellularAutomaton(G, A, rule)
 
@@ -238,18 +233,11 @@ def _check_identity_composite(sigma: CellularAutomaton, tau: CellularAutomaton) 
     M = common_memory(sigma, tau)
     M2 = set_product(G, M, M)
     check_size(A.size ** len(M2), "window criterion scan")
-    pos_tau = window_positions(M2, M, tau.memory)
-    eta_cols = [M.index_of(s) for s in sigma.memory]
+    # tau is only evaluated at the cells s*M that sigma reads
+    pos_tau = window_positions(M2, sigma.memory, tau.memory)
     one = M2.index_of(G.identity())
-    total = A.size ** len(M2)
-    radix = A.size ** np.arange(len(M2) - 1, -1, -1, dtype=np.int64)
-    for start in range(0, total, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        X = (idx[:, None] // radix[None, :]) % A.size
-        mid = np.empty((X.shape[0], len(M)), dtype=np.int64)
-        for i in range(len(M)):
-            mid[:, i] = tau.rule.map.evaluate_batch(X[:, pos_tau[i]])
-        out = sigma.rule.map.evaluate_batch(mid[:, eta_cols])
+    for _, X in scan_assignments(A.size, len(M2)):
+        out = sigma.rule.map.evaluate_batch(tau.rule.map.evaluate_windows(X, pos_tau))
         if not np.array_equal(out, X[:, one]):
             return False
     return True

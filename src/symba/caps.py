@@ -3,7 +3,8 @@
 Every algorithm in this package is exponential in some window size, so all
 enumerated collections (subsets, pattern spaces, finite-group carriers) are
 capped and fail fast with ResourceCapError instead of thrashing. The env var
-SYMBA_CAP overrides the caps for a whole process.
+SYMBA_CAP overrides the caps for a whole process, up to 2^62: capped counts
+then keep every mixed-radix index and place value inside int64.
 """
 
 import os
@@ -15,6 +16,7 @@ DEFAULT_TRANSPORT_CAP = 1 << 24
 TRANSPORT_DIM_CAP = 4096
 
 _ENV_VAR = "SYMBA_CAP"
+_MAX_ENV_CAP = 1 << 62
 
 
 def _env_cap():
@@ -27,6 +29,8 @@ def _env_cap():
         raise ResourceCapError(f"{_ENV_VAR} must be an integer, got {raw!r}")
     if value <= 0:
         raise ResourceCapError(f"{_ENV_VAR} must be positive, got {value}")
+    if value > _MAX_ENV_CAP:
+        raise ResourceCapError(f"{_ENV_VAR} must be at most 2**62, got {value}")
     return value
 
 

@@ -239,7 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
         "synthesis, finite-group transport, group-ring arithmetic.",
     )
     parser.add_argument("--seed", type=int, default=0, help="seed recorded in the report")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (reserved)")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("check-inverse", help="decide one-sided inverse relations")

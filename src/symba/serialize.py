@@ -10,6 +10,7 @@ already be in canonical order.
 from __future__ import annotations
 
 import json
+from contextlib import contextmanager
 
 from .alphabets import Alphabet, StructuredMap
 from .ca import CellularAutomaton, LocalRule, Pattern
@@ -42,52 +43,52 @@ def _require_list(data, what: str) -> list:
     return data
 
 
-def group_to_json(G: Group) -> dict:
-    return G.to_json()
+@contextmanager
+def _parsing(what: str):
+    """Report missing keys and unconvertible values in `what` as invalid input.
+
+    Used as a decorator on the loaders, so a malformed number or array in a
+    file exits with the invalid-input code rather than escaping as a crash.
+    """
+    try:
+        yield
+    except KeyError as missing:
+        raise InvalidInputError(f"{what} JSON is missing {missing}") from None
+    except (TypeError, ValueError) as err:
+        raise InvalidInputError(f"malformed {what} JSON: {err}") from None
 
 
+@_parsing("group")
 def group_from_json(data) -> Group:
     data = _require_dict(data, "group")
     kind = data.get("kind")
-    try:
-        if kind == "free_abelian":
-            return FreeAbelianGroup(int(data["rank"]))
-        if kind == "free":
-            return FreeGroup(int(data["rank"]))
-        if kind == "finite":
-            return FiniteGroup(data["table"])
-        if kind == "product":
-            return ProductGroup([group_from_json(f) for f in _require_list(data["factors"], "factors")])
-        if kind == "symmetric":
-            return SymmetricGroup(int(data["degree"]))
-    except KeyError as missing:
-        raise InvalidInputError(f"group JSON is missing {missing}") from None
+    if kind == "free_abelian":
+        return FreeAbelianGroup(int(data["rank"]))
+    if kind == "free":
+        return FreeGroup(int(data["rank"]))
+    if kind == "finite":
+        return FiniteGroup(data["table"])
+    if kind == "product":
+        return ProductGroup([group_from_json(f) for f in _require_list(data["factors"], "factors")])
+    if kind == "symmetric":
+        return SymmetricGroup(int(data["degree"]))
     raise InvalidInputError(f"unknown group kind {kind!r}")
 
 
-def alphabet_to_json(A: Alphabet) -> dict:
-    return A.to_json()
-
-
+@_parsing("alphabet")
 def alphabet_from_json(data) -> Alphabet:
     data = _require_dict(data, "alphabet")
     flavor = data.get("flavor")
-    try:
-        if flavor == "plain":
-            return Alphabet.plain(int(data["size"]))
-        if flavor == "module":
-            return Alphabet.module(int(data["modulus"]), int(data["dim"]))
-        if flavor == "group":
-            return Alphabet.group(data["table"])
-    except KeyError as missing:
-        raise InvalidInputError(f"alphabet JSON is missing {missing}") from None
+    if flavor == "plain":
+        return Alphabet.plain(int(data["size"]))
+    if flavor == "module":
+        return Alphabet.module(int(data["modulus"]), int(data["dim"]))
+    if flavor == "group":
+        return Alphabet.group(data["table"])
     raise InvalidInputError(f"unknown alphabet flavor {flavor!r}")
 
 
-def structured_map_to_json(smap: StructuredMap) -> dict:
-    return smap.to_json()
-
-
+@_parsing("map")
 def structured_map_from_json(data, alphabet: Alphabet) -> StructuredMap:
     data = _require_dict(data, "map")
     if "arity" not in data:
@@ -105,6 +106,7 @@ def subset_to_json(S: FiniteSubset) -> list:
     return [S.group.elem_to_json(e) for e in S]
 
 
+@_parsing("subset")
 def subset_from_json(data, G: Group, what: str = "subset") -> FiniteSubset:
     elems = [G.elem_from_json(e) for e in _require_list(data, what)]
     subset = FiniteSubset(G, elems)
@@ -117,10 +119,10 @@ def subset_from_json(data, G: Group, what: str = "subset") -> FiniteSubset:
 
 def ca_to_json(tau: CellularAutomaton) -> dict:
     return {
-        "universe": group_to_json(tau.universe),
-        "alphabet": alphabet_to_json(tau.alphabet),
+        "universe": tau.universe.to_json(),
+        "alphabet": tau.alphabet.to_json(),
         "memory": subset_to_json(tau.memory),
-        "map": structured_map_to_json(tau.rule.map),
+        "map": tau.rule.map.to_json(),
     }
 
 
@@ -140,6 +142,7 @@ def pattern_to_json(p: Pattern, alphabet: Alphabet) -> dict:
     return p.to_json(alphabet)
 
 
+@_parsing("pattern")
 def pattern_from_json(data, G: Group, alphabet: Alphabet) -> Pattern:
     data = _require_dict(data, "pattern")
     if "domain" not in data or "values" not in data:
@@ -151,10 +154,11 @@ def pattern_from_json(data, G: Group, alphabet: Alphabet) -> Pattern:
 
 def matrix_to_json(X: GroupRingMatrix) -> dict:
     out = X.to_json()
-    out["universe"] = group_to_json(X.group)
+    out["universe"] = X.group.to_json()
     return out
 
 
+@_parsing("group-ring matrix")
 def matrix_from_json(data, G: Group | None = None) -> GroupRingMatrix:
     data = _require_dict(data, "group-ring matrix")
     if G is None:

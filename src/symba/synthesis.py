@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .alphabets import StructuredMap
+from .alphabets import StructuredMap, decode_assignments, decode_index, radix, scan_assignments
 from .ca import (
     CellularAutomaton,
     LocalRule,
@@ -40,8 +40,6 @@ from .groups import (
     set_product,
     symmetrize,
 )
-
-_SCAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -97,56 +95,32 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     check_size(A.size ** len(NM), "determinacy scan")
     pos = window_positions(NM, N, M)
     center = NM.index_of(ident)
+    key_radix = radix(A.size, len(N))
     n_keys = A.size ** len(N)
-    key_radix = A.size ** np.arange(len(N) - 1, -1, -1, dtype=np.int64)
-    radix = A.size ** np.arange(len(NM) - 1, -1, -1, dtype=np.int64)
-    total = A.size ** len(NM)
 
     first_pattern = np.full(n_keys, -1, dtype=np.int64)
     first_value = np.full(n_keys, -1, dtype=np.int64)
 
-    for start in range(0, total, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        X = (idx[:, None] // radix[None, :]) % A.size
-        img = np.empty((X.shape[0], len(N)), dtype=np.int64)
-        for i in range(len(N)):
-            img[:, i] = tau.rule.map.evaluate_batch(X[:, pos[i]])
-        keys = img @ key_radix
+    for idx, X in scan_assignments(A.size, len(NM)):
+        keys = tau.rule.map.evaluate_windows(X, pos) @ key_radix
         vals = X[:, center]
-        order = np.argsort(keys, kind="stable")
-        sk, sv, si = keys[order], vals[order], idx[order]
-        starts = np.flatnonzero(np.r_[True, sk[1:] != sk[:-1]])
-        ends = np.r_[starts[1:], sk.size]
-        # The witness is the first window (in enumeration order) colliding
-        # with an earlier window of equal image, paired with that earliest
-        # window; scanning per key run and minimizing over runs gives the
-        # same pair a sequential scan would find.
-        conflict_at = None
-        conflict_key = -1
-        for s, e in zip(starts, ends):
-            key = int(sk[s])
-            if first_pattern[key] < 0:
-                first_pattern[key] = si[s]
-                first_value[key] = sv[s]
-            bad = np.flatnonzero(sv[s:e] != first_value[key])
-            if bad.size:
-                y_at = int(si[s + bad[0]])
-                if conflict_at is None or y_at < conflict_at:
-                    conflict_at = y_at
-                    conflict_key = key
-        if conflict_at is not None:
-            x_pat = _decode_pattern(NM, int(first_pattern[conflict_key]), radix, A.size)
-            y_pat = _decode_pattern(NM, conflict_at, radix, A.size)
+        # Record each image's earliest window; the witness is then the first
+        # window (in enumeration order) whose center differs from the
+        # earliest window of equal image, paired with that earliest window.
+        seen, first = np.unique(keys, return_index=True)
+        new = first_pattern[seen] < 0
+        first_pattern[seen[new]] = idx[first[new]]
+        first_value[seen[new]] = vals[first[new]]
+        bad = np.flatnonzero(vals != first_value[keys])
+        if bad.size:
+            y = bad[0]
+            x_pat = Pattern(NM, decode_index(first_pattern[keys[y]], A.size, len(NM)))
+            y_pat = Pattern(NM, X[y])
             return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
 
     table = np.where(first_value >= 0, first_value, A.basepoint)
     rule = LocalRule(N, StructuredMap(A, len(N), table=table))
     return DeterminacyResult(rule=rule, witness=None)
-
-
-def _decode_pattern(domain, index: int, radix, size: int) -> Pattern:
-    vals = (index // radix) % size
-    return Pattern(domain, tuple(int(v) for v in vals))
 
 
 def _determinacy_linear(tau, N, NM) -> DeterminacyResult:
@@ -259,8 +233,6 @@ def _permuted_rule(rule: LocalRule, new_memory: FiniteSubset, old_order) -> Loca
     if rule.map.is_matrix:
         mats = rule.map.matrices[np.asarray(old_order)]
         return LocalRule(new_memory, StructuredMap(A, len(new_memory), matrices=mats))
-    from .alphabets import decode_assignments
-
     X = decode_assignments(A.size, len(new_memory))
     inv = np.empty(len(old_order), dtype=np.int64)
     for new_pos, old_pos in enumerate(old_order):

@@ -20,7 +20,10 @@ from .alphabets import (
     Alphabet,
     StructuredMap,
     decode_assignments,
+    decode_index,
     finite_map_classify,
+    radix,
+    scan_assignments,
 )
 from .ca import (
     CellularAutomaton,
@@ -49,8 +52,6 @@ from .groups import (
     set_product,
     symmetrize,
 )
-
-_SCAN_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -283,15 +284,10 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
     count = A.size**nF
     if count > transport_cap():
         raise ResourceCapError(f"transport would tabulate {count} configurations")
-    radix = A.size ** np.arange(nF - 1, -1, -1, dtype=np.int64)
+    place = radix(A.size, nF)
     table = np.empty(count, dtype=np.int64)
-    for start in range(0, count, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, count), dtype=np.int64)
-        X = (idx[:, None] // radix[None, :]) % A.size
-        out = np.empty_like(X)
-        for i in range(nF):
-            out[:, i] = tau.rule.map.evaluate_batch(X[:, pos[i]])
-        table[idx] = out @ radix
+    for idx, X in scan_assignments(A.size, nF):
+        table[idx] = tau.rule.map.evaluate_windows(X, pos) @ place
     return TransportedEndomap(e, A, carrier, table=table)
 
 
@@ -303,11 +299,10 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
         sorted_vals = alpha.table[order]
         dup = np.flatnonzero(sorted_vals[1:] == sorted_vals[:-1])
         if dup.size:
-            i, j = int(order[dup[0]]), int(order[dup[0] + 1])
-            nF = len(alpha.carrier)
-            radix = A.size ** np.arange(nF - 1, -1, -1, dtype=np.int64)
-            decode = lambda c: tuple(int(v) for v in (c // radix) % A.size)
-            raise NotInvertibleError((decode(i), decode(j)), "transported map is not injective")
+            pair = decode_index(order[dup[0] : dup[0] + 2], A.size, len(alpha.carrier))
+            raise NotInvertibleError(
+                tuple(tuple(w) for w in pair.tolist()), "transported map is not injective"
+            )
         inverse = np.empty_like(alpha.table)
         inverse[alpha.table] = np.arange(alpha.table.size, dtype=np.int64)
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
@@ -350,15 +345,10 @@ def extract_local_rule(
         )
         return LocalRule(M, StructuredMap(A, len(M), matrices=mats))
 
-    nF = len(carrier)
-    radix = A.size ** np.arange(nF - 1, -1, -1, dtype=np.int64)
-    base = int(np.sum(A.basepoint * radix))
+    place = radix(A.size, len(carrier))
     X = decode_assignments(A.size, len(M))
-    codes = np.full(X.shape[0], base, dtype=np.int64)
-    for j, c in enumerate(cols):
-        codes += (X[:, j] - A.basepoint) * radix[c]
-    outputs = gamma.table[codes]
-    table = (outputs // radix[one]) % A.size
+    codes = A.basepoint * place.sum() + (X - A.basepoint) @ place[cols]
+    table = (gamma.table[codes] // place[one]) % A.size
     return LocalRule(M, StructuredMap(A, len(M), table=table))
 
 
@@ -380,18 +370,15 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
             if not np.array_equal((alpha.matrix @ P) % p, (P @ alpha.matrix) % p):
                 return False
         return True
-    radix = A.size ** np.arange(nF - 1, -1, -1, dtype=np.int64)
-    count = alpha.table.size
-    X = (np.arange(count, dtype=np.int64)[:, None] // radix[None, :]) % A.size
-    alpha_X = (alpha.table[:, None] // radix[None, :]) % A.size
-    for h in carrier:
-        h_inv = F.inv(h)
-        perm = np.array([pos_F[F.mul(h_inv, u)] for u in carrier], dtype=np.int64)
-        translated = X[:, perm] @ radix
-        lhs = alpha.table[translated]
-        rhs = alpha_X[:, perm] @ radix
-        if not np.array_equal(lhs, rhs):
-            return False
+    place = radix(A.size, nF)
+    perms = [
+        np.array([pos_F[F.mul(F.inv(h), u)] for u in carrier], dtype=np.int64) for h in carrier
+    ]
+    for idx, X in scan_assignments(A.size, nF):
+        alpha_X = decode_index(alpha.table[idx], A.size, nF)
+        for perm in perms:
+            if not np.array_equal(alpha.table[X[:, perm] @ place], alpha_X[:, perm] @ place):
+                return False
     return True
 
 
@@ -437,7 +424,6 @@ def transport_inverse_pipeline(
     tau_ext = CellularAutomaton(G, A, extend_memory(tau.rule, M))
 
     alpha = transport_endomap(tau_ext, e)
-    classification = alpha.classify()
     gamma = invert_transport(alpha)
     rule = extract_local_rule(gamma, e, M, A)
     nu_ca = CellularAutomaton(G, A, rule)
@@ -447,8 +433,10 @@ def transport_inverse_pipeline(
     if not (left and right):
         raise AssertionError("extracted rule failed certification; this is a bug")
 
+    # invert_transport raises unless alpha is a bijection
+    bijective = {"injective": True, "surjective": True, "bijective": True}
     report = {
-        "alpha": classification,
+        "alpha": bijective,
         "target_order": len(alpha.carrier),
         "representation": "matrix" if alpha.is_matrix else "table",
         "left_certified": left,

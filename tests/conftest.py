@@ -136,3 +136,31 @@ def random_pointed_table(rng, A, arity):
     base_idx = int(sum(A.basepoint * q**k for k in range(arity)))
     table[base_idx] = A.basepoint
     return table
+
+
+def oracle_determinacy_witness(tau, N):
+    """Unchunked determinacy scan: the first conflict pair as value tuples.
+
+    Decodes the whole pattern space on N*M at once, reads each image through
+    the raw rule table, then walks the windows in enumeration order keeping
+    the earliest window of every image. Returns (x, y) for the first window
+    y whose identity value differs from that earliest window x, or None.
+    """
+    G, A = tau.universe, tau.alphabet
+    q = A.size
+    Mt = list(tau.memory)
+    NM = list(sy.set_product(G, N, sy.symmetrize(G, tau.memory)))
+    at = {u: i for i, u in enumerate(NM)}
+    tbl = tau.rule.map.expand_table().table
+    n = len(NM)
+    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    X = (np.arange(q**n, dtype=np.int64)[:, None] // radix[None, :]) % q
+    rt = q ** np.arange(len(Mt) - 1, -1, -1, dtype=np.int64)
+    images = np.stack([tbl[X[:, [at[G.mul(g, m)] for m in Mt]] @ rt] for g in N], axis=1)
+    center = X[:, at[G.identity()]]
+    earliest = {}
+    for y, image in enumerate(map(tuple, images.tolist())):
+        x = earliest.setdefault(image, y)
+        if center[x] != center[y]:
+            return tuple(int(v) for v in X[x]), tuple(int(v) for v in X[y])
+    return None

@@ -65,6 +65,22 @@ def test_malformed_input_exit_two(files, capsys):
     missing = str(files["dir"] / "missing.json")
     code, _ = run(capsys, "check-inverse", "--sigma", missing, "--tau", files["tau"])
     assert code == 2
+    # unconvertible numbers inside well-formed JSON are invalid input too
+    tau = json.loads((files["dir"] / "tau.json").read_text())
+    Z = sy.FreeAbelianGroup(1)
+    matrix = serialize.matrix_to_json(
+        sy.GroupRingMatrix(Z, 2, [[sy.GroupRingElement(Z, 2, {(0,): 1})]])
+    )
+    matrix["entries"][0][0][0]["coef"] = "q"
+    check = ["check-inverse", "--sigma", str(bad), "--tau", files["tau"]]
+    for payload, argv in [
+        ({**tau, "universe": {"kind": "free_abelian", "rank": "x"}}, check),
+        ({**tau, "memory": [["x"]]}, check),
+        (matrix, ["groupring", "mul", "--a", str(bad), "--b", str(bad)]),
+    ]:
+        bad.write_text(json.dumps(payload))
+        code, report = run(capsys, *argv)
+        assert code == 2 and "error" in report["outcome"], payload
 
 
 def test_synthesize_success_writes_verifiable_artifact(files, capsys):
@@ -112,6 +128,15 @@ def test_synthesize_resource_cap_exit_three(files, capsys, monkeypatch):
     )
     assert code == 3
     assert "cap" in report["outcome"]["error"]
+
+
+def test_cap_above_int64_index_range_exit_three(files, capsys, monkeypatch):
+    monkeypatch.setenv("SYMBA_CAP", str((1 << 62) + 1))
+    code, report = run(
+        capsys, "synthesize-inverse", "--input", files["tau"], "--max-radius", "1"
+    )
+    assert code == 3
+    assert "SYMBA_CAP" in report["outcome"]["error"]
 
 
 def test_transport_and_equivalence_with_synthesis(files, capsys):

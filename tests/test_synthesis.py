@@ -6,7 +6,7 @@ import pytest
 import symba as sy
 from symba.errors import InvalidInputError, UnsupportedSubgroupError
 
-from conftest import make_table_ca, xor_ca
+from conftest import make_table_ca, oracle_determinacy_witness, random_pointed_table, xor_ca
 
 
 def test_determinacy_xor_witness(Z, bit):
@@ -21,6 +21,28 @@ def test_determinacy_xor_witness(Z, bit):
     assert x.values == (0, 0, 1) and y.values == (0, 1, 0)
     assert (x.values[1] + x.values[2]) % 2 == (y.values[1] + y.values[2]) % 2
     assert x.values[1] != y.values[1]
+
+
+@pytest.mark.parametrize("seed", [11, 12])
+def test_determinacy_witness_past_first_chunk_matches_oracle(Z, bit, seed):
+    """A 2^17-window scan whose first conflict lies in the second chunk.
+
+    The rule c xor g(a, b), g a seeded random pointed table, is permutive in
+    its right cell, so a window is fixed by its image and its two leftmost
+    cells; for these seeds the first conflict pairs a window of the first
+    chunk with one of the second.
+    """
+    g = random_pointed_table(np.random.default_rng(seed), bit, 2)
+    table = [c ^ int(g[2 * a + b]) for a in (0, 1) for b in (0, 1) for c in (0, 1)]
+    tau = make_table_ca(Z, bit, [(-1,), (0,), (1,)], table)
+    N = sy.ball(Z, 7)
+    assert bit.size ** len(sy.set_product(Z, N, tau.memory)) == 1 << 17
+    x, y = oracle_determinacy_witness(tau, N)
+    radix = 2 ** np.arange(16, -1, -1)
+    assert int(np.dot(y, radix)) >= 1 << 16 > int(np.dot(x, radix))
+    res = sy.determinacy_check(tau, N)
+    assert not res.is_determined
+    assert (res.witness[0].values, res.witness[1].values) == (x, y)
 
 
 def test_determinacy_shift_rule(Z, bit):

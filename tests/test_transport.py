@@ -201,6 +201,21 @@ def test_beta_alpha_identity_follows_left_inverse(Z, bit):
     assert sy.check_equivariance(alpha) and sy.check_equivariance(beta)
 
 
+def test_check_equivariance_sees_one_broken_configuration(Z, bit):
+    """nF = 17, q = 2: 2^17 configurations, two scan chunks."""
+    tau = xor_ca(Z, bit, [(-1,), (0,), (1,)])
+    e = sy.build_embedding(Z, sy.ball(Z, 2), {"kind": "modular", "N": 17})
+    alpha = sy.transport_endomap(tau, e)
+    assert alpha.table.size == 1 << 17
+    broken = alpha.table.copy()
+    config = (1 << 16) + 5
+    broken[config] ^= 1
+    as_endomap = lambda t: sy.TransportedEndomap(e, bit, alpha.carrier, table=t)
+    assert not sy.check_equivariance(as_endomap(broken))
+    broken[config] = alpha.table[config]
+    assert sy.check_equivariance(as_endomap(broken))
+
+
 def test_transport_cap_enforced(Z, monkeypatch):
     big = sy.Alphabet.plain(3)
     ident = sy.identity_ca(Z, big)
