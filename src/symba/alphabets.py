@@ -11,6 +11,11 @@ matrices acting by x -> sum_j mat[j] @ x_j mod n.
 `radix` and `scan_assignments` are the only place this index order is
 computed: every table lookup, window scan and witness decode goes through
 them (or `decode_index` / `decode_assignments`, built on `radix`).
+
+A matrix map read at several windows of a cell array is one block matrix
+over (Z/n)^(cells*dim), laid out cell-major with the vector coordinate minor.
+`StructuredMap.window_matrix` is the only code that writes this layout;
+composition, matrix-rule determinacy and transport all read through it.
 """
 
 from __future__ import annotations
@@ -226,6 +231,22 @@ class StructuredMap:
         for i, cols in enumerate(pos):
             out[:, i] = self.evaluate_batch(X[:, cols])
         return out
+
+    def window_matrix(self, pos, n_cells: int) -> np.ndarray:
+        """The linear twin of evaluate_windows, for matrix maps.
+
+        Returns the (len(pos)*dim, n_cells*dim) matrix mod n whose block
+        (i, pos[i, j]) holds matrices[j] (summed where a row repeats a cell),
+        so row block i applies the map to the cells pos[i] of a flat vector.
+        """
+        A = self.alphabet
+        d = A.dim
+        pos = np.asarray(pos, dtype=np.int64)
+        blocks = np.zeros((len(pos), d, n_cells, d), dtype=np.int64)
+        rows = np.arange(len(pos))[:, None]
+        np.add.at(blocks, (rows, slice(None), pos, slice(None)), self.matrices)
+        np.remainder(blocks, A.modulus, out=blocks)
+        return blocks.reshape(len(pos) * d, n_cells * d)
 
     def evaluate(self, window) -> int:
         return int(self.evaluate_batch(np.asarray(window, dtype=np.int64)[None, :])[0])

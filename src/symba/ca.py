@@ -146,13 +146,11 @@ def extend_memory(rule: LocalRule, bigger: FiniteSubset) -> LocalRule:
     if not M.issubset(bigger):
         raise InvalidInputError("new memory must contain the old one")
     cols = [bigger.index_of(m) for m in M]
-    if rule.map.is_matrix:
-        A = rule.alphabet
-        mats = np.zeros((len(bigger), A.dim, A.dim), dtype=np.int64)
-        for j, c in enumerate(cols):
-            mats[c] = rule.map.matrices[j]
-        return LocalRule(bigger, StructuredMap(A, len(bigger), matrices=mats))
     A = rule.alphabet
+    if rule.map.is_matrix:
+        mats = np.zeros((len(bigger), A.dim, A.dim), dtype=np.int64)
+        mats[cols] = rule.map.matrices
+        return LocalRule(bigger, StructuredMap(A, len(bigger), matrices=mats))
     X = decode_assignments(A.size, len(bigger))
     table = rule.map.evaluate_batch(X[:, cols])
     return LocalRule(bigger, StructuredMap(A, len(bigger), table=table))
@@ -178,26 +176,24 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     """The automaton acting as sigma-after-tau; memory is M_sigma * M_tau.
 
     When both rules are matrix maps the composite stays a matrix map, with
-    coefficient at u equal to sum over s*m = u of D_s @ C_m.
+    coefficient at u equal to sum over s*m = u of D_s @ C_m: the row of
+    sigma's coefficients times tau's window matrix over the cells s*M_tau.
     """
     _require_compatible(sigma, tau)
     G, A = sigma.universe, sigma.alphabet
     Ms, Mt = sigma.memory, tau.memory
     Mc = set_product(G, Ms, Mt)
+    pos = window_positions(Mc, Ms, Mt)
 
     if sigma.rule.map.is_matrix and tau.rule.map.is_matrix:
-        mats = np.zeros((len(Mc), A.dim, A.dim), dtype=np.int64)
-        for i, s in enumerate(Ms):
-            for j, m in enumerate(Mt):
-                u = Mc.index_of(G.mul(s, m))
-                mats[u] = (
-                    mats[u] + sigma.rule.map.matrices[i] @ tau.rule.map.matrices[j]
-                ) % A.modulus
+        d = A.dim
+        row = sigma.rule.map.matrices.transpose(1, 0, 2).reshape(d, len(Ms) * d)
+        flat = (row @ tau.rule.map.window_matrix(pos, len(Mc))) % A.modulus
+        mats = flat.reshape(d, len(Mc), d).transpose(1, 0, 2)
         rule = LocalRule(Mc, StructuredMap(A, len(Mc), matrices=mats))
         return CellularAutomaton(G, A, rule)
 
     check_size(A.size ** len(Mc), "composite rule table")
-    pos = window_positions(Mc, Ms, Mt)
     X = decode_assignments(A.size, len(Mc))
     table = sigma.rule.map.evaluate_batch(tau.rule.map.evaluate_windows(X, pos))
     rule = LocalRule(Mc, StructuredMap(A, len(Mc), table=table))
@@ -210,25 +206,18 @@ def _check_identity_composite(sigma: CellularAutomaton, tau: CellularAutomaton) 
     Both rules are read over the merged symmetric memory M; the composite
     local map on M*M must return the value at the identity cell for every
     window. Matrix pairs are decided exactly by the equivalent coefficient
-    identity: sum over s*m = u of H_s @ C_m must be the identity family.
+    identity: the composite's family must be I at the identity, 0 elsewhere.
     """
     _require_compatible(sigma, tau)
     G, A = sigma.universe, sigma.alphabet
 
     if sigma.rule.map.is_matrix and tau.rule.map.is_matrix:
-        acc: dict = {}
-        for i, s in enumerate(sigma.memory):
-            H = sigma.rule.map.matrices[i]
-            for j, m in enumerate(tau.memory):
-                C = tau.rule.map.matrices[j]
-                u = G.mul(s, m)
-                acc[u] = (acc.get(u, 0) + H @ C) % A.modulus
-        ident = np.eye(A.dim, dtype=np.int64)
-        for u, mat in acc.items():
-            want = ident if u == G.identity() else np.zeros_like(ident)
-            if not np.array_equal(mat % A.modulus, want):
-                return False
-        return G.identity() in acc
+        comp = compose(sigma, tau)
+        if G.identity() not in comp.memory:
+            return False
+        want = np.zeros_like(comp.rule.map.matrices)
+        want[comp.memory.index_of(G.identity())] = np.eye(A.dim, dtype=np.int64)
+        return np.array_equal(comp.rule.map.matrices, want)
 
     M = common_memory(sigma, tau)
     M2 = set_product(G, M, M)
@@ -280,12 +269,9 @@ def same_action(
     resulting maps pointwise (for matrix pairs, coefficient by coefficient).
     """
     _require_compatible(first, second)
-    G, A = first.universe, first.alphabet
     M = first.memory.union(second.memory)
     r1 = extend_memory(first.rule, M)
     r2 = extend_memory(second.rule, M)
     if r1.map.is_matrix and r2.map.is_matrix:
-        return np.array_equal(
-            r1.map.matrices % A.modulus, r2.map.matrices % A.modulus
-        )
+        return np.array_equal(r1.map.matrices, r2.map.matrices)
     return np.array_equal(r1.map.expand_table().table, r2.map.expand_table().table)

@@ -36,7 +36,7 @@ from .errors import (
     ResourceCapError,
 )
 from .groupring import matrix_mul, one_sided_inverse_solve, from_linear_ca, to_linear_ca
-from .groups import FiniteSubset, set_product, symmetrize
+from .groups import set_product, symmetrize
 from .synthesis import synthesize_left_inverse
 from .transport import (
     build_embedding,
@@ -209,7 +209,7 @@ def _cmd_verify_embedding(args, digests):
             raise InvalidInputError("need either --ca or both --group and --memory")
         G = serialize.group_from_json(_load_json_arg(args.group, digests, "group"))
         raw = _load_json_arg(args.memory, digests, "memory")
-        M = symmetrize(G, FiniteSubset(G, [G.elem_from_json(e) for e in raw]))
+        M = symmetrize(G, serialize.subset_from_json(raw, G, "memory"))
     S = set_product(G, M, M)
     spec = _load_json_arg(args.embedding, digests, "embedding")
     try:

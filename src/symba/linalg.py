@@ -36,7 +36,10 @@ def row_reduce(A: np.ndarray, p: int):
     """Reduced row echelon form of A mod p.
 
     Returns (R, pivot_cols); rows of R below len(pivot_cols) are zero.
+    Pivots are scaled by Fermat inverses, so p must be prime: every other
+    function here eliminates through this one and inherits the check.
     """
+    require_prime(p, "linear algebra mod p")
     R = np.array(A, dtype=np.int64) % p
     rows, cols = R.shape
     pivot_cols = []

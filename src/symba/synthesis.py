@@ -127,21 +127,12 @@ def _determinacy_linear(tau, N, NM) -> DeterminacyResult:
     """Matrix-rule determinacy: solve eta @ T = (read off at identity)."""
     G, A = tau.universe, tau.alphabet
     p, d = A.modulus, A.dim
-    linalg.require_prime(p, "matrix-rule inverse synthesis")
-    M = tau.memory
     check_size(len(N) * d * len(NM) * d, "determinacy linear system")
-    T = np.zeros((len(N) * d, len(NM) * d), dtype=np.int64)
-    for i, g in enumerate(N):
-        for j, m in enumerate(M):
-            u = NM.index_of(G.mul(g, m))
-            T[i * d : (i + 1) * d, u * d : (u + 1) * d] = (
-                T[i * d : (i + 1) * d, u * d : (u + 1) * d] + tau.rule.map.matrices[j]
-            ) % p
+    T = tau.rule.map.window_matrix(window_positions(NM, N, tau.memory), len(NM))
     center = NM.index_of(G.identity())
-    proj = np.zeros((d, len(NM) * d), dtype=np.int64)
-    proj[:, center * d : (center + 1) * d] = np.eye(d, dtype=np.int64)
+    proj = np.eye(len(NM) * d, dtype=np.int64)[center * d : (center + 1) * d]
 
-    eta_t = linalg.solve(T.T % p, proj.T % p, p)
+    eta_t = linalg.solve(T.T, proj.T, p)
     if eta_t is None:
         for z in linalg.nullspace_basis(T, p):
             if z[center * d : (center + 1) * d].any():
@@ -150,14 +141,13 @@ def _determinacy_linear(tau, N, NM) -> DeterminacyResult:
                 return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
         raise AssertionError("inconsistent solve without a separating kernel vector")
     eta = eta_t.T % p
-    mats = np.stack([eta[:, i * d : (i + 1) * d] for i in range(len(N))])
+    mats = eta.reshape(d, len(N), d).transpose(1, 0, 2)
     rule = LocalRule(N, StructuredMap(A, len(N), matrices=mats))
     return DeterminacyResult(rule=rule, witness=None)
 
 
 def _vector_pattern(domain, flat, A) -> Pattern:
-    d = A.dim
-    vals = [A.vector_to_index(flat[i * d : (i + 1) * d]) for i in range(len(domain))]
+    vals = [A.vector_to_index(v) for v in flat.reshape(len(domain), A.dim)]
     return Pattern(domain, tuple(vals))
 
 

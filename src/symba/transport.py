@@ -158,6 +158,22 @@ def _ball_action_embedding(G: FreeGroup, S: FiniteSubset, radius: int | None) ->
     return _post_verify(LefEmbedding(G, S, target, phi))
 
 
+def _checked_spec(spec) -> dict:
+    """The embedding spec as a dict (None reads as {}), its shape validated."""
+    if spec is None:
+        return {}
+    if not isinstance(spec, dict):
+        raise InvalidInputError(f"embedding spec must be a JSON object, got {spec!r}")
+    for key in ("N", "radius"):
+        value = spec.get(key)
+        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+        if value is not None and not integer:
+            raise InvalidInputError(f"embedding spec {key!r} must be an integer, got {value!r}")
+    if not isinstance(spec.get("factors", []), (list, type(None))):
+        raise InvalidInputError(f"embedding spec 'factors' must be a list, got {spec['factors']!r}")
+    return spec
+
+
 def build_embedding(G: Group, S: FiniteSubset, spec: dict | None = None) -> LefEmbedding:
     """Build an embedding of S into a finite group.
 
@@ -166,19 +182,21 @@ def build_embedding(G: Group, S: FiniteSubset, spec: dict | None = None) -> LefE
     "identity"} for finite universes, {"kind": "product", "factors": [...]}
     componentwise. With spec=None each kind gets its minimal default, and
     minimality is established by construction plus the post-verification.
+    A spec of the wrong shape raises InvalidInputError.
     """
     if S.group != G:
         raise InvalidInputError("subset lives in the wrong group")
-    kind = (spec or {}).get("kind", "auto")
+    spec = _checked_spec(spec)
+    kind = spec.get("kind", "auto")
 
     if isinstance(G, FreeAbelianGroup) and kind in ("auto", "modular"):
-        return _modular_embedding(G, S, (spec or {}).get("N"))
+        return _modular_embedding(G, S, spec.get("N"))
     if isinstance(G, FreeGroup) and kind in ("auto", "ball_action"):
-        return _ball_action_embedding(G, S, (spec or {}).get("radius"))
+        return _ball_action_embedding(G, S, spec.get("radius"))
     if isinstance(G, (FiniteGroup, SymmetricGroup)) and kind in ("auto", "identity"):
         return _post_verify(LefEmbedding(G, S, G, {s: s for s in S}))
     if isinstance(G, ProductGroup) and kind in ("auto", "product"):
-        factor_specs = (spec or {}).get("factors")
+        factor_specs = spec.get("factors")
         if factor_specs is None:
             factor_specs = [None] * len(G.factors)
         if len(factor_specs) != len(G.factors):
@@ -267,19 +285,10 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
             pos[i, j] = pos_F[F.mul(h, e.phi[m])]
 
     if tau.rule.map.is_matrix:
-        d, p = A.dim, A.modulus
-        dim = d * nF
+        dim = A.dim * nF
         if dim > TRANSPORT_DIM_CAP:
             raise ResourceCapError(f"transport matrix dimension {dim} over cap {TRANSPORT_DIM_CAP}")
-        mat = np.zeros((dim, dim), dtype=np.int64)
-        for i in range(nF):
-            for j in range(len(M)):
-                c = pos[i, j]
-                mat[i * d : (i + 1) * d, c * d : (c + 1) * d] = (
-                    mat[i * d : (i + 1) * d, c * d : (c + 1) * d]
-                    + tau.rule.map.matrices[j]
-                ) % p
-        return TransportedEndomap(e, A, carrier, matrix=mat)
+        return TransportedEndomap(e, A, carrier, matrix=tau.rule.map.window_matrix(pos, nF))
 
     count = A.size**nF
     if count > transport_cap():
@@ -307,7 +316,6 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
         inverse[alpha.table] = np.arange(alpha.table.size, dtype=np.int64)
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
     p = A.modulus
-    linalg.require_prime(p, "matrix transport inversion")
     inv = linalg.invert(alpha.matrix, p)
     if inv is None:
         for z in linalg.nullspace_basis(alpha.matrix, p):
@@ -336,13 +344,8 @@ def extract_local_rule(
     one = pos_F[F.identity()]
 
     if gamma.is_matrix:
-        d = A.dim
-        mats = np.stack(
-            [
-                gamma.matrix[one * d : (one + 1) * d, c * d : (c + 1) * d]
-                for c in cols
-            ]
-        )
+        blocks = gamma.matrix.reshape(len(carrier), A.dim, len(carrier), A.dim)
+        mats = blocks[one, :, cols, :]  # (len(M), dim, dim)
         return LocalRule(M, StructuredMap(A, len(M), matrices=mats))
 
     place = radix(A.size, len(carrier))
@@ -359,21 +362,14 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
     carrier = alpha.carrier
     pos_F = {h: i for i, h in enumerate(carrier)}
     nF = len(carrier)
-    if alpha.is_matrix:
-        d, p = A.dim, A.modulus
-        for h in carrier:
-            P = np.zeros_like(alpha.matrix)
-            h_inv = F.inv(h)
-            for u in carrier:
-                r, c = pos_F[u], pos_F[F.mul(h_inv, u)]
-                P[r * d : (r + 1) * d, c * d : (c + 1) * d] = np.eye(d, dtype=np.int64)
-            if not np.array_equal((alpha.matrix @ P) % p, (P @ alpha.matrix) % p):
-                return False
-        return True
-    place = radix(A.size, nF)
+    # perm moves the value at cell h^-1 u to cell u: translation by h
     perms = [
         np.array([pos_F[F.mul(F.inv(h), u)] for u in carrier], dtype=np.int64) for h in carrier
     ]
+    if alpha.is_matrix:
+        blocks = alpha.matrix.reshape(nF, A.dim, nF, A.dim) % A.modulus
+        return all(np.array_equal(blocks[perm][:, :, perm], blocks) for perm in perms)
+    place = radix(A.size, nF)
     for idx, X in scan_assignments(A.size, nF):
         alpha_X = decode_index(alpha.table[idx], A.size, nF)
         for perm in perms:

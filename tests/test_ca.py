@@ -218,16 +218,18 @@ def test_check_left_inverse_matches_brute_force_oracle(Z, F2, bit):
 def test_check_left_inverse_matrix_route_agrees_with_table_route(Z):
     A = sy.Alphabet.module(2, 1)
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        mats_s = rng.integers(0, 2, size=(2, 1, 1))
-        mats_t = rng.integers(0, 2, size=(2, 1, 1))
-        mem_s = sy.FiniteSubset(Z, [(-1,), (0,)])
-        mem_t = sy.FiniteSubset(Z, [(0,), (1,)])
+    # the second pair's product memory {2} misses the identity
+    pairs = [([(-1,), (0,)], [(0,), (1,)])] * 10 + [([(1,)], [(1,)])] * 10
+    for cells_s, cells_t in pairs:
+        mem_s = sy.FiniteSubset(Z, cells_s)
+        mem_t = sy.FiniteSubset(Z, cells_t)
+        mats_s = rng.integers(0, 2, size=(len(mem_s), 1, 1))
+        mats_t = rng.integers(0, 2, size=(len(mem_t), 1, 1))
         sig_m = sy.CellularAutomaton(
-            Z, A, sy.LocalRule(mem_s, sy.StructuredMap(A, 2, matrices=mats_s))
+            Z, A, sy.LocalRule(mem_s, sy.StructuredMap(A, len(mem_s), matrices=mats_s))
         )
         tau_m = sy.CellularAutomaton(
-            Z, A, sy.LocalRule(mem_t, sy.StructuredMap(A, 2, matrices=mats_t))
+            Z, A, sy.LocalRule(mem_t, sy.StructuredMap(A, len(mem_t), matrices=mats_t))
         )
         sig_t = sy.CellularAutomaton(
             Z, A, sy.LocalRule(mem_s, sig_m.rule.map.expand_table())

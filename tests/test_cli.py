@@ -81,6 +81,18 @@ def test_malformed_input_exit_two(files, capsys):
         bad.write_text(json.dumps(payload))
         code, report = run(capsys, *argv)
         assert code == 2 and "error" in report["outcome"], payload
+    # malformed embedding specs and --memory lists
+    lattice = ["verify-embedding", "--group", '{"kind":"free_abelian","rank":1}']
+    free = ["verify-embedding", "--group", '{"kind":"free","rank":1}']
+    for argv in [
+        lattice + ["--memory", "[[1]]", "--embedding", '{"kind":"modular","N":"x"}'],
+        lattice + ["--memory", "[[1]]", "--embedding", "[1]"],
+        free + ["--memory", "[[1]]", "--embedding", '{"kind":"ball_action","radius":"x"}'],
+        lattice + ["--memory", '[["x"]]', "--embedding", '{"kind":"modular","N":5}'],
+        lattice + ["--memory", "5", "--embedding", '{"kind":"modular","N":5}'],
+    ]:
+        code, report = run(capsys, *argv)
+        assert code == 2 and "error" in report["outcome"], argv
 
 
 def test_synthesize_success_writes_verifiable_artifact(files, capsys):

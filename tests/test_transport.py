@@ -9,6 +9,7 @@ from symba.errors import (
     InvalidInputError,
     NotInvertibleError,
     ResourceCapError,
+    UnsupportedModulusError,
 )
 
 from conftest import xor_ca
@@ -214,6 +215,39 @@ def test_check_equivariance_sees_one_broken_configuration(Z, bit):
     assert not sy.check_equivariance(as_endomap(broken))
     broken[config] = alpha.table[config]
     assert sy.check_equivariance(as_endomap(broken))
+
+
+def test_check_equivariance_sees_one_broken_matrix_entry(Z):
+    """The matrix twin: one changed entry of a transported block matrix."""
+    C, _ = _pair_CD(Z)
+    A = sy.Alphabet.module(2, 2)
+    tau = sy.to_linear_ca(C, Z, A)
+    M = sy.symmetrize(Z, tau.memory)
+    tau_wide = sy.CellularAutomaton(Z, A, sy.extend_memory(tau.rule, M))
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 8})
+    alpha = sy.transport_endomap(tau_wide, e)
+    as_endomap = lambda m: sy.TransportedEndomap(e, A, alpha.carrier, matrix=m)
+    broken = alpha.matrix.copy()
+    broken[5, 12] ^= 1
+    assert not sy.check_equivariance(as_endomap(broken))
+    broken[5, 12] = alpha.matrix[5, 12]
+    assert sy.check_equivariance(as_endomap(broken))
+    broken[5, 12] += A.modulus  # the same map mod p
+    assert sy.check_equivariance(as_endomap(broken))
+
+
+def test_classify_rejects_composite_modulus(Z):
+    """x -> 2x over Z/4 is not injective; elimination mod 4 must refuse it."""
+    A = sy.Alphabet.module(4, 1)
+    M = sy.ball(Z, 1)
+    double = sy.LocalRule(sy.FiniteSubset(Z, [(0,)]), sy.StructuredMap(A, 1, matrices=[[[2]]]))
+    tau = sy.CellularAutomaton(Z, A, sy.extend_memory(double, M))
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 5})
+    alpha = sy.transport_endomap(tau, e)
+    with pytest.raises(UnsupportedModulusError):
+        alpha.classify()
+    with pytest.raises(UnsupportedModulusError):
+        sy.invert_transport(alpha)
 
 
 def test_transport_cap_enforced(Z, monkeypatch):
