@@ -10,7 +10,12 @@ matrices acting by x -> sum_j mat[j] @ x_j mod n.
 
 `radix` and `scan_assignments` are the only place this index order is
 computed: every table lookup, window scan and witness decode goes through
-them (or `decode_index` / `decode_assignments`, built on `radix`).
+them (or `decode_index` / `decode_assignments`, built on `radix`). Module
+alphabets never store their carrier: a value's vector is its digits in
+radix `modulus`.
+
+`StructuredMap.reindexed` is the one way to re-read a map over a different
+window (a wider memory, or the same cells re-encoded in a subgroup).
 
 A matrix map read at several windows of a cell array is one block matrix
 over (Z/n)^(cells*dim), laid out cell-major with the vector coordinate minor.
@@ -22,8 +27,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .caps import check_size
-from .errors import InvalidInputError
+from .caps import DEFAULT_ENUMERATION_CAP, check_size
+from .errors import InvalidInputError, ResourceCapError
 
 _PLAIN = "plain"
 _MODULE = "module"
@@ -45,8 +50,7 @@ class Alphabet:
         if self.size < 1:
             raise InvalidInputError(f"alphabet size must be >= 1, got {size}")
         if flavor == _MODULE:
-            # index <-> vector tables, index 0 = zero vector = basepoint
-            self._vectors = decode_assignments(modulus, dim)
+            # index = vector in radix `modulus`, index 0 = zero vector = basepoint
             self._radix = radix(modulus, dim)
 
     @classmethod
@@ -57,6 +61,11 @@ class Alphabet:
     def module(cls, modulus: int, dim: int) -> "Alphabet":
         if modulus < 2 or dim < 1:
             raise InvalidInputError(f"need modulus >= 2 and dim >= 1, got {modulus}, {dim}")
+        if modulus > DEFAULT_ENUMERATION_CAP:
+            # whatever SYMBA_CAP says: modulus^2 <= 2^40 keeps int64 arithmetic exact
+            raise ResourceCapError(
+                f"modulus {modulus} is above {DEFAULT_ENUMERATION_CAP}, the largest supported"
+            )
         size = modulus**dim
         check_size(size, "module alphabet carrier")
         return cls(_MODULE, size, 0, modulus=modulus, dim=dim)
@@ -80,7 +89,10 @@ class Alphabet:
         """(size, dim) array of module vectors, row i = vector of index i."""
         if not self.is_module:
             raise InvalidInputError("vectors only exist for module alphabets")
-        return self._vectors
+        return decode_assignments(self.modulus, self.dim)
+
+    def _vector(self, i) -> np.ndarray:
+        return decode_index(i, self.modulus, self.dim)
 
     def vector_to_index(self, vec) -> int:
         if not self.is_module:
@@ -93,7 +105,7 @@ class Alphabet:
     def add(self, i: int, j: int) -> int:
         """Alphabet structure operation on indices (module add / group mul)."""
         if self.is_module:
-            return self.vector_to_index(self._vectors[i] + self._vectors[j])
+            return self.vector_to_index(self._vector(i) + self._vector(j))
         if self.is_group:
             return self.table.mul(i, j)
         raise InvalidInputError("plain alphabets carry no operation")
@@ -101,7 +113,7 @@ class Alphabet:
     def scale(self, c: int, i: int) -> int:
         if not self.is_module:
             raise InvalidInputError("scaling needs a module alphabet")
-        return self.vector_to_index(c * self._vectors[i])
+        return self.vector_to_index(c * self._vector(i))
 
     def validate_value(self, i) -> None:
         if not isinstance(i, (int, np.integer)) or not (0 <= int(i) < self.size):
@@ -109,7 +121,7 @@ class Alphabet:
 
     def value_to_json(self, i: int):
         if self.is_module:
-            return [int(x) for x in self._vectors[i]]
+            return [int(x) for x in self._vector(i)]
         return int(i)
 
     def value_from_json(self, data) -> int:
@@ -221,7 +233,7 @@ class StructuredMap:
             if self.arity == 0:
                 return np.broadcast_to(self.table[0], (X.shape[0],)).copy()
             return self.table[X @ radix(A.size, self.arity)]
-        vecs = A.vectors()[X]  # (n, arity, dim)
+        vecs = decode_index(X, A.modulus, A.dim)  # (n, arity, dim)
         out = np.einsum("jkd,njd->nk", self.matrices, vecs) % A.modulus
         return out @ A._radix
 
@@ -247,6 +259,22 @@ class StructuredMap:
         np.add.at(blocks, (rows, slice(None), pos, slice(None)), self.matrices)
         np.remainder(blocks, A.modulus, out=blocks)
         return blocks.reshape(len(pos) * d, n_cells * d)
+
+    def reindexed(self, cols, arity: int) -> "StructuredMap":
+        """The same map read over a window of `arity` cells, input j at cols[j].
+
+        The result sends x to self(x[cols]); cells outside cols are ignored.
+        """
+        A = self.alphabet
+        if self.is_matrix:
+            d = A.dim
+            flat = self.window_matrix([cols], arity)
+            return StructuredMap(A, arity, matrices=flat.reshape(d, arity, d).transpose(1, 0, 2))
+        check_size(A.size**arity, "re-read rule table")
+        table = np.empty(A.size**arity, dtype=np.int64)
+        for idx, X in scan_assignments(A.size, arity):
+            table[idx] = self.evaluate_batch(X[:, cols])
+        return StructuredMap(A, arity, table=table)
 
     def evaluate(self, window) -> int:
         return int(self.evaluate_batch(np.asarray(window, dtype=np.int64)[None, :])[0])

@@ -5,6 +5,10 @@ a map A^M -> A, coordinates in canonical M order). The new value at cell g
 reads the old values at the cells g*m for m in M. Nothing infinite is ever
 materialized: every operation works on patterns, finite windows E with an
 assignment E -> A, again in canonical order.
+
+The composite sigma-after-tau is again such an automaton, with memory
+M_sigma * M_tau, so a one-sided inverse is decided in one place: the
+composite's local rule must be the projection onto the identity cell.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabets import Alphabet, StructuredMap, decode_assignments, scan_assignments, verify_pointed
+from .alphabets import Alphabet, StructuredMap, radix, scan_assignments, verify_pointed
 from .caps import check_size
 from .errors import EmptyWindowError, InvalidInputError
 from .groups import FiniteSubset, Group, set_product, symmetrize
@@ -145,19 +149,10 @@ def extend_memory(rule: LocalRule, bigger: FiniteSubset) -> LocalRule:
     M = rule.memory
     if not M.issubset(bigger):
         raise InvalidInputError("new memory must contain the old one")
+    if M == bigger:
+        return rule
     cols = [bigger.index_of(m) for m in M]
-    A = rule.alphabet
-    if rule.map.is_matrix:
-        mats = np.zeros((len(bigger), A.dim, A.dim), dtype=np.int64)
-        mats[cols] = rule.map.matrices
-        return LocalRule(bigger, StructuredMap(A, len(bigger), matrices=mats))
-    X = decode_assignments(A.size, len(bigger))
-    table = rule.map.evaluate_batch(X[:, cols])
-    return LocalRule(bigger, StructuredMap(A, len(bigger), table=table))
-
-
-def extend_ca(tau: CellularAutomaton, bigger: FiniteSubset) -> CellularAutomaton:
-    return CellularAutomaton(tau.universe, tau.alphabet, extend_memory(tau.rule, bigger))
+    return LocalRule(bigger, rule.map.reindexed(cols, len(bigger)))
 
 
 def common_memory(sigma: CellularAutomaton, tau: CellularAutomaton) -> FiniteSubset:
@@ -193,53 +188,48 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
         rule = LocalRule(Mc, StructuredMap(A, len(Mc), matrices=mats))
         return CellularAutomaton(G, A, rule)
 
-    check_size(A.size ** len(Mc), "composite rule table")
-    X = decode_assignments(A.size, len(Mc))
-    table = sigma.rule.map.evaluate_batch(tau.rule.map.evaluate_windows(X, pos))
-    rule = LocalRule(Mc, StructuredMap(A, len(Mc), table=table))
+    n = len(Mc)
+    check_size(A.size**n, "composite rule table")
+    table = np.empty(A.size**n, dtype=np.int64)
+    for idx, X in scan_assignments(A.size, n):
+        table[idx] = sigma.rule.map.evaluate_batch(tau.rule.map.evaluate_windows(X, pos))
+    rule = LocalRule(Mc, StructuredMap(A, n, table=table))
     return CellularAutomaton(G, A, rule)
 
 
-def _check_identity_composite(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
-    """Decide sigma-after-tau = identity via the finite window criterion.
+def _is_identity(ca: CellularAutomaton) -> bool:
+    """True iff the rule is the projection onto the identity cell.
 
-    Both rules are read over the merged symmetric memory M; the composite
-    local map on M*M must return the value at the identity cell for every
-    window. Matrix pairs are decided exactly by the equivalent coefficient
-    identity: the composite's family must be I at the identity, 0 elsewhere.
+    A matrix family must be I at the identity and 0 elsewhere; a table must
+    return the identity cell's digit of every window index.
     """
-    _require_compatible(sigma, tau)
-    G, A = sigma.universe, sigma.alphabet
-
-    if sigma.rule.map.is_matrix and tau.rule.map.is_matrix:
-        comp = compose(sigma, tau)
-        if G.identity() not in comp.memory:
-            return False
-        want = np.zeros_like(comp.rule.map.matrices)
-        want[comp.memory.index_of(G.identity())] = np.eye(A.dim, dtype=np.int64)
-        return np.array_equal(comp.rule.map.matrices, want)
-
-    M = common_memory(sigma, tau)
-    M2 = set_product(G, M, M)
-    check_size(A.size ** len(M2), "window criterion scan")
-    # tau is only evaluated at the cells s*M that sigma reads
-    pos_tau = window_positions(M2, sigma.memory, tau.memory)
-    one = M2.index_of(G.identity())
-    for _, X in scan_assignments(A.size, len(M2)):
-        out = sigma.rule.map.evaluate_batch(tau.rule.map.evaluate_windows(X, pos_tau))
-        if not np.array_equal(out, X[:, one]):
-            return False
-    return True
+    A, M, smap = ca.alphabet, ca.memory, ca.rule.map
+    one = ca.universe.identity()
+    if one not in M:
+        return A.size == 1
+    c = M.index_of(one)
+    if smap.is_matrix:
+        want = np.zeros_like(smap.matrices)
+        want[c] = np.eye(A.dim, dtype=np.int64)
+        return np.array_equal(smap.matrices, want)
+    n = len(M)
+    return np.array_equal(smap.table, np.arange(A.size**n) // radix(A.size, n)[c] % A.size)
 
 
 def check_left_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
-    """True iff sigma-after-tau is the identity on every configuration."""
-    return _check_identity_composite(sigma, tau)
+    """True iff sigma-after-tau is the identity on every configuration.
+
+    Decided on the composite rule over M_sigma * M_tau.
+    """
+    return _is_identity(compose(sigma, tau))
 
 
 def check_right_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
-    """True iff tau-after-sigma is the identity on every configuration."""
-    return _check_identity_composite(tau, sigma)
+    """True iff tau-after-sigma is the identity on every configuration.
+
+    Decided on the composite rule over M_tau * M_sigma.
+    """
+    return _is_identity(compose(tau, sigma))
 
 
 def evolve(tau: CellularAutomaton, p: Pattern, steps: int) -> Pattern:

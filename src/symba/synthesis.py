@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .alphabets import StructuredMap, decode_assignments, decode_index, radix, scan_assignments
+from .alphabets import StructuredMap, decode_index, radix, scan_assignments
 from .ca import (
     CellularAutomaton,
     LocalRule,
@@ -71,8 +71,6 @@ class SynthesisResult:
 
 def _symmetrized(tau: CellularAutomaton) -> CellularAutomaton:
     M = symmetrize(tau.universe, tau.memory)
-    if M == tau.memory:
-        return tau
     return CellularAutomaton(tau.universe, tau.alphabet, extend_memory(tau.rule, M))
 
 
@@ -213,24 +211,6 @@ def _lattice_coordinates(basis: list[list[int]], v) -> tuple:
     return tuple(coords)
 
 
-def _permuted_rule(rule: LocalRule, new_memory: FiniteSubset, old_order) -> LocalRule:
-    """Rebuild the rule over a re-encoded memory, permuting coordinates.
-
-    old_order[i] is the position, in the old canonical memory order, of the
-    element that became new_memory[i].
-    """
-    A = rule.alphabet
-    if rule.map.is_matrix:
-        mats = rule.map.matrices[np.asarray(old_order)]
-        return LocalRule(new_memory, StructuredMap(A, len(new_memory), matrices=mats))
-    X = decode_assignments(A.size, len(new_memory))
-    inv = np.empty(len(old_order), dtype=np.int64)
-    for new_pos, old_pos in enumerate(old_order):
-        inv[old_pos] = new_pos
-    table = rule.map.evaluate_batch(X[:, inv])
-    return LocalRule(new_memory, StructuredMap(A, len(new_memory), table=table))
-
-
 def restrict_to_memory_subgroup(tau: CellularAutomaton) -> CellularAutomaton:
     """Re-base the automaton on the subgroup its memory generates.
 
@@ -275,8 +255,8 @@ def restrict_to_memory_subgroup(tau: CellularAutomaton) -> CellularAutomaton:
         raise UnsupportedSubgroupError(f"no subgroup re-basing for {G!r}")
 
     new_memory = FiniteSubset(H, encode.values())
-    old_order = [M.index_of(m) for m in sorted(encode, key=lambda m: H.sort_key(encode[m]))]
-    rule = _permuted_rule(tau.rule, new_memory, old_order)
+    cols = [new_memory.index_of(encode[m]) for m in M]
+    rule = LocalRule(new_memory, tau.rule.map.reindexed(cols, len(new_memory)))
     return CellularAutomaton(H, tau.alphabet, rule)
 
 

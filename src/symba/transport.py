@@ -6,7 +6,7 @@ rule as an F-equivariant endomap of A^F, invert that finite object exactly
 (table scan or modular linear algebra), and read the inverse's local rule
 back off through the embedding, filling the cells outside the image with
 the basepoint. The extracted rule is certified against the original
-automaton by the two window criteria before it is returned.
+automaton by both one-sided inverse checks before it is returned.
 """
 
 from __future__ import annotations
@@ -66,12 +66,6 @@ class LefEmbedding:
     subset: FiniteSubset
     target: Group
     phi: dict = field(hash=False)
-
-    def image_of(self, m):
-        try:
-            return self.phi[m]
-        except KeyError:
-            raise InvalidInputError(f"{m!r} is outside the embedded subset") from None
 
 
 def _post_verify(e: LefEmbedding) -> LefEmbedding:

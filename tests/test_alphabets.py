@@ -7,7 +7,7 @@ import pytest
 
 import symba as sy
 from symba.alphabets import decode_assignments
-from symba.errors import InvalidInputError
+from symba.errors import InvalidInputError, ResourceCapError
 
 from conftest import symmetric_table
 
@@ -25,6 +25,21 @@ def test_module_alphabet_indexing():
     assert [list(v) for v in A.vectors()] == [[0, 0], [0, 1], [1, 0], [1, 1]]
     assert A.vector_to_index((1, 0)) == 2
     assert A.basepoint == 0
+
+
+def test_large_module_alphabet_stores_no_carrier(monkeypatch):
+    monkeypatch.setenv("SYMBA_CAP", str(1 << 41))
+    p = 1048573
+    A = sy.Alphabet.module(p, 2)
+    assert A.size == p * p
+    i = A.vector_to_index([p - 1, 5])
+    assert A.value_to_json(A.add(i, i)) == [p - 2, 10]
+    assert A.value_to_json(A.scale(3, i)) == [p - 3, 15]
+    double = sy.StructuredMap(A, 1, matrices=[[[2, 0], [0, 1]]])
+    assert A.value_to_json(double.evaluate([i])) == [p - 2, 5]
+    # above 2^20 the modulus is refused whatever the cap, so p^2 fits int64
+    with pytest.raises(ResourceCapError):
+        sy.Alphabet.module(1048583, 1)
 
 
 def test_group_alphabet_basepoint_is_identity():

@@ -198,6 +198,7 @@ def test_check_left_inverse_matches_brute_force_oracle(Z, F2, bit):
             for mem_s, mem_t in [
                 ([G.identity()], [G.identity()]),
                 ([gen], [G.inv(gen)]),
+                ([gen], [gen]),  # the product misses the identity
                 ([G.identity(), gen], [G.identity(), gen]),
             ]:
                 for _ in range(4):

@@ -151,6 +151,31 @@ def test_cap_above_int64_index_range_exit_three(files, capsys, monkeypatch):
     assert "SYMBA_CAP" in report["outcome"]["error"]
 
 
+def test_check_inverse_decided_on_composite_memory(files, capsys, monkeypatch):
+    # both composites have memory {0} (2 windows); the merged M*M has 2^5
+    monkeypatch.setenv("SYMBA_CAP", "16")
+    code, report = run(
+        capsys, "check-inverse", "--sigma", files["sigma"], "--tau", files["tau"]
+    )
+    assert code == 0
+    assert report["outcome"] == {"left": True, "right": True}
+
+
+def test_modulus_above_supported_range_exit_three(files, capsys, monkeypatch):
+    monkeypatch.setenv("SYMBA_CAP", str(1 << 40))
+    ca = {
+        "universe": {"kind": "free_abelian", "rank": 1},
+        "alphabet": {"flavor": "module", "modulus": 4294967291, "dim": 1},
+        "memory": [[0]],
+        "map": {"arity": 1, "matrices": [[[1]]]},
+    }
+    path = files["dir"] / "huge.json"
+    path.write_text(json.dumps(ca))
+    code, report = run(capsys, "check-inverse", "--sigma", str(path), "--tau", str(path))
+    assert code == 3
+    assert "modulus" in report["outcome"]["error"]
+
+
 def test_transport_and_equivalence_with_synthesis(files, capsys):
     out = str(files["dir"] / "result.json")
     code, report = run(

@@ -46,7 +46,7 @@ def test_full_ball_memory_scan_over_free_group(F2, bit):
         F2, bit, sy.extend_memory(sy.identity_ca(F2, bit).rule, b1)
     )
     assert sy.check_left_inverse(wide_ident, wide_ident)
-    # and a false verdict on the same window sizes exits early
+    # a false verdict composes over the same 2^17 windows
     rng = np.random.default_rng(99)
     table = rng.integers(0, 2, size=2 ** len(b1))
     table[0] = 0
