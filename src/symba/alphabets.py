@@ -8,11 +8,13 @@ full lookup table over the mixed-radix input index (again leftmost memory
 coordinate most significant) or, for module alphabets, as a list of m
 matrices acting by x -> sum_j mat[j] @ x_j mod n.
 
-`radix` and `scan_assignments` are the only place this index order is
-computed: every table lookup, window scan and witness decode goes through
-them (or `decode_index` / `decode_assignments`, built on `radix`). Module
-alphabets never store their carrier: a value's vector is its digits in
-radix `modulus`.
+`radix` is the only place this index order is computed: every table
+lookup and witness decode goes through it (or `decode_index` /
+`decode_assignments`, built on it). `StructuredMap.window_codes` is the one
+window-scan kernel: every table scan (composition, determinacy, transport
+tabulation, equivariance, re-reading) walks A^n through it in canonical
+order, without decoding configurations into digits. Module alphabets never
+store their carrier: a value's vector is its digits in radix `modulus`.
 
 `StructuredMap.reindexed` is the one way to re-read a map over a different
 window (a wider memory, or the same cells re-encoded in a subgroup).
@@ -24,6 +26,9 @@ composition, matrix-rule determinacy and transport all read through it.
 """
 
 from __future__ import annotations
+
+import bisect
+import itertools
 
 import numpy as np
 
@@ -172,18 +177,6 @@ def decode_assignments(size: int, arity: int) -> np.ndarray:
     return decode_index(np.arange(count, dtype=np.int64), size, arity)
 
 
-def scan_assignments(size: int, n: int):
-    """Yield (indices, X) chunks covering all of A^n in canonical index order.
-
-    X[k] is the n-tuple with canonical index indices[k]; a chunk holds at
-    most _SCAN_CHUNK rows, so a scan's memory does not grow with size^n.
-    """
-    total = size**n
-    for start in range(0, total, _SCAN_CHUNK):
-        idx = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.int64)
-        yield idx, decode_index(idx, size, n)
-
-
 class StructuredMap:
     """A set map A^arity -> A, as a lookup table or a matrix family."""
 
@@ -237,15 +230,56 @@ class StructuredMap:
         out = np.einsum("jkd,njd->nk", self.matrices, vecs) % A.modulus
         return out @ A._radix
 
-    def evaluate_windows(self, X: np.ndarray, pos) -> np.ndarray:
-        """(n, len(pos)) array whose column i applies the map to X[:, pos[i]]."""
-        out = np.empty((X.shape[0], len(pos)), dtype=np.int64)
-        for i, cols in enumerate(pos):
-            out[:, i] = self.evaluate_batch(X[:, cols])
+    def window_codes(self, pos, n_cells: int, place):
+        """Yield (start, codes) blocks covering A^n_cells in canonical order.
+
+        codes[k] = sum_i place[i] * self(x[pos[i]]) for the configuration x
+        of canonical index start + k. Each window's table is transposed onto
+        its cells of the (size,)*n_cells digit cube and added by
+        broadcasting; a block fixes the leading digits and holds at most
+        max(_SCAN_CHUNK, size) entries. Windows that read no leading cell
+        are summed once and reused by every block.
+        """
+        q = self.alphabet.size
+        rows = np.asarray(pos, dtype=np.int64).tolist()
+        if len(rows) != len(place) or any(len(row) != self.arity for row in rows):
+            raise InvalidInputError(f"need one {self.arity}-cell window per place value")
+        table = self.expand_table().table.reshape((q,) * self.arity)
+        trail = min(n_cells, 1)  # digits that vary within a block
+        while trail < n_cells and q ** (trail + 1) <= _SCAN_CHUNK:
+            trail += 1
+        lead = n_cells - trail
+        base = np.zeros((q,) * trail, dtype=np.int64)
+        moving = []  # (leading cells read, table indexed by their digits)
+        for row, c in zip(rows, place):
+            order = sorted(range(self.arity), key=row.__getitem__)
+            cells = [row[j] for j in order]
+            if len(set(cells)) < len(cells):
+                raise InvalidInputError("a window reads one cell twice")
+            if cells and not 0 <= cells[0] <= cells[-1] < n_cells:
+                raise InvalidInputError(f"window cells must lie in 0..{n_cells - 1}")
+            k = bisect.bisect_left(cells, lead)
+            shape = (q,) * k + tuple(q if u in cells else 1 for u in range(lead, n_cells))
+            spread = (c * table).transpose(order).reshape(shape)
+            if k:
+                moving.append((cells[:k], spread))
+            else:
+                base += spread
+        for b, digits in enumerate(itertools.product(range(q), repeat=lead)):
+            codes = base.copy()
+            for cells, spread in moving:
+                codes += spread[tuple(digits[u] for u in cells)]
+            yield b * base.size, codes.reshape(-1)
+
+    def window_table(self, pos, n_cells: int, place) -> np.ndarray:
+        """All of window_codes(pos, n_cells, place) as one array."""
+        out = np.empty(self.alphabet.size**n_cells, dtype=np.int64)
+        for start, codes in self.window_codes(pos, n_cells, place):
+            out[start : start + codes.size] = codes
         return out
 
     def window_matrix(self, pos, n_cells: int) -> np.ndarray:
-        """The linear twin of evaluate_windows, for matrix maps.
+        """The linear twin of window_codes, for matrix maps.
 
         Returns the (len(pos)*dim, n_cells*dim) matrix mod n whose block
         (i, pos[i, j]) holds matrices[j] (summed where a row repeats a cell),
@@ -271,10 +305,7 @@ class StructuredMap:
             flat = self.window_matrix([cols], arity)
             return StructuredMap(A, arity, matrices=flat.reshape(d, arity, d).transpose(1, 0, 2))
         check_size(A.size**arity, "re-read rule table")
-        table = np.empty(A.size**arity, dtype=np.int64)
-        for idx, X in scan_assignments(A.size, arity):
-            table[idx] = self.evaluate_batch(X[:, cols])
-        return StructuredMap(A, arity, table=table)
+        return StructuredMap(A, arity, table=self.window_table([cols], arity, [1]))
 
     def evaluate(self, window) -> int:
         return int(self.evaluate_batch(np.asarray(window, dtype=np.int64)[None, :])[0])

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabets import Alphabet, StructuredMap, radix, scan_assignments, verify_pointed
+from .alphabets import Alphabet, StructuredMap, radix, verify_pointed
 from .caps import check_size
 from .errors import EmptyWindowError, InvalidInputError
 from .groups import FiniteSubset, Group, set_product, symmetrize
@@ -191,8 +191,9 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     n = len(Mc)
     check_size(A.size**n, "composite rule table")
     table = np.empty(A.size**n, dtype=np.int64)
-    for idx, X in scan_assignments(A.size, n):
-        table[idx] = sigma.rule.map.evaluate_batch(tau.rule.map.evaluate_windows(X, pos))
+    outer = sigma.rule.map.expand_table().table
+    for start, codes in tau.rule.map.window_codes(pos, n, radix(A.size, len(Ms))):
+        table[start : start + codes.size] = outer[codes]
     rule = LocalRule(Mc, StructuredMap(A, n, table=table))
     return CellularAutomaton(G, A, rule)
 

@@ -5,6 +5,14 @@ enumerated collections (subsets, pattern spaces, finite-group carriers) are
 capped and fail fast with ResourceCapError instead of thrashing. The env var
 SYMBA_CAP overrides the caps for a whole process, up to 2^62: capped counts
 then keep every mixed-radix index and place value inside int64.
+
+The caps match measured budgets (2-core VM, Python 3.11, numpy 2.4, q = 2).
+At DEFAULT_TRANSPORT_CAP = 2^24 configurations the window-scan kernel
+tabulates a transport of a radius-1 rule on Z/24 in 0.2-0.3 s and checks
+its equivariance in 0.4 s, at a peak of about 290 MB (the table plus one
+translation table); the whole inverse pipeline there takes about 1.1 s.
+A determinacy scan of 2^19 windows takes 0.03 s, so one at
+DEFAULT_ENUMERATION_CAP = 2^20 stays well under a second.
 """
 
 import os

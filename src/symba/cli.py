@@ -4,7 +4,10 @@ Exit-code contract, uniform across subcommands:
   0  the requested property holds / the artifact was produced
   1  the property fails; a witness is included in the report
   2  invalid input (malformed JSON, bad encodings, precondition violations)
-  3  an enumeration exceeded the configured resource cap (see SYMBA_CAP)
+  3  an enumeration exceeded the configured resource cap (see SYMBA_CAP),
+     or the run ran out of memory
+  4  internal error: any other exception; the report names its type and
+     the traceback goes to stderr
 
 Every run prints one RunReport JSON object to stdout: command, input
 digests, outcome flags, witnesses or certificates, and wall time. Apart
@@ -19,6 +22,7 @@ import hashlib
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from . import serialize
@@ -49,6 +53,7 @@ EXIT_OK = 0
 EXIT_PROPERTY_FAILS = 1
 EXIT_INVALID_INPUT = 2
 EXIT_RESOURCE_CAP = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 def _digest_bytes(raw: bytes) -> str:
@@ -317,6 +322,8 @@ def main(argv=None) -> int:
         outcome, code = {"error": str(err)}, EXIT_INVALID_INPUT
     except ResourceCapError as err:
         outcome, code = {"error": str(err)}, EXIT_RESOURCE_CAP
+    except MemoryError as err:
+        outcome, code = {"error": f"out of memory: {err}"}, EXIT_RESOURCE_CAP
     except NotInvertibleError as err:
         outcome, code = (
             {"error": str(err), "witness": [list(w) for w in err.witness]},
@@ -327,6 +334,10 @@ def main(argv=None) -> int:
             {"error": str(err), "collision": [repr(err.first), repr(err.second)]},
             EXIT_PROPERTY_FAILS,
         )
+    except Exception as err:
+        traceback.print_exc(file=sys.stderr)
+        outcome = {"error": str(err), "exception": type(err).__name__}
+        code = EXIT_INTERNAL_ERROR
     wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
     command = args.command
     if getattr(args, "groupring_command", None):

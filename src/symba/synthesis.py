@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .alphabets import StructuredMap, decode_index, radix, scan_assignments
+from .alphabets import StructuredMap, decode_index, radix
 from .ca import (
     CellularAutomaton,
     LocalRule,
@@ -92,16 +92,16 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     check_size(A.size ** len(N), "inverse rule table")
     check_size(A.size ** len(NM), "determinacy scan")
     pos = window_positions(NM, N, M)
-    center = NM.index_of(ident)
-    key_radix = radix(A.size, len(N))
+    n = len(NM)
+    center_place = radix(A.size, n)[NM.index_of(ident)]
     n_keys = A.size ** len(N)
 
     first_pattern = np.full(n_keys, -1, dtype=np.int64)
     first_value = np.full(n_keys, -1, dtype=np.int64)
 
-    for idx, X in scan_assignments(A.size, len(NM)):
-        keys = tau.rule.map.evaluate_windows(X, pos) @ key_radix
-        vals = X[:, center]
+    for start, keys in tau.rule.map.window_codes(pos, n, radix(A.size, len(N))):
+        idx = np.arange(start, start + keys.size, dtype=np.int64)
+        vals = idx // center_place % A.size
         # Record each image's earliest window; the witness is then the first
         # window (in enumeration order) whose center differs from the
         # earliest window of equal image, paired with that earliest window.
@@ -112,8 +112,8 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
         bad = np.flatnonzero(vals != first_value[keys])
         if bad.size:
             y = bad[0]
-            x_pat = Pattern(NM, decode_index(first_pattern[keys[y]], A.size, len(NM)))
-            y_pat = Pattern(NM, X[y])
+            x_pat = Pattern(NM, decode_index(first_pattern[keys[y]], A.size, n))
+            y_pat = Pattern(NM, decode_index(idx[y], A.size, n))
             return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
 
     table = np.where(first_value >= 0, first_value, A.basepoint)

@@ -17,13 +17,13 @@ import numpy as np
 
 from . import linalg
 from .alphabets import (
+    _SCAN_CHUNK,
     Alphabet,
     StructuredMap,
     decode_assignments,
     decode_index,
     finite_map_classify,
     radix,
-    scan_assignments,
 )
 from .ca import (
     CellularAutomaton,
@@ -287,10 +287,7 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
     count = A.size**nF
     if count > transport_cap():
         raise ResourceCapError(f"transport would tabulate {count} configurations")
-    place = radix(A.size, nF)
-    table = np.empty(count, dtype=np.int64)
-    for idx, X in scan_assignments(A.size, nF):
-        table[idx] = tau.rule.map.evaluate_windows(X, pos) @ place
+    table = tau.rule.map.window_table(pos, nF, radix(A.size, nF))
     return TransportedEndomap(e, A, carrier, table=table)
 
 
@@ -349,8 +346,28 @@ def extract_local_rule(
     return LocalRule(M, StructuredMap(A, len(M), table=table))
 
 
+def _greedy_generators(F: Group, carrier: tuple) -> list:
+    """Generators of F in canonical order, each one the first element of the
+    carrier outside the subgroup generated by those picked before it."""
+    gens: list = []
+    span = {F.identity()}
+    for h in carrier:
+        if h in span:
+            continue
+        gens.append(h)
+        frontier = list(span)
+        while frontier:
+            frontier = [v for v in {F.mul(u, g) for u in frontier for g in gens} if v not in span]
+            span.update(frontier)
+    return gens
+
+
 def check_equivariance(alpha: TransportedEndomap) -> bool:
-    """Exhaustively check the transported map commutes with translations."""
+    """Exhaustively check the transported map commutes with translations.
+
+    Commuting with a generating set of F implies commuting with all of F,
+    so only the greedy generators are tested, each on every configuration.
+    """
     A = alpha.alphabet
     F = alpha.embedding.target
     carrier = alpha.carrier
@@ -358,17 +375,23 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
     nF = len(carrier)
     # perm moves the value at cell h^-1 u to cell u: translation by h
     perms = [
-        np.array([pos_F[F.mul(F.inv(h), u)] for u in carrier], dtype=np.int64) for h in carrier
+        np.array([pos_F[F.mul(F.inv(h), u)] for u in carrier], dtype=np.int64)
+        for h in _greedy_generators(F, carrier)
     ]
     if alpha.is_matrix:
         blocks = alpha.matrix.reshape(nF, A.dim, nF, A.dim) % A.modulus
         return all(np.array_equal(blocks[perm][:, :, perm], blocks) for perm in perms)
+    copy = StructuredMap(A, 1, table=np.arange(A.size))
     place = radix(A.size, nF)
-    for idx, X in scan_assignments(A.size, nF):
-        alpha_X = decode_index(alpha.table[idx], A.size, nF)
-        for perm in perms:
-            if not np.array_equal(alpha.table[X[:, perm] @ place], alpha_X[:, perm] @ place):
+    table = alpha.table
+    for perm in perms:
+        # P[x] is the index of x translated: its digit u is x's digit perm[u]
+        P = copy.window_table(perm[:, None], nF, place)
+        for start in range(0, table.size, _SCAN_CHUNK):
+            block = slice(start, start + _SCAN_CHUNK)
+            if not np.array_equal(table[P[block]], P[table[block]]):
                 return False
+        del P  # freed before the next tabulation: one extra array at a time
     return True
 
 

@@ -164,3 +164,26 @@ def oracle_determinacy_witness(tau, N):
         if center[x] != center[y]:
             return tuple(int(v) for v in X[x]), tuple(int(v) for v in X[y])
     return None
+
+
+def oracle_transport_table(tau, e):
+    """Transported table of a table rule, read cell by cell.
+
+    Decodes all of A^F with its own mixed-radix arithmetic, applies the raw
+    rule table at the cells h*phi(m) of every cell h of F (carrier in
+    canonical order), and encodes the images; no alphabets kernel is used.
+    """
+    F = e.target
+    carrier = list(F.elements())
+    at = {h: i for i, h in enumerate(carrier)}
+    q, n = tau.alphabet.size, len(carrier)
+    Mt = list(tau.memory)
+    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    X = (np.arange(q**n, dtype=np.int64)[:, None] // radix[None, :]) % q
+    rt = q ** np.arange(len(Mt) - 1, -1, -1, dtype=np.int64)
+    tbl = tau.rule.map.table
+    out = np.zeros(q**n, dtype=np.int64)
+    for i, h in enumerate(carrier):
+        cells = [at[F.mul(h, e.phi[m])] for m in Mt]
+        out += radix[i] * tbl[X[:, cells] @ rt]
+    return out

@@ -135,3 +135,13 @@ def test_structured_map_shape_validation():
     M = sy.Alphabet.module(2, 2)
     with pytest.raises(InvalidInputError):
         sy.StructuredMap(M, 2, matrices=[[[1, 0], [0, 1]]])  # one matrix short
+
+
+def test_window_codes_refuses_a_window_reading_one_cell_twice():
+    A = sy.Alphabet.plain(2)
+    xor = sy.StructuredMap(A, 2, table=[0, 1, 1, 0])
+    assert [c.tolist() for _, c in xor.window_codes([[0, 1], [2, 1]], 3, [2, 1])] == [
+        [0, 1, 3, 2, 2, 3, 1, 0]
+    ]
+    with pytest.raises(InvalidInputError, match="twice"):
+        list(xor.window_codes([[0, 1], [1, 1]], 3, [2, 1]))

@@ -151,6 +151,28 @@ def test_cap_above_int64_index_range_exit_three(files, capsys, monkeypatch):
     assert "SYMBA_CAP" in report["outcome"]["error"]
 
 
+@pytest.mark.parametrize(
+    "exc, code, exception",
+    [
+        (MemoryError("no room"), 3, None),
+        (RuntimeError("kernel bug"), 4, "RuntimeError"),
+        (AssertionError("certification failed"), 4, "AssertionError"),
+        (ValueError("escaped conversion"), 4, "ValueError"),
+    ],
+)
+def test_unexpected_exceptions_keep_the_exit_code_contract(
+    files, capsys, monkeypatch, exc, code, exception
+):
+    def handler(args, digests):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_check_inverse", handler)
+    got, report = run(capsys, "check-inverse", "--sigma", files["sigma"], "--tau", files["tau"])
+    assert got == code == report["exit_code"]
+    assert str(exc) in report["outcome"]["error"]
+    assert report["outcome"].get("exception") == exception
+
+
 def test_check_inverse_decided_on_composite_memory(files, capsys, monkeypatch):
     # both composites have memory {0} (2 windows); the merged M*M has 2^5
     monkeypatch.setenv("SYMBA_CAP", "16")

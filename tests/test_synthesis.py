@@ -45,6 +45,30 @@ def test_determinacy_witness_past_first_chunk_matches_oracle(Z, bit, seed):
     assert (res.witness[0].values, res.witness[1].values) == (x, y)
 
 
+@pytest.mark.parametrize("seed", [5, 11])
+def test_determinacy_witness_past_first_block_q3_matches_oracle(Z, seed):
+    """q = 3: a 3^11-window scan in blocks of 3^10 whose first conflict lies
+    past the first block.
+
+    The rule b + g(a) mod 3 (g a seeded random pointed table) makes a
+    window a function of its image and its leftmost cell, which is constant
+    on the first block; so every conflict pairs the first block with a
+    later one (the second for seed 5, the third for seed 11).
+    """
+    A = sy.Alphabet.plain(3)
+    g = random_pointed_table(np.random.default_rng(seed), A, 1)
+    table = [(b + int(g[a])) % 3 for a in range(3) for b in range(3) for c in range(3)]
+    tau = make_table_ca(Z, A, [(-1,), (0,), (1,)], table)
+    N = sy.ball(Z, 4)
+    assert A.size ** len(sy.set_product(Z, N, tau.memory)) == 3**11
+    x, y = oracle_determinacy_witness(tau, N)
+    radix = 3 ** np.arange(10, -1, -1)
+    assert int(np.dot(y, radix)) >= 3**10 > int(np.dot(x, radix))
+    res = sy.determinacy_check(tau, N)
+    assert not res.is_determined
+    assert (res.witness[0].values, res.witness[1].values) == (x, y)
+
+
 def test_determinacy_shift_rule(Z, bit):
     shift = sy.projection_ca(Z, bit, (1,))
     res = sy.determinacy_check(shift, sy.ball(Z, 1))

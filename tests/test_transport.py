@@ -12,7 +12,14 @@ from symba.errors import (
     UnsupportedModulusError,
 )
 
-from conftest import xor_ca
+from conftest import (
+    make_table_ca,
+    oracle_transport_table,
+    random_pointed_table,
+    symmetric_table,
+    xor_ca,
+)
+from symba.transport import _greedy_generators
 
 
 def _pair_CD(Z):
@@ -203,18 +210,22 @@ def test_beta_alpha_identity_follows_left_inverse(Z, bit):
 
 
 def test_check_equivariance_sees_one_broken_configuration(Z, bit):
-    """nF = 17, q = 2: 2^17 configurations, two scan chunks."""
+    """nF = 17, q = 2: 2^17 configurations, two scan chunks.
+
+    The all-ones configuration is fixed by every translation, so a break
+    there shows only at that configuration, the last one of the last chunk.
+    """
     tau = xor_ca(Z, bit, [(-1,), (0,), (1,)])
     e = sy.build_embedding(Z, sy.ball(Z, 2), {"kind": "modular", "N": 17})
     alpha = sy.transport_endomap(tau, e)
     assert alpha.table.size == 1 << 17
     broken = alpha.table.copy()
-    config = (1 << 16) + 5
-    broken[config] ^= 1
     as_endomap = lambda t: sy.TransportedEndomap(e, bit, alpha.carrier, table=t)
-    assert not sy.check_equivariance(as_endomap(broken))
-    broken[config] = alpha.table[config]
-    assert sy.check_equivariance(as_endomap(broken))
+    for config in [(1 << 16) + 5, (1 << 17) - 1]:
+        broken[config] ^= 1
+        assert not sy.check_equivariance(as_endomap(broken))
+        broken[config] = alpha.table[config]
+        assert sy.check_equivariance(as_endomap(broken))
 
 
 def test_check_equivariance_sees_one_broken_matrix_entry(Z):
@@ -234,6 +245,101 @@ def test_check_equivariance_sees_one_broken_matrix_entry(Z):
     assert sy.check_equivariance(as_endomap(broken))
     broken[5, 12] += A.modulus  # the same map mod p
     assert sy.check_equivariance(as_endomap(broken))
+
+
+def _c3xc3_via_z2():
+    Z2 = sy.FreeAbelianGroup(2)
+    return sy.build_embedding(Z2, sy.ball(Z2, 1), {"kind": "modular", "N": 3})
+
+
+def _s3xc3():
+    G = sy.ProductGroup([sy.FiniteGroup(symmetric_table(3)), sy.FiniteGroup.cyclic(3)])
+    return sy.build_embedding(G, sy.FiniteSubset(G, G.elements()), None)
+
+
+def _closure(F, gens):
+    span, frontier = {F.identity()}, [F.identity()]
+    while frontier:
+        frontier = [v for v in {F.mul(u, g) for u in frontier for g in gens} if v not in span]
+        span.update(frontier)
+    return span
+
+
+@pytest.mark.parametrize("make_embedding", [_c3xc3_via_z2, _s3xc3])
+def test_greedy_generators_generate_the_target(make_embedding):
+    e = make_embedding()
+    F = e.target
+    carrier = tuple(F.elements())
+    gens = _greedy_generators(F, carrier)
+    assert gens[0] == carrier[1]
+    assert _closure(F, gens) == set(carrier)
+    # each generator lies outside the subgroup the earlier ones generate
+    assert all(g not in _closure(F, gens[:i]) for i, g in enumerate(gens))
+
+
+@pytest.mark.parametrize("make_embedding", [_c3xc3_via_z2, _s3xc3])
+def test_check_equivariance_sees_a_later_generator(make_embedding, bit):
+    """alpha(x) = x o rho commutes with the first greedy generator g only.
+
+    rho(u) = u*g on the subgroup H = <g> and u elsewhere; H is invariant
+    under left translation by g, so alpha commutes with it, but not with a
+    translation moving H off itself. Right translation by g on all of F
+    commutes with every left translation.
+    """
+    e = make_embedding()
+    F = e.target
+    carrier = tuple(F.elements())
+    at = {h: i for i, h in enumerate(carrier)}
+    g = carrier[1]
+    H = _closure(F, [g])
+    assert len(H) < len(carrier)
+    rho = np.array([at[F.mul(u, g)] if u in H else at[u] for u in carrier])
+    n = len(carrier)
+    radix = 2 ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    X = (np.arange(2**n, dtype=np.int64)[:, None] // radix) % 2
+    table = X[:, rho] @ radix
+
+    def commutes(h):
+        perm = [at[F.mul(F.inv(h), u)] for u in carrier]
+        return np.array_equal(table[X[:, perm] @ radix], X[table][:, perm] @ radix)
+
+    assert commutes(g)
+    assert not all(commutes(h) for h in carrier)
+    as_endomap = lambda t: sy.TransportedEndomap(e, bit, carrier, table=t)
+    assert not sy.check_equivariance(as_endomap(table))
+    right = np.array([at[F.mul(u, g)] for u in carrier])
+    assert sy.check_equivariance(as_endomap(X[:, right] @ radix))
+
+
+def _transport_case(kind, q):
+    A = sy.Alphabet.plain(q)
+    if kind == "C3xC3":
+        G = sy.ProductGroup([sy.FiniteGroup.cyclic(3)] * 2)
+        M = sy.FiniteSubset(G, [(0, 0), (1, 0), (2, 0), (0, 1), (0, 2)])
+        e = sy.build_embedding(G, sy.set_product(G, M, M), None)
+    elif kind == "S3xC3":
+        e = _s3xc3()
+        G = e.source
+        M = sy.symmetrize(G, sy.FiniteSubset(G, [(1, 0), (0, 1)]))
+    else:
+        G = sy.FreeAbelianGroup(1)
+        M = sy.ball(G, 1)
+        e = sy.build_embedding(G, sy.ball(G, 2), {"kind": "modular", "N": kind})
+    table = random_pointed_table(np.random.default_rng(q), A, len(M))
+    return make_table_ca(G, A, list(M), table), e
+
+
+@pytest.mark.parametrize(
+    "kind, q",
+    [(7, 2), (17, 2), (6, 3), (11, 3), (12, 3), (9, 4), ("C3xC3", 2), ("C3xC3", 3),
+     ("C3xC3", 4), ("S3xC3", 2)],
+)
+def test_transport_table_matches_cell_by_cell_oracle(kind, q):
+    """Z/N, C3xC3 and S3xC3; 3^11, 3^12, 4^9, 2^17 and 2^18 span several blocks."""
+    tau, e = _transport_case(kind, q)
+    alpha = sy.transport_endomap(tau, e)
+    assert np.array_equal(alpha.table, oracle_transport_table(tau, e))
+    assert sy.check_equivariance(alpha)
 
 
 def test_classify_rejects_composite_modulus(Z):
