@@ -32,7 +32,7 @@ import itertools
 
 import numpy as np
 
-from .caps import DEFAULT_ENUMERATION_CAP, check_size
+from .caps import MAX_MODULUS, check_size
 from .errors import InvalidInputError, ResourceCapError
 
 _PLAIN = "plain"
@@ -66,10 +66,10 @@ class Alphabet:
     def module(cls, modulus: int, dim: int) -> "Alphabet":
         if modulus < 2 or dim < 1:
             raise InvalidInputError(f"need modulus >= 2 and dim >= 1, got {modulus}, {dim}")
-        if modulus > DEFAULT_ENUMERATION_CAP:
+        if modulus > MAX_MODULUS:
             # whatever SYMBA_CAP says: modulus^2 <= 2^40 keeps int64 arithmetic exact
             raise ResourceCapError(
-                f"modulus {modulus} is above {DEFAULT_ENUMERATION_CAP}, the largest supported"
+                f"modulus {modulus} is above {MAX_MODULUS}, the largest supported"
             )
         size = modulus**dim
         check_size(size, "module alphabet carrier")

@@ -13,6 +13,18 @@ its equivariance in 0.4 s, at a peak of about 290 MB (the table plus one
 translation table); the whole inverse pipeline there takes about 1.1 s.
 A determinacy scan of 2^19 windows takes 0.03 s, so one at
 DEFAULT_ENUMERATION_CAP = 2^20 stays well under a second.
+
+TRANSPORT_DIM_CAP bounds the dimension of a transported block matrix. Its
+products mod p (the inverse check and the beta-after-alpha check) are exact
+float64 BLAS products, one chunk each up to this dimension for any modulus
+up to MAX_MODULUS. At dimension 384 (Z/192, alphabet (Z/3)^2) building the
+embedding and running the hinted inverse pipeline take about 60 ms, 20 ms
+of it elimination. Elimination is still one Python step per pivot column
+and grows faster than the products, so the cap is not yet a measured
+budget.
+MAX_MODULUS bounds the modulus of module alphabets and of linear algebra
+mod p, so that products of two residues stay exact in int64 and sums of
+8192 of them in float64.
 """
 
 import os
@@ -22,6 +34,7 @@ from .errors import ResourceCapError
 DEFAULT_ENUMERATION_CAP = 1 << 20
 DEFAULT_TRANSPORT_CAP = 1 << 24
 TRANSPORT_DIM_CAP = 4096
+MAX_MODULUS = 1 << 20
 
 _ENV_VAR = "SYMBA_CAP"
 _MAX_ENV_CAP = 1 << 62

@@ -268,35 +268,22 @@ def one_sided_inverse_solve(C: GroupRingMatrix, r: int) -> GroupRingMatrix | Non
         U = U.union(FiniteSubset(G, [G.identity()]))
     check_size(d * d * len(B) * d * d * len(U), "inverse solve system")
 
-    fam = C.coeff_family()
-    nvars = d * d * len(B)
-    var = lambda i, k, s: (i * d + k) * len(B) + s
-    rows = []
-    rhs = []
-    for i in range(d):
-        for j in range(d):
-            for u_idx, u in enumerate(U):
-                row = np.zeros(nvars, dtype=np.int64)
-                for s_idx, s in enumerate(B):
-                    t = G.mul(G.inv(s), u)
-                    mat = fam.get(t)
-                    if mat is None:
-                        continue
-                    for k in range(d):
-                        row[var(i, k, s_idx)] = (row[var(i, k, s_idx)] + mat[k, j]) % p
-                rows.append(row)
-                rhs.append(1 if (i == j and u == G.identity()) else 0)
-    solution = linalg.solve(np.array(rows), np.array(rhs), p)
+    # Row (i, j, u) of the system is the (i, j) slot of D @ C at u, column
+    # (i, k, s) the unknown D_s[i, k]; the coefficient there is C_t[k, j]
+    # for the one t with s*t = u. It does not depend on i, so the system is
+    # d copies of one block with rows (j, u) and columns (k, s).
+    block = np.zeros((d, len(U), d, len(B)), dtype=np.int64)
+    for t, mat in C.coeff_family().items():
+        for s_idx, s in enumerate(B):
+            block[:, U.index_of(G.mul(s, t)), :, s_idx] = mat.T
+    system = np.kron(np.eye(d, dtype=np.int64), block.reshape(d * len(U), d * len(B)))
+    rhs = np.zeros((d, d, len(U)), dtype=np.int64)
+    rhs[range(d), range(d), U.index_of(G.identity())] = 1
+    solution = linalg.solve(system, rhs.reshape(-1), p)
     if solution is None:
         return None
-    family: dict = {}
-    for s_idx, s in enumerate(B):
-        mat = np.zeros((d, d), dtype=np.int64)
-        for i in range(d):
-            for k in range(d):
-                mat[i, k] = solution[var(i, k, s_idx)]
-        if mat.any():
-            family[s] = mat
+    coeffs = solution.reshape(d, d, len(B))  # [i, k, s] = D_s[i, k]
+    family = {s: coeffs[:, :, s_idx] for s_idx, s in enumerate(B) if coeffs[:, :, s_idx].any()}
     D = GroupRingMatrix.from_coeffs(G, p, d, family)
     if not matrix_mul(D, C).is_identity():
         raise AssertionError("solver returned a non-inverse")

@@ -1,15 +1,24 @@
-"""Exact linear algebra over Z/p, p prime. Plain Gaussian elimination.
+"""Exact linear algebra over Z/p, p prime, p <= MAX_MODULUS = 2^20.
 
-All matrices are numpy int64 arrays with entries reduced mod p. Sizes here
-are desk scale (hundreds of rows), so no pivoting strategy beyond "first
-nonzero" is needed, and determinism matters more than speed.
+All matrices are numpy int64 arrays with entries reduced mod p.
+Elimination is Gauss-Jordan, one pivot column at a time with "first
+nonzero" pivots, so its output is deterministic. Products mod p (`matmul`,
+and with it the check of every inverse) are float64 BLAS products kept
+exact: every partial sum is an integer below 2^53, the FFLAS-FFPACK
+technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008). The modulus bound
+keeps every p^2 inside int64 and every product inside one float64 chunk
+up to an inner dimension of 8192.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .caps import MAX_MODULUS
 from .errors import UnsupportedModulusError
+
+# float64 represents every integer up to 2^53 exactly
+_FLOAT_EXACT = 1 << 53
 
 
 def is_prime(n: int) -> bool:
@@ -28,6 +37,28 @@ def require_prime(p: int, context: str) -> None:
         raise UnsupportedModulusError(f"{context} needs a prime modulus, got {p}")
 
 
+def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p, exactly, as an int64 array with entries in 0..p-1.
+
+    The reduced operands are multiplied in float64, which is exact while
+    every partial sum stays below 2^53: the inner dimension is cut into
+    chunks of at most 2^53 / (p-1)^2 terms (one chunk for any transport
+    under TRANSPORT_DIM_CAP), and the chunk products are reduced and summed
+    in int64.
+    """
+    if not 2 <= p <= MAX_MODULUS:
+        raise UnsupportedModulusError(f"products mod p need 2 <= p <= {MAX_MODULUS}, got {p}")
+    A = np.asarray(A, dtype=np.int64) % p
+    B = np.asarray(B, dtype=np.int64) % p
+    step = (_FLOAT_EXACT - 1) // (p - 1) ** 2
+    out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
+    for start in range(0, A.shape[1], step):
+        chunk = slice(start, start + step)
+        out += (A[:, chunk].astype(np.float64) @ B[chunk].astype(np.float64)).astype(np.int64)
+        out %= p
+    return out
+
+
 def _inv_mod(a: int, p: int) -> int:
     return pow(int(a), p - 2, p)
 
@@ -36,9 +67,13 @@ def row_reduce(A: np.ndarray, p: int):
     """Reduced row echelon form of A mod p.
 
     Returns (R, pivot_cols); rows of R below len(pivot_cols) are zero.
-    Pivots are scaled by Fermat inverses, so p must be prime: every other
-    function here eliminates through this one and inherits the check.
+    Pivots are scaled by Fermat inverses, so p must be prime, and p must not
+    exceed MAX_MODULUS, so that products of entries stay exact in int64 and
+    the inverse checks in float64: every other function here eliminates
+    through this one and inherits both checks.
     """
+    if p > MAX_MODULUS:
+        raise UnsupportedModulusError(f"linear algebra mod p needs p <= {MAX_MODULUS}, got {p}")
     require_prime(p, "linear algebra mod p")
     R = np.array(A, dtype=np.int64) % p
     rows, cols = R.shape
@@ -110,7 +145,7 @@ def invert(A: np.ndarray, p: int):
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")
     X = solve(A, np.eye(n, dtype=np.int64), p)
-    if X is None or not np.array_equal((A @ X) % p, np.eye(n, dtype=np.int64)):
+    if X is None or not np.array_equal(matmul(A, X, p), np.eye(n, dtype=np.int64)):
         return None
     return X
 

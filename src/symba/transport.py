@@ -49,6 +49,7 @@ from .groups import (
     ProductGroup,
     SymmetricGroup,
     ball,
+    greedy_generators,
     set_product,
     symmetrize,
 )
@@ -294,17 +295,18 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
 def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     """Invert the finite endomap exactly; injectivity is all it takes."""
     A = alpha.alphabet
-    if alpha.table is not None:
-        order = np.argsort(alpha.table, kind="stable")
-        sorted_vals = alpha.table[order]
-        dup = np.flatnonzero(sorted_vals[1:] == sorted_vals[:-1])
-        if dup.size:
-            pair = decode_index(order[dup[0] : dup[0] + 2], A.size, len(alpha.carrier))
+    table = alpha.table
+    if table is not None:
+        repeated = np.flatnonzero(np.bincount(table, minlength=table.size) > 1)
+        if repeated.size:
+            # witness: the first two preimages of the smallest value hit twice
+            first_two = np.flatnonzero(table == repeated[0])[:2]
+            pair = decode_index(first_two, A.size, len(alpha.carrier))
             raise NotInvertibleError(
                 tuple(tuple(w) for w in pair.tolist()), "transported map is not injective"
             )
-        inverse = np.empty_like(alpha.table)
-        inverse[alpha.table] = np.arange(alpha.table.size, dtype=np.int64)
+        inverse = np.empty_like(table)
+        inverse[table] = np.arange(table.size, dtype=np.int64)
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
     p = A.modulus
     inv = linalg.invert(alpha.matrix, p)
@@ -346,22 +348,6 @@ def extract_local_rule(
     return LocalRule(M, StructuredMap(A, len(M), table=table))
 
 
-def _greedy_generators(F: Group, carrier: tuple) -> list:
-    """Generators of F in canonical order, each one the first element of the
-    carrier outside the subgroup generated by those picked before it."""
-    gens: list = []
-    span = {F.identity()}
-    for h in carrier:
-        if h in span:
-            continue
-        gens.append(h)
-        frontier = list(span)
-        while frontier:
-            frontier = [v for v in {F.mul(u, g) for u in frontier for g in gens} if v not in span]
-            span.update(frontier)
-    return gens
-
-
 def check_equivariance(alpha: TransportedEndomap) -> bool:
     """Exhaustively check the transported map commutes with translations.
 
@@ -376,7 +362,7 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
     # perm moves the value at cell h^-1 u to cell u: translation by h
     perms = [
         np.array([pos_F[F.mul(F.inv(h), u)] for u in carrier], dtype=np.int64)
-        for h in _greedy_generators(F, carrier)
+        for h in greedy_generators(F.mul, F.identity(), carrier)
     ]
     if alpha.is_matrix:
         blocks = alpha.matrix.reshape(nF, A.dim, nF, A.dim) % A.modulus
@@ -401,8 +387,8 @@ def composes_to_identity(beta: TransportedEndomap, alpha: TransportedEndomap) ->
         raise InvalidInputError("endomaps use different representations")
     if alpha.is_matrix:
         p = alpha.alphabet.modulus
-        n = alpha.matrix.shape[0]
-        return np.array_equal((beta.matrix @ alpha.matrix) % p, np.eye(n, dtype=np.int64))
+        identity = np.eye(alpha.matrix.shape[0], dtype=np.int64)
+        return np.array_equal(linalg.matmul(beta.matrix, alpha.matrix, p), identity)
     return np.array_equal(beta.table[alpha.table], np.arange(alpha.table.size))
 
 

@@ -1,0 +1,164 @@
+"""Products mod p, the modulus bound of elimination, and group-table validation.
+
+The oracles here use Python integers and brute force: a plain triple loop
+for products, and all n^3 triples for associativity.
+"""
+
+import itertools
+
+import numpy as np
+import pytest
+
+import symba as sy
+from symba import linalg
+from symba.errors import InvalidInputError, UnsupportedModulusError
+
+from conftest import symmetric_table
+
+LARGEST_PRIME = 1048573  # the largest prime below MAX_MODULUS = 2^20
+
+
+def _oracle_matmul(A, B, p):
+    cols = list(zip(*B.tolist()))
+    return [[sum(a * b for a, b in zip(row, col)) % p for col in cols] for row in A.tolist()]
+
+
+@pytest.mark.parametrize(
+    "p, n, k, m",
+    [
+        (2, 5, 7, 4),
+        (3, 1, 1, 1),
+        (3, 6, 40, 5),
+        (LARGEST_PRIME, 4, 9, 3),
+        (LARGEST_PRIME, 2, 8200, 3),  # two chunks
+    ],
+)
+def test_matmul_matches_python_integers(p, n, k, m):
+    rng = np.random.default_rng([p, k])
+    A = rng.integers(-p, 2 * p, size=(n, k))
+    B = rng.integers(-p, 2 * p, size=(k, m))
+    assert linalg.matmul(A, B, p).tolist() == _oracle_matmul(A, B, p)
+
+
+def test_matmul_exact_at_the_largest_entries():
+    """Entries just below p: in one chunk the sums would pass 2^53 and round."""
+    p, k = LARGEST_PRIME, 8200
+    rng = np.random.default_rng(1)
+    A = rng.integers(p - 1000, p, size=(4, k))
+    B = rng.integers(p - 1000, p, size=(k, 4))
+    assert linalg.matmul(A, B, p).tolist() == _oracle_matmul(A, B, p)
+
+
+def test_invert_exact_at_the_largest_prime():
+    rng = np.random.default_rng(5)
+    p = LARGEST_PRIME
+    for _ in range(5):
+        A = rng.integers(0, p, size=(8, 8))
+        X = linalg.invert(A, p)
+        assert X is not None
+        assert _oracle_matmul(A, X, p) == np.eye(8, dtype=int).tolist()
+
+
+def test_moduli_above_the_cap_are_refused():
+    """A modulus above 2^20 would overflow int64 in the inverse check."""
+    p = 2**31 - 1
+    A = np.random.default_rng(0).integers(0, p, size=(8, 8))
+    for call in (linalg.invert, linalg.rank, linalg.nullspace_basis):
+        with pytest.raises(UnsupportedModulusError):
+            call(A, p)
+    with pytest.raises(UnsupportedModulusError):
+        linalg.solve(A, np.ones(8, dtype=np.int64), p)
+    with pytest.raises(UnsupportedModulusError):
+        linalg.matmul(A, A, p)
+
+
+def _oracle_first_nonassociative(T):
+    n = len(T)
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if T[T[a][b]][c] != T[a][T[b][c]]:
+            return (a, b, c)
+    return None
+
+
+def _verdict(T):
+    """None when FiniteGroup accepts T, else the reported triple."""
+    try:
+        sy.FiniteGroup(T)
+    except InvalidInputError as err:
+        message = str(err)
+        assert message.startswith("table is not associative at ")
+        return tuple(int(x) for x in message.rsplit("(", 1)[1].rstrip(")").split(","))
+    return None
+
+
+def _normalized_latin_squares(n, rng=None):
+    """Latin squares on 0..n-1 whose first row and column are 0..n-1.
+
+    Without rng: all of them, in lexicographic order. With rng: an endless
+    stream of random ones, each filled cell by cell in shuffled order.
+    """
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+    T = [list(range(n))] + [[i] + [None] * (n - 1) for i in range(1, n)]
+
+    def fill(at):
+        if at == len(cells):
+            yield [row[:] for row in T]
+            return
+        i, j = cells[at]
+        used = set(T[i][:j]) | {T[r][j] for r in range(i)}
+        options = [x for x in range(n) if x not in used]
+        if rng is not None:
+            rng.shuffle(options)
+        for x in options:
+            T[i][j] = x
+            yield from fill(at + 1)
+            if rng is not None:
+                return
+        T[i][j] = None
+
+    if rng is None:
+        yield from fill(0)
+        return
+    while True:
+        yield from fill(0)
+
+
+def _right_span(T, g):
+    """Closure of {0} under right multiplication by g."""
+    span, x = {0}, T[0][g]
+    while x not in span:
+        span.add(x)
+        x = T[x][g]
+    return span
+
+
+def test_all_normalized_latin_squares_of_order_5():
+    squares = list(_normalized_latin_squares(5))
+    assert len(squares) == 56
+    verdicts = [_verdict(T) for T in squares]
+    assert verdicts == [_oracle_first_nonassociative(T) for T in squares]
+    assert any(v is None for v in verdicts) and any(v is not None for v in verdicts)
+
+
+def test_order_6_loops_needing_several_generators_match_the_oracle():
+    rng = np.random.default_rng(20211201)
+    sample = []
+    for T in _normalized_latin_squares(6, rng):
+        if len(_right_span(T, 1)) < 6:
+            sample.append(T)
+        if len(sample) == 150:
+            break
+    assert [_verdict(T) for T in sample] == [_oracle_first_nonassociative(T) for T in sample]
+
+
+def _c2xc3_table():
+    elems = list(itertools.product(range(2), range(3)))
+    at = {x: i for i, x in enumerate(elems)}
+    return [[at[((a + c) % 2, (b + d) % 3)] for c, d in elems] for a, b in elems]
+
+
+@pytest.mark.parametrize("table", [symmetric_table(3), _c2xc3_table(), symmetric_table(4)])
+def test_group_tables_are_accepted(table):
+    assert _oracle_first_nonassociative(table) is None
+    G = sy.FiniteGroup(table)
+    assert G.order() == len(table)

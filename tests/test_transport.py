@@ -19,7 +19,7 @@ from conftest import (
     symmetric_table,
     xor_ca,
 )
-from symba.transport import _greedy_generators
+from symba.groups import greedy_generators
 
 
 def _pair_CD(Z):
@@ -162,6 +162,17 @@ def test_invert_transport_examples(Z, bit):
     assert beta.table[int(np.array(u) @ radix)] == beta.table[int(np.array(v) @ radix)]
 
 
+def test_invert_transport_witness_is_smallest_repeated_value(Z, bit):
+    """Indices 0 and 1 collide first, on value 5; the witness is the first
+    two preimages of the smallest repeated value, 2, at indices 2 and 4."""
+    e = sy.build_embedding(Z, sy.ball(Z, 1), {"kind": "modular", "N": 3})
+    table = np.array([5, 5, 2, 0, 2, 1, 3, 4], dtype=np.int64)
+    alpha = sy.TransportedEndomap(e, bit, (0, 1, 2), table=table)
+    with pytest.raises(NotInvertibleError) as err:
+        sy.invert_transport(alpha)
+    assert err.value.witness == ((0, 1, 0), (1, 0, 0))
+
+
 def test_pipeline_shift_both_embeddings(Z, bit):
     shift = sy.projection_ca(Z, bit, (1,))
     back = sy.projection_ca(Z, bit, (-1,))
@@ -270,7 +281,7 @@ def test_greedy_generators_generate_the_target(make_embedding):
     e = make_embedding()
     F = e.target
     carrier = tuple(F.elements())
-    gens = _greedy_generators(F, carrier)
+    gens = greedy_generators(F.mul, F.identity(), carrier)
     assert gens[0] == carrier[1]
     assert _closure(F, gens) == set(carrier)
     # each generator lies outside the subgroup the earlier ones generate
