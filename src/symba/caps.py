@@ -65,7 +65,7 @@ def transport_cap() -> int:
     return _env_cap() or DEFAULT_TRANSPORT_CAP
 
 
-def check_size(n: int, what: str, cap: int | None = None) -> None:
-    limit = enumeration_cap() if cap is None else cap
+def check_size(n: int, what: str) -> None:
+    limit = enumeration_cap()
     if n > limit:
         raise ResourceCapError(f"{what} would have {n} entries, cap is {limit}")

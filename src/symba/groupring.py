@@ -6,6 +6,13 @@ product is convolution. A matrix-rule automaton with coefficient family
 with the reading convention "new value at g = sum over m of C_m applied to
 the value at g*m" automaton composition is plain matrix product: the
 automaton sigma-after-tau corresponds to D @ C.
+
+Every product goes through one convolution loop, `_convolve`, which sums
+x*y over a list of pairs into one dict and builds one element: a single
+pair for `gr_mul`, the d pairs (X[i][k], Y[k][j]) for each entry of
+`matrix_mul`. `one_sided_inverse_solve` builds one (d*|U|) x (d*|B|)
+block for D on B = ball(r) and the products U = B * supp(C), and solves
+it once for all d rows of D.
 """
 
 from __future__ import annotations
@@ -51,9 +58,6 @@ class GroupRingElement:
     @classmethod
     def one(cls, group, modulus):
         return cls.monomial(group, modulus, group.identity())
-
-    def is_zero(self):
-        return not self.coeffs
 
     def support(self):
         return sorted(self.coeffs, key=self.group.sort_key)
@@ -108,16 +112,22 @@ class GroupRingElement:
         return " + ".join(parts)
 
 
+def _convolve(G: Group, n: int, pairs) -> GroupRingElement:
+    """The sum over (x, y) in pairs of x*y in (Z/n)[G], as one element."""
+    mul = G.mul
+    out: Coeffs = {}
+    for x, y in pairs:
+        for a, ca in x.coeffs.items():
+            for b, cb in y.coeffs.items():
+                h = mul(a, b)
+                out[h] = out.get(h, 0) + ca * cb
+    return GroupRingElement(G, n, out)
+
+
 def gr_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     """Convolution product: coefficient at h is sum over ab=h of x(a)y(b)."""
     x._check_compatible(y)
-    G = x.group
-    out: Coeffs = {}
-    for a, ca in x.coeffs.items():
-        for b, cb in y.coeffs.items():
-            h = G.mul(a, b)
-            out[h] = out.get(h, 0) + ca * cb
-    return GroupRingElement(G, x.modulus, out)
+    return _convolve(x.group, x.modulus, [(x, y)])
 
 
 class GroupRingMatrix:
@@ -212,16 +222,11 @@ def matrix_mul(X: GroupRingMatrix, Y: GroupRingMatrix) -> GroupRingMatrix:
     """Standard matrix product over the group ring."""
     if X.group != Y.group or X.modulus != Y.modulus or X.dim != Y.dim:
         raise InvalidInputError("matrices are not compatible")
-    zero = GroupRingElement.zero(X.group, X.modulus)
-    out = []
-    for i in range(X.dim):
-        row = []
-        for j in range(X.dim):
-            acc = zero
-            for k in range(X.dim):
-                acc = acc + gr_mul(X.entries[i][k], Y.entries[k][j])
-            row.append(acc)
-        out.append(row)
+    columns = list(zip(*Y.entries))
+    out = [
+        [_convolve(X.group, X.modulus, zip(row, col)) for col in columns]
+        for row in X.entries
+    ]
     return GroupRingMatrix(X.group, X.modulus, out)
 
 
@@ -256,8 +261,11 @@ def one_sided_inverse_solve(C: GroupRingMatrix, r: int) -> GroupRingMatrix | Non
     """Find D supported in ball(r) with D @ C = identity, or None.
 
     The unknown coefficients of D satisfy a finite linear system over Z/p:
-    one equation per matrix slot (i, j) and per group element reachable as a
-    product of a ball(r) element with a support element of C.
+    row i of D @ C must equal row i of the identity at every group element
+    reachable as a product of a ball(r) element with a support element of
+    C. The coefficients of that system do not depend on i, so it is one
+    block solved once with d right-hand columns, one per row of D. RREF is
+    unique and free variables are set to zero, so D is deterministic.
     """
     linalg.require_prime(C.modulus, "one-sided inverse solving")
     p, d, G = C.modulus, C.dim, C.group
@@ -266,24 +274,24 @@ def one_sided_inverse_solve(C: GroupRingMatrix, r: int) -> GroupRingMatrix | Non
     U = set_product(G, B, S)
     if G.identity() not in U:
         U = U.union(FiniteSubset(G, [G.identity()]))
-    check_size(d * d * len(B) * d * d * len(U), "inverse solve system")
+    check_size(d * len(U) * d * len(B), "inverse solve system")
 
-    # Row (i, j, u) of the system is the (i, j) slot of D @ C at u, column
-    # (i, k, s) the unknown D_s[i, k]; the coefficient there is C_t[k, j]
-    # for the one t with s*t = u. It does not depend on i, so the system is
-    # d copies of one block with rows (j, u) and columns (k, s).
+    # Row (j, u) of the block is slot j of row i of D @ C at u, column
+    # (k, s) the unknown D_s[i, k]; the coefficient there is C_t[k, j] for
+    # the one t with s*t = u. Right-hand column i is 1 at (i, identity).
     block = np.zeros((d, len(U), d, len(B)), dtype=np.int64)
     for t, mat in C.coeff_family().items():
         for s_idx, s in enumerate(B):
             block[:, U.index_of(G.mul(s, t)), :, s_idx] = mat.T
-    system = np.kron(np.eye(d, dtype=np.int64), block.reshape(d * len(U), d * len(B)))
-    rhs = np.zeros((d, d, len(U)), dtype=np.int64)
-    rhs[range(d), range(d), U.index_of(G.identity())] = 1
-    solution = linalg.solve(system, rhs.reshape(-1), p)
+    rhs = np.zeros((d, len(U), d), dtype=np.int64)
+    rhs[range(d), U.index_of(G.identity()), range(d)] = 1
+    solution = linalg.solve(
+        block.reshape(d * len(U), d * len(B)), rhs.reshape(d * len(U), d), p
+    )
     if solution is None:
         return None
-    coeffs = solution.reshape(d, d, len(B))  # [i, k, s] = D_s[i, k]
-    family = {s: coeffs[:, :, s_idx] for s_idx, s in enumerate(B) if coeffs[:, :, s_idx].any()}
+    coeffs = solution.reshape(d, len(B), d)  # [k, s, i] = D_s[i, k]
+    family = {s: coeffs[:, s_idx].T for s_idx, s in enumerate(B) if coeffs[:, s_idx].any()}
     D = GroupRingMatrix.from_coeffs(G, p, d, family)
     if not matrix_mul(D, C).is_identity():
         raise AssertionError("solver returned a non-inverse")
@@ -303,8 +311,14 @@ def random_invertible_matrix(
     linalg.require_prime(modulus, "random invertible matrix generation")
     rng = np.random.default_rng(seed)
     B = list(ball(G, r))
-    fwd = GroupRingMatrix.identity(G, modulus, d)
-    rev = GroupRingMatrix.identity(G, modulus, d)
+    identity = GroupRingMatrix.identity(G, modulus, d)
+
+    def elementary(i, j, g, c):
+        entries = [list(row) for row in identity.entries]
+        entries[i][j] = GroupRingElement.monomial(G, modulus, g, c)
+        return GroupRingMatrix(G, modulus, entries)
+
+    fwd = rev = identity
     for _ in range(factors):
         g = B[int(rng.integers(len(B)))]
         c = int(rng.integers(1, modulus))
@@ -312,22 +326,11 @@ def random_invertible_matrix(
             i = int(rng.integers(d))
             j = int(rng.integers(d - 1))
             j = j + 1 if j >= i else j
-            F = GroupRingMatrix.identity(G, modulus, d)
-            entries = [list(row) for row in F.entries]
-            entries[i][j] = GroupRingElement.monomial(G, modulus, g, c)
-            F = GroupRingMatrix(G, modulus, entries)
-            entries = [list(row) for row in GroupRingMatrix.identity(G, modulus, d).entries]
-            entries[i][j] = GroupRingElement.monomial(G, modulus, g, -c)
-            F_inv = GroupRingMatrix(G, modulus, entries)
+            F, F_inv = elementary(i, j, g, c), elementary(i, j, g, -c)
         else:
             i = int(rng.integers(d))
-            entries = [list(row) for row in GroupRingMatrix.identity(G, modulus, d).entries]
-            entries[i][i] = GroupRingElement.monomial(G, modulus, g, c)
-            F = GroupRingMatrix(G, modulus, entries)
-            entries = [list(row) for row in GroupRingMatrix.identity(G, modulus, d).entries]
-            c_inv = pow(c, modulus - 2, modulus)
-            entries[i][i] = GroupRingElement.monomial(G, modulus, G.inv(g), c_inv)
-            F_inv = GroupRingMatrix(G, modulus, entries)
+            F = elementary(i, i, g, c)
+            F_inv = elementary(i, i, G.inv(g), pow(c, modulus - 2, modulus))
         fwd = matrix_mul(fwd, F)
         rev = matrix_mul(F_inv, rev)
     return fwd, rev

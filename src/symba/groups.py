@@ -55,9 +55,6 @@ class Group:
         """All elements in canonical order; only for finite kinds."""
         raise InvalidInputError(f"cannot enumerate elements of {self!r}")
 
-    def is_finite(self) -> bool:
-        return self.order() is not None
-
     def elem_to_json(self, a: Elem):
         raise NotImplementedError
 
@@ -71,15 +68,54 @@ class Group:
         return f"{type(self).__name__}"
 
 
-class FreeAbelianGroup(Group):
-    """Z^d under addition; elements are length-d integer tuples."""
+class _RankedGroup(Group):
+    """A free kind fixed by its rank; elements are integer tuples.
 
-    kind = "free_abelian"
+    Rank 0 is the trivial group, the only finite one. `_noun` names the
+    tuple entries in JSON error messages.
+    """
 
     def __init__(self, rank: int):
         if rank < 0:
             raise InvalidInputError(f"rank must be >= 0, got {rank}")
         self.rank = int(rank)
+
+    def order(self):
+        return 1 if self.rank == 0 else None
+
+    def elements(self):
+        if self.rank == 0:
+            return iter([()])
+        return super().elements()
+
+    def elem_to_json(self, a):
+        return list(a)
+
+    def elem_from_json(self, data):
+        if not isinstance(data, list):
+            raise InvalidInputError(f"expected a {self._noun} list, got {data!r}")
+        elem = tuple(int(x) for x in data)
+        self.validate(elem)
+        return elem
+
+    def to_json(self):
+        return {"kind": self.kind, "rank": self.rank}
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other.rank == self.rank
+
+    def __hash__(self):
+        return hash((self.kind, self.rank))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self.rank})"
+
+
+class FreeAbelianGroup(_RankedGroup):
+    """Z^d under addition; elements are length-d integer tuples."""
+
+    kind = "free_abelian"
+    _noun = "coordinate"
 
     def identity(self):
         return (0,) * self.rank
@@ -109,36 +145,6 @@ class FreeAbelianGroup(Group):
             gens.append(tuple(v))
         return gens
 
-    def order(self):
-        return 1 if self.rank == 0 else None
-
-    def elements(self):
-        if self.rank == 0:
-            return iter([()])
-        return super().elements()
-
-    def elem_to_json(self, a):
-        return list(a)
-
-    def elem_from_json(self, data):
-        if not isinstance(data, list):
-            raise InvalidInputError(f"expected a coordinate list, got {data!r}")
-        elem = tuple(int(x) for x in data)
-        self.validate(elem)
-        return elem
-
-    def to_json(self):
-        return {"kind": "free_abelian", "rank": self.rank}
-
-    def __eq__(self, other):
-        return isinstance(other, FreeAbelianGroup) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("free_abelian", self.rank))
-
-    def __repr__(self):
-        return f"FreeAbelianGroup({self.rank})"
-
 
 def _reduce_concat(a: tuple, b: tuple) -> tuple:
     """Concatenate two reduced words, cancelling at the seam."""
@@ -150,7 +156,7 @@ def _reduce_concat(a: tuple, b: tuple) -> tuple:
     return tuple(a) + tuple(b[i:])
 
 
-class FreeGroup(Group):
+class FreeGroup(_RankedGroup):
     """Free group F_k; elements are reduced words over signed indices.
 
     Letter i in 1..k is the i-th generator, -i its inverse. Canonical order
@@ -158,11 +164,7 @@ class FreeGroup(Group):
     """
 
     kind = "free"
-
-    def __init__(self, rank: int):
-        if rank < 0:
-            raise InvalidInputError(f"rank must be >= 0, got {rank}")
-        self.rank = int(rank)
+    _noun = "letter"
 
     def identity(self):
         return ()
@@ -192,36 +194,6 @@ class FreeGroup(Group):
 
     def generators(self):
         return [(i,) for i in range(1, self.rank + 1)]
-
-    def order(self):
-        return 1 if self.rank == 0 else None
-
-    def elements(self):
-        if self.rank == 0:
-            return iter([()])
-        return super().elements()
-
-    def elem_to_json(self, a):
-        return list(a)
-
-    def elem_from_json(self, data):
-        if not isinstance(data, list):
-            raise InvalidInputError(f"expected a letter list, got {data!r}")
-        elem = tuple(int(x) for x in data)
-        self.validate(elem)
-        return elem
-
-    def to_json(self):
-        return {"kind": "free", "rank": self.rank}
-
-    def __eq__(self, other):
-        return isinstance(other, FreeGroup) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash(("free", self.rank))
-
-    def __repr__(self):
-        return f"FreeGroup({self.rank})"
 
 
 class FiniteGroup(Group):

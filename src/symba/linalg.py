@@ -1,13 +1,16 @@
 """Exact linear algebra over Z/p, p prime, p <= MAX_MODULUS = 2^20.
 
-All matrices are numpy int64 arrays with entries reduced mod p.
-Elimination is Gauss-Jordan, one pivot column at a time with "first
-nonzero" pivots, so its output is deterministic. Products mod p (`matmul`,
-and with it the check of every inverse) are float64 BLAS products kept
-exact: every partial sum is an integer below 2^53, the FFLAS-FFPACK
-technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008). The modulus bound
-keeps every p^2 inside int64 and every product inside one float64 chunk
-up to an inner dimension of 8192.
+Inputs are integer arrays. Each is reduced mod p once, where it is used:
+`row_reduce` reduces a copy, `matmul` its operands; every output has
+entries in 0..p-1. `require_prime` checks the bound before primality, so
+a huge modulus is refused at once, not after trial division up to its
+square root. Elimination is Gauss-Jordan, one pivot column at a time with
+"first nonzero" pivots, so its output is deterministic. Products mod p
+(`matmul`, and with it the check of every inverse) are float64 BLAS
+products kept exact: every partial sum is an integer below 2^53, the
+FFLAS-FFPACK technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
+The modulus bound keeps every p^2 inside int64 and every product inside
+one float64 chunk up to an inner dimension of 8192.
 """
 
 from __future__ import annotations
@@ -33,6 +36,8 @@ def is_prime(n: int) -> bool:
 
 
 def require_prime(p: int, context: str) -> None:
+    if p > MAX_MODULUS:
+        raise UnsupportedModulusError(f"{context} needs p <= {MAX_MODULUS}, got {p}")
     if not is_prime(p):
         raise UnsupportedModulusError(f"{context} needs a prime modulus, got {p}")
 
@@ -70,12 +75,10 @@ def row_reduce(A: np.ndarray, p: int):
     Pivots are scaled by Fermat inverses, so p must be prime, and p must not
     exceed MAX_MODULUS, so that products of entries stay exact in int64 and
     the inverse checks in float64: every other function here eliminates
-    through this one and inherits both checks.
+    through this one and inherits both checks. A is not modified.
     """
-    if p > MAX_MODULUS:
-        raise UnsupportedModulusError(f"linear algebra mod p needs p <= {MAX_MODULUS}, got {p}")
     require_prime(p, "linear algebra mod p")
-    R = np.array(A, dtype=np.int64) % p
+    R = np.asarray(A, dtype=np.int64) % p
     rows, cols = R.shape
     pivot_cols = []
     r = 0
@@ -104,8 +107,8 @@ def solve(A: np.ndarray, B: np.ndarray, p: int):
     B may be a vector or a matrix (solved column by column in one sweep).
     Free variables are set to zero, so the solution is deterministic.
     """
-    A = np.asarray(A, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
+    A = np.asarray(A, dtype=np.int64)
+    B = np.asarray(B, dtype=np.int64)
     vector = B.ndim == 1
     if vector:
         B = B[:, None]
@@ -125,8 +128,8 @@ def solve(A: np.ndarray, B: np.ndarray, p: int):
 
 def nullspace_basis(A: np.ndarray, p: int) -> np.ndarray:
     """Basis of the kernel of A mod p, one vector per row (may be empty)."""
-    A = np.asarray(A, dtype=np.int64) % p
-    rows, cols = A.shape
+    A = np.asarray(A, dtype=np.int64)
+    cols = A.shape[1]
     R, pivot_cols = row_reduce(A, p)
     pivot_set = set(pivot_cols)
     free = [c for c in range(cols) if c not in pivot_set]
@@ -140,7 +143,7 @@ def nullspace_basis(A: np.ndarray, p: int) -> np.ndarray:
 
 def invert(A: np.ndarray, p: int):
     """Inverse of a square matrix mod p, or None when singular."""
-    A = np.asarray(A, dtype=np.int64) % p
+    A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")

@@ -22,7 +22,6 @@ from .alphabets import (
     StructuredMap,
     decode_assignments,
     decode_index,
-    finite_map_classify,
     radix,
 )
 from .ca import (
@@ -238,14 +237,6 @@ class TransportedEndomap:
     @property
     def is_matrix(self):
         return self.matrix is not None
-
-    def classify(self) -> dict:
-        if self.table is not None:
-            return finite_map_classify(self.table)
-        p = self.alphabet.modulus
-        full = self.matrix.shape[0]
-        invertible = linalg.rank(self.matrix, p) == full
-        return {"injective": invertible, "surjective": invertible, "bijective": invertible}
 
 
 def _carrier(e: LefEmbedding) -> tuple:

@@ -1,6 +1,7 @@
 """End-to-end command-line runs: exit codes, reports, artifact round trips."""
 
 import json
+import time
 
 import pytest
 
@@ -196,6 +197,19 @@ def test_modulus_above_supported_range_exit_three(files, capsys, monkeypatch):
     code, report = run(capsys, "check-inverse", "--sigma", str(path), "--tau", str(path))
     assert code == 3
     assert "modulus" in report["outcome"]["error"]
+
+
+def test_groupring_solve_huge_modulus_exits_two_at_once(files, capsys, Z):
+    """A modulus of 2^61 - 1 is refused before any trial division."""
+    p = 2**61 - 1
+    C = sy.GroupRingMatrix(Z, p, [[sy.GroupRingElement(Z, p, {(1,): 1})]])
+    path = files["dir"] / "huge_matrix.json"
+    path.write_text(serialize.canonical_dumps(serialize.matrix_to_json(C)))
+    start = time.perf_counter()
+    code, report = run(capsys, "groupring", "solve", "--matrix", str(path), "--radius", "1")
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert str(2**20) in report["outcome"]["error"]
 
 
 def test_transport_and_equivalence_with_synthesis(files, capsys):

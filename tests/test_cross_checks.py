@@ -55,7 +55,7 @@ def test_solver_and_search_agree_on_random_matrices(Z, F2):
     found = 0
     for G in (Z, F2):
         pool = list(sy.ball(G, 1))
-        for p, d in ((2, 1), (2, 2), (3, 1)):
+        for p, d in ((2, 1), (2, 2), (3, 1), (2, 3)):
             A = sy.Alphabet.module(p, d)
             for _ in range(12):
                 C = _random_matrix(rng, G, p, d, pool)

@@ -1,9 +1,12 @@
 """Group-ring arithmetic, the CA correspondence, and the linear solver."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import symba as sy
+from symba import serialize
 from symba.errors import InvalidInputError, UnsupportedModulusError
 
 from conftest import make_table_ca
@@ -184,6 +187,15 @@ def test_solve_requires_prime_modulus(Z):
         sy.one_sided_inverse_solve(M4, 1)
 
 
+def test_moduli_above_the_cap_are_refused_before_primality(Z):
+    """2^61 - 1 is prime, but trial division up to its root would take hours."""
+    for p in (2**31 - 1, 2**61 - 1):
+        with pytest.raises(UnsupportedModulusError):
+            sy.random_invertible_matrix(Z, seed=0, d=2, r=1, modulus=p)
+        with pytest.raises(UnsupportedModulusError):
+            sy.one_sided_inverse_solve(sy.GroupRingMatrix.identity(Z, p, 1), 1)
+
+
 def test_composite_modulus_arithmetic_still_works(Z):
     x = sy.GroupRingElement(Z, 4, {Z.identity(): 2, (1,): 3})
     y = sy.GroupRingElement(Z, 4, {(1,): 2})
@@ -218,6 +230,63 @@ def test_random_invertible_matrix_basics(Z):
     M5, M5_inv = sy.random_invertible_matrix(Z, seed=3, d=2, r=1, modulus=2, factors=5)
     assert sy.matrix_mul(M5, M5_inv).is_identity()
     assert sy.matrix_mul(M5_inv, M5).is_identity()
+
+
+# sha256 of the canonical JSON of (C, C^-1) from random_invertible_matrix at
+# r = 1 with 5 factors, keyed by (universe, d, modulus, seed): the generator's
+# rng draws, its factor order and the products all show in these bytes.
+_GENERATOR_DIGESTS = {
+    ("Z", 2, 2, 11): (
+        "b4dd0ebcaa49d4d6a6279bc7cc2377eec48a71a14050841b08c5e113c39733b5",
+        "fcbdef097cef84ffbcef02934843b5c1941ee7cd023fdc5c6706afbe864fc8c7",
+    ),
+    ("Z", 2, 3, 12): (
+        "af50353548dd50324707ef25aae7c34be1bcd7324e4e2d485cf75315276a2a08",
+        "278c1546cc6720d5a68a4f9edbc13fcbabb96058ba100cc131252867ec5226b1",
+    ),
+    ("Z", 3, 2, 13): (
+        "65612814cacd3e2937242c143eeadca108850a48031eb21bd8e2a18b0f2cacf9",
+        "019d4dabf31b156c2667397d45d98870b88b1aea920025fdb8360f73d8960800",
+    ),
+    ("Z", 3, 5, 14): (
+        "af014cc63fb8e49f5e639e6d63d47e3a09b86a30209daae4f321c95e187be5df",
+        "efcef08a04cfa83f7f53359009a1f2ab8fc55b7f331e8bd71dfa2f820052bca9",
+    ),
+    ("F2", 2, 2, 11): (
+        "236affeda619e7f72fa1bfaac2447e9fcde1ef3ca93577a000ef1fff91bc2985",
+        "97f1e8286a6462376691209cdec42ec1c873c03fe99b403ccb5914f18fe25053",
+    ),
+    ("F2", 2, 3, 12): (
+        "52df3363a9f1da07971b4da8b38909eec02ab767cb0fe4482e66ffc976747e9e",
+        "28f0e5585ab807216afdcaabba8ccd111146b97afe7e0e45a601e09cd064a6aa",
+    ),
+    ("F2", 3, 2, 13): (
+        "628fa93e8b7f9999aadb08646dcea5b939780a8326142af65b69952b2b97051f",
+        "50dceaafd7da623257dabce72fb9d0530f52bc1c2c530e84ed9ed81499ec8b53",
+    ),
+    ("F2", 3, 5, 14): (
+        "7aca55dda48788a008957ad92c6d5fca21b1c9d9388c96fa3386a8b0de1e07b6",
+        "cf27fb5fc6fb02607417214d1972b5da253a3cc7351b082877800a17993a45f8",
+    ),
+}
+
+
+def test_random_invertible_matrix_output_is_pinned(Z, F2):
+    """The generator's exact bytes, for fixed seeds over Z and F_2."""
+    C, D = sy.random_invertible_matrix(Z, seed=7, d=2, r=1, modulus=3, factors=3)
+    terms = lambda M: [
+        [[(t["elem"], t["coef"]) for t in e] for e in row] for row in M.to_json()["entries"]
+    ]
+    assert terms(C) == [[[([0], 2)], []], [[([0], 2)], [([1], 2)]]]
+    assert terms(D) == [[[([0], 2)], []], [[([-1], 1)], [([-1], 2)]]]
+    universes = {"Z": Z, "F2": F2}
+    for (name, d, p, seed), expected in _GENERATOR_DIGESTS.items():
+        pair = sy.random_invertible_matrix(universes[name], seed=seed, d=d, r=1, modulus=p, factors=5)
+        got = tuple(
+            hashlib.sha256(serialize.canonical_dumps(serialize.matrix_to_json(M)).encode()).hexdigest()
+            for M in pair
+        )
+        assert got == expected, (name, d, p, seed)
 
 
 def test_random_invertible_direct_finiteness_both_ways(Z, F2):
