@@ -9,15 +9,19 @@ Exit-code contract, uniform across subcommands:
   4  internal error: any other exception; the report names its type and
      the traceback goes to stderr
 
-Every run prints one RunReport JSON object to stdout: command, input
-digests, outcome flags, witnesses or certificates, and wall time. Apart
-from the wall_time_ms field the report is deterministic for fixed inputs
-and seed.
+Every run that gets past argument parsing prints one RunReport JSON
+object to stdout: command, input digests, outcome flags, witnesses or
+certificates, and wall time. Apart from the wall_time_ms field the report
+is deterministic for fixed inputs and seed. An argparse usage error
+(unknown command, missing or malformed option) prints no report: it
+prints usage to stderr and exits 2, and `main` called in-process raises
+SystemExit(2).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -106,7 +110,7 @@ def _cmd_check_inverse(args, digests):
     return outcome, EXIT_OK if ok else EXIT_PROPERTY_FAILS
 
 
-def _cmd_synthesize(args, digests):
+def _cmd_synthesize_inverse(args, digests):
     tau = serialize.ca_from_json(_load_json_file(args.input, digests, "input"))
     result = synthesize_left_inverse(tau, args.max_radius)
     if result.found:
@@ -220,11 +224,8 @@ def _cmd_verify_embedding(args, digests):
     try:
         e = build_embedding(G, S, spec)
     except EmbeddingCollisionError as err:
-        outcome = {
-            "accepted": False,
-            "collision": [G.elem_to_json(err.first), G.elem_to_json(err.second)],
-        }
-        return outcome, EXIT_PROPERTY_FAILS
+        collision = [err.group.elem_to_json(x) for x in (err.first, err.second)]
+        return {"accepted": False, "collision": collision}, EXIT_PROPERTY_FAILS
     accepted = verify_embedding(e, M)
     outcome = {
         "accepted": accepted,
@@ -237,7 +238,13 @@ def _cmd_verify_embedding(args, digests):
     return outcome, EXIT_OK if accepted else EXIT_PROPERTY_FAILS
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once and shared by every call in the process.
+
+    Callers must not mutate it. It binds no handlers: `main` looks the
+    handler up by command name on each call.
+    """
     parser = argparse.ArgumentParser(
         prog="symba",
         description="Cellular automata over group universes: inverse checks, "
@@ -250,39 +257,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--side", choices=["left", "right", "both"], default="both")
-    p.set_defaults(handler=_cmd_check_inverse)
 
     p = sub.add_parser("synthesize-inverse", help="search for a left inverse rule")
     p.add_argument("--input", required=True)
     p.add_argument("--max-radius", type=int, required=True)
     p.add_argument("--output")
     p.add_argument("--report")
-    p.set_defaults(handler=_cmd_synthesize)
 
     p = sub.add_parser("transport", help="invert through a finite-group transport")
     p.add_argument("--ca", required=True)
     p.add_argument("--sigma")
     p.add_argument("--embedding", required=True, help="inline JSON or @file")
     p.add_argument("--out")
-    p.set_defaults(handler=_cmd_transport)
 
     p = sub.add_parser("direct-finiteness", help="check left implies right inverse")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
-    p.set_defaults(handler=_cmd_direct_finiteness)
 
     p = sub.add_parser("evolve", help="iterate a rule on a finite window")
     p.add_argument("--ca", required=True)
     p.add_argument("--pattern", required=True)
     p.add_argument("--steps", type=int, required=True)
     p.add_argument("--output")
-    p.set_defaults(handler=_cmd_evolve)
 
     p = sub.add_parser("compose", help="compose two automata")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
     p.add_argument("--output")
-    p.set_defaults(handler=_cmd_compose)
 
     p = sub.add_parser("groupring", help="matrix arithmetic over the group ring")
     gsub = p.add_subparsers(dest="groupring_command", required=True)
@@ -290,34 +291,34 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument("--a", required=True)
     g.add_argument("--b", required=True)
     g.add_argument("--output")
-    g.set_defaults(handler=_cmd_groupring_mul)
     g = gsub.add_parser("solve", help="find D with D*C = identity at a radius")
     g.add_argument("--matrix", required=True)
     g.add_argument("--radius", type=int, required=True)
     g.add_argument("--output")
-    g.set_defaults(handler=_cmd_groupring_solve)
     g = gsub.add_parser("roundtrip", help="matrix form of a matrix-rule automaton")
     g.add_argument("--ca", required=True)
     g.add_argument("--output")
-    g.set_defaults(handler=_cmd_groupring_roundtrip)
 
     p = sub.add_parser("verify-embedding", help="build and verify an embedding")
     p.add_argument("--ca")
     p.add_argument("--group", help="inline JSON or @file (with --memory)")
     p.add_argument("--memory", help="inline JSON element list (with --group)")
     p.add_argument("--embedding", required=True, help="inline JSON or @file")
-    p.set_defaults(handler=_cmd_verify_embedding)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    command = args.command
+    if getattr(args, "groupring_command", None):
+        command = f"{command} {args.groupring_command}"
+    # looked up per call, so a handler replaced after the parser was built is used
+    handler = globals()["_cmd_" + command.replace("-", "_").replace(" ", "_")]
     digests: dict = {}
     started = time.perf_counter()
     try:
-        outcome, code = args.handler(args, digests)
+        outcome, code = handler(args, digests)
     except (InvalidInputError, EmptyWindowError) as err:
         outcome, code = {"error": str(err)}, EXIT_INVALID_INPUT
     except ResourceCapError as err:
@@ -330,18 +331,13 @@ def main(argv=None) -> int:
             EXIT_PROPERTY_FAILS,
         )
     except EmbeddingCollisionError as err:
-        outcome, code = (
-            {"error": str(err), "collision": [repr(err.first), repr(err.second)]},
-            EXIT_PROPERTY_FAILS,
-        )
+        collision = [err.group.elem_to_json(x) for x in (err.first, err.second)]
+        outcome, code = {"error": str(err), "collision": collision}, EXIT_PROPERTY_FAILS
     except Exception as err:
         traceback.print_exc(file=sys.stderr)
         outcome = {"error": str(err), "exception": type(err).__name__}
         code = EXIT_INTERNAL_ERROR
     wall_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    command = args.command
-    if getattr(args, "groupring_command", None):
-        command = f"{command} {args.groupring_command}"
     report = {
         "command": command,
         "inputs": digests,

@@ -28,12 +28,15 @@ class EmptyWindowError(SymbaError):
 class EmbeddingCollisionError(SymbaError):
     """A candidate embedding identifies two distinct source elements.
 
-    `first` and `second` are the colliding elements, in canonical order.
+    `first` and `second` are the colliding elements, in canonical order;
+    `group` is the group they live in, which serializes them. For a
+    product embedding that is the factor whose embedding collided.
     """
 
-    def __init__(self, first, second, message=None):
+    def __init__(self, first, second, group, message=None):
         self.first = first
         self.second = second
+        self.group = group
         super().__init__(message or f"embedding collision: {first!r} and {second!r}")
 
 

@@ -74,7 +74,7 @@ def _post_verify(e: LefEmbedding) -> LefEmbedding:
     for s in e.subset:
         img = e.phi[s]
         if img in seen:
-            raise EmbeddingCollisionError(seen[img], s)
+            raise EmbeddingCollisionError(seen[img], s, e.source)
         seen[img] = s
     F = e.target
     G = e.source

@@ -1,7 +1,11 @@
 """End-to-end command-line runs: exit codes, reports, artifact round trips."""
 
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -406,6 +410,88 @@ def test_verify_embedding_command(files, capsys):
     )
     assert code == 0 and report["outcome"]["accepted"]
     assert report["outcome"]["target_degree"] == 53
+
+
+def test_collision_witnesses_are_elements_of_their_group(files, capsys):
+    """Both commands serialize a collision with the colliding group's encoding."""
+    code, report = run(
+        capsys, "transport", "--ca", files["tau"], "--embedding", '{"kind":"modular","N":3}'
+    )
+    assert code == 1
+    assert report["outcome"]["collision"] == [[-2], [1]]
+    # the Z factor of Z x C2 collides: the witness is a pair of Z elements
+    code, report = run(
+        capsys,
+        "verify-embedding",
+        "--group",
+        '{"kind":"product","factors":[{"kind":"free_abelian","rank":1},'
+        '{"kind":"finite","table":[[0,1],[1,0]]}]}',
+        "--memory",
+        "[[[0],0],[[1],0]]",
+        "--embedding",
+        '{"kind":"product","factors":[{"kind":"modular","N":2},null]}',
+    )
+    assert code == 1
+    assert report["outcome"] == {"accepted": False, "collision": [[-2], [0]]}
+
+
+def test_parser_reuse_leaks_nothing_between_calls(files, capsys, Z):
+    """One process, one shared parser: every call sees only its own arguments."""
+    check = ["check-inverse", "--sigma", files["sigma"], "--tau", files["tau"]]
+    _, report = run(capsys, *check, "--side", "left")
+    assert report["outcome"] == {"left": True}
+    _, report = run(capsys, *check)
+    assert report["outcome"] == {"left": True, "right": True}
+
+    _, report = run(capsys, "--seed", "7", *check)
+    assert report["seed"] == 7
+    _, report = run(capsys, *check)
+    assert report["seed"] == 0
+
+    synth = ["synthesize-inverse", "--input", files["tau"], "--max-radius", "1"]
+    out = files["dir"] / "X.json"
+    code, _ = run(capsys, *synth, "--output", str(out))
+    assert code == 0 and out.exists()
+    out.unlink()
+    before = set(files["dir"].iterdir())
+    code, _ = run(capsys, *synth)
+    assert code == 0 and set(files["dir"].iterdir()) == before
+
+    C = sy.GroupRingMatrix(Z, 2, [[sy.GroupRingElement(Z, 2, {(1,): 1})]])
+    cpath = files["dir"] / "C.json"
+    cpath.write_text(serialize.canonical_dumps(serialize.matrix_to_json(C)))
+    code, report = run(capsys, "groupring", "solve", "--matrix", str(cpath), "--radius", "1")
+    assert code == 0 and report["command"] == "groupring solve"
+    code, report = run(capsys, "compose", "--sigma", files["sigma"], "--tau", files["tau"])
+    assert code == 0 and report["command"] == "compose"
+
+    with pytest.raises(SystemExit) as err:
+        cli.main([*synth[:-1], "x"])
+    assert err.value.code == 2
+    assert capsys.readouterr().out == ""
+    code, report = run(capsys, *synth)
+    assert code == 0 and report["outcome"] == {"found": True, "radius": 1}
+
+
+def test_module_entry_point_matches_in_process_run(files, capsys):
+    """`python -m symba.cli` exits with the report's code and prints the same report."""
+    argv = ["check-inverse", "--sigma", files["ident"], "--tau", files["xor"]]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "symba.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    report = json.loads(proc.stdout)
+    assert proc.returncode == report["exit_code"] == 1
+    _, in_process = run(capsys, *argv)
+    report.pop("wall_time_ms")
+    in_process.pop("wall_time_ms")
+    assert report == in_process
 
 
 def test_report_is_deterministic_apart_from_timing(files, capsys):
