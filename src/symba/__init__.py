@@ -37,6 +37,7 @@ from .errors import (
     NotInvertibleError,
     ResourceCapError,
     SymbaError,
+    UncertifiedInverseError,
     UnsupportedModulusError,
     UnsupportedSubgroupError,
 )

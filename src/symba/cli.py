@@ -42,6 +42,7 @@ from .errors import (
     InvalidInputError,
     NotInvertibleError,
     ResourceCapError,
+    UncertifiedInverseError,
 )
 from .groupring import matrix_mul, one_sided_inverse_solve, from_linear_ca, to_linear_ca
 from .groups import set_product, symmetrize
@@ -333,6 +334,14 @@ def main(argv=None) -> int:
     except EmbeddingCollisionError as err:
         collision = [err.group.elem_to_json(x) for x in (err.first, err.second)]
         outcome, code = {"error": str(err), "collision": collision}, EXIT_PROPERTY_FAILS
+    except UncertifiedInverseError as err:
+        outcome = {
+            "error": str(err),
+            "left_certified": err.left,
+            "right_certified": err.right,
+            "nu": serialize.ca_to_json(err.ca),
+        }
+        code = EXIT_PROPERTY_FAILS
     except Exception as err:
         traceback.print_exc(file=sys.stderr)
         outcome = {"error": str(err), "exception": type(err).__name__}

@@ -46,3 +46,22 @@ class NotInvertibleError(SymbaError):
     def __init__(self, witness, message=None):
         self.witness = witness
         super().__init__(message or "map is not injective")
+
+
+class UncertifiedInverseError(SymbaError):
+    """A transported inverse does not lift back to the universe.
+
+    The finite transport was bijective, but the rule read back from it
+    failed a one-sided inverse check over the universe, so it is no inverse
+    there; the automaton may have none (the 3-cell xor over Z is bijective
+    on Z/5 and Z/7, yet not invertible on Z). `ca` is the candidate
+    automaton; `left` and `right` are the outcomes of the two checks.
+    """
+
+    def __init__(self, ca, left, right, message=None):
+        self.ca = ca
+        self.left = left
+        self.right = right
+        super().__init__(
+            message or f"transported inverse failed certification (left={left}, right={right})"
+        )

@@ -75,7 +75,14 @@ def _symmetrized(tau: CellularAutomaton) -> CellularAutomaton:
 
 
 def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyResult:
-    """Scan A^{N*M} for image conflicts; synthesize the rule when none exist."""
+    """Scan A^{N*M} for image conflicts; synthesize the rule when none exist.
+
+    A table scan costs O(windows) per block of `window_codes`, with no sort
+    and no division per window: each new image's earliest window comes from
+    one `np.minimum.at`, and the identity cell's digit is read off the
+    block's digit layout (one fixed pattern when it is a trailing digit,
+    one constant per block when it is a leading one).
+    """
     G, A = tau.universe, tau.alphabet
     if N.group != G:
         raise InvalidInputError("candidate memory lives in the wrong group")
@@ -96,24 +103,33 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     center_place = radix(A.size, n)[NM.index_of(ident)]
     n_keys = A.size ** len(N)
 
-    first_pattern = np.full(n_keys, -1, dtype=np.int64)
+    unseen = np.iinfo(np.int64).max
+    first_pattern = np.full(n_keys, unseen, dtype=np.int64)
     first_value = np.full(n_keys, -1, dtype=np.int64)
+    trailing = None  # identity digit of a block's windows, when it varies
 
     for start, keys in tau.rule.map.window_codes(pos, n, radix(A.size, len(N))):
-        idx = np.arange(start, start + keys.size, dtype=np.int64)
-        vals = idx // center_place % A.size
+        if center_place < keys.size:
+            if trailing is None:
+                # every block has the same trailing digits, so the pattern is fixed
+                digit = np.repeat(np.arange(A.size, dtype=np.int64), center_place)
+                trailing = np.tile(digit, keys.size // digit.size)
+            vals = trailing
+        else:
+            vals = np.broadcast_to(start // center_place % A.size, keys.shape)
         # Record each image's earliest window; the witness is then the first
         # window (in enumeration order) whose center differs from the
         # earliest window of equal image, paired with that earliest window.
-        seen, first = np.unique(keys, return_index=True)
-        new = first_pattern[seen] < 0
-        first_pattern[seen[new]] = idx[first[new]]
-        first_value[seen[new]] = vals[first[new]]
+        new = np.flatnonzero(first_pattern[keys] == unseen)
+        if new.size:
+            fresh = keys[new]
+            np.minimum.at(first_pattern, fresh, start + new)
+            first_value[fresh] = vals[first_pattern[fresh] - start]
         bad = np.flatnonzero(vals != first_value[keys])
         if bad.size:
             y = bad[0]
             x_pat = Pattern(NM, decode_index(first_pattern[keys[y]], A.size, n))
-            y_pat = Pattern(NM, decode_index(idx[y], A.size, n))
+            y_pat = Pattern(NM, decode_index(start + y, A.size, n))
             return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
 
     table = np.where(first_value >= 0, first_value, A.basepoint)

@@ -38,6 +38,7 @@ from .errors import (
     InvalidInputError,
     NotInvertibleError,
     ResourceCapError,
+    UncertifiedInverseError,
 )
 from .groups import (
     FiniteGroup,
@@ -401,8 +402,10 @@ def transport_inverse_pipeline(
 
     When `sigma_hint` is given its rule is transported alongside and the
     composite with the transported rule is checked to be the identity on
-    A^F. Certification failures raise AssertionError: for a correctly built
-    embedding and an invertible transported map they cannot happen.
+    A^F. A bijective transport does not make tau invertible: the 3-cell xor
+    over Z is bijective on Z/5 and Z/7. When the extracted rule fails
+    either one-sided check, UncertifiedInverseError carries it and both
+    outcomes.
     """
     G, A = tau.universe, tau.alphabet
     if sigma_hint is not None:
@@ -421,7 +424,7 @@ def transport_inverse_pipeline(
     left = check_left_inverse(nu_ca, tau)
     right = check_right_inverse(nu_ca, tau)
     if not (left and right):
-        raise AssertionError("extracted rule failed certification; this is a bug")
+        raise UncertifiedInverseError(nu_ca, left, right)
 
     # invert_transport raises unless alpha is a bijection
     bijective = {"injective": True, "surjective": True, "bijective": True}

@@ -187,3 +187,32 @@ def oracle_transport_table(tau, e):
         cells = [at[F.mul(h, e.phi[m])] for m in Mt]
         out += radix[i] * tbl[X[:, cells] @ rt]
     return out
+
+
+def oracle_determinacy_table(tau, N):
+    """The inverse table a conflict-free determinacy scan should synthesize.
+
+    Decodes the pattern space on N*M the same way as
+    oracle_determinacy_witness and reads each window's image on N through
+    the raw rule table. Entry k of the result is the identity value of the
+    earliest window whose image has code k (mixed radix over N, leftmost
+    cell most significant), and the basepoint for codes no window hits.
+    """
+    G, A = tau.universe, tau.alphabet
+    q = A.size
+    Mt = list(tau.memory)
+    NM = list(sy.set_product(G, N, sy.symmetrize(G, tau.memory)))
+    at = {u: i for i, u in enumerate(NM)}
+    tbl = tau.rule.map.expand_table().table
+    n = len(NM)
+    radix = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
+    X = (np.arange(q**n, dtype=np.int64)[:, None] // radix[None, :]) % q
+    rt = q ** np.arange(len(Mt) - 1, -1, -1, dtype=np.int64)
+    rn = q ** np.arange(len(N) - 1, -1, -1, dtype=np.int64)
+    codes = sum(
+        rn[i] * tbl[X[:, [at[G.mul(g, m)] for m in Mt]] @ rt] for i, g in enumerate(N)
+    )
+    hit, earliest = np.unique(codes, return_index=True)
+    table = np.full(q ** len(N), A.basepoint, dtype=np.int64)
+    table[hit] = X[earliest, at[G.identity()]]
+    return table

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import symba as sy
+from symba.ca import _is_identity
 from symba.errors import EmptyWindowError, InvalidInputError
 
 from conftest import make_table_ca, oracle_left_identity, random_pointed_table, xor_ca
@@ -186,6 +187,27 @@ def test_check_left_inverse_examples(Z, bit):
     # constant-basepoint rule is no right inverse for the identity
     const = make_table_ca(Z, bit, [(0,)], [0, 0])
     assert not sy.check_right_inverse(const, ident)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+def test_is_identity_at_every_identity_position(Z, F2, q, where):
+    """The projection onto the identity cell passes; one changed entry fails."""
+    G, memory = {
+        "first": (F2, list(sy.ball(F2, 1))),  # graded order: identity first
+        "middle": (Z, [(-1,), (0,), (1,)]),
+        "last": (Z, [(-2,), (-1,), (0,)]),
+    }[where]
+    c = {"first": 0, "middle": 1, "last": 2}[where]
+    assert list(sy.FiniteSubset(G, memory)) == memory and memory[c] == G.identity()
+    A = sy.Alphabet.plain(q)
+    table = np.array([w[c] for w in itertools.product(range(q), repeat=len(memory))])
+    assert _is_identity(make_table_ca(G, A, memory, table))
+    rng = np.random.default_rng(q)
+    for k in [1, table.size - 1, *rng.integers(1, table.size, size=6)]:
+        wrong = table.copy()
+        wrong[k] = (wrong[k] + 1) % q
+        assert not _is_identity(make_table_ca(G, A, memory, wrong))
 
 
 def test_check_left_inverse_matches_brute_force_oracle(Z, F2, bit):

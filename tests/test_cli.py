@@ -254,6 +254,40 @@ def test_transport_of_noninvertible_rule_exits_one(files, capsys):
     assert u != v
 
 
+def _xor3(Z, flavour):
+    """The 3-cell xor over Z, as a table or as a matrix rule."""
+    if flavour == "table":
+        return xor_ca(Z, sy.Alphabet.plain(2), [(-1,), (0,), (1,)])
+    A = sy.Alphabet.module(2, 1)
+    memory = sy.FiniteSubset(Z, [(-1,), (0,), (1,)])
+    smap = sy.StructuredMap(A, 3, matrices=[[[1]]] * 3)
+    return sy.CellularAutomaton(Z, A, sy.LocalRule(memory, smap))
+
+
+@pytest.mark.parametrize("embedding", ["null", '{"kind":"modular","N":7}'])
+@pytest.mark.parametrize("flavour", ["table", "matrix"])
+def test_transport_bijective_but_not_liftable_exits_one(files, capsys, Z, flavour, embedding):
+    """The 3-cell xor is bijective on Z/5 and Z/7 yet has no inverse on Z."""
+    path = files["dir"] / "xor3.json"
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(_xor3(Z, flavour))))
+    for hint in ([], ["--sigma", str(path)]):
+        code, report = run(
+            capsys, "transport", "--ca", str(path), *hint, "--embedding", embedding
+        )
+        assert code == report["exit_code"] == 1
+        outcome = report["outcome"]
+        assert "exception" not in outcome
+        assert not (outcome["left_certified"] and outcome["right_certified"])
+    nu = files["dir"] / "nu.json"
+    nu.write_text(serialize.canonical_dumps(outcome["nu"]))
+    code, report = run(capsys, "check-inverse", "--sigma", str(nu), "--tau", str(path))
+    assert code == 1
+    assert report["outcome"] == {
+        "left": outcome["left_certified"],
+        "right": outcome["right_certified"],
+    }
+
+
 def test_direct_finiteness_exit_zero(files, capsys):
     code, report = run(
         capsys, "direct-finiteness", "--sigma", files["sigma"], "--tau", files["tau"]
@@ -505,3 +539,65 @@ def test_report_is_deterministic_apart_from_timing(files, capsys):
     r2.pop("wall_time_ms")
     assert code1 == code2 == 0
     assert r1 == r2
+
+
+def _sweep_cases():
+    """Sum rules over a fixed grid of universes, memories and alphabets."""
+    from conftest import symmetric_table
+
+    Z, C2 = sy.FreeAbelianGroup(1), sy.FiniteGroup.cyclic(2)
+    universes = [
+        (Z, [[(1,)], [(0,), (1,)], [(-1,), (0,), (1,)]]),
+        (sy.FreeAbelianGroup(2), [[(1, 0)], [(0, 0), (0, 1)]]),
+        (sy.FreeGroup(2), [[(1,)], [(1,), (2,)]]),
+        (sy.FiniteGroup.cyclic(3), [[1], [0, 1]]),
+        (sy.FiniteGroup(symmetric_table(3)), [[1], [1, 2]]),
+        (sy.ProductGroup([Z, C2]), [[((1,), 0)], [((0,), 1), ((1,), 0)]]),
+        (sy.FreeAbelianGroup(0), [[()]]),
+    ]
+    alphabets = [
+        sy.Alphabet.plain(2),
+        sy.Alphabet.group(sy.FiniteGroup.cyclic(3).table),
+        sy.Alphabet.module(2, 1),
+    ]
+    for G, memories in universes:
+        for cells in memories:
+            memory = sy.FiniteSubset(G, cells)
+            for A in alphabets:
+                if A.is_module:
+                    smap = sy.StructuredMap(A, len(memory), matrices=[[[1]]] * len(memory))
+                    yield sy.CellularAutomaton(G, A, sy.LocalRule(memory, smap))
+                else:
+                    yield xor_ca(G, A, list(memory))
+
+
+def test_exit_code_contract_over_a_fixed_grid(tmp_path, capsys):
+    """Every command on every grid point exits 0-3 with a parseable report."""
+    specs = [
+        "null",
+        "{}",
+        '{"kind":"modular","N":3}',
+        '{"kind":"identity"}',
+        '{"kind":"product","factors":[null,null]}',
+    ]
+    seen = []
+    for i, tau in enumerate(_sweep_cases()):
+        path = tmp_path / f"ca{i}.json"
+        path.write_text(serialize.canonical_dumps(serialize.ca_to_json(tau)))
+        ca = str(path)
+        calls = [
+            ["check-inverse", "--sigma", ca, "--tau", ca],
+            ["direct-finiteness", "--sigma", ca, "--tau", ca],
+            ["compose", "--sigma", ca, "--tau", ca],
+            ["synthesize-inverse", "--input", ca, "--max-radius", "1"],
+            ["groupring", "roundtrip", "--ca", ca],
+        ]
+        for spec in specs:
+            calls.append(["transport", "--ca", ca, "--embedding", spec])
+            calls.append(["verify-embedding", "--ca", ca, "--embedding", spec])
+        for argv in calls:
+            code, report = run(capsys, *argv)
+            assert code in (0, 1, 2, 3), (argv, report["outcome"])
+            assert report["exit_code"] == code
+            seen.append(code)
+    assert set(seen) == {0, 1, 2, 3}

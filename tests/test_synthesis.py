@@ -6,7 +6,13 @@ import pytest
 import symba as sy
 from symba.errors import InvalidInputError, UnsupportedSubgroupError
 
-from conftest import make_table_ca, oracle_determinacy_witness, random_pointed_table, xor_ca
+from conftest import (
+    make_table_ca,
+    oracle_determinacy_table,
+    oracle_determinacy_witness,
+    random_pointed_table,
+    xor_ca,
+)
 
 
 def test_determinacy_xor_witness(Z, bit):
@@ -64,6 +70,43 @@ def test_determinacy_witness_past_first_block_q3_matches_oracle(Z, seed):
     x, y = oracle_determinacy_witness(tau, N)
     radix = 3 ** np.arange(10, -1, -1)
     assert int(np.dot(y, radix)) >= 3**10 > int(np.dot(x, radix))
+    res = sy.determinacy_check(tau, N)
+    assert not res.is_determined
+    assert (res.witness[0].values, res.witness[1].values) == (x, y)
+
+
+def _leading_identity_scan(F2, tau):
+    """N = ball(1) over F2 with q = 3: 3^11 windows in blocks of 3^10, and
+    the identity, first in graded order, is the one leading digit."""
+    N = sy.ball(F2, 1)
+    NM = sy.set_product(F2, N, sy.symmetrize(F2, tau.memory))
+    assert len(NM) == 11 and NM.index_of(F2.identity()) == 0
+    return N
+
+
+def test_determinacy_table_with_leading_identity_matches_oracle(F2):
+    """A pointed permutation after the shift by a is determined on ball(1);
+    the synthesized table is the earliest identity value of each image."""
+    A = sy.Alphabet.plain(3)
+    tau = make_table_ca(F2, A, [(1,)], [0, 2, 1])
+    N = _leading_identity_scan(F2, tau)
+    res = sy.determinacy_check(tau, N)
+    assert res.is_determined
+    assert np.array_equal(res.rule.map.table, oracle_determinacy_table(tau, N))
+
+
+def test_determinacy_witness_with_leading_identity_matches_oracle(F2):
+    """With the identity as the leading digit every block has one identity
+    value, so the first conflict pairs a window with the earliest window
+    of equal image in an earlier block."""
+    A = sy.Alphabet.plain(3)
+    perm = [0, 2, 1]
+    table = [perm[(u + v) % 3] for u in range(3) for v in range(3)]
+    tau = make_table_ca(F2, A, [(), (1,)], table)
+    N = _leading_identity_scan(F2, tau)
+    x, y = oracle_determinacy_witness(tau, N)
+    radix = 3 ** np.arange(10, -1, -1)
+    assert int(np.dot(x, radix)) // 3**10 < int(np.dot(y, radix)) // 3**10
     res = sy.determinacy_check(tau, N)
     assert not res.is_determined
     assert (res.witness[0].values, res.witness[1].values) == (x, y)

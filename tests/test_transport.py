@@ -173,6 +173,22 @@ def test_invert_transport_witness_is_smallest_repeated_value(Z, bit):
     assert err.value.witness == ((0, 1, 0), (1, 0, 0))
 
 
+def test_pipeline_bijective_transport_that_does_not_lift(Z, bit):
+    """The 3-cell xor is bijective on Z/5 but has no inverse on Z: the
+    pipeline raises with the candidate rule and both check outcomes."""
+    xor = xor_ca(Z, bit, [(-1,), (0,), (1,)])
+    M = sy.symmetrize(Z, xor.memory)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 5})
+    with pytest.raises(sy.UncertifiedInverseError) as err:
+        sy.transport_inverse_pipeline(xor, e)
+    nu = err.value.ca
+    assert (err.value.left, err.value.right) == (
+        sy.check_left_inverse(nu, xor),
+        sy.check_right_inverse(nu, xor),
+    )
+    assert not (err.value.left and err.value.right)
+
+
 def test_pipeline_shift_both_embeddings(Z, bit):
     shift = sy.projection_ca(Z, bit, (1,))
     back = sy.projection_ca(Z, bit, (-1,))
