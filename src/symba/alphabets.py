@@ -21,8 +21,9 @@ window (a wider memory, or the same cells re-encoded in a subgroup).
 
 A matrix map read at several windows of a cell array is one block matrix
 over (Z/n)^(cells*dim), laid out cell-major with the vector coordinate minor.
-`StructuredMap.window_matrix` is the only code that writes this layout;
-composition, matrix-rule determinacy and transport all read through it.
+`StructuredMap.window_matrix` writes this layout. `block_row` and
+`from_block_row` turn a matrix family into a block row and back, and
+`Alphabet.cell_values` decodes a coordinate vector cell by cell.
 """
 
 from __future__ import annotations
@@ -106,6 +107,13 @@ class Alphabet:
         if v.shape != (self.dim,):
             raise InvalidInputError(f"expected a length-{self.dim} vector, got {vec!r}")
         return int(v @ self._radix)
+
+    def cell_values(self, flat) -> np.ndarray:
+        """One value index per cell of a cell-major coordinate vector."""
+        if not self.is_module:
+            raise InvalidInputError("vectors only exist for module alphabets")
+        cells = np.asarray(flat, dtype=np.int64).reshape(-1, self.dim)
+        return cells % self.modulus @ self._radix
 
     def add(self, i: int, j: int) -> int:
         """Alphabet structure operation on indices (module add / group mul)."""
@@ -294,6 +302,18 @@ class StructuredMap:
         np.remainder(blocks, A.modulus, out=blocks)
         return blocks.reshape(len(pos) * d, n_cells * d)
 
+    def block_row(self) -> np.ndarray:
+        """The family as one (dim, arity*dim) row: window_matrix at one window."""
+        d = self.alphabet.dim
+        return self.matrices.transpose(1, 0, 2).reshape(d, self.arity * d)
+
+    @classmethod
+    def from_block_row(cls, A: Alphabet, row) -> "StructuredMap":
+        """The matrix map whose block_row() is `row` (reduced mod n)."""
+        row = np.asarray(row, dtype=np.int64)
+        arity = row.shape[1] // A.dim
+        return cls(A, arity, matrices=row.reshape(A.dim, arity, A.dim).transpose(1, 0, 2))
+
     def reindexed(self, cols, arity: int) -> "StructuredMap":
         """The same map read over a window of `arity` cells, input j at cols[j].
 
@@ -301,9 +321,7 @@ class StructuredMap:
         """
         A = self.alphabet
         if self.is_matrix:
-            d = A.dim
-            flat = self.window_matrix([cols], arity)
-            return StructuredMap(A, arity, matrices=flat.reshape(d, arity, d).transpose(1, 0, 2))
+            return StructuredMap.from_block_row(A, self.window_matrix([cols], arity))
         check_size(A.size**arity, "re-read rule table")
         return StructuredMap(A, arity, table=self.window_table([cols], arity, [1]))
 
@@ -345,9 +363,10 @@ def verify_pointed(smap: StructuredMap, A: Alphabet | None = None) -> bool:
 def verify_structure(smap: StructuredMap, A: Alphabet | None = None) -> bool:
     """Check the map is a morphism for the alphabet's structure.
 
-    Module tables are scanned for additivity on all input pairs plus scalar
-    compatibility; group tables for multiplicativity on all pairs under the
-    componentwise product. Matrix maps are morphisms by construction.
+    A module table is additive (hence Z/n-linear) iff it equals the matrix
+    map read off at the unit vectors: one O(table) comparison. Group tables
+    are scanned for multiplicativity on all pairs under the componentwise
+    product. Matrix maps are morphisms by construction.
     """
     A = A or smap.alphabet
     if A != smap.alphabet:
@@ -358,29 +377,17 @@ def verify_structure(smap: StructuredMap, A: Alphabet | None = None) -> bool:
         return True
 
     m = smap.arity
+    if A.is_module:
+        # unit vector k at cell j has input index radix[j] * A._radix[k]
+        units = smap.table[np.outer(radix(A.size, m), A._radix)]
+        columns = decode_index(units, A.modulus, A.dim)  # (m, k, output coordinate)
+        linear = StructuredMap(A, m, matrices=columns.transpose(0, 2, 1))
+        return bool(np.array_equal(linear.expand_table().table, smap.table))
+
     X = decode_assignments(A.size, m)
     count = X.shape[0]
     check_size(count * count, "structure verification pair scan")
     fX = smap.evaluate_batch(X)
-
-    if A.is_module:
-        vecs = A.vectors()
-        place = A._radix
-        XV = vecs[X]  # (count, m, dim)
-        for i in range(count):
-            summed = ((XV[i][None, :, :] + XV) % A.modulus) @ place  # (count, m)
-            lhs = smap.evaluate_batch(summed)
-            rhs = (vecs[fX[i]][None, :] + vecs[fX]) % A.modulus @ place
-            if not np.array_equal(lhs, rhs):
-                return False
-        for c in range(A.modulus):
-            scaled = ((c * XV) % A.modulus) @ place
-            lhs = smap.evaluate_batch(scaled)
-            rhs = ((c * vecs[fX]) % A.modulus) @ place
-            if not np.array_equal(lhs, rhs):
-                return False
-        return True
-
     mul = np.asarray([[A.table.mul(i, j) for j in range(A.size)] for i in range(A.size)])
     for i in range(count):
         prod = mul[X[i][None, :], X]  # componentwise product of tuples, (count, m)

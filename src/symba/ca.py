@@ -124,12 +124,9 @@ def projection_ca(G: Group, A: Alphabet, elem) -> CellularAutomaton:
 
 def window_positions(domain: FiniteSubset, E, M) -> np.ndarray:
     """(len(E), len(M)) array: entry [i, j] = position of E[i]*M[j] in domain."""
-    G = domain.group
-    out = np.empty((len(E), len(M)), dtype=np.int64)
-    for i, g in enumerate(E):
-        for j, m in enumerate(M):
-            out[i, j] = domain.index_of(G.mul(g, m))
-    return out
+    mul, index = domain.group.mul, domain._index
+    rows = [[index[mul(g, m)] for m in M] for g in E]
+    return np.array(rows, dtype=np.int64).reshape(len(E), len(M))
 
 
 def induced_map(tau: CellularAutomaton, E: FiniteSubset, p: Pattern) -> Pattern:
@@ -181,11 +178,8 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     pos = window_positions(Mc, Ms, Mt)
 
     if sigma.rule.map.is_matrix and tau.rule.map.is_matrix:
-        d = A.dim
-        row = sigma.rule.map.matrices.transpose(1, 0, 2).reshape(d, len(Ms) * d)
-        flat = (row @ tau.rule.map.window_matrix(pos, len(Mc))) % A.modulus
-        mats = flat.reshape(d, len(Mc), d).transpose(1, 0, 2)
-        rule = LocalRule(Mc, StructuredMap(A, len(Mc), matrices=mats))
+        flat = sigma.rule.map.block_row() @ tau.rule.map.window_matrix(pos, len(Mc))
+        rule = LocalRule(Mc, StructuredMap.from_block_row(A, flat))
         return CellularAutomaton(G, A, rule)
 
     n = len(Mc)

@@ -11,8 +11,9 @@ At DEFAULT_TRANSPORT_CAP = 2^24 configurations the window-scan kernel
 tabulates a transport of a radius-1 rule on Z/24 in 0.2-0.3 s and checks
 its equivariance in 0.4 s, at a peak of about 290 MB (the table plus one
 translation table); the whole inverse pipeline there takes about 1.1 s.
-A determinacy scan of 2^19 windows takes 0.03 s, so one at
-DEFAULT_ENUMERATION_CAP = 2^20 stays well under a second.
+A determinacy scan of 2^19 windows takes about 6 ms, so one at
+DEFAULT_ENUMERATION_CAP = 2^20 stays well under a second; the same cap stops
+finite-group multiplication tables (built in Python) at order 1024.
 
 TRANSPORT_DIM_CAP bounds the dimension of a transported block matrix. Its
 products mod p (the inverse check and the beta-after-alpha check) are exact

@@ -210,6 +210,7 @@ class FiniteGroup(Group):
     kind = "finite"
 
     def __init__(self, table: Sequence[Sequence[int]]):
+        check_size(len(table) ** 2, "multiplication table")
         table = tuple(tuple(int(x) for x in row) for row in table)
         n = len(table)
         if n == 0:
@@ -249,6 +250,7 @@ class FiniteGroup(Group):
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n <= 0:
             raise InvalidInputError(f"cyclic order must be positive, got {n}")
+        check_size(n * n, "multiplication table")
         return cls([[(i + j) % n for j in range(n)] for i in range(n)])
 
     def identity(self):

@@ -10,7 +10,9 @@ square root. Elimination is Gauss-Jordan, one pivot column at a time with
 products kept exact: every partial sum is an integer below 2^53, the
 FFLAS-FFPACK technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
 The modulus bound keeps every p^2 inside int64 and every product inside
-one float64 chunk up to an inner dimension of 8192.
+one float64 chunk up to an inner dimension of 8192. `left_solve` (rows R
+with R·A = E, or a kernel witness) serves matrix-rule determinacy, the
+matrix transport inverse and `invert`.
 """
 
 from __future__ import annotations
@@ -78,7 +80,7 @@ def row_reduce(A: np.ndarray, p: int):
     through this one and inherits both checks. A is not modified.
     """
     require_prime(p, "linear algebra mod p")
-    R = np.asarray(A, dtype=np.int64) % p
+    R = np.ascontiguousarray(A, dtype=np.int64) % p  # row operations need C order
     rows, cols = R.shape
     pivot_cols = []
     r = 0
@@ -141,16 +143,31 @@ def nullspace_basis(A: np.ndarray, p: int) -> np.ndarray:
     return basis
 
 
+def left_solve(A: np.ndarray, E: np.ndarray, p: int):
+    """Rows R with R @ A = E mod p, or a kernel vector that rules them out.
+
+    Returns (R, None), R = solve(A.T, E.T, p).T checked by one exact
+    product, or (None, z) with z the first nullspace_basis(A) vector that
+    E does not annihilate: A @ z = 0 and E @ z != 0.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    E = np.asarray(E, dtype=np.int64)
+    X = solve(A.T, E.T, p)
+    if X is not None and np.array_equal(matmul(X.T, A, p), E % p):
+        return X.T, None
+    for z in nullspace_basis(A, p):
+        if matmul(E, z[:, None], p).any():
+            return None, z
+    raise AssertionError("inconsistent system without a separating kernel vector")
+
+
 def invert(A: np.ndarray, p: int):
     """Inverse of a square matrix mod p, or None when singular."""
     A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
     if A.shape != (n, n):
         raise ValueError(f"matrix must be square, got {A.shape}")
-    X = solve(A, np.eye(n, dtype=np.int64), p)
-    if X is None or not np.array_equal(matmul(A, X, p), np.eye(n, dtype=np.int64)):
-        return None
-    return X
+    return left_solve(A, np.eye(n, dtype=np.int64), p)[0]
 
 
 def rank(A: np.ndarray, p: int) -> int:

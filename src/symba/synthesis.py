@@ -140,29 +140,19 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
 def _determinacy_linear(tau, N, NM) -> DeterminacyResult:
     """Matrix-rule determinacy: solve eta @ T = (read off at identity)."""
     G, A = tau.universe, tau.alphabet
-    p, d = A.modulus, A.dim
+    d = A.dim
     check_size(len(N) * d * len(NM) * d, "determinacy linear system")
     T = tau.rule.map.window_matrix(window_positions(NM, N, tau.memory), len(NM))
     center = NM.index_of(G.identity())
     proj = np.eye(len(NM) * d, dtype=np.int64)[center * d : (center + 1) * d]
 
-    eta_t = linalg.solve(T.T, proj.T, p)
-    if eta_t is None:
-        for z in linalg.nullspace_basis(T, p):
-            if z[center * d : (center + 1) * d].any():
-                x_pat = _vector_pattern(NM, z, A)
-                y_pat = _vector_pattern(NM, np.zeros_like(z), A)
-                return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
-        raise AssertionError("inconsistent solve without a separating kernel vector")
-    eta = eta_t.T % p
-    mats = eta.reshape(d, len(N), d).transpose(1, 0, 2)
-    rule = LocalRule(N, StructuredMap(A, len(N), matrices=mats))
+    eta, z = linalg.left_solve(T, proj, A.modulus)
+    if eta is None:
+        x_pat = Pattern(NM, A.cell_values(z))
+        y_pat = Pattern(NM, A.cell_values(np.zeros_like(z)))
+        return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
+    rule = LocalRule(N, StructuredMap.from_block_row(A, eta))
     return DeterminacyResult(rule=rule, witness=None)
-
-
-def _vector_pattern(domain, flat, A) -> Pattern:
-    vals = [A.vector_to_index(v) for v in flat.reshape(len(domain), A.dim)]
-    return Pattern(domain, tuple(vals))
 
 
 def synthesize_left_inverse(tau: CellularAutomaton, r_max: int) -> SynthesisResult:

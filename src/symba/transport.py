@@ -31,6 +31,7 @@ from .ca import (
     check_right_inverse,
     common_memory,
     extend_memory,
+    window_positions,
 )
 from .caps import TRANSPORT_DIM_CAP, transport_cap
 from .errors import (
@@ -69,23 +70,36 @@ class LefEmbedding:
     phi: dict = field(hash=False)
 
 
-def _post_verify(e: LefEmbedding) -> LefEmbedding:
-    """Reject collisions; assert the partial product rule on the subset."""
+def _first_collision(e: LefEmbedding, S) -> tuple | None:
+    """The first pair of S, in S's order, that phi sends to one image."""
     seen = {}
-    for s in e.subset:
+    for s in S:
         img = e.phi[s]
         if img in seen:
-            raise EmbeddingCollisionError(seen[img], s, e.source)
+            return seen[img], s
         seen[img] = s
-    F = e.target
-    G = e.source
-    for a in e.subset:
-        for b in e.subset:
+    return None
+
+
+def _product_rule_failure(e: LefEmbedding, M) -> tuple | None:
+    """The first (a, b) in M x M with ab in the subset and phi(a)phi(b) != phi(ab)."""
+    G, F = e.source, e.target
+    for a in M:
+        for b in M:
             ab = G.mul(a, b)
             if ab in e.subset and F.mul(e.phi[a], e.phi[b]) != e.phi[ab]:
-                raise AssertionError(
-                    f"embedding construction bug: products disagree at ({a!r}, {b!r})"
-                )
+                return a, b
+    return None
+
+
+def _post_verify(e: LefEmbedding) -> LefEmbedding:
+    """Reject collisions; assert the partial product rule on the subset."""
+    pair = _first_collision(e, e.subset)
+    if pair is not None:
+        raise EmbeddingCollisionError(*pair, e.source)
+    pair = _product_rule_failure(e, e.subset)
+    if pair is not None:
+        raise AssertionError(f"embedding construction bug: products disagree at {pair!r}")
     return e
 
 
@@ -214,15 +228,7 @@ def verify_embedding(e: LefEmbedding, M: FiniteSubset) -> bool:
     M2 = set_product(G, M, M)
     if not M2.issubset(e.subset):
         raise InvalidInputError("embedded subset must contain M*M")
-    images = [e.phi[x] for x in M2]
-    if len(set(images)) != len(images):
-        return False
-    F = e.target
-    for a in M:
-        for b in M:
-            if F.mul(e.phi[a], e.phi[b]) != e.phi[G.mul(a, b)]:
-                return False
-    return True
+    return _first_collision(e, M2) is None and _product_rule_failure(e, M) is None
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,21 +237,18 @@ class TransportedEndomap:
 
     embedding: LefEmbedding
     alphabet: Alphabet
-    carrier: tuple  # elements of F in canonical order
+    carrier: FiniteSubset  # F in the order of F.elements(); a sequence is converted
     table: np.ndarray | None = None
     matrix: np.ndarray | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.carrier, FiniteSubset):
+            carrier = FiniteSubset(self.embedding.target, self.carrier)
+            object.__setattr__(self, "carrier", carrier)
 
     @property
     def is_matrix(self):
         return self.matrix is not None
-
-
-def _carrier(e: LefEmbedding) -> tuple:
-    F = e.target
-    n = F.order()
-    if n is None:
-        raise InvalidInputError("embedding target must be finite")
-    return tuple(F.elements())
 
 
 def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
@@ -262,14 +265,9 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
     if not verify_embedding(e, M):
         raise InvalidInputError("embedding fails verification over this memory")
 
-    F = e.target
-    carrier = _carrier(e)
-    pos_F = {h: i for i, h in enumerate(carrier)}
+    carrier = FiniteSubset(e.target, e.target.elements())
     nF = len(carrier)
-    pos = np.empty((nF, len(M)), dtype=np.int64)
-    for i, h in enumerate(carrier):
-        for j, m in enumerate(M):
-            pos[i, j] = pos_F[F.mul(h, e.phi[m])]
+    pos = window_positions(carrier, carrier, [e.phi[m] for m in M])
 
     if tau.rule.map.is_matrix:
         dim = A.dim * nF
@@ -300,16 +298,11 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
         inverse = np.empty_like(table)
         inverse[table] = np.arange(table.size, dtype=np.int64)
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
-    p = A.modulus
-    inv = linalg.invert(alpha.matrix, p)
+    identity = np.eye(alpha.matrix.shape[0], dtype=np.int64)
+    inv, z = linalg.left_solve(alpha.matrix, identity, A.modulus)
     if inv is None:
-        for z in linalg.nullspace_basis(alpha.matrix, p):
-            if z.any():
-                raise NotInvertibleError(
-                    (tuple(int(x) for x in z), tuple(0 for _ in z)),
-                    "transported matrix is singular",
-                )
-        raise AssertionError("singular matrix with trivial kernel")
+        x = tuple(A.cell_values(z).tolist())  # a kernel configuration, beside the zero one
+        raise NotInvertibleError((x, (0,) * len(x)), "transported matrix is singular")
     return TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inv)
 
 
@@ -322,16 +315,14 @@ def extract_local_rule(
     cell is filled with the basepoint, the inverted map is applied, and the
     value at the identity of F is the rule's output.
     """
-    F = e.target
     carrier = gamma.carrier
-    pos_F = {h: i for i, h in enumerate(carrier)}
-    cols = [pos_F[e.phi[m]] for m in M]
-    one = pos_F[F.identity()]
+    cols = [carrier.index_of(e.phi[m]) for m in M]
+    one = carrier.index_of(e.target.identity())
 
     if gamma.is_matrix:
-        blocks = gamma.matrix.reshape(len(carrier), A.dim, len(carrier), A.dim)
-        mats = blocks[one, :, cols, :]  # (len(M), dim, dim)
-        return LocalRule(M, StructuredMap(A, len(M), matrices=mats))
+        # the identity cell's block row, read as a map of all of F, then at M
+        row = StructuredMap.from_block_row(A, gamma.matrix[one * A.dim : (one + 1) * A.dim])
+        return LocalRule(M, StructuredMap(A, len(M), matrices=row.matrices[cols]))
 
     place = radix(A.size, len(carrier))
     X = decode_assignments(A.size, len(M))
@@ -349,13 +340,10 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
     A = alpha.alphabet
     F = alpha.embedding.target
     carrier = alpha.carrier
-    pos_F = {h: i for i, h in enumerate(carrier)}
     nF = len(carrier)
-    # perm moves the value at cell h^-1 u to cell u: translation by h
-    perms = [
-        np.array([pos_F[F.mul(F.inv(h), u)] for u in carrier], dtype=np.int64)
-        for h in greedy_generators(F.mul, F.identity(), carrier)
-    ]
+    # row i of perms moves the value at cell h^-1 u to cell u, for h = gens[i]
+    gens = greedy_generators(F.mul, F.identity(), carrier)
+    perms = window_positions(carrier, [F.inv(h) for h in gens], carrier)
     if alpha.is_matrix:
         blocks = alpha.matrix.reshape(nF, A.dim, nF, A.dim) % A.modulus
         return all(np.array_equal(blocks[perm][:, :, perm], blocks) for perm in perms)

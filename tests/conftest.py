@@ -216,3 +216,27 @@ def oracle_determinacy_table(tau, N):
     table = np.full(q ** len(N), A.basepoint, dtype=np.int64)
     table[hit] = X[earliest, at[G.identity()]]
     return table
+
+
+def oracle_module_morphism(A, arity, table):
+    """The pair scan for module tables: additive on all input pairs, and
+    compatible with every scalar, with values decoded to vectors here."""
+    n, d = A.modulus, A.dim
+    vectors = list(itertools.product(range(n), repeat=d))  # index order of A
+    index = {v: i for i, v in enumerate(vectors)}
+    inputs = list(itertools.product(range(len(vectors)), repeat=arity))
+    f = dict(zip(inputs, (int(v) for v in table)))
+
+    def combine(c, x, y):
+        return tuple(index[tuple((c * a + b) % n for a, b in zip(vectors[i], vectors[j]))]
+                     for i, j in zip(x, y))
+
+    zero = (0,) * arity
+    for x in inputs:
+        for y in inputs:
+            if f[combine(1, x, y)] != combine(1, (f[x],), (f[y],))[0]:
+                return False
+        for c in range(n):
+            if f[combine(c, x, zero)] != combine(c, (f[x],), (0,))[0]:
+                return False
+    return True

@@ -9,7 +9,7 @@ import symba as sy
 from symba.alphabets import decode_assignments
 from symba.errors import InvalidInputError, ResourceCapError
 
-from conftest import symmetric_table
+from conftest import oracle_module_morphism, symmetric_table
 
 
 def test_plain_alphabet_basics():
@@ -72,6 +72,37 @@ def test_verify_structure_examples():
     # swapping two non-identity elements of S3 is not a homomorphism
     swapped = sy.StructuredMap(G, 1, table=[0, 2, 1, 3, 4, 5])
     assert not sy.verify_structure(swapped, G)
+
+
+def _module_families():
+    """(alphabet, arity, tables): all of them, or a seeded sample plus the linear ones."""
+    Z2, Z2sq, Z3 = sy.Alphabet.module(2, 1), sy.Alphabet.module(2, 2), sy.Alphabet.module(3, 1)
+    for arity in range(4):
+        yield Z2, arity, itertools.product(range(2), repeat=2**arity)
+    yield Z2sq, 1, itertools.product(range(4), repeat=4)
+    rng = np.random.default_rng(3)
+    linear = [sy.StructuredMap(Z3, 2, matrices=[[[a]], [[b]]]).expand_table().table
+              for a in range(3) for b in range(3)]
+    yield Z3, 2, list(rng.integers(0, 3, size=(150, 9))) + linear
+
+
+def test_module_structure_matches_the_pair_scan():
+    for A, arity, tables in _module_families():
+        verdicts = []
+        for table in tables:
+            got = sy.verify_structure(sy.StructuredMap(A, arity, table=list(table)), A)
+            assert got == oracle_module_morphism(A, arity, table), (A, arity, table)
+            verdicts.append(got)
+        assert any(verdicts) and not all(verdicts)
+
+
+def test_module_structure_has_no_pair_scan_cap():
+    """The arity-11 xor has 2^11 inputs, 2^22 pairs: above the default cap."""
+    A = sy.Alphabet.module(2, 1)
+    xor = decode_assignments(2, 11).sum(axis=1) % 2
+    assert sy.verify_structure(sy.StructuredMap(A, 11, table=xor.copy()), A)
+    xor[5] ^= 1
+    assert not sy.verify_structure(sy.StructuredMap(A, 11, table=xor), A)
 
 
 def test_structure_implies_pointed_exhaustively():

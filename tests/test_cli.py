@@ -235,7 +235,7 @@ def test_transport_and_equivalence_with_synthesis(files, capsys):
     assert report["outcome"]["report"]["beta_alpha_identity"]
     saved = json.loads((files["dir"] / "result.json").read_text())
     nu = serialize.ca_from_json(saved["nu"])
-    sigma = serialize.ca_from_json(json.loads(open(files["sigma"]).read()))
+    sigma = serialize.ca_from_json(json.loads(Path(files["sigma"]).read_text()))
     assert sy.same_action(nu, sigma)
 
 
@@ -444,6 +444,35 @@ def test_verify_embedding_command(files, capsys):
     )
     assert code == 0 and report["outcome"]["accepted"]
     assert report["outcome"]["target_degree"] == 53
+
+
+def test_huge_cyclic_target_exits_three_at_once(files, capsys):
+    """Z/10^6 would need a 10^12-entry multiplication table."""
+    started = time.perf_counter()
+    code, report = run(
+        capsys,
+        "verify-embedding",
+        "--ca",
+        files["tau"],
+        "--embedding",
+        '{"kind":"modular","N":1000000}',
+    )
+    assert code == 3 and "multiplication table" in report["outcome"]["error"]
+    assert time.perf_counter() - started < 1.0
+
+
+def test_singular_matrix_transport_witness_is_a_configuration(tmp_path, capsys):
+    """The kernel witness has one (Z/2)^2 value per cell of Z/3, not 6 coordinates."""
+    Z, A = sy.FreeAbelianGroup(1), sy.Alphabet.module(2, 2)
+    smap = sy.StructuredMap(A, 1, matrices=[[[1, 0], [0, 0]]])
+    tau = sy.CellularAutomaton(Z, A, sy.LocalRule(sy.FiniteSubset(Z, [(0,)]), smap))
+    path = tmp_path / "singular.json"
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(tau)))
+    code, report = run(
+        capsys, "transport", "--ca", str(path), "--embedding", '{"kind":"modular","N":3}'
+    )
+    assert code == 1
+    assert report["outcome"]["witness"] == [[1, 0, 0], [0, 0, 0]]
 
 
 def test_collision_witnesses_are_elements_of_their_group(files, capsys):

@@ -167,6 +167,16 @@ def test_finite_group_validation_rejects_bad_tables():
         sy.FiniteGroup(loop)
 
 
+def test_multiplication_tables_are_capped(monkeypatch):
+    """Order 1024 is the largest table under the default cap of 2^20 entries."""
+    with pytest.raises(ResourceCapError):
+        sy.FiniteGroup.cyclic(1025)
+    with pytest.raises(ResourceCapError):
+        sy.FiniteGroup([[0] * 1025] * 1025)  # refused before any validation
+    monkeypatch.setenv("SYMBA_CAP", str(1 << 22))
+    assert sy.FiniteGroup.cyclic(1100).order() == 1100
+
+
 def test_product_group_componentwise(Z):
     z2 = sy.FiniteGroup.cyclic(2)
     P = sy.ProductGroup([z2, Z])

@@ -59,6 +59,40 @@ def test_invert_exact_at_the_largest_prime():
         assert _oracle_matmul(A, X, p) == np.eye(8, dtype=int).tolist()
 
 
+def _all_left_solutions(A, E, p):
+    """Every R with R @ A = E mod p, by enumerating all of (Z/p)^(e x k)."""
+    e, k = E.shape[0], A.shape[0]
+    R = np.array(list(itertools.product(range(p), repeat=e * k))).reshape(-1, e, k)
+    hits = ((R @ A) % p == E % p).all(axis=(1, 2))
+    return {r.tobytes() for r in R[hits]}
+
+
+def test_left_solve_matches_brute_force():
+    """Solvable iff brute force finds an R; otherwise a separating kernel vector."""
+    rng = np.random.default_rng(20211201)
+    seen = {True: 0, False: 0}
+    for p in (2, 3):
+        for k, n in [(1, 1), (2, 1), (1, 3), (2, 3), (3, 2), (3, 3), (4, 3)]:
+            for e in (1, 2):
+                for trial in range(6):
+                    A = rng.integers(0, p, size=(k, n))
+                    if trial % 3 == 0:
+                        A[-1] = (2 * A[0]) % p  # rank deficient
+                    if trial % 2:
+                        E = rng.integers(0, p, size=(e, k)) @ A % p  # solvable
+                    else:
+                        E = rng.integers(0, p, size=(e, n))
+                    solutions = _all_left_solutions(A, E, p)
+                    R, z = linalg.left_solve(A, E, p)
+                    seen[R is not None] += 1
+                    if solutions:
+                        assert z is None and R.tobytes() in solutions
+                    else:
+                        assert R is None
+                        assert not (A @ z % p).any() and (E @ z % p).any()
+    assert seen[True] and seen[False]
+
+
 def test_moduli_above_the_cap_are_refused():
     """A modulus above 2^20 would overflow int64 in the inverse check."""
     p = 2**31 - 1

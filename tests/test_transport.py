@@ -408,3 +408,63 @@ def test_direct_finiteness_reports(Z, bit):
     xor = xor_ca(Z, bit, [(0,), (1,)])
     rep2 = sy.direct_finiteness(sy.identity_ca(Z, bit), xor)
     assert rep2 == {"left": False, "right": False, "theorem_consistent": True}
+
+
+def _z_mod_7():
+    Z = sy.FreeAbelianGroup(1)
+    return sy.build_embedding(Z, sy.ball(Z, 2), {"kind": "modular", "N": 7})
+
+
+def _rank0_default():
+    Z0 = sy.FreeAbelianGroup(0)
+    return sy.build_embedding(Z0, sy.ball(Z0, 1), None)
+
+
+def _rank0_identity():
+    """The rank-0 lattice as its own target."""
+    Z0 = sy.FreeAbelianGroup(0)
+    return sy.LefEmbedding(Z0, sy.FiniteSubset(Z0, [()]), Z0, {(): ()})
+
+
+@pytest.mark.parametrize(
+    "make_embedding", [_z_mod_7, _c3xc3_via_z2, _s3xc3, _rank0_default, _rank0_identity]
+)
+def test_carrier_order_is_the_target_enumeration(make_embedding, bit):
+    e = make_embedding()
+    tau = sy.identity_ca(e.source, bit)
+    alpha = sy.transport_endomap(tau, e)
+    assert tuple(alpha.carrier) == tuple(e.target.elements())
+
+
+def _cell_by_cell_image(mats, memory, N, config, p):
+    """alpha(config) on Z/N for a matrix rule over (Z/p)^2, one cell at a time."""
+    vec = lambda i: np.array([i // p, i % p])
+    out = []
+    for h in range(N):
+        acc = sum(np.array(mat) @ vec(config[(h + m[0]) % N]) for mat, m in zip(mats, memory))
+        out.append(tuple(int(x) % p for x in acc))
+    return out
+
+
+@pytest.mark.parametrize(
+    "memory, mats, N",
+    [
+        ([(0,)], [[[1, 0], [0, 0]]], 3),
+        ([(0,), (1,)], [[[1, 0], [0, 1]], [[1, 0], [0, 1]]], 6),
+        ([(-1,), (1,)], [[[1, 1], [0, 1]], [[1, 1], [0, 1]]], 5),
+    ],
+)
+def test_singular_matrix_witness_collides_cell_by_cell(Z, memory, mats, N):
+    """The witness is two configurations of Z/N over (Z/2)^2 with one image."""
+    A = sy.Alphabet.module(2, 2)
+    smap = sy.StructuredMap(A, len(memory), matrices=mats)
+    tau = sy.CellularAutomaton(Z, A, sy.LocalRule(sy.FiniteSubset(Z, memory), smap))
+    M = sy.symmetrize(Z, tau.memory)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": N})
+    with pytest.raises(NotInvertibleError) as err:
+        sy.transport_inverse_pipeline(tau, e)
+    x, y = err.value.witness
+    assert len(x) == len(y) == N and x != y
+    assert all(0 <= v < A.size for v in x + y)
+    image = lambda c: _cell_by_cell_image(mats, memory, N, c, 2)
+    assert image(x) == image(y)
