@@ -196,7 +196,10 @@ class StructuredMap:
         self.alphabet = alphabet
         self.arity = int(arity)
         if table is not None:
-            table = np.asarray(table, dtype=np.int64)
+            # a read-only array is taken as frozen and shared; any other table
+            # is copied, so the caller's array is never frozen or aliased
+            shared = isinstance(table, np.ndarray) and not table.flags.writeable
+            table = np.asarray(table, dtype=np.int64) if shared else np.array(table, dtype=np.int64)
             expected = alphabet.size**self.arity
             if table.shape != (expected,):
                 raise InvalidInputError(

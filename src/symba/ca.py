@@ -188,6 +188,7 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     outer = sigma.rule.map.expand_table().table
     for start, codes in tau.rule.map.window_codes(pos, n, radix(A.size, len(Ms))):
         table[start : start + codes.size] = outer[codes]
+    table.flags.writeable = False  # handed to the map without a copy
     rule = LocalRule(Mc, StructuredMap(A, n, table=table))
     return CellularAutomaton(G, A, rule)
 

@@ -15,6 +15,8 @@ import itertools
 from operator import itemgetter
 from typing import Any, Iterator, Sequence
 
+import numpy as np
+
 from .caps import check_size, enumeration_cap
 from .errors import InvalidInputError, ResourceCapError
 
@@ -199,35 +201,44 @@ class FreeGroup(_RankedGroup):
 class FiniteGroup(Group):
     """Finite group given by an n x n multiplication table on 0..n-1.
 
-    The table is validated as a Latin square with an identity and then by
-    Light's associativity test (Clifford & Preston, The Algebraic Theory of
-    Semigroups I, 1961, section 1.2): the elements b with (ab)c = a(bc) for
-    all a, c contain the identity and are closed under products, so testing
-    b over a generating set decides associativity, in O(n^2) time per
-    generator and O(n) memory instead of O(n^3) in all.
+    Entries are read with int(), unless the table is an integer array. It is
+    validated with array operations as a Latin square (rows and columns
+    sorted) with an identity, and then by Light's associativity test
+    (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, section
+    1.2): the elements b with (ab)c = a(bc) for all a, c contain the
+    identity and are closed under products, so testing b over a generating
+    set decides associativity, in O(n^2) time per generator instead of
+    O(n^3) in all. `mul` reads the table as tuples.
     """
 
     kind = "finite"
 
     def __init__(self, table: Sequence[Sequence[int]]):
         check_size(len(table) ** 2, "multiplication table")
-        table = tuple(tuple(int(x) for x in row) for row in table)
         n = len(table)
         if n == 0:
             raise InvalidInputError("multiplication table must be nonempty")
-        for row in table:
-            if len(row) != n or min(row) < 0 or max(row) >= n:
-                raise InvalidInputError("multiplication table is not n x n over 0..n-1")
-        columns = tuple(zip(*table))
-        for i in range(n):
-            # n entries below n are a permutation when they are distinct
-            if len(set(table[i])) != n:
-                raise InvalidInputError(f"row {i} is not a permutation")
-            if len(set(columns[i])) != n:
-                raise InvalidInputError(f"column {i} is not a permutation")
-        points = tuple(range(n))
-        ident = next((e for e in points if table[e] == points and columns[e] == points), None)
-        if ident is None:
+        not_square = "multiplication table is not n x n over 0..n-1"
+        if not (isinstance(table, np.ndarray) and table.dtype.kind == "i"):
+            table = [[int(x) for x in row] for row in table]
+        try:
+            T = np.array(table, dtype=np.int64)
+        except (ValueError, OverflowError):  # ragged rows, or an entry beyond int64
+            raise InvalidInputError(not_square) from None
+        if T.shape != (n, n):
+            raise InvalidInputError(not_square)
+        points = np.arange(n)
+        lines = np.sort(np.concatenate([T, T.T]), axis=1)  # the rows, then the columns
+        if not (lines == points).all():
+            if T.min() < 0 or T.max() >= n:
+                raise InvalidInputError(not_square)
+            bad = (lines != points).any(axis=1).reshape(2, n)
+            i = int(bad.any(axis=0).argmax())
+            raise InvalidInputError(f"{'row' if bad[0, i] else 'column'} {i} is not a permutation")
+        table = tuple(map(tuple, T.tolist()))
+        # an identity e has e*0 = 0, and column 0 holds 0 in one row only
+        ident = int(T[:, 0].argmin())
+        if table[ident] != tuple(range(n)) or T[:, ident].tolist() != list(range(n)):
             raise InvalidInputError("table has no identity element")
 
         def fails(a, b):
@@ -235,23 +246,25 @@ class FiniteGroup(Group):
             called, so itemgetter returns the row a(bc) as a tuple."""
             return table[table[a][b]] != itemgetter(*table[b])(table[a])
 
-        for b in greedy_generators(lambda x, y: table[x][y], ident, points):
-            if any(fails(a, b) for a in points):
-                # report the first failing triple in (a, b, c) order
-                a, b = next((a, b) for a in points for b in points if fails(a, b))
-                c = next(c for c in points if table[table[a][b]][c] != table[a][table[b][c]])
-                raise InvalidInputError(f"table is not associative at ({a},{b},{c})")
+        gens = np.array(greedy_generators(lambda x, y: table[x][y], ident, range(n)), dtype=int)
+        # entry [a, i, c]: (a b) c against a (b c), for b = gens[i]
+        if not (T.take(T.take(gens, axis=1), axis=0) == T.take(T.take(gens, axis=0), axis=1)).all():
+            # report the first failing triple in (a, b, c) order
+            a, b = next((a, b) for a in range(n) for b in range(n) if fails(a, b))
+            c = next(c for c in range(n) if table[table[a][b]][c] != table[a][table[b][c]])
+            raise InvalidInputError(f"table is not associative at ({a},{b},{c})")
         self.table = table
         self.size = n
         self._identity = ident
-        self._inv = tuple(table[a].index(ident) for a in range(n))
+        self._inv = tuple((T == ident).argmax(axis=1).tolist())
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
         if n <= 0:
             raise InvalidInputError(f"cyclic order must be positive, got {n}")
         check_size(n * n, "multiplication table")
-        return cls([[(i + j) % n for j in range(n)] for i in range(n)])
+        points = np.arange(n)
+        return cls((points[:, None] + points) % n)
 
     def identity(self):
         return self._identity

@@ -1,6 +1,7 @@
 """Exact linear algebra over Z/p, p prime, p <= MAX_MODULUS = 2^20.
 
-Inputs are integer arrays. Each is reduced mod p once, where it is used:
+Inputs are integer arrays. Each is reduced mod p once, where it is used,
+by `reduce`, which passes an array already in 0..p-1 through untouched:
 `row_reduce` reduces a copy, `matmul` its operands; every output has
 entries in 0..p-1. `require_prime` checks the bound before primality, so
 a huge modulus is refused at once, not after trial division up to its
@@ -11,8 +12,8 @@ products kept exact: every partial sum is an integer below 2^53, the
 FFLAS-FFPACK technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
 The modulus bound keeps every p^2 inside int64 and every product inside
 one float64 chunk up to an inner dimension of 8192. `left_solve` (rows R
-with R·A = E, or a kernel witness) serves matrix-rule determinacy, the
-matrix transport inverse and `invert`.
+with R·A = E, or a kernel witness) serves matrix-rule determinacy and
+`invert`; the matrix transport inverse solves for one block row of it.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def require_prime(p: int, context: str) -> None:
         raise UnsupportedModulusError(f"{context} needs a prime modulus, got {p}")
 
 
+def reduce(A, p: int) -> np.ndarray:
+    """A as an int64 array with entries in 0..p-1; A itself when they already are."""
+    A = np.asarray(A, dtype=np.int64)
+    return A % p if A.size and (A.min() < 0 or A.max() >= p) else A
+
+
 def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p, exactly, as an int64 array with entries in 0..p-1.
 
@@ -55,8 +62,7 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """
     if not 2 <= p <= MAX_MODULUS:
         raise UnsupportedModulusError(f"products mod p need 2 <= p <= {MAX_MODULUS}, got {p}")
-    A = np.asarray(A, dtype=np.int64) % p
-    B = np.asarray(B, dtype=np.int64) % p
+    A, B = reduce(A, p), reduce(B, p)
     step = (_FLOAT_EXACT - 1) // (p - 1) ** 2
     out = np.zeros((A.shape[0], B.shape[1]), dtype=np.int64)
     for start in range(0, A.shape[1], step):
@@ -80,7 +86,7 @@ def row_reduce(A: np.ndarray, p: int):
     through this one and inherits both checks. A is not modified.
     """
     require_prime(p, "linear algebra mod p")
-    R = np.ascontiguousarray(A, dtype=np.int64) % p  # row operations need C order
+    R = np.array(reduce(A, p), order="C")  # a copy; row operations need C order
     rows, cols = R.shape
     pivot_cols = []
     r = 0
@@ -153,7 +159,7 @@ def left_solve(A: np.ndarray, E: np.ndarray, p: int):
     A = np.asarray(A, dtype=np.int64)
     E = np.asarray(E, dtype=np.int64)
     X = solve(A.T, E.T, p)
-    if X is not None and np.array_equal(matmul(X.T, A, p), E % p):
+    if X is not None and np.array_equal(matmul(X.T, A, p), reduce(E, p)):
         return X.T, None
     for z in nullspace_basis(A, p):
         if matmul(E, z[:, None], p).any():

@@ -48,13 +48,14 @@ def _parsing(what: str):
     """Report missing keys and unconvertible values in `what` as invalid input.
 
     Used as a decorator on the loaders, so a malformed number or array in a
-    file exits with the invalid-input code rather than escaping as a crash.
+    file (Infinity included, which int() refuses with OverflowError) exits
+    with the invalid-input code rather than escaping as a crash.
     """
     try:
         yield
     except KeyError as missing:
         raise InvalidInputError(f"{what} JSON is missing {missing}") from None
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise InvalidInputError(f"malformed {what} JSON: {err}") from None
 
 

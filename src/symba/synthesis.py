@@ -133,6 +133,7 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
             return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
 
     table = np.where(first_value >= 0, first_value, A.basepoint)
+    table.flags.writeable = False  # handed to the map without a copy
     rule = LocalRule(N, StructuredMap(A, len(N), table=table))
     return DeterminacyResult(rule=rule, witness=None)
 

@@ -7,11 +7,16 @@ rule as an F-equivariant endomap of A^F, invert that finite object exactly
 back off through the embedding, filling the cells outside the image with
 the basepoint. The extracted rule is certified against the original
 automaton by both one-sided inverse checks before it is returned.
+
+A transported matrix is F-equivariant, so its identity block row determines
+it (`division_index`): the inverse is solved for, and it and the hinted
+composite are checked, on that row alone, after an exact equivariance test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -250,6 +255,10 @@ class TransportedEndomap:
     def is_matrix(self):
         return self.matrix is not None
 
+    @cached_property
+    def _division(self) -> np.ndarray:
+        return division_index(self.carrier)
+
 
 def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
     """The F-equivariant endomap reading the rule through the embedding.
@@ -282,8 +291,67 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
     return TransportedEndomap(e, A, carrier, table=table)
 
 
+def _translations(carrier: FiniteSubset) -> np.ndarray:
+    """Row i moves the value at cell h^-1 u to cell u, for h the i-th greedy generator."""
+    F = carrier.group
+    gens = greedy_generators(F.mul, F.identity(), carrier)
+    return window_positions(carrier, [F.inv(h) for h in gens], carrier)
+
+
+def division_index(carrier: FiniteSubset) -> np.ndarray:
+    """div[h, k]: the carrier position of h^-1 k, for a carrier that is all of F.
+
+    A breadth-first walk over the greedy generators g fills left[x, u], the
+    position of xu: row x g^-1 is row x read through the translation by g.
+    That is |F| array steps, with no |F|^2 group products; div[h] inverts left[h].
+    """
+    nF, one = len(carrier), carrier.index_of(carrier.group.identity())
+    perms = _translations(carrier)
+    left = np.empty((nF, nF), dtype=np.int64)
+    left[one] = np.arange(nF)
+    reached, seen = [one], {one}
+    for x in reached:  # grows while it is read
+        for perm in perms:
+            k = int(left[x, perm[one]])
+            if k not in seen:
+                seen.add(k)
+                reached.append(k)
+                left[k] = left[x][perm]
+    div = np.empty_like(left)
+    div[np.arange(nF)[:, None], left] = np.arange(nF)
+    return div
+
+
+def _expansion(row: np.ndarray, div: np.ndarray) -> np.ndarray:
+    """[a, h, k, b]: entry (a, b) of block h^-1 k of the (d, |F|*d) row."""
+    return np.take(row.reshape(len(row), len(div), -1), div, axis=1)
+
+
+def _identity_row(m: TransportedEndomap, div: np.ndarray) -> np.ndarray | None:
+    """m's identity block row mod n if m is its expansion (is F-equivariant), else None."""
+    d, one = m.alphabet.dim, int(div[0, 0])  # h^-1 h = 1 for h at 0
+    matrix = linalg.reduce(m.matrix, m.alphabet.modulus)
+    row = matrix[one * d : (one + 1) * d]
+    blocks = matrix.reshape(len(div), d, len(div), d).transpose(1, 0, 2, 3)
+    return row if np.array_equal(_expansion(row, div), blocks) else None
+
+
+def _equivariant_rows(*maps: TransportedEndomap):
+    """(E, rows): the identity block rows of maps on one carrier, E those of I."""
+    rows = [_identity_row(m, maps[0]._division) for m in maps]
+    if any(row is None for row in rows):
+        raise InvalidInputError("transported matrix is not F-equivariant")
+    d, n = rows[0].shape
+    return np.eye(d, n, int(maps[0]._division[0, 0]) * d, dtype=np.int64), rows
+
+
 def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
-    """Invert the finite endomap exactly; injectivity is all it takes."""
+    """Invert the finite endomap exactly; injectivity is all it takes.
+
+    A matrix must be F-equivariant; its inverse is the expansion of the one
+    block row solved for and certified. A singular one's witness is its
+    first nullspace_basis vector.
+    """
     A = alpha.alphabet
     table = alpha.table
     if table is not None:
@@ -298,12 +366,16 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
         inverse = np.empty_like(table)
         inverse[table] = np.arange(table.size, dtype=np.int64)
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
-    identity = np.eye(alpha.matrix.shape[0], dtype=np.int64)
-    inv, z = linalg.left_solve(alpha.matrix, identity, A.modulus)
-    if inv is None:
-        x = tuple(A.cell_values(z).tolist())  # a kernel configuration, beside the zero one
+    E, _ = _equivariant_rows(alpha)
+    p = A.modulus
+    # not left_solve: its kernel scan would precede the one the witness needs
+    row = linalg.solve(alpha.matrix.T, E.T, p)
+    if row is None or not np.array_equal(linalg.matmul(row.T, alpha.matrix, p), E):
+        # a kernel configuration, beside the zero one
+        x = tuple(A.cell_values(linalg.nullspace_basis(alpha.matrix, p)[0]).tolist())
         raise NotInvertibleError((x, (0,) * len(x)), "transported matrix is singular")
-    return TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inv)
+    inverse = _expansion(row.T, alpha._division).transpose(1, 0, 2, 3).reshape(E.shape[1], -1)
+    return TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inverse)
 
 
 def extract_local_rule(
@@ -334,19 +406,16 @@ def extract_local_rule(
 def check_equivariance(alpha: TransportedEndomap) -> bool:
     """Exhaustively check the transported map commutes with translations.
 
-    Commuting with a generating set of F implies commuting with all of F,
-    so only the greedy generators are tested, each on every configuration.
+    A matrix is compared with the expansion of its identity block row. A
+    table is tested on every configuration, for the greedy generators only:
+    commuting with a generating set of F implies commuting with all of F.
     """
     A = alpha.alphabet
-    F = alpha.embedding.target
     carrier = alpha.carrier
     nF = len(carrier)
-    # row i of perms moves the value at cell h^-1 u to cell u, for h = gens[i]
-    gens = greedy_generators(F.mul, F.identity(), carrier)
-    perms = window_positions(carrier, [F.inv(h) for h in gens], carrier)
     if alpha.is_matrix:
-        blocks = alpha.matrix.reshape(nF, A.dim, nF, A.dim) % A.modulus
-        return all(np.array_equal(blocks[perm][:, :, perm], blocks) for perm in perms)
+        return _identity_row(alpha, alpha._division) is not None
+    perms = _translations(carrier)
     copy = StructuredMap(A, 1, table=np.arange(A.size))
     place = radix(A.size, nF)
     table = alpha.table
@@ -362,13 +431,16 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
 
 
 def composes_to_identity(beta: TransportedEndomap, alpha: TransportedEndomap) -> bool:
-    """Exhaustively check beta after alpha is the identity on A^F."""
+    """Exhaustively check beta after alpha is the identity on A^F.
+
+    Matrices must be F-equivariant; then so is the composite, which is I
+    exactly when its identity block row is.
+    """
     if beta.is_matrix != alpha.is_matrix:
         raise InvalidInputError("endomaps use different representations")
     if alpha.is_matrix:
-        p = alpha.alphabet.modulus
-        identity = np.eye(alpha.matrix.shape[0], dtype=np.int64)
-        return np.array_equal(linalg.matmul(beta.matrix, alpha.matrix, p), identity)
+        E, (_, row) = _equivariant_rows(alpha, beta)
+        return np.array_equal(linalg.matmul(row, alpha.matrix, alpha.alphabet.modulus), E)
     return np.array_equal(beta.table[alpha.table], np.arange(alpha.table.size))
 
 

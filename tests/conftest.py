@@ -240,3 +240,10 @@ def oracle_module_morphism(A, arity, table):
             if f[combine(c, x, zero)] != combine(c, (f[x],), (0,))[0]:
                 return False
     return True
+
+
+def oracle_division_index(F):
+    """div[h, k] = position of h^-1 k in F's enumeration, by plain group products."""
+    carrier = list(F.elements())
+    at = {h: i for i, h in enumerate(carrier)}
+    return np.array([[at[F.mul(F.inv(h), k)] for k in carrier] for h in carrier])

@@ -168,6 +168,18 @@ def test_structured_map_shape_validation():
         sy.StructuredMap(M, 2, matrices=[[[1, 0], [0, 1]]])  # one matrix short
 
 
+def test_map_keeps_its_own_copy_of_a_table_array():
+    A = sy.Alphabet.plain(2)
+    table = np.array([0, 1, 1, 0], dtype=np.int64)
+    xor = sy.StructuredMap(A, 2, table=table)
+    table[1] = 0  # the caller's array stays writeable
+    assert xor.table.tolist() == [0, 1, 1, 0]
+    assert not xor.table.flags.writeable
+    frozen = np.array([0, 1, 1, 0], dtype=np.int64)
+    frozen.flags.writeable = False  # read-only: shared, not copied
+    assert sy.StructuredMap(A, 2, table=frozen).table is frozen
+
+
 def test_window_codes_refuses_a_window_reading_one_cell_twice():
     A = sy.Alphabet.plain(2)
     xor = sy.StructuredMap(A, 2, table=[0, 1, 1, 0])

@@ -1,0 +1,168 @@
+"""The exit-code contract under mutated universe, alphabet and embedding JSON.
+
+Valid automata and embedding specs are mutated one JSON node at a time:
+a value replaced, a key or list element dropped, a list element repeated.
+Inside multiplication tables that gives ragged rows and entries that are
+huge, negative, bool, float (Infinity and NaN included) or strings. Every
+run must exit 0-3 with a parseable RunReport; exit 4 is a contract breach.
+The search is derandomized and bounded, so the test is deterministic.
+"""
+
+import json
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import symba as sy
+from symba import cli, serialize
+
+from conftest import symmetric_table, xor_ca
+
+# Fields that size an enumeration get small values: a huge one there costs
+# time or memory before any cap is checked (ROADMAP item 8). Everything else
+# may also get huge ones. Hypothesis draws early list entries more often, so
+# the values that once broke the contract come first.
+SIZE_KEYS = {"rank", "degree", "dim", "size", "modulus", "radius"}
+ODD = [float("inf"), True, float("nan"), -1, 1.5, "2", " 1", "x", None, [], {}, False]
+SMALL = st.one_of(st.sampled_from(ODD), st.integers(-2, 6))
+ANY = st.one_of(st.sampled_from([2**70, *ODD, -(2**70), 2**63, 10**6, 1e300]), st.integers(-2, 6))
+SPECS = [None, {}, {"kind": "modular", "N": 3}, {"kind": "modular", "N": 5},
+         {"kind": "identity"}, {"kind": "product", "factors": [None, None]}]
+
+
+def _automata():
+    Z, C2 = sy.FreeAbelianGroup(1), sy.FiniteGroup.cyclic(2)
+    plain, cyclic = sy.Alphabet.plain(2), sy.Alphabet.group(sy.FiniteGroup.cyclic(3).table)
+    module = sy.Alphabet.module(3, 1)
+    cases = [
+        (Z, [(-1,), (0,), (1,)]),
+        (sy.FreeAbelianGroup(2), [(0, 0), (1, 0)]),
+        (sy.FreeGroup(2), [(1,)]),
+        (sy.FiniteGroup(symmetric_table(3)), [0, 1]),
+        (sy.ProductGroup([Z, C2]), [((0,), 1), ((1,), 0)]),
+    ]
+    out = []
+    for G, cells in cases:
+        memory = sy.FiniteSubset(G, cells)
+        smap = sy.StructuredMap(module, len(memory), matrices=[[[1]]] * len(memory))
+        linear = sy.CellularAutomaton(G, module, sy.LocalRule(memory, smap))
+        shift = sy.projection_ca(G, plain, cells[-1])
+        for tau in (shift, xor_ca(G, plain, cells), xor_ca(G, cyclic, cells), linear):
+            out.append(serialize.ca_to_json(tau))
+    return out
+
+
+AUTOMATA = _automata()
+
+
+def _mutate(draw, value, key=None):
+    """`value` with one node replaced, dropped or repeated."""
+    action = draw(st.sampled_from(["descend", "descend", "descend", "drop", "repeat", "replace"]))
+    if isinstance(value, dict) and value and action != "replace":
+        k = draw(st.sampled_from(sorted(value)))
+        out = dict(value)
+        if action == "drop":
+            del out[k]
+        else:
+            out[k] = _mutate(draw, value[k], k)
+        return out
+    if isinstance(value, list) and value and action != "replace":
+        i = draw(st.integers(0, len(value) - 1))
+        out = list(value)
+        if action == "drop":
+            del out[i]
+        elif action == "repeat":
+            out.insert(i, out[i])
+        else:
+            out[i] = _mutate(draw, value[i], key)
+        return out
+    return draw(SMALL if key in SIZE_KEYS else ANY)
+
+
+def _run(capsys, argv):
+    code = cli.main(argv)
+    report = json.loads(capsys.readouterr().out)
+    assert code in (0, 1, 2, 3), (argv, report["outcome"])
+    assert report["exit_code"] == code
+    return code
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys, data):
+    ca = dict(data.draw(st.sampled_from(AUTOMATA)))
+    spec = data.draw(st.sampled_from(SPECS))
+    part = data.draw(st.sampled_from(["table", "universe", "alphabet", "embedding"]))
+    tables = [key for key in ("universe", "alphabet") if "table" in ca[key]]
+    if part == "table" and tables:
+        key = data.draw(st.sampled_from(tables))
+        rows = [list(row) for row in ca[key]["table"]]
+        i = data.draw(st.integers(0, len(rows) - 1))
+        how = data.draw(st.sampled_from(["entry", "entry", "ragged", "ragged"]))
+        if how == "entry":
+            rows[i][data.draw(st.integers(0, len(rows[i]) - 1))] = data.draw(ANY)
+        elif data.draw(st.booleans()):
+            rows[i].pop()
+        else:
+            rows[i].append(rows[i][0])
+        ca[key] = {**ca[key], "table": rows}
+    for _ in range(data.draw(st.integers(part != "table", 2))):
+        if part == "embedding":
+            spec = _mutate(data.draw, spec)
+        else:
+            part = "alphabet" if part == "table" else part
+            ca[part] = _mutate(data.draw, ca[part])
+    path = tmp_path / "ca.json"
+    path.write_text(json.dumps(ca))
+    embedding = json.dumps(spec)
+    _run(capsys, ["transport", "--ca", str(path), "--embedding", embedding])
+    group = json.dumps(ca["universe"])
+    memory = json.dumps(ca["memory"])
+    argv = ["verify-embedding", "--group", group, "--memory", memory, "--embedding", embedding]
+    _run(capsys, argv)
+
+
+EDITS = [("entry", v) for v in [2**70, -(2**70), 2**63, -1, True, 1.5, 1e300, float("inf"),
+                                 float("nan"), "1", " 1", "x", None, []]]
+
+
+@pytest.mark.parametrize("edit, value", EDITS + [("drop", None), ("repeat", None)])
+def test_edited_finite_tables_keep_the_exit_code_contract(tmp_path, capsys, edit, value):
+    """Each kind of table edit, in the first and the last row, of a universe
+    (S3) and of an alphabet (Z/3). Ragged rows and entries int() cannot read,
+    or reads outside 0..n-1, are invalid input."""
+    path = tmp_path / "ca.json"
+    s3 = next(ca for ca in AUTOMATA if ca["universe"]["kind"] == "finite")
+    c3 = next(ca for ca in AUTOMATA if ca["alphabet"]["flavor"] == "group")
+    for ca, key in [(s3, "universe"), (c3, "alphabet")]:
+        for i in (0, -1):
+            rows = [list(row) for row in ca[key]["table"]]
+            if edit == "entry":
+                rows[i][1] = value
+            elif edit == "drop":
+                rows[i].pop()
+            else:
+                rows[i].append(rows[i][0])
+            path.write_text(json.dumps({**ca, key: {**ca[key], "table": rows}}))
+            code = _run(capsys, ["transport", "--ca", str(path), "--embedding", "null"])
+            if value not in (True, 1.5, "1", " 1"):  # ragged, out of range or unreadable
+                assert code == 2, (key, i, edit, value)
+
+
+def test_mutation_pool_reaches_every_outcome(tmp_path, capsys):
+    """The unmutated starting points alone reach exits 0, 1 and 2."""
+    path = tmp_path / "ca.json"
+    seen = set()
+    for ca in AUTOMATA:
+        path.write_text(json.dumps(ca))
+        for spec in SPECS:
+            argv = ["transport", "--ca", str(path), "--embedding", json.dumps(spec)]
+            seen.add(_run(capsys, argv))
+    assert {0, 1, 2} <= seen

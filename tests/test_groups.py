@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 import symba as sy
@@ -165,6 +166,60 @@ def test_finite_group_validation_rejects_bad_tables():
     ]
     with pytest.raises(InvalidInputError):
         sy.FiniteGroup(loop)
+
+
+NOT_SQUARE = "multiplication table is not n x n over 0..n-1"
+LOOP5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ([], "multiplication table must be nonempty"),
+        ([[0, 1], [1]], NOT_SQUARE),
+        ([[0, 1], [1, 0, 1]], NOT_SQUARE),
+        ([[0, 2], [1, 0]], NOT_SQUARE),
+        ([[0, -1], [1, 0]], NOT_SQUARE),
+        ([[0, 2**70], [1, 0]], NOT_SQUARE),
+        (np.zeros((2, 3), dtype=np.int64), NOT_SQUARE),
+        ([[0, 1], [0, 1]], "column 0 is not a permutation"),
+        ([[0, 0], [1, 1]], "row 0 is not a permutation"),
+        ([[0, 1, 2], [1, 1, 0], [2, 0, 1]], "row 1 is not a permutation"),
+        ([[0, 1, 2], [1, 2, 0], [2, 1, 0]], "column 1 is not a permutation"),
+        ([[1, 0, 2], [0, 2, 1], [2, 1, 0]], "table has no identity element"),
+        (LOOP5, r"table is not associative at \(1,1,2\)"),
+    ],
+)
+def test_finite_group_messages(table, message):
+    """Each check names the first failure: range, then rows before columns."""
+    with pytest.raises(InvalidInputError, match=f"^{message}$"):
+        sy.FiniteGroup(table)
+
+
+@pytest.mark.parametrize(
+    "table, identity",
+    [
+        ([[True, False], [False, True]], 1),
+        ([["0", "1"], ["1", "0"]], 0),
+        (["01", "10"], 0),
+        ([[0.0, 1.9], [1, 0]], 0),
+        (np.array([[1, 0], [0, 1]], dtype=np.int32), 1),
+    ],
+)
+def test_finite_group_reads_entries_with_int(table, identity):
+    """Entries are read with int(), so these stay the group of order 2."""
+    G = sy.FiniteGroup(table)
+    assert G.identity() == identity and G.order() == 2
+    assert all(isinstance(x, int) for row in G.table for x in row)
+
+
+def test_cyclic_tables_and_inverses():
+    for n in (1, 2, 5, 12):
+        G = sy.FiniteGroup.cyclic(n)
+        assert G.table == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
+        assert [G.inv(a) for a in range(n)] == [(-a) % n for a in range(n)]
+    S3 = sy.FiniteGroup(symmetric_table(3))
+    assert all(S3.mul(a, S3.inv(a)) == S3.identity() for a in range(6))
 
 
 def test_multiplication_tables_are_capped(monkeypatch):

@@ -14,12 +14,15 @@ from symba.errors import (
 
 from conftest import (
     make_table_ca,
+    oracle_division_index,
     oracle_transport_table,
     random_pointed_table,
     symmetric_table,
     xor_ca,
 )
+from symba import linalg
 from symba.groups import greedy_generators
+from symba.transport import division_index
 
 
 def _pair_CD(Z):
@@ -468,3 +471,106 @@ def test_singular_matrix_witness_collides_cell_by_cell(Z, memory, mats, N):
     assert all(0 <= v < A.size for v in x + y)
     image = lambda c: _cell_by_cell_image(mats, memory, N, c, 2)
     assert image(x) == image(y)
+
+
+def _c3xc3():
+    G = sy.ProductGroup([sy.FiniteGroup.cyclic(3)] * 2)
+    return sy.build_embedding(G, sy.FiniteSubset(G, G.elements()), None)
+
+
+@pytest.mark.parametrize(
+    "target",
+    [sy.FiniteGroup.cyclic(N) for N in (1, 2, 7, 12)]
+    + [sy.FiniteGroup(symmetric_table(3)), sy.FreeAbelianGroup(0)]
+    + [make().target for make in (_c3xc3_via_z2, _s3xc3)],
+    ids=["Z1", "Z2", "Z7", "Z12", "S3", "Z^0", "C3xC3", "S3xC3"],
+)
+def test_division_index_matches_group_products(target):
+    carrier = sy.FiniteSubset(target, target.elements())
+    assert np.array_equal(division_index(carrier), oracle_division_index(target))
+
+
+def _random_matrix_transport(kind, p, d, rng):
+    """A seeded matrix rule on a symmetric memory, transported to its target."""
+    if kind in ("C3xC3", "S3xC3"):
+        e = _c3xc3() if kind == "C3xC3" else _s3xc3()
+        G = e.source
+        M = sy.symmetrize(G, sy.FiniteSubset(G, [(1, 0), (0, 1)]))
+    else:
+        G = sy.FreeAbelianGroup(1)
+        M = sy.ball(G, 1)
+        e = sy.build_embedding(G, sy.set_product(G, M, M), {"kind": "modular", "N": kind})
+    A = sy.Alphabet.module(p, d)
+    smap = sy.StructuredMap(A, len(M), matrices=rng.integers(0, p, (len(M), d, d)))
+    return sy.transport_endomap(sy.CellularAutomaton(G, A, sy.LocalRule(M, smap)), e)
+
+
+MATRIX_TARGETS = [5, 12, "C3xC3", "S3xC3"]
+MATRIX_FAMILY = [(2, 1), (2, 2), (3, 1), (3, 2)] * 4
+
+
+@pytest.mark.parametrize("kind", MATRIX_TARGETS)
+def test_block_row_inverse_is_the_full_inverse(kind):
+    """Byte for byte linalg.invert's inverse; singular verdicts and witnesses
+    (the first nullspace_basis vector, cell by cell) as before."""
+    rng = np.random.default_rng(11)
+    singular = []
+    for p, d in MATRIX_FAMILY:
+        alpha = _random_matrix_transport(kind, p, d, rng)
+        full = linalg.invert(alpha.matrix, p)
+        singular.append(full is None)
+        if full is None:
+            with pytest.raises(NotInvertibleError) as err:
+                sy.invert_transport(alpha)
+            z = linalg.nullspace_basis(alpha.matrix, p)[0]
+            x = tuple(alpha.alphabet.cell_values(z).tolist())
+            assert err.value.witness == (x, (0,) * len(x))
+        else:
+            gamma = sy.invert_transport(alpha)
+            assert gamma.matrix.dtype == full.dtype and gamma.matrix.shape == full.shape
+            assert gamma.matrix.tobytes() == full.tobytes()
+    assert any(singular) and not all(singular)
+
+
+@pytest.mark.parametrize("kind", MATRIX_TARGETS)
+def test_block_row_composite_check_agrees_with_the_full_product(kind):
+    rng = np.random.default_rng(12)
+    verdicts = set()
+    for p, d in MATRIX_FAMILY:
+        alpha = _random_matrix_transport(kind, p, d, rng)
+        betas = [alpha, _random_matrix_transport(kind, p, d, rng)]
+        full = linalg.invert(alpha.matrix, p)
+        if full is not None:
+            A = alpha.alphabet
+            betas.append(sy.TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=full))
+        identity = np.eye(len(alpha.matrix), dtype=np.int64)
+        for beta in betas:
+            expected = np.array_equal(linalg.matmul(beta.matrix, alpha.matrix, p), identity)
+            assert sy.composes_to_identity(beta, alpha) == expected
+            verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
+def test_non_equivariant_matrix_is_invalid_input(Z):
+    """A block-row solve would misread these, so they are refused."""
+    C, D = _pair_CD(Z)
+    A = sy.Alphabet.module(2, 2)
+    tau, sigma = sy.to_linear_ca(C, Z, A), sy.to_linear_ca(D, Z, A)
+    M = sy.common_memory(sigma, tau)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 8})
+    widen = lambda ca: sy.CellularAutomaton(Z, A, sy.extend_memory(ca.rule, M))
+    alpha, beta = sy.transport_endomap(widen(tau), e), sy.transport_endomap(widen(sigma), e)
+    as_endomap = lambda m: sy.TransportedEndomap(e, A, alpha.carrier, matrix=m)
+    broken = alpha.matrix.copy()
+    broken[5, 12] ^= 1
+    # invertible, but it swaps two cells: not a translation
+    swap = np.eye(16, dtype=np.int64)[[0, 1, 4, 5, 2, 3] + list(range(6, 16))]
+    assert linalg.invert(swap, 2) is not None
+    for m in (broken, swap):
+        with pytest.raises(InvalidInputError, match="not F-equivariant"):
+            sy.invert_transport(as_endomap(m))
+        with pytest.raises(InvalidInputError, match="not F-equivariant"):
+            sy.composes_to_identity(beta, as_endomap(m))
+        with pytest.raises(InvalidInputError, match="not F-equivariant"):
+            sy.composes_to_identity(as_endomap(m), alpha)
+    assert sy.composes_to_identity(beta, alpha)
