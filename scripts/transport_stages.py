@@ -2,21 +2,21 @@
 
 Usage (from the root of a checkout; PYTHONPATH picks the tree to time):
 
-    PYTHONPATH=src python3 scripts/transport_stages.py [--repeats 15] [--seed 0]
+    PYTHONPATH=src python3 scripts/transport_stages.py
 
-For each embedding modulus N the rule is a seeded invertible 2x2 matrix
-over Z with coefficients mod 3 and radius 1 (the shape of the `linear`
-benchmark pipelines), so the transported block matrix has dimension 2N.
-Each stage is timed on its own, `--repeats` times after one warm-up call,
-and the median is printed in milliseconds: building the Z/N multiplication
-table, inverting the transported matrix, checking the hinted composite,
-and the whole hinted pipeline (embedding included). Only public entry
-points are called, so the script times any version of the library.
+For each embedding modulus N the rule is the invertible 2x2 matrix over Z
+with coefficients mod 3 and radius 1 drawn from SEED (the shape of the
+`linear` benchmark pipelines), so the transported block matrix has
+dimension 2N. Each stage is timed on its own, REPEATS times after one
+warm-up call, and the median is printed in milliseconds: building the Z/N
+multiplication table, inverting the transported matrix, checking the
+hinted composite, and the whole hinted pipeline (embedding included). Only
+public entry points are called, so the script times any version of the
+library.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import time
@@ -24,22 +24,24 @@ import time
 import symba as sy
 
 MODULI = (8, 16, 24, 64, 96, 128, 160, 192)
+REPEATS = 21
+SEED = 0
 
 
-def median_ms(fn, repeats: int) -> float:
+def median_ms(fn) -> float:
     fn()
     times = []
-    for _ in range(repeats):
+    for _ in range(REPEATS):
         start = time.perf_counter()
         fn()
         times.append(time.perf_counter() - start)
     return 1e3 * statistics.median(times)
 
 
-def stages(N: int, seed: int, repeats: int) -> dict:
+def stages(N: int) -> dict:
     Z = sy.FreeAbelianGroup(1)
     A = sy.Alphabet.module(3, 2)
-    C, D = sy.random_invertible_matrix(Z, seed=seed, d=2, r=1, modulus=3, factors=4)
+    C, D = sy.random_invertible_matrix(Z, seed=SEED, d=2, r=1, modulus=3, factors=4)
     tau, sigma = sy.to_linear_ca(C, Z, A), sy.to_linear_ca(D, Z, A)
     M = sy.common_memory(sigma, tau)
     tau_ext = sy.CellularAutomaton(Z, A, sy.extend_memory(tau.rule, M))
@@ -57,20 +59,16 @@ def stages(N: int, seed: int, repeats: int) -> dict:
 
     return {
         "dim": 2 * N,
-        "cyclic_ms": median_ms(lambda: sy.FiniteGroup.cyclic(N), repeats),
-        "invert_ms": median_ms(lambda: sy.invert_transport(alpha), repeats),
-        "composite_ms": median_ms(lambda: sy.composes_to_identity(beta, alpha), repeats),
-        "pipeline_ms": median_ms(pipeline, repeats),
+        "cyclic_ms": median_ms(lambda: sy.FiniteGroup.cyclic(N)),
+        "invert_ms": median_ms(lambda: sy.invert_transport(alpha)),
+        "composite_ms": median_ms(lambda: sy.composes_to_identity(beta, alpha)),
+        "pipeline_ms": median_ms(pipeline),
     }
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--repeats", type=int, default=15)
-    ap.add_argument("--seed", type=int, default=0)
-    args = ap.parse_args()
     for N in MODULI:
-        print(json.dumps({k: round(v, 4) for k, v in stages(N, args.seed, args.repeats).items()}))
+        print(json.dumps({k: round(v, 4) for k, v in stages(N).items()}))
 
 
 if __name__ == "__main__":

@@ -176,8 +176,18 @@ def test_map_keeps_its_own_copy_of_a_table_array():
     assert xor.table.tolist() == [0, 1, 1, 0]
     assert not xor.table.flags.writeable
     frozen = np.array([0, 1, 1, 0], dtype=np.int64)
-    frozen.flags.writeable = False  # read-only: shared, not copied
+    frozen.flags.writeable = False  # read-only and owning its data: shared
     assert sy.StructuredMap(A, 2, table=frozen).table is frozen
+    # read-only views of a writeable array are copied, so later writes to
+    # the array do not reach the map
+    base = np.array([0, 1, 1, 0], dtype=np.int64)
+    view = base[:]
+    view.flags.writeable = False
+    for ro in (view, np.broadcast_to(base, (4,))):
+        m = sy.StructuredMap(A, 2, table=ro)
+        base[1] = 0
+        assert m.table.tolist() == [0, 1, 1, 0]
+        base[1] = 1
 
 
 def test_window_codes_refuses_a_window_reading_one_cell_twice():

@@ -1,6 +1,7 @@
 """Group universes: encodings, balls, subset combinatorics."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,6 +212,22 @@ def test_finite_group_reads_entries_with_int(table, identity):
     G = sy.FiniteGroup(table)
     assert G.identity() == identity and G.order() == 2
     assert all(isinstance(x, int) for row in G.table for x in row)
+
+
+def test_finite_group_validation_keeps_table_sized_temporaries():
+    """Light's test compares one n x n pair per generator; (Z/2)^8 has 8
+    greedy generators, so testing them all at once would take about 20
+    tables' worth of memory."""
+    points = np.arange(256)
+    table = points[:, None] ^ points
+    tracemalloc.start()
+    try:
+        G = sy.FiniteGroup(table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order() == 256 and G.identity() == 0
+    assert peak < 8 * table.nbytes
 
 
 def test_cyclic_tables_and_inverses():
