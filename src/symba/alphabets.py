@@ -196,14 +196,10 @@ class StructuredMap:
         self.alphabet = alphabet
         self.arity = int(arity)
         if table is not None:
-            # a read-only array that owns its data is taken as frozen and
-            # shared; any other table (a view may have a writeable base) is
-            # copied, so the caller's array is never frozen or aliased
-            shared = (
-                isinstance(table, np.ndarray)
-                and not table.flags.writeable
-                and table.flags.owndata
-            )
+            # a read-only array that owns its data is taken as frozen and shared;
+            # any other table is copied (a view may have a writeable base), so the
+            # caller's array is never frozen or aliased
+            shared = isinstance(table, np.ndarray) and table.flags.owndata and not table.flags.writeable
             table = np.asarray(table, dtype=np.int64) if shared else np.array(table, dtype=np.int64)
             expected = alphabet.size**self.arity
             if table.shape != (expected,):
