@@ -33,7 +33,7 @@ import itertools
 
 import numpy as np
 
-from .caps import MAX_MODULUS, check_size
+from .caps import MAX_MODULUS, check_size, enumeration_cap
 from .errors import InvalidInputError, ResourceCapError
 
 _PLAIN = "plain"
@@ -72,6 +72,8 @@ class Alphabet:
             raise ResourceCapError(
                 f"modulus {modulus} is above {MAX_MODULUS}, the largest supported"
             )
+        if dim > enumeration_cap().bit_length():  # modulus**dim > cap: refused before the power
+            raise ResourceCapError(f"module alphabet of dim {dim} is over the enumeration cap")
         size = modulus**dim
         check_size(size, "module alphabet carrier")
         return cls(_MODULE, size, 0, modulus=modulus, dim=dim)

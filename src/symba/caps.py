@@ -16,13 +16,13 @@ DEFAULT_ENUMERATION_CAP = 2^20 stays well under a second; the same cap stops
 finite-group multiplication tables at order 1024 (Z/192 builds in 2 ms).
 
 TRANSPORT_DIM_CAP bounds the dimension of a transported block matrix. Its
-products mod p (the block-row certificates of the inverse and of the
-beta-after-alpha composite) are exact float64 BLAS products, one chunk each
-up to this dimension for any modulus up to MAX_MODULUS. At dimension 384
-(Z/192, alphabet (Z/3)^2) building the embedding and running the hinted
-inverse pipeline take 20-25 ms, 10-15 ms of it elimination. Elimination
-is still one Python step per pivot column and grows faster than the
-products, so the cap is not yet a measured budget.
+products mod p (the block-row certificate of the inverse) are exact float64
+BLAS products, one chunk each up to this dimension for any modulus up to
+MAX_MODULUS. At dimension 384 (Z/192, alphabet (Z/3)^2) building the
+embedding and running the hinted inverse pipeline take 15-20 ms, 10-15 ms
+of it elimination. Elimination is still one Python step per pivot column
+and grows faster than the products, so the cap is not yet a measured
+budget.
 MAX_MODULUS bounds the modulus of module alphabets and of linear algebra
 mod p, so that products of two residues stay exact in int64 and sums of
 8192 of them in float64.

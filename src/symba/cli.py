@@ -33,6 +33,7 @@ from . import serialize
 from .ca import (
     check_left_inverse,
     check_right_inverse,
+    common_memory,
     compose,
     evolve,
 )
@@ -140,8 +141,7 @@ def _cmd_transport(args, digests):
             raise InvalidInputError("hint automaton is not compatible with the input")
     spec = _load_json_arg(args.embedding, digests, "embedding")
     G = tau.universe
-    memory = tau.memory if sigma is None else tau.memory.union(sigma.memory)
-    M = symmetrize(G, memory)
+    M = common_memory(sigma if sigma is not None else tau, tau)
     S = set_product(G, M, M)
     e = build_embedding(G, S, spec)
     result = transport_inverse_pipeline(tau, e, sigma_hint=sigma)

@@ -6,11 +6,11 @@ rule as an F-equivariant endomap of A^F, invert that finite object exactly
 (table scan or modular linear algebra), and read the inverse's local rule
 back off through the embedding, filling the cells outside the image with
 the basepoint. The extracted rule is certified against the original
-automaton by both one-sided inverse checks before it is returned.
+automaton by both one-sided inverse checks, an inverse hint by the left one.
 
 A transported matrix is F-equivariant, so its identity block row determines
-it (`division_index`): the inverse is solved for, and it and the hinted
-composite are checked, on that row alone, after an exact equivariance test.
+it (`division_index`): the inverse is solved for and checked on that row
+alone, after an exact equivariance test.
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .groups import (
     ball,
     greedy_generators,
     set_product,
-    symmetrize,
 )
 
 
@@ -460,20 +459,21 @@ def transport_inverse_pipeline(
 ) -> TransportResult:
     """Full route: transport, invert, extract, certify.
 
-    When `sigma_hint` is given its rule is transported alongside and the
-    composite with the transported rule is checked to be the identity on
-    A^F. A bijective transport does not make tau invertible: the 3-cell xor
+    M is common_memory(sigma_hint, tau), or tau's symmetrized memory. The
+    hint's verdict is check_left_inverse(sigma_hint, tau): phi is injective
+    on M*M and multiplicative on M x M, so the transported hint after the
+    transported tau reads sigma-after-tau at the distinct cells h*phi(st),
+    and is the identity on A^F exactly when sigma-after-tau is on A^G.
+
+    A bijective transport does not make tau invertible: the 3-cell xor
     over Z is bijective on Z/5 and Z/7. When the extracted rule fails
     either one-sided check, UncertifiedInverseError carries it and both
     outcomes.
     """
     G, A = tau.universe, tau.alphabet
-    if sigma_hint is not None:
-        if sigma_hint.universe != G or sigma_hint.alphabet != A:
-            raise InvalidInputError("hint automaton is not compatible")
-        M = common_memory(sigma_hint, tau)
-    else:
-        M = symmetrize(G, tau.memory)
+    if sigma_hint is not None and (sigma_hint.universe != G or sigma_hint.alphabet != A):
+        raise InvalidInputError("hint automaton is not compatible")
+    M = common_memory(sigma_hint if sigma_hint is not None else tau, tau)
     tau_ext = CellularAutomaton(G, A, extend_memory(tau.rule, M))
 
     alpha = transport_endomap(tau_ext, e)
@@ -496,9 +496,7 @@ def transport_inverse_pipeline(
         "right_certified": right,
     }
     if sigma_hint is not None:
-        sigma_ext = CellularAutomaton(G, A, extend_memory(sigma_hint.rule, M))
-        beta = transport_endomap(sigma_ext, e)
-        report["beta_alpha_identity"] = composes_to_identity(beta, alpha)
+        report["beta_alpha_identity"] = check_left_inverse(sigma_hint, tau)
     return TransportResult(alpha=alpha, gamma=gamma, rule=rule, ca=nu_ca, report=report)
 
 

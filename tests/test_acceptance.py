@@ -246,7 +246,7 @@ def test_criterion_7_transport_invariants():
         S = sy.set_product(Z, M, M)
         for N in (5, 8):
             e = sy.build_embedding(Z, S, {"kind": "modular", "N": N})
-            runs.append(sy.transport_inverse_pipeline(shift, e, sigma_hint=back))
+            runs.append((sy.transport_inverse_pipeline(shift, e, sigma_hint=back), back, M))
 
         C, D = _pair_CD()
         Am = sy.Alphabet.module(2, 2)
@@ -255,9 +255,9 @@ def test_criterion_7_transport_invariants():
         Mm = sy.common_memory(sig, tau)
         Sm = sy.set_product(Z, Mm, Mm)
         em = sy.build_embedding(Z, Sm, {"kind": "modular", "N": 8})
-        runs.append(sy.transport_inverse_pipeline(tau, em, sigma_hint=sig))
+        runs.append((sy.transport_inverse_pipeline(tau, em, sigma_hint=sig), sig, Mm))
 
-        for run in runs:
+        for run, hint, memory in runs:
             assert sy.check_equivariance(run.alpha)
             size = (
                 run.alpha.table.size
@@ -267,3 +267,7 @@ def test_criterion_7_transport_invariants():
             assert size <= 1 << 16
             assert run.report["beta_alpha_identity"]
             assert run.report["left_certified"] and run.report["right_certified"]
+            # the report decides the hint on Z; its transport composes to I on A^F
+            wide = sy.CellularAutomaton(Z, hint.alphabet, sy.extend_memory(hint.rule, memory))
+            beta = sy.transport_endomap(wide, run.alpha.embedding)
+            assert sy.composes_to_identity(beta, run.alpha)

@@ -42,6 +42,14 @@ def test_large_module_alphabet_stores_no_carrier(monkeypatch):
         sy.Alphabet.module(1048583, 1)
 
 
+@pytest.mark.parametrize("dim", [22, 10**5, 2**70])
+def test_huge_module_dimension_is_refused_before_the_power(dim):
+    """modulus^dim is not computed: at 10^5 it cannot be printed, at 2^70 built."""
+    with pytest.raises(ResourceCapError, match=f"dim {dim} "):
+        sy.Alphabet.module(2, dim)
+    assert sy.Alphabet.module(2, 20).size == 1 << 20  # the default cap itself
+
+
 def test_group_alphabet_basepoint_is_identity():
     table = symmetric_table(3)
     A = sy.Alphabet.group(table)

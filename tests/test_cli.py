@@ -203,6 +203,24 @@ def test_modulus_above_supported_range_exit_three(files, capsys, monkeypatch):
     assert "modulus" in report["outcome"]["error"]
 
 
+def test_huge_module_dimension_exits_three_at_once(files, capsys):
+    """(Z/2)^dim is refused from dim alone: 2^70 would never finish."""
+    path = files["dir"] / "wide.json"
+    for dim in (10**5, 2**70):
+        ca = {
+            "universe": {"kind": "free_abelian", "rank": 1},
+            "alphabet": {"flavor": "module", "modulus": 2, "dim": dim},
+            "memory": [[0]],
+            "map": {"arity": 1, "matrices": [[[1]]]},
+        }
+        path.write_text(json.dumps(ca))
+        started = time.perf_counter()
+        code, report = run(capsys, "check-inverse", "--sigma", str(path), "--tau", str(path))
+        assert time.perf_counter() - started < 1.0
+        assert code == 3
+        assert f"dim {dim}" in report["outcome"]["error"]
+
+
 def test_groupring_solve_huge_modulus_exits_two_at_once(files, capsys, Z):
     """A modulus of 2^61 - 1 is refused before any trial division."""
     p = 2**61 - 1
@@ -286,6 +304,32 @@ def test_transport_bijective_but_not_liftable_exits_one(files, capsys, Z, flavou
         "left": outcome["left_certified"],
         "right": outcome["right_certified"],
     }
+
+
+def test_transport_hint_is_decided_on_the_universe(files, capsys, Z):
+    """A false hint is a report, not a failure; a table hint for a matrix rule
+    over the same alphabet runs; a hint over another alphabet is refused."""
+    A = sy.Alphabet.module(2, 1)
+    smap = sy.StructuredMap(A, 1, matrices=[[[1]]])
+    shift = sy.CellularAutomaton(Z, A, sy.LocalRule(sy.FiniteSubset(Z, [(1,)]), smap))
+    ternary = sy.identity_ca(Z, sy.Alphabet.plain(3))
+    paths = {}
+    for name, ca in [("shift", shift), ("back", sy.projection_ca(Z, A, (-1,))),
+                     ("ident", sy.identity_ca(Z, A)), ("ternary", ternary)]:
+        paths[name] = files["dir"] / f"module_{name}.json"
+        paths[name].write_text(serialize.canonical_dumps(serialize.ca_to_json(ca)))
+    embedding = ["--embedding", '{"kind":"modular","N":5}']
+    for tau, hint, expected in [(files["tau"], files["ident"], False),
+                                (paths["shift"], paths["back"], True),
+                                (paths["shift"], paths["ident"], False)]:
+        code, report = run(capsys, "transport", "--ca", str(tau), "--sigma", str(hint), *embedding)
+        assert code == 0, report["outcome"]
+        assert report["outcome"]["report"]["beta_alpha_identity"] is expected
+    code, report = run(
+        capsys, "transport", "--ca", files["tau"], "--sigma", str(paths["ternary"]), *embedding
+    )
+    assert code == 2
+    assert "hint automaton is not compatible" in report["outcome"]["error"]
 
 
 def test_direct_finiteness_exit_zero(files, capsys):

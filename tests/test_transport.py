@@ -239,6 +239,89 @@ def test_beta_alpha_identity_follows_left_inverse(Z, bit):
     assert sy.check_equivariance(alpha) and sy.check_equivariance(beta)
 
 
+S3XC3 = sy.ProductGroup([sy.FiniteGroup(symmetric_table(3)), sy.FiniteGroup.cyclic(3)])
+
+
+def _hinted_pair(G, p, d, seed, representation):
+    """A seeded tau, its inverse and a false hint (one coefficient off)."""
+    C, D = sy.random_invertible_matrix(G, seed=seed, d=d, r=1, modulus=p, factors=4)
+    A = sy.Alphabet.module(p, d)
+    tau, sigma = sy.to_linear_ca(C, G, A), sy.to_linear_ca(D, G, A)
+    mats = sigma.rule.map.matrices.copy()
+    mats[0, 0, 0] = (mats[0, 0, 0] + 1) % p
+    wrong = sy.StructuredMap(A, len(sigma.memory), matrices=mats)
+
+    def as_ca(memory, smap):
+        smap = smap if representation == "matrix" else smap.expand_table()
+        return sy.CellularAutomaton(G, A, sy.LocalRule(memory, smap))
+
+    return as_ca(tau.memory, tau.rule.map), [
+        (as_ca(sigma.memory, sigma.rule.map), True),
+        (as_ca(sigma.memory, wrong), False),
+    ]
+
+
+@pytest.mark.parametrize(
+    "G, modulus, p, d, representation",
+    [(sy.FreeAbelianGroup(1), modulus, p, d, representation)
+     for modulus in ("minimal", "wide")
+     for p, d, representation in [(2, 2, "table"), (3, 2, "matrix")]]
+    + [(S3XC3, None, 2, 1, "table"), (S3XC3, None, 3, 2, "matrix")],
+)
+def test_hint_verdict_on_the_universe_is_the_transported_composite(
+    G, modulus, p, d, representation
+):
+    """The pipeline decides a hint by check_left_inverse on G; transporting
+    both rules and composing them on A^F gives the same verdict. Z at its
+    minimal modulus and at one above the diameter of M*M, S3xC3 by the
+    identity embedding."""
+    for seed in range(3):
+        tau, hints = _hinted_pair(G, p, d, seed, representation)
+        A = tau.alphabet
+        M = sy.common_memory(hints[0][0], tau)
+        S = sy.set_product(G, M, M)
+        spec = {"kind": "modular", "N": 2 * max(abs(s[0]) for s in S) + 2}
+        e = sy.build_embedding(G, S, spec if modulus == "wide" else None)
+        widen = lambda ca: sy.CellularAutomaton(G, A, sy.extend_memory(ca.rule, M))
+        alpha = sy.transport_endomap(widen(tau), e)
+        assert alpha.is_matrix == (representation == "matrix")
+        for hint, expected in hints:
+            beta = sy.transport_endomap(widen(hint), e)
+            assert sy.check_left_inverse(hint, tau) == expected
+            assert sy.composes_to_identity(beta, alpha) == expected
+            report = sy.transport_inverse_pipeline(tau, e, sigma_hint=hint).report
+            assert report["beta_alpha_identity"] is expected
+
+
+def test_mixed_representation_hint_takes_one_transport(Z, monkeypatch):
+    """A table hint for a matrix rule is decided on Z; only tau is transported."""
+    from symba import transport
+
+    A = sy.Alphabet.module(2, 1)
+    smap = sy.StructuredMap(A, 1, matrices=[[[1]]])
+    shift = sy.CellularAutomaton(Z, A, sy.LocalRule(sy.FiniteSubset(Z, [(1,)]), smap))
+    back = sy.projection_ca(Z, A, (-1,))
+    M = sy.common_memory(back, shift)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 5})
+    calls = []
+    counted = lambda tau, e: calls.append(tau) or sy.transport_endomap(tau, e)
+    monkeypatch.setattr(transport, "transport_endomap", counted)
+    for hint, expected in [(back, True), (sy.identity_ca(Z, A), False)]:
+        result = transport.transport_inverse_pipeline(shift, e, sigma_hint=hint)
+        assert result.report["representation"] == "matrix"
+        assert result.report["beta_alpha_identity"] is expected
+    assert len(calls) == 2
+
+
+def test_hint_over_another_alphabet_is_invalid_input(Z, bit):
+    shift = sy.projection_ca(Z, bit, (1,))
+    hint = sy.projection_ca(Z, sy.Alphabet.plain(3), (-1,))
+    M = sy.common_memory(hint, shift)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), None)
+    with pytest.raises(InvalidInputError, match="hint automaton is not compatible"):
+        sy.transport_inverse_pipeline(shift, e, sigma_hint=hint)
+
+
 def test_check_equivariance_sees_one_broken_configuration(Z, bit):
     """nF = 17, q = 2: 2^17 configurations, two scan chunks.
 
