@@ -69,4 +69,6 @@ def transport_cap() -> int:
 def check_size(n: int, what: str) -> None:
     limit = enumeration_cap()
     if n > limit:
-        raise ResourceCapError(f"{what} would have {n} entries, cap is {limit}")
+        # str() refuses integers over 4300 digits: write a huge count by its bit length
+        count = n if n < 1 << 63 else f"at least 2^{n.bit_length() - 1}"
+        raise ResourceCapError(f"{what} would have {count} entries, cap is {limit}")

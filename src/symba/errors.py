@@ -1,4 +1,7 @@
-"""Exception hierarchy shared by all symba modules."""
+"""Exception hierarchy shared by all symba modules, and the strict integer
+read that every JSON loader validates numbers with."""
+
+import numpy as np
 
 
 class SymbaError(Exception):
@@ -7,6 +10,16 @@ class SymbaError(Exception):
 
 class InvalidInputError(SymbaError):
     """Malformed encodings, shape mismatches, bad preconditions."""
+
+
+def json_int(value, what: str) -> int:
+    """`value` as an int, if it is an integer and not a bool.
+
+    JSON numbers such as 1.9 or true are refused, not truncated by int().
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInputError(f"{what} must be an integer, got {value!r}")
+    return int(value)
 
 
 class ResourceCapError(SymbaError):

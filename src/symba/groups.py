@@ -18,7 +18,7 @@ from typing import Any, Iterator, Sequence
 import numpy as np
 
 from .caps import check_size, enumeration_cap
-from .errors import InvalidInputError, ResourceCapError
+from .errors import InvalidInputError, ResourceCapError, json_int
 
 Elem = Any
 
@@ -96,7 +96,7 @@ class _RankedGroup(Group):
     def elem_from_json(self, data):
         if not isinstance(data, list):
             raise InvalidInputError(f"expected a {self._noun} list, got {data!r}")
-        elem = tuple(int(x) for x in data)
+        elem = tuple(json_int(x, self._noun) for x in data)
         self.validate(elem)
         return elem
 
@@ -297,10 +297,9 @@ class FiniteGroup(Group):
         return int(a)
 
     def elem_from_json(self, data):
-        if not isinstance(data, int) or isinstance(data, bool):
-            raise InvalidInputError(f"expected an element index, got {data!r}")
-        self.validate(data)
-        return data
+        elem = json_int(data, "element index")
+        self.validate(elem)
+        return elem
 
     def to_json(self):
         return {"kind": "finite", "table": [list(row) for row in self.table]}
@@ -479,7 +478,7 @@ class SymmetricGroup(Group):
     def elem_from_json(self, data):
         if not isinstance(data, list):
             raise InvalidInputError(f"expected a permutation list, got {data!r}")
-        elem = tuple(int(x) for x in data)
+        elem = tuple(json_int(x, "permutation entry") for x in data)
         self.validate(elem)
         return elem
 

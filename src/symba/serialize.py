@@ -14,7 +14,7 @@ from contextlib import contextmanager
 
 from .alphabets import Alphabet, StructuredMap
 from .ca import CellularAutomaton, LocalRule, Pattern
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_int
 from .groupring import GroupRingElement, GroupRingMatrix
 from .groups import (
     FiniteGroup,
@@ -43,13 +43,21 @@ def _require_list(data, what: str) -> list:
     return data
 
 
+def _int_array(data, depth: int, what: str) -> list:
+    """A depth-`depth` nested JSON array of integers, each read by json_int."""
+    if depth == 0:
+        return json_int(data, f"{what} entry")
+    return [_int_array(x, depth - 1, what) for x in _require_list(data, what)]
+
+
 @contextmanager
 def _parsing(what: str):
     """Report missing keys and unconvertible values in `what` as invalid input.
 
-    Used as a decorator on the loaders, so a malformed number or array in a
-    file (Infinity included, which int() refuses with OverflowError) exits
-    with the invalid-input code rather than escaping as a crash.
+    Used as a decorator on the loaders, so a malformed array in a file (a
+    ragged matrix, or an entry past int64, which numpy refuses with
+    OverflowError) exits with the invalid-input code rather than escaping
+    as a crash. Numbers are read by json_int, which refuses non-integers.
     """
     try:
         yield
@@ -64,15 +72,15 @@ def group_from_json(data) -> Group:
     data = _require_dict(data, "group")
     kind = data.get("kind")
     if kind == "free_abelian":
-        return FreeAbelianGroup(int(data["rank"]))
+        return FreeAbelianGroup(json_int(data["rank"], "rank"))
     if kind == "free":
-        return FreeGroup(int(data["rank"]))
+        return FreeGroup(json_int(data["rank"], "rank"))
     if kind == "finite":
-        return FiniteGroup(data["table"])
+        return FiniteGroup(_int_array(data["table"], 2, "multiplication table"))
     if kind == "product":
         return ProductGroup([group_from_json(f) for f in _require_list(data["factors"], "factors")])
     if kind == "symmetric":
-        return SymmetricGroup(int(data["degree"]))
+        return SymmetricGroup(json_int(data["degree"], "degree"))
     raise InvalidInputError(f"unknown group kind {kind!r}")
 
 
@@ -81,11 +89,11 @@ def alphabet_from_json(data) -> Alphabet:
     data = _require_dict(data, "alphabet")
     flavor = data.get("flavor")
     if flavor == "plain":
-        return Alphabet.plain(int(data["size"]))
+        return Alphabet.plain(json_int(data["size"], "size"))
     if flavor == "module":
-        return Alphabet.module(int(data["modulus"]), int(data["dim"]))
+        return Alphabet.module(json_int(data["modulus"], "modulus"), json_int(data["dim"], "dim"))
     if flavor == "group":
-        return Alphabet.group(data["table"])
+        return Alphabet.group(_int_array(data["table"], 2, "multiplication table"))
     raise InvalidInputError(f"unknown alphabet flavor {flavor!r}")
 
 
@@ -94,12 +102,13 @@ def structured_map_from_json(data, alphabet: Alphabet) -> StructuredMap:
     data = _require_dict(data, "map")
     if "arity" not in data:
         raise InvalidInputError("map JSON needs an arity")
-    arity = int(data["arity"])
+    arity = json_int(data["arity"], "arity")
     if "table" in data:
         table = [alphabet.value_from_json(v) for v in _require_list(data["table"], "table")]
         return StructuredMap(alphabet, arity, table=table)
     if "matrices" in data:
-        return StructuredMap(alphabet, arity, matrices=data["matrices"])
+        matrices = _int_array(data["matrices"], 3, "matrices")
+        return StructuredMap(alphabet, arity, matrices=matrices)
     raise InvalidInputError("map JSON needs a table or matrices")
 
 
@@ -169,8 +178,8 @@ def matrix_from_json(data, G: Group | None = None) -> GroupRingMatrix:
     for key in ("modulus", "dim", "entries"):
         if key not in data:
             raise InvalidInputError(f"matrix JSON is missing {key!r}")
-    modulus = int(data["modulus"])
-    dim = int(data["dim"])
+    modulus = json_int(data["modulus"], "modulus")
+    dim = json_int(data["dim"], "dim")
     rows = _require_list(data["entries"], "entries")
     if len(rows) != dim:
         raise InvalidInputError(f"expected {dim} rows, got {len(rows)}")
@@ -187,7 +196,7 @@ def matrix_from_json(data, G: Group | None = None) -> GroupRingMatrix:
                 if "elem" not in term or "coef" not in term:
                     raise InvalidInputError("term needs elem and coef")
                 g = G.elem_from_json(term["elem"])
-                coeffs[g] = coeffs.get(g, 0) + int(term["coef"])
+                coeffs[g] = coeffs.get(g, 0) + json_int(term["coef"], "coef")
             parsed.append(GroupRingElement(G, modulus, coeffs))
         entries.append(parsed)
     return GroupRingMatrix(G, modulus, entries)

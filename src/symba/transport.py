@@ -45,6 +45,7 @@ from .errors import (
     NotInvertibleError,
     ResourceCapError,
     UncertifiedInverseError,
+    json_int,
 )
 from .groups import (
     FiniteGroup,
@@ -178,10 +179,8 @@ def _checked_spec(spec) -> dict:
     if not isinstance(spec, dict):
         raise InvalidInputError(f"embedding spec must be a JSON object, got {spec!r}")
     for key in ("N", "radius"):
-        value = spec.get(key)
-        integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-        if value is not None and not integer:
-            raise InvalidInputError(f"embedding spec {key!r} must be an integer, got {value!r}")
+        if spec.get(key) is not None:
+            json_int(spec[key], f"embedding spec {key!r}")
     if not isinstance(spec.get("factors", []), (list, type(None))):
         raise InvalidInputError(f"embedding spec 'factors' must be a list, got {spec['factors']!r}")
     return spec

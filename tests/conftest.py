@@ -242,6 +242,19 @@ def oracle_module_morphism(A, arity, table):
     return True
 
 
+def oracle_group_morphism(A, arity, table):
+    """The pair scan for group tables: f(xy) = f(x)f(y) on all input pairs,
+    with the componentwise product read from the raw multiplication table
+    and inputs indexed by plain mixed-radix arithmetic here."""
+    mul = np.array(A.table.table)
+    q = len(mul)
+    inputs = np.array(list(itertools.product(range(q), repeat=arity)), dtype=np.int64)
+    products = mul[inputs[:, None, :], inputs[None, :, :]].reshape(len(inputs) ** 2, arity)
+    index = products @ (q ** np.arange(arity - 1, -1, -1, dtype=np.int64))
+    f = np.asarray(table, dtype=np.int64)
+    return bool(np.array_equal(f[index].reshape(len(f), len(f)), mul[f[:, None], f[None, :]]))
+
+
 def oracle_division_index(F):
     """div[h, k] = position of h^-1 k in F's enumeration, by plain group products."""
     carrier = list(F.elements())

@@ -1,6 +1,7 @@
 """Alphabets, structured maps, pointedness and morphism verification."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ import symba as sy
 from symba.alphabets import decode_assignments
 from symba.errors import InvalidInputError, ResourceCapError
 
-from conftest import oracle_module_morphism, symmetric_table
+from conftest import oracle_group_morphism, oracle_module_morphism, symmetric_table
 
 
 def test_plain_alphabet_basics():
@@ -82,6 +83,17 @@ def test_verify_structure_examples():
     assert not sy.verify_structure(swapped, G)
 
 
+def _linear_tables(rng, A, arity, count):
+    """Tables of random matrix maps, every other one with one entry changed."""
+    d = A.dim
+    for k in range(count):
+        mats = rng.integers(0, A.modulus, size=(arity, d, d))
+        table = sy.StructuredMap(A, arity, matrices=mats).expand_table().table.copy()
+        if k % 2:
+            table[rng.integers(table.size)] = rng.integers(A.size)
+        yield table
+
+
 def _module_families():
     """(alphabet, arity, tables): all of them, or a seeded sample plus the linear ones."""
     Z2, Z2sq, Z3 = sy.Alphabet.module(2, 1), sy.Alphabet.module(2, 2), sy.Alphabet.module(3, 1)
@@ -92,6 +104,9 @@ def _module_families():
     linear = [sy.StructuredMap(Z3, 2, matrices=[[[a]], [[b]]]).expand_table().table
               for a in range(3) for b in range(3)]
     yield Z3, 2, list(rng.integers(0, 3, size=(150, 9))) + linear
+    for n in (4, 6):
+        A = sy.Alphabet.module(n, 1)
+        yield A, 2, list(rng.integers(0, n, size=(30, n * n))) + list(_linear_tables(rng, A, 2, 40))
 
 
 def test_module_structure_matches_the_pair_scan():
@@ -111,6 +126,77 @@ def test_module_structure_has_no_pair_scan_cap():
     assert sy.verify_structure(sy.StructuredMap(A, 11, table=xor.copy()), A)
     xor[5] ^= 1
     assert not sy.verify_structure(sy.StructuredMap(A, 11, table=xor), A)
+
+
+def test_module_structure_keeps_table_sized_memory():
+    """The arity-20 xor has 2^20 entries (8 MiB): one gather per cell, no
+    decoded windows (those took 480 MiB)."""
+    A = sy.Alphabet.module(2, 1)
+    xor = np.zeros(1, dtype=np.int64)
+    for _ in range(20):
+        xor = np.concatenate([xor, 1 - xor])
+    smap = sy.StructuredMap(A, 20, table=xor)
+    tracemalloc.start()
+    try:
+        assert sy.verify_structure(smap, A)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+    xor[-1] ^= 1
+    assert not sy.verify_structure(sy.StructuredMap(A, 20, table=xor), A)
+
+
+def _relabelled(table, perm):
+    """The same group with element a renamed perm[a]."""
+    out = np.empty((len(table), len(table)), dtype=np.int64)
+    out[np.ix_(perm, perm)] = np.asarray(perm)[np.asarray(table)]
+    return out.tolist()
+
+
+def _group_families():
+    """(alphabet, arity, tables) over S3, C3 x C3 and a relabelled S3:
+    exhaustive at arity 1 for S3, seeded elsewhere, with products of
+    homomorphisms mixed in so that both verdicts occur."""
+    rng = np.random.default_rng(11)
+    s3 = symmetric_table(3)
+    S3 = sy.Alphabet.group(s3)
+    yield S3, 1, itertools.product(range(6), repeat=6)
+    homs = [h for h in itertools.product(range(6), repeat=6) if oracle_group_morphism(S3, 1, h)]
+    pairs = [[s3[h[x]][k[y]] for x in range(6) for y in range(6)] for h in homs for k in homs]
+    s3_pairs = list(rng.integers(0, 6, size=(60, 36))) + pairs
+    yield S3, 2, s3_pairs
+    # C3 x C3 indexed 3a + b: the index order of module(3, 2), whose linear maps are its homs
+    c3sq = [[3 * ((a // 3 + b // 3) % 3) + (a + b) % 3 for b in range(9)] for a in range(9)]
+    C3sq, M = sy.Alphabet.group(c3sq), sy.Alphabet.module(3, 2)
+    yield C3sq, 1, list(rng.integers(0, 9, size=(40, 9))) + list(_linear_tables(rng, M, 1, 40))
+    yield C3sq, 2, list(rng.integers(0, 9, size=(20, 81))) + list(_linear_tables(rng, M, 2, 40))
+    perm = [3, 0, 1, 2, 5, 4]  # the identity becomes index 3
+    R = sy.Alphabet.group(_relabelled(s3, perm))
+    assert R.basepoint == 3
+    at = np.asarray(perm)
+    cells = (at[:, None] * 6 + at).reshape(-1)  # index of (perm x, perm y)
+    yield R, 1, [at[list(h)][np.argsort(at)] for h in homs] + list(rng.integers(0, 6, size=(60, 6)))
+    yield R, 2, [at[np.asarray(t)][np.argsort(cells)] for t in s3_pairs]
+
+
+def test_group_structure_matches_the_pair_scan():
+    for A, arity, tables in _group_families():
+        verdicts = []
+        for table in tables:
+            got = sy.verify_structure(sy.StructuredMap(A, arity, table=list(table)), A)
+            assert got == oracle_group_morphism(A, arity, table), (A, arity, table)
+            verdicts.append(got)
+        assert any(verdicts) and not all(verdicts), (A, arity)
+
+
+def test_group_structure_has_no_pair_scan_cap():
+    """An S3 rule at arity 4 has 6^8 input pairs, over the 2^20 cap."""
+    A = sy.Alphabet.group(symmetric_table(3))
+    last = decode_assignments(6, 4)[:, -1]
+    assert sy.verify_structure(sy.StructuredMap(A, 4, table=last), A)
+    swapped = np.array([0, 2, 1, 3, 4, 5])[last]  # two transpositions swapped, 3-cycles kept
+    assert not sy.verify_structure(sy.StructuredMap(A, 4, table=swapped), A)
 
 
 def test_structure_implies_pointed_exhaustively():

@@ -7,6 +7,7 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import symba as sy
@@ -98,6 +99,42 @@ def test_malformed_input_exit_two(files, capsys):
     ]:
         code, report = run(capsys, *argv)
         assert code == 2 and "error" in report["outcome"], argv
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("memory", 0, 0), 1.9),
+        (("universe", "rank"), 1.5),
+        (("universe", "rank"), True),
+        (("alphabet", "size"), 2.9),
+        (("map", "arity"), 1.2),
+    ],
+)
+def test_non_integer_numbers_are_invalid_input(files, capsys, path, value):
+    """A float or a bool where the CA file needs an integer is refused, not
+    truncated: memory [[1.9]] once read as [[1]], a left inverse of sigma."""
+    tau = json.loads(Path(files["tau"]).read_text())
+    node = tau
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    bad = files["dir"] / "bad.json"
+    bad.write_text(json.dumps(tau))
+    code, report = run(capsys, "check-inverse", "--sigma", files["sigma"], "--tau", str(bad))
+    assert code == 2 and "must be an integer" in report["outcome"]["error"], report
+
+
+def test_non_integer_group_ring_modulus_is_invalid_input(files, capsys, Z):
+    """modulus 3.5 once read as 3."""
+    C = sy.GroupRingMatrix(Z, 3, [[sy.GroupRingElement(Z, 3, {(0,): 1})]])
+    data = serialize.matrix_to_json(C)
+    cpath = files["dir"] / "C.json"
+    cpath.write_text(json.dumps(data))
+    assert run(capsys, "groupring", "mul", "--a", str(cpath), "--b", str(cpath))[0] == 0
+    cpath.write_text(json.dumps({**data, "modulus": 3.5}))
+    code, report = run(capsys, "groupring", "mul", "--a", str(cpath), "--b", str(cpath))
+    assert code == 2 and "modulus must be an integer" in report["outcome"]["error"]
 
 
 def test_synthesize_success_writes_verifiable_artifact(files, capsys):
@@ -503,6 +540,32 @@ def test_huge_cyclic_target_exits_three_at_once(files, capsys):
     )
     assert code == 3 and "multiplication table" in report["outcome"]["error"]
     assert time.perf_counter() - started < 1.0
+
+
+def test_huge_symmetric_target_exits_three(tmp_path, capsys):
+    """The default target for memory {a} in F_6 is Sym(1597): its order
+    1597! has more than 4300 digits, so the cap message writes its bit
+    length (printing the number itself once raised ValueError, exit 4)."""
+    F6 = sy.FreeGroup(6)
+    path = tmp_path / "ca.json"
+    tau = sy.projection_ca(F6, sy.Alphabet.plain(2), (1,))
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(tau)))
+    code, report = run(capsys, "transport", "--ca", str(path), "--embedding", "null")
+    assert code == 3
+    assert "symmetric group carrier would have at least 2^" in report["outcome"]["error"]
+
+
+def test_transport_matrix_dimension_cap_exits_three(tmp_path, capsys):
+    """Z/1000 with a (Z/2)^5 alphabet would need a 5000 x 5000 transport."""
+    Z, A = sy.FreeAbelianGroup(1), sy.Alphabet.module(2, 5)
+    memory = sy.FiniteSubset(Z, [(1,)])
+    rule = sy.LocalRule(memory, sy.StructuredMap(A, 1, matrices=[np.eye(5, dtype=np.int64)]))
+    path = tmp_path / "ca.json"
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(sy.CellularAutomaton(Z, A, rule))))
+    spec = '{"kind":"modular","N":1000}'
+    code, report = run(capsys, "transport", "--ca", str(path), "--embedding", spec)
+    assert code == 3
+    assert report["outcome"]["error"] == "transport matrix dimension 5000 over cap 4096"
 
 
 def test_singular_matrix_transport_witness_is_a_configuration(tmp_path, capsys):

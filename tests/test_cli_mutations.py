@@ -1,15 +1,19 @@
-"""The exit-code contract under mutated universe, alphabet and embedding JSON.
+"""The exit-code contract under mutated input files.
 
-Valid automata and embedding specs are mutated one JSON node at a time:
-a value replaced, a key or list element dropped, a list element repeated.
-Inside multiplication tables that gives ragged rows and entries that are
-huge, negative, bool, float (Infinity and NaN included) or strings. Every
-run must exit 0-3 with a parseable RunReport; exit 4 is a contract breach.
-The search is derandomized and bounded, so the test is deterministic.
+Valid automata, embedding specs, patterns and group-ring matrices are
+mutated one JSON node at a time: a value replaced, a key or list element
+dropped, a list element repeated. Inside multiplication tables that gives
+ragged rows and entries that are huge, negative, bool, float (Infinity and
+NaN included) or strings. Every run must exit 0-3 with a parseable
+RunReport; exit 4 is a contract breach. The search is derandomized and
+bounded, so the test is deterministic. An integer replaced by a bool or a
+non-integer float is invalid input wherever it sits, in every file kind.
 """
 
+import itertools
 import json
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -57,6 +61,35 @@ def _automata():
 AUTOMATA = _automata()
 
 
+def _patterns():
+    """(automaton, pattern) pairs: seeded values on M*M, one per automaton."""
+    rng = np.random.default_rng(0)
+    out = []
+    for data in AUTOMATA:
+        tau = serialize.ca_from_json(data)
+        G, A = tau.universe, tau.alphabet
+        M = sy.symmetrize(G, tau.memory)
+        domain = sy.set_product(G, M, M)
+        values = tuple(int(v) for v in rng.integers(0, A.size, size=len(domain)))
+        out.append((data, serialize.pattern_to_json(sy.Pattern(domain, values), A)))
+    return out
+
+
+def _matrices():
+    """(C, D) pairs of group-ring matrices with D C = 1, as JSON."""
+    s3 = sy.FiniteGroup(symmetric_table(3))
+    out = []
+    for G, d, modulus in [(sy.FreeAbelianGroup(1), 1, 2), (sy.FreeAbelianGroup(1), 2, 3),
+                          (sy.FreeGroup(2), 1, 2), (s3, 2, 2)]:
+        C, D = sy.random_invertible_matrix(G, seed=d, d=d, r=1, modulus=modulus, factors=3)
+        out.append((serialize.matrix_to_json(C), serialize.matrix_to_json(D)))
+    return out
+
+
+PATTERNS = _patterns()
+MATRICES = _matrices()
+
+
 def _mutate(draw, value, key=None):
     """`value` with one node replaced, dropped or repeated."""
     action = draw(st.sampled_from(["descend", "descend", "descend", "drop", "repeat", "replace"]))
@@ -79,6 +112,16 @@ def _mutate(draw, value, key=None):
             out[i] = _mutate(draw, value[i], key)
         return out
     return draw(SMALL if key in SIZE_KEYS else ANY)
+
+
+_SERIAL = itertools.count()
+
+
+def _write(directory, value) -> str:
+    """`value` as JSON in a new file: overwriting one can cost tens of ms."""
+    path = directory / f"input{next(_SERIAL)}.json"
+    path.write_text(json.dumps(value))
+    return str(path)
 
 
 def _run(capsys, argv):
@@ -120,10 +163,9 @@ def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys, data):
         else:
             part = "alphabet" if part == "table" else part
             ca[part] = _mutate(data.draw, ca[part])
-    path = tmp_path / "ca.json"
-    path.write_text(json.dumps(ca))
+    path = _write(tmp_path, ca)
     embedding = json.dumps(spec)
-    _run(capsys, ["transport", "--ca", str(path), "--embedding", embedding])
+    _run(capsys, ["transport", "--ca", path, "--embedding", embedding])
     group = json.dumps(ca["universe"])
     memory = json.dumps(ca["memory"])
     argv = ["verify-embedding", "--group", group, "--memory", memory, "--embedding", embedding]
@@ -137,9 +179,9 @@ EDITS = [("entry", v) for v in [2**70, -(2**70), 2**63, -1, True, 1.5, 1e300, fl
 @pytest.mark.parametrize("edit, value", EDITS + [("drop", None), ("repeat", None)])
 def test_edited_finite_tables_keep_the_exit_code_contract(tmp_path, capsys, edit, value):
     """Each kind of table edit, in the first and the last row, of a universe
-    (S3) and of an alphabet (Z/3). Ragged rows and entries int() cannot read,
-    or reads outside 0..n-1, are invalid input."""
-    path = tmp_path / "ca.json"
+    (S3) and of an alphabet (Z/3). Ragged rows, entries that are not JSON
+    integers (bools, floats and strings included) and entries outside
+    0..n-1 are invalid input."""
     s3 = next(ca for ca in AUTOMATA if ca["universe"]["kind"] == "finite")
     c3 = next(ca for ca in AUTOMATA if ca["alphabet"]["flavor"] == "group")
     for ca, key in [(s3, "universe"), (c3, "alphabet")]:
@@ -151,19 +193,106 @@ def test_edited_finite_tables_keep_the_exit_code_contract(tmp_path, capsys, edit
                 rows[i].pop()
             else:
                 rows[i].append(rows[i][0])
-            path.write_text(json.dumps({**ca, key: {**ca[key], "table": rows}}))
-            code = _run(capsys, ["transport", "--ca", str(path), "--embedding", "null"])
-            if value not in (True, 1.5, "1", " 1"):  # ragged, out of range or unreadable
-                assert code == 2, (key, i, edit, value)
+            path = _write(tmp_path, {**ca, key: {**ca[key], "table": rows}})
+            code = _run(capsys, ["transport", "--ca", path, "--embedding", "null"])
+            assert code == 2, (key, i, edit, value)
 
 
 def test_mutation_pool_reaches_every_outcome(tmp_path, capsys):
     """The unmutated starting points alone reach exits 0, 1 and 2."""
-    path = tmp_path / "ca.json"
     seen = set()
     for ca in AUTOMATA:
-        path.write_text(json.dumps(ca))
+        path = _write(tmp_path, ca)
         for spec in SPECS:
-            argv = ["transport", "--ca", str(path), "--embedding", json.dumps(spec)]
+            argv = ["transport", "--ca", path, "--embedding", json.dumps(spec)]
             seen.add(_run(capsys, argv))
     assert {0, 1, 2} <= seen
+
+
+@pytest.fixture(scope="module")
+def fixed_files(tmp_path_factory):
+    """The unmutated partner files, written once: each pattern's automaton
+    and each matrix's inverse."""
+    root = tmp_path_factory.mktemp("fixed")
+    cas = {f"ca{i}": _write(root, ca) for i, (ca, _) in enumerate(PATTERNS)}
+    return cas | {f"inverse{i}": _write(root, D) for i, (_, D) in enumerate(MATRICES)}
+
+
+@settings(
+    max_examples=300,
+    derandomize=True,
+    deadline=None,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_mutated_patterns_and_matrices_keep_the_exit_code_contract(
+    tmp_path, capsys, fixed_files, data
+):
+    """`evolve` on a mutated pattern file; `groupring mul` and `groupring
+    solve` on a mutated matrix file."""
+    if data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(PATTERNS) - 1))
+        pattern = PATTERNS[i][1]
+        for _ in range(data.draw(st.integers(1, 2))):
+            pattern = _mutate(data.draw, pattern)
+        path = _write(tmp_path, pattern)
+        argv = ["evolve", "--ca", fixed_files[f"ca{i}"], "--pattern", path, "--steps", "1"]
+        _run(capsys, argv)
+        return
+    i = data.draw(st.integers(0, len(MATRICES) - 1))
+    C = MATRICES[i][0]
+    for _ in range(data.draw(st.integers(1, 2))):
+        C = _mutate(data.draw, C)
+    path = _write(tmp_path, C)
+    _run(capsys, ["groupring", "mul", "--a", fixed_files[f"inverse{i}"], "--b", path])
+    _run(capsys, ["groupring", "solve", "--matrix", path, "--radius", "1"])
+
+
+def _integer_paths(value, path=()):
+    """The path to every integer (not bool) inside a JSON value."""
+    if isinstance(value, dict):
+        for k in sorted(value):
+            yield from _integer_paths(value[k], path + (k,))
+    elif isinstance(value, list):
+        for i, x in enumerate(value):
+            yield from _integer_paths(x, path + (i,))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        yield path
+
+
+def _replaced(value, path, new):
+    """A copy of `value` with the node at `path` replaced by `new`."""
+    if not path:
+        return new
+    out = dict(value) if isinstance(value, dict) else list(value)
+    out[path[0]] = _replaced(value[path[0]], path[1:], new)
+    return out
+
+
+def _file_kinds(fixed_files):
+    """(kind, JSON, commands on a file holding it): valid files of each kind."""
+    finite = next(ca for ca in AUTOMATA if "table" in ca["universe"] and "table" in ca["alphabet"])
+    i = next(i for i, (ca, _) in enumerate(PATTERNS) if "matrices" in ca["map"])
+    spec = {"kind": "product", "factors": [{"kind": "modular", "N": 3}, {"kind": "identity"}]}
+    product = AUTOMATA.index(next(ca for ca in AUTOMATA if ca["universe"]["kind"] == "product"))
+    yield "ca", finite, lambda p: [["transport", "--ca", p, "--embedding", "null"]]
+    yield "ca", PATTERNS[i][0], lambda p: [["transport", "--ca", p, "--embedding", "null"]]
+    yield "embedding", spec, lambda p: [
+        ["transport", "--ca", fixed_files[f"ca{product}"], "--embedding", p]]
+    yield "pattern", PATTERNS[i][1], lambda p: [
+        ["evolve", "--ca", fixed_files[f"ca{i}"], "--pattern", p, "--steps", "1"]]
+    yield "matrix", MATRICES[-1][0], lambda p: [
+        ["groupring", "mul", "--a", fixed_files[f"inverse{len(MATRICES) - 1}"], "--b", p],
+        ["groupring", "solve", "--matrix", p, "--radius", "1"]]
+
+
+def test_non_integer_numbers_are_invalid_input_in_every_file_kind(tmp_path, capsys, fixed_files):
+    """Each integer of a valid file of each kind (automaton, embedding spec,
+    pattern, group-ring matrix), replaced by true or by 1.5, exits 2."""
+    for kind, value, calls in _file_kinds(fixed_files):
+        assert all(_run(capsys, argv) in (0, 1) for argv in calls(_write(tmp_path, value))), kind
+        for where in _integer_paths(value):
+            for new in (True, 1.5):
+                for argv in calls(_write(tmp_path, _replaced(value, where, new))):
+                    assert _run(capsys, argv) == 2, (kind, where, new, argv)

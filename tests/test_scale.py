@@ -1,10 +1,13 @@
 """Larger instances near the documented caps; everything stays exact."""
 
+import math
 import time
 
 import numpy as np
+import pytest
 
 import symba as sy
+from symba.caps import check_size
 
 from conftest import make_table_ca
 
@@ -61,3 +64,14 @@ def test_deep_synthesis_radius_over_integers(Z, bit):
     res = sy.synthesize_left_inverse(tau, 3)
     assert res.found and res.radius == 3
     assert sy.check_right_inverse(res.ca, tau)
+
+
+def test_cap_message_writes_a_huge_count_by_its_bit_length():
+    """1597! has 4,400-odd digits, past what str() converts; a count that fits
+    int64 is written in full as before."""
+    with pytest.raises(sy.ResourceCapError, match=r"^carrier would have at least 2\^14696 entries"):
+        check_size(math.factorial(1597), "carrier")
+    with pytest.raises(sy.ResourceCapError, match=r"^carrier would have 2097152 entries, cap"):
+        check_size(1 << 21, "carrier")
+    with pytest.raises(sy.ResourceCapError, match=f"would have {(1 << 63) - 1} entries"):
+        check_size((1 << 63) - 1, "carrier")
