@@ -13,8 +13,11 @@ lookup and witness decode goes through it (or `decode_index` /
 `decode_assignments`, built on it). `StructuredMap.window_codes` is the one
 window-scan kernel: every table scan (composition, determinacy, transport
 tabulation, equivariance, re-reading) walks A^n through it in canonical
-order, without decoding configurations into digits. Module alphabets never
-store their carrier: a value's vector is its digits in radix `modulus`.
+order, without decoding configurations into digits. Over large cubes it
+first sums nearby windows in groups, each into one small table over the
+union of their cells, so a block costs one full-size addition per group.
+Module alphabets never store their carrier: a value's vector is its digits
+in radix `modulus`.
 
 `StructuredMap.reindexed` is the one way to re-read a map over a different
 window (a wider memory, or the same cells re-encoded in a subgroup).
@@ -42,6 +45,7 @@ _MODULE = "module"
 _GROUP = "group"
 
 _SCAN_CHUNK = 1 << 16
+_GROUP_TABLE = 1 << 12  # most entries of one table summing a group of nearby windows
 
 
 class Alphabet:
@@ -196,6 +200,49 @@ def decode_assignments(size: int, arity: int) -> np.ndarray:
     return decode_index(np.arange(count, dtype=np.int64), size, arity)
 
 
+def _axes(cells, span, q: int) -> tuple:
+    """Shape laying a table over the sorted `cells` onto the axes `span`."""
+    return tuple(q if u in cells else 1 for u in span)
+
+
+def _grouped(windows, q: int, lead: int) -> list:
+    """Sum runs of nearby windows into one table over the union of their cells.
+
+    `windows` are (sorted cells, table with its axes in that order). Taken
+    in order of first cell, a run grows while its cells span at most
+    _GROUP_TABLE configurations, and ends where windows stop reading a
+    leading cell (below `lead`), so those still go to the once-summed base.
+    """
+    width = 0  # most cells of one group
+    while q ** (width + 1) <= _GROUP_TABLE:
+        width += 1
+
+    def first(window):
+        return window[0][0] if window[0] else float("inf")
+
+    runs = []  # [union of cells, member windows]
+    for window in sorted(windows, key=first):
+        if runs:
+            union, members = runs[-1]
+            merged = union.union(window[0])
+            if len(merged) <= width and (first(window) < lead) == (first(members[0]) < lead):
+                runs[-1][0] = merged
+                members.append(window)
+                continue
+        runs.append([set(window[0]), [window]])
+    groups = []
+    for union, members in runs:
+        if len(members) == 1:
+            groups += members
+            continue
+        cells = sorted(union)
+        total = np.zeros((q,) * len(cells), dtype=np.int64)
+        for c, spread in members:
+            total += spread.reshape(_axes(c, cells, q))
+        groups.append((cells, total))
+    return groups
+
+
 class StructuredMap:
     """A set map A^arity -> A, as a lookup table or a matrix family."""
 
@@ -260,8 +307,12 @@ class StructuredMap:
         of canonical index start + k. Each window's table is transposed onto
         its cells of the (size,)*n_cells digit cube and added by
         broadcasting; a block fixes the leading digits and holds at most
-        max(_SCAN_CHUNK, size) entries. Windows that read no leading cell
-        are summed once and reused by every block.
+        max(_SCAN_CHUNK, size) entries. When a block is larger than
+        _GROUP_TABLE, windows taken in order of first cell are first summed
+        in groups, each into one table over the union of its cells of at
+        most _GROUP_TABLE entries, so a block pays one full-size addition
+        per group rather than per window. Windows (or groups) that read no
+        leading cell are summed once and reused by every block.
         """
         q = self.alphabet.size
         rows = np.asarray(pos, dtype=np.int64).tolist()
@@ -272,8 +323,7 @@ class StructuredMap:
         while trail < n_cells and q ** (trail + 1) <= _SCAN_CHUNK:
             trail += 1
         lead = n_cells - trail
-        base = np.zeros((q,) * trail, dtype=np.int64)
-        moving = []  # (leading cells read, table indexed by their digits)
+        windows = []  # (sorted cells, place * table with its axes in that order)
         for row, c in zip(rows, place):
             order = sorted(range(self.arity), key=row.__getitem__)
             cells = [row[j] for j in order]
@@ -281,9 +331,14 @@ class StructuredMap:
                 raise InvalidInputError("a window reads one cell twice")
             if cells and not 0 <= cells[0] <= cells[-1] < n_cells:
                 raise InvalidInputError(f"window cells must lie in 0..{n_cells - 1}")
+            windows.append((cells, (c * table).transpose(order)))
+        if q**trail > _GROUP_TABLE:
+            windows = _grouped(windows, q, lead)
+        base = np.zeros((q,) * trail, dtype=np.int64)
+        moving = []  # (leading cells read, table indexed by their digits)
+        for cells, spread in windows:
             k = bisect.bisect_left(cells, lead)
-            shape = (q,) * k + tuple(q if u in cells else 1 for u in range(lead, n_cells))
-            spread = (c * table).transpose(order).reshape(shape)
+            spread = spread.reshape((q,) * k + _axes(cells, range(lead, n_cells), q))
             if k:
                 moving.append((cells[:k], spread))
             else:

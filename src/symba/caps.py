@@ -7,10 +7,13 @@ SYMBA_CAP overrides the caps for a whole process, up to 2^62: capped counts
 then keep every mixed-radix index and place value inside int64.
 
 The caps match measured budgets (2-core VM, Python 3.11, numpy 2.4, q = 2).
-At DEFAULT_TRANSPORT_CAP = 2^24 configurations the window-scan kernel
-tabulates a transport of a radius-1 rule on Z/24 in 0.2-0.3 s and checks
-its equivariance in 0.4 s, at a peak of about 290 MB (the table plus one
-translation table); the whole inverse pipeline there takes about 1.1 s.
+At DEFAULT_TRANSPORT_CAP = 2^24 configurations, for a radius-1 shift on
+Z/24 (best of three), the window-scan kernel tabulates the transport in
+0.026 s, inversion takes 0.042 s and the equivariance check 0.074 s (peak
+about 290 MB: the table plus one translation table). The whole hinted
+inverse pipeline takes 0.068 s at a peak of about 430 MB: the table, its
+inverse and the index range scattered into it. So at this cap memory, not
+time, is the budget: each doubling of the cap doubles that peak.
 A determinacy scan of 2^19 windows takes about 6 ms, so one at
 DEFAULT_ENUMERATION_CAP = 2^20 stays well under a second; the same cap stops
 finite-group multiplication tables at order 1024 (Z/192 builds in 2 ms).

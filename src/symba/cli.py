@@ -77,6 +77,8 @@ def _load_json_file(path: str, digests: dict, label: str):
         return json.loads(raw)
     except json.JSONDecodeError as err:
         raise InvalidInputError(f"{label} file {path!r} is not valid JSON: {err}") from None
+    except RecursionError:
+        raise InvalidInputError(f"{label} file {path!r} nests too deeply") from None
 
 
 def _load_json_arg(value: str, digests: dict, label: str):
@@ -87,6 +89,8 @@ def _load_json_arg(value: str, digests: dict, label: str):
         data = json.loads(value)
     except json.JSONDecodeError:
         return _load_json_file(value, digests, label)
+    except RecursionError:
+        raise InvalidInputError(f"inline {label} JSON nests too deeply") from None
     digests[label] = _digest_bytes(value.encode())
     return data
 

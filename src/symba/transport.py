@@ -346,21 +346,26 @@ def _equivariant_rows(*maps: TransportedEndomap):
 def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     """Invert the finite endomap exactly; injectivity is all it takes.
 
-    A matrix must be F-equivariant; its inverse is the expansion of the one
-    block row solved for and certified. A singular one's witness is its
-    first nullspace_basis vector.
+    A table is injective iff it hits every configuration, marked with one
+    byte each; only a failure counts hits, to name its witness. A matrix
+    must be F-equivariant; its inverse is the expansion of the one block
+    row solved for and certified. A singular one's witness is its first
+    nullspace_basis vector.
     """
     A = alpha.alphabet
     table = alpha.table
     if table is not None:
-        repeated = np.flatnonzero(np.bincount(table, minlength=table.size) > 1)
-        if repeated.size:
+        hit = np.zeros(table.size, dtype=bool)  # one byte per configuration
+        hit[table] = True
+        if not hit.all():
             # witness: the first two preimages of the smallest value hit twice
+            repeated = np.flatnonzero(np.bincount(table, minlength=table.size) > 1)
             first_two = np.flatnonzero(table == repeated[0])[:2]
             pair = decode_index(first_two, A.size, len(alpha.carrier))
             raise NotInvertibleError(
                 tuple(tuple(w) for w in pair.tolist()), "transported map is not injective"
             )
+        del hit  # freed before the inverse and its index range exist
         inverse = np.empty_like(table)
         inverse[table] = np.arange(table.size, dtype=np.int64)
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)

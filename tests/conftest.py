@@ -189,6 +189,24 @@ def oracle_transport_table(tau, e):
     return out
 
 
+def oracle_window_table(table, q, pos, n_cells, place):
+    """window_table of a raw rule table, read configuration by configuration.
+
+    Decodes all of A^n_cells with its own mixed-radix arithmetic (leftmost
+    cell most significant) and sums place[i] times the rule table at the
+    code of the cells pos[i], leftmost most significant; no alphabets kernel
+    is used.
+    """
+    radix = q ** np.arange(n_cells - 1, -1, -1, dtype=np.int64)
+    X = (np.arange(q**n_cells, dtype=np.int64)[:, None] // radix[None, :]) % q
+    tbl = np.asarray(table, dtype=np.int64)
+    out = np.zeros(q**n_cells, dtype=np.int64)
+    for cells, c in zip(pos, place):
+        rt = q ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
+        out += c * tbl[X[:, list(cells)] @ rt]
+    return out
+
+
 def oracle_determinacy_table(tau, N):
     """The inverse table a conflict-free determinacy scan should synthesize.
 

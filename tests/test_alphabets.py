@@ -10,7 +10,12 @@ import symba as sy
 from symba.alphabets import decode_assignments
 from symba.errors import InvalidInputError, ResourceCapError
 
-from conftest import oracle_group_morphism, oracle_module_morphism, symmetric_table
+from conftest import (
+    oracle_group_morphism,
+    oracle_module_morphism,
+    oracle_window_table,
+    symmetric_table,
+)
 
 
 def test_plain_alphabet_basics():
@@ -282,6 +287,54 @@ def test_map_keeps_its_own_copy_of_a_table_array():
         base[1] = 0
         assert m.table.tolist() == [0, 1, 1, 0]
         base[1] = 1
+
+
+def _carrier_windows():
+    """Windows h*M over the carrier of S3 x C3, as transport reads them."""
+    F = sy.ProductGroup([sy.FiniteGroup(symmetric_table(3)), sy.FiniteGroup.cyclic(3)])
+    carrier = list(F.elements())
+    at = {h: i for i, h in enumerate(carrier)}
+    return [[at[F.mul(h, m)] for m in [(3, 1), (0, 0), (4, 2)]] for h in carrier]
+
+
+@pytest.mark.parametrize(
+    "q, n, windows",
+    [
+        (2, 17, "shift"),
+        (3, 11, "shift"),
+        (4, 9, "shift"),
+        (2, 17, "scattered"),
+        (3, 11, "scattered"),
+        (4, 9, "scattered"),
+        (2, 18, "carrier"),
+        (2, 17, "constant"),
+        (4, 9, "constant"),
+        (2, 10, "shift"),
+        (3, 7, "scattered"),
+    ],
+)
+def test_window_table_matches_oracle(q, n, windows):
+    """window_table and the blocks of window_codes against a decode-everything
+    oracle. Above 2^16 configurations a block fixes leading cells and windows
+    are summed in groups first; the last two cases fit one group table."""
+    rng = np.random.default_rng([q, n, len(windows)])
+    if windows == "shift":  # wrapping around Z/n, cells in unsorted order
+        pos = [[(h + k) % n for k in (1, -2, 0)] for h in range(n)]
+    elif windows == "scattered":
+        pos = [rng.choice(n, 3, replace=False).tolist() for _ in range(2 * n)]
+    elif windows == "carrier":
+        pos = _carrier_windows()
+    else:  # an arity-0 map
+        pos = [[]] * 5
+    arity = len(pos[0])
+    table = rng.integers(0, q, q**arity)
+    place = rng.integers(1, 10**6, len(pos)).tolist()  # not powers of q
+    m = sy.StructuredMap(sy.Alphabet.plain(q), arity, table=table)
+    expected = oracle_window_table(table, q, pos, n, place)
+    assert np.array_equal(m.window_table(pos, n, place), expected)
+    blocks = list(m.window_codes(pos, n, place))
+    assert [start for start, _ in blocks] == [b * blocks[0][1].size for b in range(len(blocks))]
+    assert (len(blocks) > 1) == (q**n > 1 << 16)
 
 
 def test_window_codes_refuses_a_window_reading_one_cell_twice():

@@ -101,6 +101,42 @@ def test_malformed_input_exit_two(files, capsys):
         assert code == 2 and "error" in report["outcome"], argv
 
 
+def _nested(depth: int) -> str:
+    return "[" * depth + "]" * depth
+
+
+def test_deeply_nested_json_file_is_invalid_input(files, capsys):
+    """JSON nested past the recursion limit once exited 4 with RecursionError."""
+    deep = files["dir"] / "deep.json"
+    deep.write_text(_nested(100_000))
+    code, report = run(capsys, "check-inverse", "--sigma", str(deep), "--tau", str(deep))
+    assert code == 2 and "nests too deeply" in report["outcome"]["error"], report
+
+
+def test_deeply_nested_inline_json_is_invalid_input(capsys):
+    code, report = run(
+        capsys,
+        "verify-embedding",
+        "--group",
+        '{"kind":"free_abelian","rank":1}',
+        "--memory",
+        _nested(100_000),
+        "--embedding",
+        '{"kind":"modular","N":5}',
+    )
+    assert code == 2 and "nests too deeply" in report["outcome"]["error"], report
+
+
+def test_ca_file_with_deeply_nested_matrices_is_invalid_input(files, capsys):
+    tau = json.loads(Path(files["tau"]).read_text())
+    tau["alphabet"] = {"flavor": "module", "modulus": 2, "dim": 1}
+    tau["map"] = {"arity": 1, "matrices": "MATRICES"}
+    deep = files["dir"] / "deep_matrices.json"
+    deep.write_text(json.dumps(tau).replace('"MATRICES"', _nested(5_000)))
+    code, report = run(capsys, "check-inverse", "--sigma", files["sigma"], "--tau", str(deep))
+    assert code == 2 and "error" in report["outcome"], report
+
+
 @pytest.mark.parametrize(
     "path, value",
     [

@@ -176,6 +176,32 @@ def test_invert_transport_witness_is_smallest_repeated_value(Z, bit):
     assert err.value.witness == ((0, 1, 0), (1, 0, 0))
 
 
+def _endomap_of_z18(Z, bit, table):
+    e = sy.build_embedding(Z, sy.ball(Z, 1), {"kind": "modular", "N": 18})
+    return sy.TransportedEndomap(e, bit, tuple(range(18)), table=table)
+
+
+def test_invert_transport_late_collision_on_a_large_table(Z, bit):
+    """One collision near the end of 2^18 configurations: the witness is the
+    first two preimages of the smallest value hit twice, as counted by bincount."""
+    rng = np.random.default_rng(18)
+    table = rng.permutation(1 << 18)
+    table[-1] = table[-5]
+    counts = np.bincount(table, minlength=table.size)
+    first_two = np.flatnonzero(table == np.flatnonzero(counts > 1)[0])[:2]
+    assert first_two.tolist() == [table.size - 5, table.size - 1]
+    expected = tuple(tuple(int(d) for d in np.binary_repr(i, 18)) for i in first_two)
+    with pytest.raises(NotInvertibleError) as err:
+        sy.invert_transport(_endomap_of_z18(Z, bit, table))
+    assert err.value.witness == expected
+
+
+def test_invert_transport_of_a_large_permutation_is_its_argsort(Z, bit):
+    table = np.random.default_rng(19).permutation(1 << 18)
+    gamma = sy.invert_transport(_endomap_of_z18(Z, bit, table))
+    assert np.array_equal(gamma.table, np.argsort(table))
+
+
 def test_pipeline_bijective_transport_that_does_not_lift(Z, bit):
     """The 3-cell xor is bijective on Z/5 but has no inverse on Z: the
     pipeline raises with the candidate rule and both check outcomes."""
