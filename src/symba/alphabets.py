@@ -13,9 +13,10 @@ lookup and witness decode goes through it (or `decode_index` /
 `decode_assignments`, built on it). `StructuredMap.window_codes` is the one
 window-scan kernel: every table scan (composition, determinacy, transport
 tabulation, equivariance, re-reading) walks A^n through it in canonical
-order, without decoding configurations into digits. Over large cubes it
-first sums nearby windows in groups, each into one small table over the
-union of their cells, so a block costs one full-size addition per group.
+order, without decoding configurations into digits; a configuration's
+code is the canonical index of its image pattern. Over large cubes it first
+sums nearby windows in groups, each into one small table over the union of
+their cells, so a block costs one full-size addition per group.
 Module alphabets never store their carrier: a value's vector is its digits
 in radix `modulus`.
 
@@ -293,31 +294,30 @@ class StructuredMap:
             raise InvalidInputError(f"expected shape (n, {self.arity}), got {X.shape}")
         A = self.alphabet
         if self.table is not None:
-            if self.arity == 0:
-                return np.broadcast_to(self.table[0], (X.shape[0],)).copy()
             return self.table[X @ radix(A.size, self.arity)]
         vecs = decode_index(X, A.modulus, A.dim)  # (n, arity, dim)
         out = np.einsum("jkd,njd->nk", self.matrices, vecs) % A.modulus
         return out @ A._radix
 
-    def window_codes(self, pos, n_cells: int, place):
+    def window_codes(self, pos, n_cells: int):
         """Yield (start, codes) blocks covering A^n_cells in canonical order.
 
-        codes[k] = sum_i place[i] * self(x[pos[i]]) for the configuration x
-        of canonical index start + k. Each window's table is transposed onto
-        its cells of the (size,)*n_cells digit cube and added by
-        broadcasting; a block fixes the leading digits and holds at most
-        max(_SCAN_CHUNK, size) entries. When a block is larger than
-        _GROUP_TABLE, windows taken in order of first cell are first summed
-        in groups, each into one table over the union of its cells of at
-        most _GROUP_TABLE entries, so a block pays one full-size addition
-        per group rather than per window. Windows (or groups) that read no
-        leading cell are summed once and reused by every block.
+        codes[k] is the canonical index in A^len(pos) of the image pattern
+        (self(x[pos[i]]))_i of x, the configuration of index start + k. Each
+        window's table is transposed onto its cells of the (size,)*n_cells
+        digit cube and added by broadcasting; a block fixes the leading
+        digits and holds at most max(_SCAN_CHUNK, size) entries. When a
+        block is larger than _GROUP_TABLE, windows taken in order of first
+        cell are first summed in groups, each into one table over the union
+        of its cells of at most _GROUP_TABLE entries, so a block pays one
+        full-size addition per group rather than per window. Windows (or
+        groups) that read no leading cell are summed once and reused.
         """
         q = self.alphabet.size
         rows = np.asarray(pos, dtype=np.int64).tolist()
-        if len(rows) != len(place) or any(len(row) != self.arity for row in rows):
-            raise InvalidInputError(f"need one {self.arity}-cell window per place value")
+        if any(len(row) != self.arity for row in rows):
+            raise InvalidInputError(f"every window needs {self.arity} cells")
+        place = radix(q, len(rows))
         table = self.expand_table().table.reshape((q,) * self.arity)
         trail = min(n_cells, 1)  # digits that vary within a block
         while trail < n_cells and q ** (trail + 1) <= _SCAN_CHUNK:
@@ -349,10 +349,10 @@ class StructuredMap:
                 codes += spread[tuple(digits[u] for u in cells)]
             yield b * base.size, codes.reshape(-1)
 
-    def window_table(self, pos, n_cells: int, place) -> np.ndarray:
-        """All of window_codes(pos, n_cells, place) as one array."""
+    def window_table(self, pos, n_cells: int) -> np.ndarray:
+        """All of window_codes(pos, n_cells) as one array."""
         out = np.empty(self.alphabet.size**n_cells, dtype=np.int64)
-        for start, codes in self.window_codes(pos, n_cells, place):
+        for start, codes in self.window_codes(pos, n_cells):
             out[start : start + codes.size] = codes
         return out
 
@@ -393,7 +393,7 @@ class StructuredMap:
         if self.is_matrix:
             return StructuredMap.from_block_row(A, self.window_matrix([cols], arity))
         check_size(A.size**arity, "re-read rule table")
-        return StructuredMap(A, arity, table=self.window_table([cols], arity, [1]))
+        return StructuredMap(A, arity, table=self.window_table([cols], arity))
 
     def evaluate(self, window) -> int:
         return int(self.evaluate_batch(np.asarray(window, dtype=np.int64)[None, :])[0])
@@ -421,16 +421,14 @@ class StructuredMap:
         return f"StructuredMap(arity={self.arity}, {kind}, over {self.alphabet!r})"
 
 
-def verify_pointed(smap: StructuredMap, A: Alphabet | None = None) -> bool:
+def verify_pointed(smap: StructuredMap) -> bool:
     """True iff the map sends the all-basepoints input to the basepoint."""
-    A = A or smap.alphabet
-    if A != smap.alphabet:
-        raise InvalidInputError("map is not over the given alphabet")
+    A = smap.alphabet
     window = np.full(smap.arity, A.basepoint, dtype=np.int64)
     return smap.evaluate(window) == A.basepoint
 
 
-def verify_structure(smap: StructuredMap, A: Alphabet | None = None) -> bool:
+def verify_structure(smap: StructuredMap) -> bool:
     """Check the map is a morphism for the alphabet's structure.
 
     A table f: A^m -> A is one iff it fixes the identity and f(u*x) =
@@ -441,9 +439,7 @@ def verify_structure(smap: StructuredMap, A: Alphabet | None = None) -> bool:
     Z/n-linear. One gather per (cell, generator): O(|A|^m * m * gens) time,
     O(|A|^m) memory. Matrix maps are morphisms by construction.
     """
-    A = A or smap.alphabet
-    if A != smap.alphabet:
-        raise InvalidInputError("map is not over the given alphabet")
+    A = smap.alphabet
     if not (A.is_module or A.is_group):
         raise InvalidInputError("plain alphabets carry no structure to verify")
     if smap.is_matrix:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabets import Alphabet, StructuredMap, radix, verify_pointed
+from .alphabets import Alphabet, StructuredMap, verify_pointed
 from .caps import check_size
 from .errors import EmptyWindowError, InvalidInputError
 from .groups import FiniteSubset, Group, set_product, symmetrize
@@ -186,7 +186,7 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     check_size(A.size**n, "composite rule table")
     table = np.empty(A.size**n, dtype=np.int64)
     outer = sigma.rule.map.expand_table().table
-    for start, codes in tau.rule.map.window_codes(pos, n, radix(A.size, len(Ms))):
+    for start, codes in tau.rule.map.window_codes(pos, n):
         table[start : start + codes.size] = outer[codes]
     table.flags.writeable = False  # handed to the map without a copy
     rule = LocalRule(Mc, StructuredMap(A, n, table=table))

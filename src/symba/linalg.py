@@ -12,8 +12,8 @@ products kept exact: every partial sum is an integer below 2^53, the
 FFLAS-FFPACK technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
 The modulus bound keeps every p^2 inside int64 and every product inside
 one float64 chunk up to an inner dimension of 8192. `left_solve` (rows R
-with R·A = E, or a kernel witness) serves matrix-rule determinacy and
-`invert`; the matrix transport inverse solves for one block row of it.
+with R·A = E, or the kernel of A, from which each caller picks its witness)
+serves matrix-rule determinacy, `invert` and the matrix transport inverse.
 """
 
 from __future__ import annotations
@@ -112,14 +112,11 @@ def row_reduce(A: np.ndarray, p: int):
 def solve(A: np.ndarray, B: np.ndarray, p: int):
     """One solution X of A @ X = B mod p, or None when inconsistent.
 
-    B may be a vector or a matrix (solved column by column in one sweep).
-    Free variables are set to zero, so the solution is deterministic.
+    B is a matrix, solved column by column in one sweep. Free variables are
+    set to zero, so the solution is deterministic.
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    vector = B.ndim == 1
-    if vector:
-        B = B[:, None]
     rows, cols = A.shape
     aug = np.concatenate([A, B], axis=1)
     R, pivot_cols = row_reduce(aug, p)
@@ -131,7 +128,7 @@ def solve(A: np.ndarray, B: np.ndarray, p: int):
     for i, c in enumerate(pivot_cols):
         if c < cols:
             X[c] = R[i, cols:]
-    return X[:, 0] if vector else X
+    return X
 
 
 def nullspace_basis(A: np.ndarray, p: int) -> np.ndarray:
@@ -150,21 +147,18 @@ def nullspace_basis(A: np.ndarray, p: int) -> np.ndarray:
 
 
 def left_solve(A: np.ndarray, E: np.ndarray, p: int):
-    """Rows R with R @ A = E mod p, or a kernel vector that rules them out.
+    """Rows R with R @ A = E mod p, or the kernel of A that rules them out.
 
     Returns (R, None), R = solve(A.T, E.T, p).T checked by one exact
-    product, or (None, z) with z the first nullspace_basis(A) vector that
-    E does not annihilate: A @ z = 0 and E @ z != 0.
+    product, or (None, nullspace_basis(A, p)), in which some z has E @ z
+    != 0: the caller picks the kernel vector it reports as the witness.
     """
     A = np.asarray(A, dtype=np.int64)
     E = np.asarray(E, dtype=np.int64)
     X = solve(A.T, E.T, p)
     if X is not None and np.array_equal(matmul(X.T, A, p), reduce(E, p)):
         return X.T, None
-    for z in nullspace_basis(A, p):
-        if matmul(E, z[:, None], p).any():
-            return None, z
-    raise AssertionError("inconsistent system without a separating kernel vector")
+    return None, nullspace_basis(A, p)
 
 
 def invert(A: np.ndarray, p: int):

@@ -169,12 +169,11 @@ def matrix_to_json(X: GroupRingMatrix) -> dict:
 
 
 @_parsing("group-ring matrix")
-def matrix_from_json(data, G: Group | None = None) -> GroupRingMatrix:
+def matrix_from_json(data) -> GroupRingMatrix:
     data = _require_dict(data, "group-ring matrix")
-    if G is None:
-        if "universe" not in data:
-            raise InvalidInputError("matrix JSON needs a universe (or pass one in)")
-        G = group_from_json(data["universe"])
+    if "universe" not in data:
+        raise InvalidInputError("matrix JSON needs a universe")
+    G = group_from_json(data["universe"])
     for key in ("modulus", "dim", "entries"):
         if key not in data:
             raise InvalidInputError(f"matrix JSON is missing {key!r}")

@@ -108,7 +108,7 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     first_value = np.full(n_keys, -1, dtype=np.int64)
     trailing = None  # identity digit of a block's windows, when it varies
 
-    for start, keys in tau.rule.map.window_codes(pos, n, radix(A.size, len(N))):
+    for start, keys in tau.rule.map.window_codes(pos, n):
         if center_place < keys.size:
             if trailing is None:
                 # every block has the same trailing digits, so the pattern is fixed
@@ -147,8 +147,10 @@ def _determinacy_linear(tau, N, NM) -> DeterminacyResult:
     center = NM.index_of(G.identity())
     proj = np.eye(len(NM) * d, dtype=np.int64)[center * d : (center + 1) * d]
 
-    eta, z = linalg.left_solve(T, proj, A.modulus)
+    eta, kernel = linalg.left_solve(T, proj, A.modulus)
     if eta is None:
+        # witness: the first kernel vector that is nonzero at the identity cell
+        z = next(z for z in kernel if z[center * d : (center + 1) * d].any())
         x_pat = Pattern(NM, A.cell_values(z))
         y_pat = Pattern(NM, A.cell_values(np.zeros_like(z)))
         return DeterminacyResult(rule=None, witness=(x_pat, y_pat))

@@ -9,8 +9,8 @@ the basepoint. The extracted rule is certified against the original
 automaton by both one-sided inverse checks, an inverse hint by the left one.
 
 A transported matrix is F-equivariant, so its identity block row determines
-it (`division_index`): the inverse is solved for and checked on that row
-alone, after an exact equivariance test.
+it (`division_index`): after an exact equivariance test, `linalg.left_solve`
+(as in matrix-rule synthesis) solves for and certifies that row of the inverse.
 """
 
 from __future__ import annotations
@@ -285,7 +285,7 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
     count = A.size**nF
     if count > transport_cap():
         raise ResourceCapError(f"transport would tabulate {count} configurations")
-    table = tau.rule.map.window_table(pos, nF, radix(A.size, nF))
+    table = tau.rule.map.window_table(pos, nF)
     return TransportedEndomap(e, A, carrier, table=table)
 
 
@@ -349,8 +349,8 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     A table is injective iff it hits every configuration, marked with one
     byte each; only a failure counts hits, to name its witness. A matrix
     must be F-equivariant; its inverse is the expansion of the one block
-    row solved for and certified. A singular one's witness is its first
-    nullspace_basis vector.
+    row left_solve solves for and certifies, or its witness the first
+    vector of the kernel left_solve returns.
     """
     A = alpha.alphabet
     table = alpha.table
@@ -365,19 +365,19 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
             raise NotInvertibleError(
                 tuple(tuple(w) for w in pair.tolist()), "transported map is not injective"
             )
-        del hit  # freed before the inverse and its index range exist
+        del hit  # freed before the inverse exists
         inverse = np.empty_like(table)
-        inverse[table] = np.arange(table.size, dtype=np.int64)
+        for start in range(0, table.size, _SCAN_CHUNK):  # no full-size index range
+            block = table[start : start + _SCAN_CHUNK]
+            inverse[block] = np.arange(start, start + block.size, dtype=np.int64)
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
     E, _ = _equivariant_rows(alpha)
-    p = A.modulus
-    # not left_solve: its kernel scan would precede the one the witness needs
-    row = linalg.solve(alpha.matrix.T, E.T, p)
-    if row is None or not np.array_equal(linalg.matmul(row.T, alpha.matrix, p), E):
+    row, kernel = linalg.left_solve(alpha.matrix, E, A.modulus)
+    if row is None:
         # a kernel configuration, beside the zero one
-        x = tuple(A.cell_values(linalg.nullspace_basis(alpha.matrix, p)[0]).tolist())
+        x = tuple(A.cell_values(kernel[0]).tolist())
         raise NotInvertibleError((x, (0,) * len(x)), "transported matrix is singular")
-    inverse = _expansion(row.T, alpha._division).transpose(1, 0, 2, 3).reshape(E.shape[1], -1)
+    inverse = _expansion(row, alpha._division).transpose(1, 0, 2, 3).reshape(E.shape[1], -1)
     return TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inverse)
 
 
@@ -420,11 +420,10 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
         return _identity_row(alpha, alpha._division) is not None
     perms = _translations(carrier)
     copy = StructuredMap(A, 1, table=np.arange(A.size))
-    place = radix(A.size, nF)
     table = alpha.table
     for perm in perms:
         # P[x] is the index of x translated: its digit u is x's digit perm[u]
-        P = copy.window_table(perm[:, None], nF, place)
+        P = copy.window_table(perm[:, None], nF)
         for start in range(0, table.size, _SCAN_CHUNK):
             block = slice(start, start + _SCAN_CHUNK)
             if not np.array_equal(table[P[block]], P[table[block]]):

@@ -189,21 +189,21 @@ def oracle_transport_table(tau, e):
     return out
 
 
-def oracle_window_table(table, q, pos, n_cells, place):
+def oracle_window_table(table, q, pos, n_cells):
     """window_table of a raw rule table, read configuration by configuration.
 
     Decodes all of A^n_cells with its own mixed-radix arithmetic (leftmost
-    cell most significant) and sums place[i] times the rule table at the
-    code of the cells pos[i], leftmost most significant; no alphabets kernel
-    is used.
+    cell most significant), reads the rule table at the code of the cells
+    pos[i] (leftmost most significant), and encodes the len(pos) values the
+    same way, window 0 most significant; no alphabets kernel is used.
     """
     radix = q ** np.arange(n_cells - 1, -1, -1, dtype=np.int64)
     X = (np.arange(q**n_cells, dtype=np.int64)[:, None] // radix[None, :]) % q
     tbl = np.asarray(table, dtype=np.int64)
     out = np.zeros(q**n_cells, dtype=np.int64)
-    for cells, c in zip(pos, place):
+    for cells in pos:
         rt = q ** np.arange(len(cells) - 1, -1, -1, dtype=np.int64)
-        out += c * tbl[X[:, list(cells)] @ rt]
+        out = q * out + tbl[X[:, list(cells)] @ rt]
     return out
 
 

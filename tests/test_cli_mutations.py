@@ -46,6 +46,7 @@ def _automata():
         (sy.FreeGroup(2), [(1,)]),
         (sy.FiniteGroup(symmetric_table(3)), [0, 1]),
         (sy.ProductGroup([Z, C2]), [((0,), 1), ((1,), 0)]),
+        (sy.SymmetricGroup(3), [(0, 1, 2), (1, 0, 2)]),
     ]
     out = []
     for G, cells in cases:
@@ -196,6 +197,20 @@ def test_edited_finite_tables_keep_the_exit_code_contract(tmp_path, capsys, edit
             path = _write(tmp_path, {**ca, key: {**ca[key], "table": rows}})
             code = _run(capsys, ["transport", "--ca", path, "--embedding", "null"])
             assert code == 2, (key, i, edit, value)
+
+
+@pytest.mark.parametrize(
+    "memory, code",
+    [("[[1,0,2]]", 0), ("[[1,0]]", 2), ("[[1,1,2]]", 2), ("[[1.0,0,2]]", 2),
+     ("[[true,0,2]]", 2), ("[5]", 2)],
+)
+def test_permutation_memory_lists(capsys, memory, code):
+    """A symmetric-group element is a JSON list of the integers 0..n-1, each
+    once; a short list, a repeat, a float, a bool or a bare number is
+    invalid input."""
+    argv = ["verify-embedding", "--group", '{"kind":"symmetric","degree":3}',
+            "--memory", memory, "--embedding", "null"]
+    assert _run(capsys, argv) == code
 
 
 def test_mutation_pool_reaches_every_outcome(tmp_path, capsys):

@@ -1,4 +1,5 @@
-"""Every demo script runs to completion against the source tree."""
+"""Every demo script, and the README's library tour, runs to completion
+against the source tree."""
 
 import os
 import subprocess
@@ -11,18 +12,30 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_exits_zero(demo):
+def _run_python(args):
     env = dict(os.environ)
     env.pop("SYMBA_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    proc = subprocess.run(
-        [sys.executable, str(demo)], env=env, capture_output=True, text=True, timeout=120
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
     )
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
+def test_demo_exits_zero(demo):
+    proc = _run_python([str(demo)])
     assert proc.returncode == 0, proc.stderr
 
 
 def test_demos_are_found():
     assert DEMOS
+
+
+def test_readme_library_tour_exits_zero():
+    """The README's ```python block, so a signature change cannot leave it stale."""
+    blocks = (ROOT / "README.md").read_text().split("```python\n")[1:]
+    assert len(blocks) == 1
+    proc = _run_python(["-c", blocks[0].split("```", 1)[0]])
+    assert proc.returncode == 0, proc.stderr

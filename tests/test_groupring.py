@@ -78,6 +78,9 @@ def test_ring_axioms_randomized(Z, F2):
                 assert sy.gr_mul(sy.gr_mul(x, y), z) == sy.gr_mul(x, sy.gr_mul(y, z))
                 assert sy.gr_mul(x, y + z) == sy.gr_mul(x, y) + sy.gr_mul(x, z)
                 assert sy.gr_mul(x + y, z) == sy.gr_mul(x, z) + sy.gr_mul(y, z)
+                assert x - x == sy.GroupRingElement(G, modulus, {})
+                assert -(-x) == x
+                assert x * 3 == x + x + x
                 cases += 1
     assert cases == 1200
 

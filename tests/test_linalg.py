@@ -68,7 +68,7 @@ def _all_left_solutions(A, E, p):
 
 
 def test_left_solve_matches_brute_force():
-    """Solvable iff brute force finds an R; otherwise a separating kernel vector."""
+    """Solvable iff brute force finds an R; otherwise the kernel, which separates E."""
     rng = np.random.default_rng(20211201)
     seen = {True: 0, False: 0}
     for p in (2, 3):
@@ -83,13 +83,15 @@ def test_left_solve_matches_brute_force():
                     else:
                         E = rng.integers(0, p, size=(e, n))
                     solutions = _all_left_solutions(A, E, p)
-                    R, z = linalg.left_solve(A, E, p)
+                    R, kernel = linalg.left_solve(A, E, p)
                     seen[R is not None] += 1
                     if solutions:
-                        assert z is None and R.tobytes() in solutions
+                        assert kernel is None and R.tobytes() in solutions
                     else:
+                        # the kernel of A, and some vector of it separates E
                         assert R is None
-                        assert not (A @ z % p).any() and (E @ z % p).any()
+                        assert kernel.tobytes() == linalg.nullspace_basis(A, p).tobytes()
+                        assert not (A @ kernel.T % p).any() and (E @ kernel.T % p).any()
     assert seen[True] and seen[False]
 
 
@@ -101,7 +103,7 @@ def test_moduli_above_the_cap_are_refused():
         with pytest.raises(UnsupportedModulusError):
             call(A, p)
     with pytest.raises(UnsupportedModulusError):
-        linalg.solve(A, np.ones(8, dtype=np.int64), p)
+        linalg.solve(A, np.ones((8, 1), dtype=np.int64), p)
     with pytest.raises(UnsupportedModulusError):
         linalg.matmul(A, A, p)
 

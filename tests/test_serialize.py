@@ -93,9 +93,7 @@ def test_matrix_round_trip(Z):
     assert data["modulus"] == 2 and data["dim"] == 2
     again = serialize.matrix_from_json(data)
     assert again == C
-    # context group also accepted in place of the embedded universe
     bare = {k: v for k, v in data.items() if k != "universe"}
-    assert serialize.matrix_from_json(bare, Z) == C
     with pytest.raises(InvalidInputError):
         serialize.matrix_from_json(bare)
 

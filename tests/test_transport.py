@@ -683,3 +683,34 @@ def test_non_equivariant_matrix_is_invalid_input(Z):
         with pytest.raises(InvalidInputError, match="not F-equivariant"):
             sy.composes_to_identity(as_endomap(m), alpha)
     assert sy.composes_to_identity(beta, alpha)
+
+
+def test_transport_refuses_an_embedding_that_fails_verification(Z, bit):
+    """A hand-built map into Z/5, injective on M*M, that swaps the images of
+    1 and 2: phi(1)phi(1) != phi(2), so it is no embedding over M."""
+    shift = sy.projection_ca(Z, bit, (1,))
+    M = sy.symmetrize(Z, shift.memory)
+    wide = sy.CellularAutomaton(Z, bit, sy.extend_memory(shift.rule, M))
+    S = sy.set_product(Z, M, M)
+    phi = {v: v[0] % 5 for v in S} | {(1,): 2, (2,): 1}
+    e = sy.LefEmbedding(Z, S, sy.FiniteGroup.cyclic(5), phi)
+    assert not sy.verify_embedding(e, M)
+    with pytest.raises(InvalidInputError, match="fails verification over this memory"):
+        sy.transport_endomap(wide, e)
+
+
+def test_composes_to_identity_refuses_mixed_representations(Z):
+    """The same rule transported as a matrix and as a table cannot be composed."""
+    C, _ = _pair_CD(Z)
+    A = sy.Alphabet.module(2, 2)
+    tau = sy.to_linear_ca(C, Z, A)
+    M = sy.symmetrize(Z, tau.memory)
+    rule = sy.extend_memory(tau.rule, M)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 5})
+    matrix = sy.transport_endomap(sy.CellularAutomaton(Z, A, rule), e)
+    table_rule = sy.LocalRule(M, rule.map.expand_table())
+    table = sy.transport_endomap(sy.CellularAutomaton(Z, A, table_rule), e)
+    assert matrix.is_matrix and not table.is_matrix
+    for beta, alpha in [(table, matrix), (matrix, table)]:
+        with pytest.raises(InvalidInputError, match="different representations"):
+            sy.composes_to_identity(beta, alpha)
