@@ -63,6 +63,7 @@ from .groups import (
     element_inv,
     element_mul,
     generated_ball,
+    product_window,
     set_product,
     symmetrize,
 )

@@ -20,7 +20,7 @@ import numpy as np
 from .alphabets import Alphabet, StructuredMap, verify_pointed
 from .caps import check_size
 from .errors import EmptyWindowError, InvalidInputError
-from .groups import FiniteSubset, Group, set_product, symmetrize
+from .groups import FiniteSubset, Group, product_window, set_product, symmetrize
 
 
 @dataclass(frozen=True)
@@ -131,11 +131,9 @@ def window_positions(domain: FiniteSubset, E, M) -> np.ndarray:
 
 def induced_map(tau: CellularAutomaton, E: FiniteSubset, p: Pattern) -> Pattern:
     """Apply the rule on the window E; p must cover exactly E*M."""
-    M = tau.memory
-    EM = set_product(tau.universe, E, M)
+    EM, pos = product_window(tau.universe, E, tau.memory)
     if p.domain != EM:
         raise InvalidInputError("pattern domain must equal the product window E*M")
-    pos = window_positions(EM, E, M)
     vals = np.asarray(p.values, dtype=np.int64)
     out = tau.rule.map.evaluate_batch(vals[pos])
     return Pattern(E, tuple(int(v) for v in out))
@@ -173,9 +171,7 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     """
     _require_compatible(sigma, tau)
     G, A = sigma.universe, sigma.alphabet
-    Ms, Mt = sigma.memory, tau.memory
-    Mc = set_product(G, Ms, Mt)
-    pos = window_positions(Mc, Ms, Mt)
+    Mc, pos = product_window(G, sigma.memory, tau.memory)
 
     if sigma.rule.map.is_matrix and tau.rule.map.is_matrix:
         flat = sigma.rule.map.block_row() @ tau.rule.map.window_matrix(pos, len(Mc))

@@ -7,15 +7,25 @@ with the reading convention "new value at g = sum over m of C_m applied to
 the value at g*m" automaton composition is plain matrix product: the
 automaton sigma-after-tau corresponds to D @ C.
 
-Every product goes through one convolution loop, `_convolve`, which sums
-x*y over a list of pairs into one dict and builds one element: a single
-pair for `gr_mul`, the d pairs (X[i][k], Y[k][j]) for each entry of
-`matrix_mul`. `one_sided_inverse_solve` builds one (d*|U|) x (d*|B|)
-block for D on B = ball(r) and the products U = B * supp(C), and solves
-it once for all d rows of D.
+Products of elements and matrices go through one convolution loop,
+`_convolve`, which sums x*y over a list of pairs into one dict and builds
+one element: a single pair for `gr_mul`, the d pairs (X[i][k], Y[k][j])
+for each entry of `matrix_mul`. `random_invertible_matrix` never forms
+its elementary factors: it applies each one as a column operation on the
+product and a row operation on the inverse, which multiplies one row or
+column by a monomial. `one_sided_inverse_solve` builds one
+(d*|U|) x (d*|B|) block for D on B = ball(r) and the products
+U = B * supp(C), and solves it once for all d rows of D.
+
+The public constructors validate every group element and entry. Results
+computed from validated operands (sums, negations, scalings, products)
+are built by the private `_trusted` constructors, which only reduce the
+coefficients mod n and drop zeros.
 """
 
 from __future__ import annotations
+
+import operator
 
 import numpy as np
 
@@ -37,10 +47,22 @@ class GroupRingElement:
     def __init__(self, group: Group, modulus: int, coeffs: Coeffs | None = None):
         if modulus < 2:
             raise InvalidInputError(f"modulus must be >= 2, got {modulus}")
-        clean: Coeffs = {}
-        for g, c in (coeffs or {}).items():
+        coeffs = coeffs or {}
+        for g in coeffs:
             group.validate(g)
-            c = int(c) % modulus
+        self._fill(group, modulus, {g: int(c) for g, c in coeffs.items()})
+
+    @classmethod
+    def _trusted(cls, group: Group, modulus: int, coeffs: Coeffs) -> "GroupRingElement":
+        """The element with canonical keys and int coefficients, without validating them."""
+        self = cls.__new__(cls)
+        self._fill(group, modulus, coeffs)
+        return self
+
+    def _fill(self, group, modulus, coeffs):
+        clean: Coeffs = {}
+        for g, c in coeffs.items():
+            c %= modulus
             if c:
                 clean[g] = c
         self.group = group
@@ -71,10 +93,10 @@ class GroupRingElement:
         out = dict(self.coeffs)
         for g, c in other.coeffs.items():
             out[g] = out.get(g, 0) + c
-        return GroupRingElement(self.group, self.modulus, out)
+        return GroupRingElement._trusted(self.group, self.modulus, out)
 
     def __neg__(self):
-        return GroupRingElement(
+        return GroupRingElement._trusted(
             self.group, self.modulus, {g: -c for g, c in self.coeffs.items()}
         )
 
@@ -82,11 +104,22 @@ class GroupRingElement:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return GroupRingElement(
-                self.group, self.modulus, {g: c * other for g, c in self.coeffs.items()}
-            )
-        return gr_mul(self, other)
+        if isinstance(other, GroupRingElement):
+            return gr_mul(self, other)
+        return self._scaled(other)
+
+    def __rmul__(self, other):
+        return self._scaled(other)
+
+    def _scaled(self, k):
+        """k times self for any integer k (int, bool or numpy integer)."""
+        try:
+            k = operator.index(k)
+        except TypeError:
+            return NotImplemented
+        return GroupRingElement._trusted(
+            self.group, self.modulus, {g: c * k for g, c in self.coeffs.items()}
+        )
 
     def __eq__(self, other):
         return (
@@ -121,7 +154,7 @@ def _convolve(G: Group, n: int, pairs) -> GroupRingElement:
             for b, cb in y.coeffs.items():
                 h = mul(a, b)
                 out[h] = out.get(h, 0) + ca * cb
-    return GroupRingElement(G, n, out)
+    return GroupRingElement._trusted(G, n, out)
 
 
 def gr_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
@@ -146,9 +179,19 @@ class GroupRingMatrix:
                     raise InvalidInputError("entries must be group-ring elements")
                 if e.group != group or e.modulus != modulus:
                     raise InvalidInputError("entry lives in the wrong group ring")
+        self._fill(group, modulus, entries)
+
+    @classmethod
+    def _trusted(cls, group: Group, modulus: int, entries) -> "GroupRingMatrix":
+        """The square matrix of entries already in (Z/modulus)[group], without checking them."""
+        self = cls.__new__(cls)
+        self._fill(group, modulus, entries)
+        return self
+
+    def _fill(self, group, modulus, entries):
         self.group = group
         self.modulus = modulus
-        self.dim = d
+        self.dim = len(entries)
         self.entries = tuple(tuple(row) for row in entries)
 
     @classmethod
@@ -194,7 +237,12 @@ class GroupRingMatrix:
         return fam
 
     def is_identity(self) -> bool:
-        return self == GroupRingMatrix.identity(self.group, self.modulus, self.dim)
+        one = {self.group.identity(): 1}
+        return all(
+            e.coeffs == (one if i == j else {})
+            for i, row in enumerate(self.entries)
+            for j, e in enumerate(row)
+        )
 
     def __eq__(self, other):
         return (
@@ -227,7 +275,7 @@ def matrix_mul(X: GroupRingMatrix, Y: GroupRingMatrix) -> GroupRingMatrix:
         [_convolve(X.group, X.modulus, zip(row, col)) for col in columns]
         for row in X.entries
     ]
-    return GroupRingMatrix(X.group, X.modulus, out)
+    return GroupRingMatrix._trusted(X.group, X.modulus, out)
 
 
 def from_linear_ca(tau: CellularAutomaton) -> GroupRingMatrix:
@@ -247,8 +295,7 @@ def to_linear_ca(X: GroupRingMatrix, G: Group, A: Alphabet) -> CellularAutomaton
         raise InvalidInputError("matrix lives over a different group")
     if not A.is_module or A.modulus != X.modulus or A.dim != X.dim:
         raise InvalidInputError("alphabet does not match the matrix shape")
-    support = X.support() or [G.identity()]
-    memory = FiniteSubset(G, support)
+    memory = FiniteSubset._trusted(G, X.support() or [G.identity()])
     fam = X.coeff_family()
     mats = np.zeros((len(memory), A.dim, A.dim), dtype=np.int64)
     for i, m in enumerate(memory):
@@ -270,10 +317,10 @@ def one_sided_inverse_solve(C: GroupRingMatrix, r: int) -> GroupRingMatrix | Non
     linalg.require_prime(C.modulus, "one-sided inverse solving")
     p, d, G = C.modulus, C.dim, C.group
     B = ball(G, r)
-    S = FiniteSubset(G, C.support() or [G.identity()])
+    S = FiniteSubset._trusted(G, C.support() or [G.identity()])
     U = set_product(G, B, S)
     if G.identity() not in U:
-        U = U.union(FiniteSubset(G, [G.identity()]))
+        U = U.union(FiniteSubset._trusted(G, [G.identity()]))
     check_size(d * len(U) * d * len(B), "inverse solve system")
 
     # Row (j, u) of the block is slot j of row i of D @ C at u, column
@@ -303,22 +350,32 @@ def random_invertible_matrix(
 ):
     """A random two-sided invertible matrix plus its exact inverse.
 
-    Built as a product of elementary factors: identity plus one off-diagonal
-    group-ring monomial, or a diagonal scaling by a unit monomial. Each
-    factor has an explicit inverse, so the product does too (inverted
-    factors multiplied in reverse order).
+    The product of elementary factors: identity plus one off-diagonal
+    group-ring monomial c*g at (i, j), or a diagonal scaling of slot i by a
+    unit monomial c*g. Each factor has an explicit inverse, so the product
+    does too (inverted factors multiplied in reverse order). Neither is
+    formed as a matrix: multiplying the product on the right by I + c*g*E_ij
+    adds column i times c*g to column j, and multiplying the inverse on the
+    left by I - c*g*E_ij subtracts c*g times row j from row i; a scaling
+    multiplies one column, or row, by a monomial.
     """
     linalg.require_prime(modulus, "random invertible matrix generation")
     rng = np.random.default_rng(seed)
     B = list(ball(G, r))
-    identity = GroupRingMatrix.identity(G, modulus, d)
+    mul = G.mul
+    identity = GroupRingMatrix.identity(G, modulus, d).entries
+    fwd = [list(row) for row in identity]
+    rev = [list(row) for row in identity]
+    zero = GroupRingElement.zero(G, modulus)
 
-    def elementary(i, j, g, c):
-        entries = [list(row) for row in identity.entries]
-        entries[i][j] = GroupRingElement.monomial(G, modulus, g, c)
-        return GroupRingMatrix(G, modulus, entries)
+    def plus(x, y, g, c, left):
+        """x + (c*g)*y when left, else x + y*(c*g)."""
+        out = dict(x.coeffs)
+        for a, ca in y.coeffs.items():
+            h = mul(g, a) if left else mul(a, g)
+            out[h] = out.get(h, 0) + c * ca
+        return GroupRingElement._trusted(G, modulus, out)
 
-    fwd = rev = identity
     for _ in range(factors):
         g = B[int(rng.integers(len(B)))]
         c = int(rng.integers(1, modulus))
@@ -326,11 +383,13 @@ def random_invertible_matrix(
             i = int(rng.integers(d))
             j = int(rng.integers(d - 1))
             j = j + 1 if j >= i else j
-            F, F_inv = elementary(i, j, g, c), elementary(i, j, g, -c)
+            for row in fwd:
+                row[j] = plus(row[j], row[i], g, c, left=False)
+            rev[i] = [plus(x, y, g, -c, left=True) for x, y in zip(rev[i], rev[j])]
         else:
             i = int(rng.integers(d))
-            F = elementary(i, i, g, c)
-            F_inv = elementary(i, i, G.inv(g), pow(c, modulus - 2, modulus))
-        fwd = matrix_mul(fwd, F)
-        rev = matrix_mul(F_inv, rev)
-    return fwd, rev
+            for row in fwd:
+                row[i] = plus(zero, row[i], g, c, left=False)
+            g_inv, c_inv = G.inv(g), pow(c, modulus - 2, modulus)
+            rev[i] = [plus(zero, y, g_inv, c_inv, left=True) for y in rev[i]]
+    return GroupRingMatrix._trusted(G, modulus, fwd), GroupRingMatrix._trusted(G, modulus, rev)

@@ -12,7 +12,7 @@ order, which is what makes rule tables reproducible byte for byte.
 from __future__ import annotations
 
 import itertools
-from operator import itemgetter
+from operator import add, itemgetter, neg
 from typing import Any, Iterator, Sequence
 
 import numpy as np
@@ -123,16 +123,16 @@ class FreeAbelianGroup(_RankedGroup):
         return (0,) * self.rank
 
     def mul(self, a, b):
-        return tuple(x + y for x, y in zip(a, b))
+        return tuple(map(add, a, b))
 
     def inv(self, a):
-        return tuple(-x for x in a)
+        return tuple(map(neg, a))
 
     def validate(self, a):
         if (
             not isinstance(a, tuple)
             or len(a) != self.rank
-            or not all(isinstance(x, int) for x in a)
+            or not all(type(x) is int for x in a)  # bool is an int subclass
         ):
             raise InvalidInputError(f"not a Z^{self.rank} element: {a!r}")
 
@@ -150,12 +150,13 @@ class FreeAbelianGroup(_RankedGroup):
 
 def _reduce_concat(a: tuple, b: tuple) -> tuple:
     """Concatenate two reduced words, cancelling at the seam."""
-    a = list(a)
-    i = 0
-    while a and i < len(b) and a[-1] == -b[i]:
-        a.pop()
+    if not (a and b and a[-1] == -b[0]):
+        return a + b
+    n = min(len(a), len(b))
+    i = 1
+    while i < n and a[-1 - i] == -b[i]:
         i += 1
-    return tuple(a) + tuple(b[i:])
+    return a[: len(a) - i] + b[i:]
 
 
 class FreeGroup(_RankedGroup):
@@ -181,18 +182,15 @@ class FreeGroup(_RankedGroup):
         if not isinstance(a, tuple):
             raise InvalidInputError(f"not a free-group word: {a!r}")
         for x in a:
-            if not isinstance(x, int) or x == 0 or abs(x) > self.rank:
+            if type(x) is not int or x == 0 or abs(x) > self.rank:
                 raise InvalidInputError(f"bad letter {x!r} in word {a!r}")
         for x, y in zip(a, a[1:]):
             if x == -y:
                 raise InvalidInputError(f"word not reduced: {a!r}")
 
-    @staticmethod
-    def _letter_key(x: int) -> int:
-        return 2 * (abs(x) - 1) + (0 if x > 0 else 1)
-
     def sort_key(self, a):
-        return (len(a), tuple(self._letter_key(x) for x in a))
+        # letter i > 0 ranks 2(i-1), its inverse -i ranks 2(i-1) + 1
+        return (len(a), tuple([2 * x - 2 if x > 0 else -2 * x - 1 for x in a]))
 
     def generators(self):
         return [(i,) for i in range(1, self.rank + 1)]
@@ -277,7 +275,7 @@ class FiniteGroup(Group):
         return self._inv[a]
 
     def validate(self, a):
-        if not isinstance(a, int) or not (0 <= a < self.size):
+        if type(a) is not int or not (0 <= a < self.size):
             raise InvalidInputError(f"not an index below {self.size}: {a!r}")
 
     def sort_key(self, a):
@@ -447,6 +445,7 @@ class SymmetricGroup(Group):
         if (
             not isinstance(a, tuple)
             or len(a) != self.degree
+            or not all(type(x) is int for x in a)
             or sorted(a) != list(range(self.degree))
         ):
             raise InvalidInputError(f"not a permutation of {self.degree} points: {a!r}")
@@ -500,20 +499,30 @@ class FiniteSubset:
 
     Positions in the subset are the coordinate indices used by every rule
     table and pattern, so the order must never depend on construction order.
+    Elements are validated where they enter, by this constructor. Subsets
+    derived from validated ones (products, inverses, balls, unions) are
+    built by `_trusted`, which skips that check: group operations on
+    canonical encodings return canonical encodings.
     """
 
     __slots__ = ("group", "elems", "_index")
 
     def __init__(self, group: Group, elements):
-        elems = []
-        seen = set()
+        elements = list(elements)
         for e in elements:
             group.validate(e)
-            if e not in seen:
-                seen.add(e)
-                elems.append(e)
+        self._fill(group, elements)
+
+    @classmethod
+    def _trusted(cls, group: Group, elements) -> "FiniteSubset":
+        """The subset of already canonical elements, without validating them."""
+        self = cls.__new__(cls)
+        self._fill(group, elements)
+        return self
+
+    def _fill(self, group, elements):
+        elems = sorted(set(elements), key=group.sort_key)
         check_size(len(elems), "finite subset")
-        elems.sort(key=group.sort_key)
         self.group = group
         self.elems = tuple(elems)
         self._index = {e: i for i, e in enumerate(self.elems)}
@@ -552,7 +561,7 @@ class FiniteSubset:
     def union(self, other: "FiniteSubset") -> "FiniteSubset":
         if other.group != self.group:
             raise InvalidInputError("subsets live in different groups")
-        return FiniteSubset(self.group, self.elems + other.elems)
+        return FiniteSubset._trusted(self.group, self.elems + other.elems)
 
     def __repr__(self):
         shown = ", ".join(repr(e) for e in self.elems[:6])
@@ -592,7 +601,7 @@ def _bfs(G: Group, seeds: list[Elem], rounds: int) -> FiniteSubset:
             break
         seen |= nxt
         frontier = nxt
-    return FiniteSubset(G, seen)
+    return FiniteSubset._trusted(G, seen)
 
 
 def ball(G: Group, radius: int) -> FiniteSubset:
@@ -606,13 +615,30 @@ def ball(G: Group, radius: int) -> FiniteSubset:
     return _bfs(G, seeds, radius)
 
 
-def set_product(G: Group, M: FiniteSubset, N: FiniteSubset) -> FiniteSubset:
-    """The product set {mn : m in M, n in N}, deduplicated, canonical order."""
+def _check_product(G: Group, M: FiniteSubset, N: FiniteSubset) -> None:
     if M.group != G or N.group != G:
         raise InvalidInputError("subsets must live in the given group")
     check_size(len(M) * len(N), "set product enumeration")
-    out = {G.mul(m, n) for m in M for n in N}
-    return FiniteSubset(G, out)
+
+
+def set_product(G: Group, M: FiniteSubset, N: FiniteSubset) -> FiniteSubset:
+    """The product set {mn : m in M, n in N}, deduplicated, canonical order."""
+    _check_product(G, M, N)
+    return FiniteSubset._trusted(G, {G.mul(m, n) for m in M for n in N})
+
+
+def product_window(G: Group, M: FiniteSubset, N: FiniteSubset):
+    """(M*N, pos): the product set, and pos[i, j] = position of M[i]*N[j] in it.
+
+    Each product is computed once; `set_product` and `window_positions`
+    together would compute it twice.
+    """
+    _check_product(G, M, N)
+    mul = G.mul
+    products = [mul(m, n) for m in M for n in N]
+    MN = FiniteSubset._trusted(G, products)
+    pos = np.fromiter(map(MN._index.__getitem__, products), dtype=np.int64, count=len(products))
+    return MN, pos.reshape(len(M), len(N))
 
 
 def symmetrize(G: Group, M: FiniteSubset) -> FiniteSubset:
@@ -622,7 +648,7 @@ def symmetrize(G: Group, M: FiniteSubset) -> FiniteSubset:
     out = set(M.elems)
     out.update(G.inv(m) for m in M)
     out.add(G.identity())
-    return FiniteSubset(G, out)
+    return FiniteSubset._trusted(G, out)
 
 
 def generated_ball(G: Group, S: FiniteSubset, radius: int) -> FiniteSubset:

@@ -6,7 +6,11 @@ by `reduce`, which passes an array already in 0..p-1 through untouched:
 entries in 0..p-1. `require_prime` checks the bound before primality, so
 a huge modulus is refused at once, not after trial division up to its
 square root. Elimination is Gauss-Jordan, one pivot column at a time with
-"first nonzero" pivots, so its output is deterministic. Products mod p
+"first nonzero" pivots, so its output is deterministic. Each pivot column
+reads the column's nonzeros once, scales the pivot row only when the pivot
+is not already 1, and clears the column in every other row with a nonzero
+there by one fancy-indexed row update (none when no such row exists), so
+sparse transport matrices pay for the rows they fill. Products mod p
 (`matmul`, and with it the check of every inverse) are float64 BLAS
 products kept exact: every partial sum is an integer below 2^53, the
 FFLAS-FFPACK technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
@@ -93,17 +97,20 @@ def row_reduce(A: np.ndarray, p: int):
     for c in range(cols):
         if r >= rows:
             break
-        hits = np.nonzero(R[r:, c])[0]
-        if hits.size == 0:
+        hits = R[:, c].nonzero()[0]
+        below = hits[hits >= r]
+        if below.size == 0:
             continue
-        lead = r + int(hits[0])
+        lead = int(below[0])
         if lead != r:
             R[[r, lead]] = R[[lead, r]]
-        R[r] = (R[r] * _inv_mod(R[r, c], p)) % p
-        other = np.nonzero(R[:, c])[0]
-        for i in other:
-            if i != r:
-                R[i] = (R[i] - R[i, c] * R[r]) % p
+        if R[r, c] != 1:
+            R[r] = (R[r] * _inv_mod(R[r, c], p)) % p
+        # after the swap, the rows other than r with a nonzero in column c
+        # are the hits other than lead
+        other = hits[hits != lead]
+        if other.size:
+            R[other] = (R[other] - R[other, c, None] * R[r]) % p
         pivot_cols.append(c)
         r += 1
     return R, pivot_cols

@@ -22,7 +22,6 @@ from .ca import (
     Pattern,
     check_left_inverse,
     extend_memory,
-    window_positions,
 )
 from .caps import check_size
 from .errors import (
@@ -37,7 +36,7 @@ from .groups import (
     ProductGroup,
     ball,
     generated_ball,
-    set_product,
+    product_window,
     symmetrize,
 )
 
@@ -90,15 +89,13 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     if ident not in N or any(G.inv(n) not in N for n in N):
         raise InvalidInputError("candidate memory must be symmetric and contain 1")
     tau = _symmetrized(tau)
-    M = tau.memory
-    NM = set_product(G, N, M)
+    NM, pos = product_window(G, N, tau.memory)
 
     if tau.rule.map.is_matrix:
-        return _determinacy_linear(tau, N, NM)
+        return _determinacy_linear(tau, N, NM, pos)
 
     check_size(A.size ** len(N), "inverse rule table")
     check_size(A.size ** len(NM), "determinacy scan")
-    pos = window_positions(NM, N, M)
     n = len(NM)
     center_place = radix(A.size, n)[NM.index_of(ident)]
     n_keys = A.size ** len(N)
@@ -138,12 +135,12 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     return DeterminacyResult(rule=rule, witness=None)
 
 
-def _determinacy_linear(tau, N, NM) -> DeterminacyResult:
+def _determinacy_linear(tau, N, NM, pos) -> DeterminacyResult:
     """Matrix-rule determinacy: solve eta @ T = (read off at identity)."""
     G, A = tau.universe, tau.alphabet
     d = A.dim
     check_size(len(N) * d * len(NM) * d, "determinacy linear system")
-    T = tau.rule.map.window_matrix(window_positions(NM, N, tau.memory), len(NM))
+    T = tau.rule.map.window_matrix(pos, len(NM))
     center = NM.index_of(G.identity())
     proj = np.eye(len(NM) * d, dtype=np.int64)[center * d : (center + 1) * d]
 

@@ -278,3 +278,57 @@ def oracle_division_index(F):
     carrier = list(F.elements())
     at = {h: i for i, h in enumerate(carrier)}
     return np.array([[at[F.mul(F.inv(h), k)] for k in carrier] for h in carrier])
+
+
+def oracle_rref(A, p):
+    """Reduced row echelon form of A mod p in Python integers: (rows, pivot columns)."""
+    R = [[int(x) % p for x in row] for row in np.asarray(A).tolist()]
+    n_cols = len(R[0]) if R else 0
+    pivots = []
+    for c in range(n_cols):
+        r = len(pivots)
+        lead = next((i for i in range(r, len(R)) if R[i][c]), None)
+        if lead is None:
+            continue
+        R[r], R[lead] = R[lead], R[r]
+        inv = pow(R[r][c], p - 2, p)
+        R[r] = [x * inv % p for x in R[r]]
+        for i, row in enumerate(R):
+            if i != r and row[c]:
+                f = row[c]
+                R[i] = [(x - f * y) % p for x, y in zip(row, R[r])]
+        pivots.append(c)
+    return R, pivots
+
+
+def oracle_random_invertible_matrix(G, seed, d, r, modulus, factors=5):
+    """The generator as a product of explicit elementary matrices.
+
+    The same rng draws as `random_invertible_matrix`, but each factor is
+    built as a matrix and multiplied in with a full `matrix_mul`.
+    """
+    rng = np.random.default_rng(seed)
+    B = list(sy.ball(G, r))
+    identity = sy.GroupRingMatrix.identity(G, modulus, d)
+
+    def elementary(i, j, g, c):
+        entries = [list(row) for row in identity.entries]
+        entries[i][j] = sy.GroupRingElement.monomial(G, modulus, g, c)
+        return sy.GroupRingMatrix(G, modulus, entries)
+
+    fwd = rev = identity
+    for _ in range(factors):
+        g = B[int(rng.integers(len(B)))]
+        c = int(rng.integers(1, modulus))
+        if d >= 2 and rng.integers(2) == 0:
+            i = int(rng.integers(d))
+            j = int(rng.integers(d - 1))
+            j = j + 1 if j >= i else j
+            F, F_inv = elementary(i, j, g, c), elementary(i, j, g, -c)
+        else:
+            i = int(rng.integers(d))
+            F = elementary(i, i, g, c)
+            F_inv = elementary(i, i, G.inv(g), pow(c, modulus - 2, modulus))
+        fwd = sy.matrix_mul(fwd, F)
+        rev = sy.matrix_mul(F_inv, rev)
+    return fwd, rev

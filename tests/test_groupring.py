@@ -9,7 +9,7 @@ import symba as sy
 from symba import serialize
 from symba.errors import InvalidInputError, UnsupportedModulusError
 
-from conftest import make_table_ca
+from conftest import make_table_ca, oracle_random_invertible_matrix
 
 
 def _E(G, n, d=None):
@@ -80,9 +80,32 @@ def test_ring_axioms_randomized(Z, F2):
                 assert sy.gr_mul(x + y, z) == sy.gr_mul(x, z) + sy.gr_mul(y, z)
                 assert x - x == sy.GroupRingElement(G, modulus, {})
                 assert -(-x) == x
-                assert x * 3 == x + x + x
+                assert 3 * x == x * np.int64(3) == x + x + x
                 cases += 1
     assert cases == 1200
+
+
+def test_integer_scalars_on_either_side(Z):
+    x = _E(Z, 5, {Z.identity(): 2, (1,): 4})
+    for k in (0, 1, 3, -2, 7, True, np.int64(3), np.uint8(9)):
+        assert k * x == x * k == _E(Z, 5, {g: int(k) * c for g, c in x.coeffs.items()})
+    for bad in (1.5, "2", None):
+        with pytest.raises(TypeError):
+            x * bad
+        with pytest.raises(TypeError):
+            bad * x
+
+
+def test_matrix_refuses_entries_from_another_ring(Z, Z2):
+    e = _E(Z, 3, {Z.identity(): 1})
+    for entries in (
+        [[_E(Z, 5, {Z.identity(): 1})]],  # another modulus
+        [[_E(Z2, 3, {Z2.identity(): 1})]],  # another group
+        [[1]],  # not a group-ring element
+        [[e, e], [e]],  # not square
+    ):
+        with pytest.raises(InvalidInputError):
+            sy.GroupRingMatrix(Z, 3, entries)
 
 
 def test_matrix_mul_reversible_pair(Z):
@@ -301,3 +324,18 @@ def test_random_invertible_direct_finiteness_both_ways(Z, F2):
         C, D = sy.random_invertible_matrix(G, seed=seed, d=d, r=1, modulus=p, factors=4)
         assert sy.matrix_mul(D, C).is_identity()
         assert sy.matrix_mul(C, D).is_identity()
+
+
+@pytest.mark.parametrize("name", ["Z", "Z2", "F2"])
+def test_random_invertible_matrix_matches_elementary_products(name, Z, Z2, F2):
+    """Row and column operations give the bytes of the explicit factor products."""
+    G = {"Z": Z, "Z2": Z2, "F2": F2}[name]
+    for d in (1, 2, 3):
+        for r in (1, 2):
+            for factors in (0, 5, 16):
+                for p in (2, 5):
+                    seed = 100 * d + 10 * r + factors + p
+                    got = sy.random_invertible_matrix(G, seed=seed, d=d, r=r, modulus=p, factors=factors)
+                    want = oracle_random_invertible_matrix(G, seed, d, r, p, factors)
+                    for M, W in zip(got, want):
+                        assert serialize.canonical_dumps(M.to_json()) == serialize.canonical_dumps(W.to_json())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import symba as sy
+from symba.ca import window_positions
 from symba.errors import InvalidInputError, ResourceCapError
 
 from conftest import brute_force_free_ball, symmetric_table
@@ -268,3 +269,49 @@ def test_symmetric_group_operations():
     assert S.mul(a, S.inv(a)) == S.identity()
     assert S.order() == 6
     assert len(list(S.elements())) == 6
+
+
+# Non-canonical encodings, each with the universe it fails in.
+NON_CANONICAL = [
+    ("F2", (1, -1)),  # an unreduced word
+    ("F2", (True,)),  # a bool letter
+    ("Z2", (1,)),  # a Z^2 tuple of the wrong length
+    ("Z2", (1, True)),  # a bool coordinate
+    ("Z2", (1.0, 0)),  # a float coordinate
+    ("C3", True),  # a bool index
+    ("S2", (True, 0)),  # a bool permutation entry
+]
+
+
+@pytest.mark.parametrize("name, elem", NON_CANONICAL)
+def test_public_constructors_refuse_non_canonical_elements(name, elem, Z2, F2):
+    G = {"F2": F2, "Z2": Z2, "C3": sy.FiniteGroup.cyclic(3), "S2": sy.SymmetricGroup(2)}[name]
+    with pytest.raises(InvalidInputError):
+        sy.FiniteSubset(G, [G.identity(), elem])
+    with pytest.raises(InvalidInputError):
+        sy.GroupRingElement(G, 3, {G.identity(): 1, elem: 1})
+
+
+def test_products_refuse_subsets_of_another_group(Z, Z2):
+    for product in (sy.set_product, sy.product_window):
+        with pytest.raises(InvalidInputError, match="must live in the given group"):
+            product(Z2, sy.ball(Z, 1), sy.ball(Z2, 1))
+        with pytest.raises(InvalidInputError, match="must live in the given group"):
+            product(Z2, sy.ball(Z2, 1), sy.ball(Z, 1))
+
+
+def test_product_window_matches_set_product_and_window_positions(Z2, F2, monkeypatch):
+    """One pass gives the product set and every product's position in it."""
+    for G in (Z2, F2, sy.FiniteGroup(symmetric_table(3))):
+        for r, s in [(0, 0), (1, 0), (1, 2), (2, 1)]:
+            E, M = sy.ball(G, r), sy.ball(G, s)
+            EM, pos = sy.product_window(G, E, M)
+            assert EM == sy.set_product(G, E, M)
+            assert pos.dtype == np.int64
+            assert np.array_equal(pos, window_positions(EM, E, M))
+    # the cap on len(E) * len(M), with set_product's message
+    E = sy.ball(Z2, 2)
+    monkeypatch.setenv("SYMBA_CAP", str(len(E) ** 2 - 1))
+    for product in (sy.set_product, sy.product_window):
+        with pytest.raises(ResourceCapError, match="^set product enumeration would have 169 entries"):
+            product(Z2, E, E)

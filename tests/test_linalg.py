@@ -13,7 +13,7 @@ import symba as sy
 from symba import linalg
 from symba.errors import InvalidInputError, UnsupportedModulusError
 
-from conftest import symmetric_table
+from conftest import oracle_rref, symmetric_table
 
 LARGEST_PRIME = 1048573  # the largest prime below MAX_MODULUS = 2^20
 
@@ -93,6 +93,44 @@ def test_left_solve_matches_brute_force():
                         assert kernel.tobytes() == linalg.nullspace_basis(A, p).tobytes()
                         assert not (A @ kernel.T % p).any() and (E @ kernel.T % p).any()
     assert seen[True] and seen[False]
+
+
+def _rref_cases(rng, p):
+    """Dense, banded and near-permutation matrices, square or not, some rank deficient."""
+    for rows, cols in [(1, 1), (3, 3), (5, 8), (8, 5), (12, 12), (7, 16)]:
+        yield rng.integers(0, p, size=(rows, cols))
+        k = max(1, min(rows, cols) // 2)  # rank at most k
+        yield rng.integers(0, p, size=(rows, k)) @ rng.integers(0, p, size=(k, cols)) % p
+        band = rng.integers(0, p, size=(rows, cols))
+        band[np.abs(np.subtract.outer(np.arange(rows), np.arange(cols))) > 1] = 0
+        yield band
+        # one nonzero per row at a permuted column, a second one in half the rows
+        near = np.zeros((rows, cols), dtype=np.int64)
+        near[np.arange(rows), rng.permutation(max(rows, cols))[:rows] % cols] = rng.integers(1, p, size=rows)
+        extra = rng.permutation(rows)[: rows // 2]
+        near[extra, rng.integers(0, cols, size=extra.size)] = rng.integers(1, p, size=extra.size)
+        yield near
+        if rows > 1:
+            near[-1] = near[0] * 2 % p  # a repeated row
+            yield near
+    yield np.zeros((4, 6), dtype=np.int64)
+    yield rng.integers(-3 * p, 3 * p, size=(6, 9))  # entries outside 0..p-1
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, LARGEST_PRIME])
+def test_row_reduce_matches_python_rref(p):
+    """The RREF and pivot columns equal a plain Python elimination, and A is untouched."""
+    rng = np.random.default_rng([p, 5])
+    deficient = 0
+    for A in _rref_cases(rng, p):
+        before = A.copy()
+        R, pivots = linalg.row_reduce(A, p)
+        want_R, want_pivots = oracle_rref(A, p)
+        assert R.dtype == np.int64 and R.tolist() == want_R
+        assert pivots == want_pivots
+        assert np.array_equal(A, before)
+        deficient += len(pivots) < min(A.shape)
+    assert deficient >= 6
 
 
 def test_moduli_above_the_cap_are_refused():
