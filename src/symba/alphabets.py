@@ -54,8 +54,8 @@ class Alphabet:
 
     def __init__(self, flavor, size, basepoint, modulus=None, dim=None, table=None):
         self.flavor = flavor
-        self.size = int(size)
-        self.basepoint = int(basepoint)
+        self.size = json_int(size, "size")
+        self.basepoint = json_int(basepoint, "basepoint")
         self.modulus = modulus
         self.dim = dim
         self.table = table
@@ -71,6 +71,7 @@ class Alphabet:
 
     @classmethod
     def module(cls, modulus: int, dim: int) -> "Alphabet":
+        modulus, dim = json_int(modulus, "modulus"), json_int(dim, "dim")
         if modulus < 2 or dim < 1:
             raise InvalidInputError(f"need modulus >= 2 and dim >= 1, got {modulus}, {dim}")
         if modulus > MAX_MODULUS:
@@ -244,22 +245,30 @@ def _grouped(windows, q: int, lead: int) -> list:
     return groups
 
 
+def _int64_entries(array: np.ndarray, what: str) -> np.ndarray:
+    """The array as int64; an array of bools, floats or strings is refused."""
+    if array.size and array.dtype.kind not in "iu":
+        raise InvalidInputError(f"{what} entries must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
+
+
 class StructuredMap:
     """A set map A^arity -> A, as a lookup table or a matrix family."""
 
     def __init__(self, alphabet: Alphabet, arity: int, table=None, matrices=None):
+        arity = json_int(arity, "arity")
         if arity < 0:
             raise InvalidInputError(f"arity must be >= 0, got {arity}")
         if (table is None) == (matrices is None):
             raise InvalidInputError("give exactly one of table / matrices")
         self.alphabet = alphabet
-        self.arity = int(arity)
+        self.arity = arity
         if table is not None:
             # a read-only array that owns its data is taken as frozen and shared;
             # any other table is copied (a view may have a writeable base), so the
             # caller's array is never frozen or aliased
             shared = isinstance(table, np.ndarray) and table.flags.owndata and not table.flags.writeable
-            table = np.asarray(table, dtype=np.int64) if shared else np.array(table, dtype=np.int64)
+            table = _int64_entries(np.asarray(table) if shared else np.array(table), "table")
             expected = alphabet.size**self.arity
             if table.shape != (expected,):
                 raise InvalidInputError(
@@ -273,7 +282,7 @@ class StructuredMap:
         else:
             if not alphabet.is_module:
                 raise InvalidInputError("matrix maps need a module alphabet")
-            mats = np.asarray(matrices, dtype=np.int64) % alphabet.modulus
+            mats = _int64_entries(np.asarray(matrices), "matrix") % alphabet.modulus
             if mats.shape != (self.arity, alphabet.dim, alphabet.dim):
                 raise InvalidInputError(
                     f"need {self.arity} matrices of shape "

@@ -19,8 +19,8 @@ import numpy as np
 
 from .alphabets import Alphabet, StructuredMap, verify_pointed
 from .caps import check_size
-from .errors import EmptyWindowError, InvalidInputError
-from .groups import FiniteSubset, Group, product_window, set_product, symmetrize
+from .errors import EmptyWindowError, InvalidInputError, json_int
+from .groups import FiniteSubset, Group, product_window, symmetrize
 
 
 @dataclass(frozen=True)
@@ -35,7 +35,7 @@ class Pattern:
             raise InvalidInputError(
                 f"pattern needs {len(self.domain)} values, got {len(self.values)}"
             )
-        object.__setattr__(self, "values", tuple(int(v) for v in self.values))
+        object.__setattr__(self, "values", tuple(json_int(v, "pattern value") for v in self.values))
 
     @classmethod
     def from_dict(cls, domain: FiniteSubset, assignment: dict) -> "Pattern":
@@ -229,20 +229,29 @@ def check_right_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> boo
 
 
 def evolve(tau: CellularAutomaton, p: Pattern, steps: int) -> Pattern:
-    """Iterate the rule on a window; the domain shrinks every step."""
+    """Iterate the rule on a window; the domain shrinks every step.
+
+    A step keeps each g = e * M[0]^-1 (e in the window) with all of g * M in
+    the window; the positions of those products, each computed once, are the
+    cells the rule reads.
+    """
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
-    G = tau.universe
-    M = tau.memory
-    anchor = G.inv(M[0])
+    G, M, smap = tau.universe, tau.memory, tau.rule.map
+    mul, anchor = G.mul, G.inv(M[0])
     for _ in range(steps):
-        E = p.domain
-        candidates = {G.mul(g, anchor) for g in E}
-        kept = [g for g in candidates if all(G.mul(g, m) in E for m in M)]
-        if not kept:
+        index = p.domain._index
+        reads = {}
+        for g in {mul(e, anchor) for e in p.domain}:
+            pos = [index.get(mul(g, m)) for m in M]
+            if None not in pos:
+                reads[g] = pos
+        if not reads:
             raise EmptyWindowError("window shrank to nothing before finishing")
-        E_new = FiniteSubset(G, kept)
-        p = induced_map(tau, E_new, p.restrict(set_product(G, E_new, M)))
+        E = FiniteSubset._trusted(G, reads)
+        pos = np.array([reads[g] for g in E], dtype=np.int64).reshape(len(E), len(M))
+        out = smap.evaluate_batch(np.asarray(p.values, dtype=np.int64)[pos])
+        p = Pattern(E, tuple(out.tolist()))
     return p
 
 

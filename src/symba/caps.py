@@ -9,9 +9,9 @@ then keep every mixed-radix index and place value inside int64.
 The caps match measured budgets (2-core VM, Python 3.11, numpy 2.4, q = 2).
 At DEFAULT_TRANSPORT_CAP = 2^24 configurations, for a radius-1 shift on
 Z/24 (best of three), the window-scan kernel tabulates the transport in
-0.026 s, inversion takes 0.033 s and the equivariance check 0.074 s (peak
+0.026 s, inversion takes 0.028 s and the equivariance check 0.074 s (peak
 about 290 MB: the table plus one translation table). The whole hinted
-inverse pipeline takes 0.058 s at a peak of about 290 MB: the table and
+inverse pipeline takes 0.055 s at a peak of about 286 MB: the table and
 its inverse, scattered in 2^16-entry blocks. So at this cap memory, not
 time, is the budget: each doubling of the cap doubles that peak.
 A determinacy scan of 2^19 windows takes about 6 ms, so one at

@@ -100,10 +100,6 @@ def _write_artifact(path: str | None, payload: dict) -> None:
         Path(path).write_text(serialize.canonical_dumps(payload))
 
 
-def _pattern_pair_json(witness, alphabet):
-    return [serialize.pattern_to_json(p, alphabet) for p in witness]
-
-
 def _cmd_check_inverse(args, digests):
     sigma = serialize.ca_from_json(_load_json_file(args.sigma, digests, "sigma"))
     tau = serialize.ca_from_json(_load_json_file(args.tau, digests, "tau"))
@@ -129,7 +125,7 @@ def _cmd_synthesize_inverse(args, digests):
     outcome = {
         "found": False,
         "max_radius": args.max_radius,
-        "witness": _pattern_pair_json(result.witness, tau.alphabet),
+        "witness": [serialize.pattern_to_json(p, tau.alphabet) for p in result.witness],
     }
     if args.report:
         _write_artifact(args.report, {"outcome": outcome})

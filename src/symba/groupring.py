@@ -33,7 +33,7 @@ from . import linalg
 from .alphabets import Alphabet, StructuredMap
 from .ca import CellularAutomaton, LocalRule
 from .caps import check_size
-from .errors import InvalidInputError
+from .errors import InvalidInputError, json_int
 from .groups import FiniteSubset, Group, ball, set_product
 
 Coeffs = dict
@@ -45,12 +45,13 @@ class GroupRingElement:
     __slots__ = ("group", "modulus", "coeffs")
 
     def __init__(self, group: Group, modulus: int, coeffs: Coeffs | None = None):
+        modulus = json_int(modulus, "modulus")
         if modulus < 2:
             raise InvalidInputError(f"modulus must be >= 2, got {modulus}")
         coeffs = coeffs or {}
         for g in coeffs:
             group.validate(g)
-        self._fill(group, modulus, {g: int(c) for g, c in coeffs.items()})
+        self._fill(group, modulus, {g: json_int(c, "coefficient") for g, c in coeffs.items()})
 
     @classmethod
     def _trusted(cls, group: Group, modulus: int, coeffs: Coeffs) -> "GroupRingElement":
@@ -169,6 +170,7 @@ class GroupRingMatrix:
     __slots__ = ("group", "modulus", "dim", "entries")
 
     def __init__(self, group: Group, modulus: int, entries):
+        modulus = json_int(modulus, "modulus")
         d = len(entries)
         for row in entries:
             if len(row) != d:
@@ -210,7 +212,7 @@ class GroupRingMatrix:
         entries = [
             [
                 GroupRingElement(
-                    group, modulus, {g: int(mat[i][j]) for g, mat in family.items()}
+                    group, modulus, {g: mat[i][j] for g, mat in family.items()}
                 )
                 for j in range(dim)
             ]

@@ -78,9 +78,11 @@ class _RankedGroup(Group):
     """
 
     def __init__(self, rank: int):
+        rank = json_int(rank, "rank")
         if rank < 0:
             raise InvalidInputError(f"rank must be >= 0, got {rank}")
-        self.rank = int(rank)
+        check_size(rank, "a tuple sized by rank")  # Z^rank elements, F_rank generators
+        self.rank = rank
 
     def order(self):
         return 1 if self.rank == 0 else None
@@ -140,12 +142,8 @@ class FreeAbelianGroup(_RankedGroup):
         return a
 
     def generators(self):
-        gens = []
-        for i in range(self.rank):
-            v = [0] * self.rank
-            v[i] = 1
-            gens.append(tuple(v))
-        return gens
+        check_size(self.rank**2, "the rank x rank generators")
+        return [(0,) * i + (1,) + (0,) * (self.rank - 1 - i) for i in range(self.rank)]
 
 
 def _reduce_concat(a: tuple, b: tuple) -> tuple:
@@ -199,7 +197,7 @@ class FreeGroup(_RankedGroup):
 class FiniteGroup(Group):
     """Finite group given by an n x n multiplication table on 0..n-1.
 
-    Entries are read with int(), unless the table is an integer array. It is
+    Entries are read by json_int unless the table is an integer array. It is
     validated with array operations as a Latin square (rows and columns
     sorted) with an identity, and then by Light's associativity test
     (Clifford & Preston, The Algebraic Theory of Semigroups I, 1961, section
@@ -219,7 +217,7 @@ class FiniteGroup(Group):
             raise InvalidInputError("multiplication table must be nonempty")
         not_square = "multiplication table is not n x n over 0..n-1"
         if not (isinstance(table, np.ndarray) and table.dtype.kind == "i"):
-            table = [[int(x) for x in row] for row in table]
+            table = [[json_int(x, "multiplication table entry") for x in row] for row in table]
         try:
             T = np.array(table, dtype=np.int64)
         except (ValueError, OverflowError):  # ragged rows, or an entry beyond int64
@@ -425,9 +423,11 @@ class SymmetricGroup(Group):
     kind = "symmetric"
 
     def __init__(self, degree: int):
+        degree = json_int(degree, "degree")
         if degree < 1:
             raise InvalidInputError(f"degree must be >= 1, got {degree}")
-        self.degree = int(degree)
+        check_size(degree, "a permutation tuple sized by degree")
+        self.degree = degree
 
     def identity(self):
         return tuple(range(self.degree))

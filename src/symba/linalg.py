@@ -10,7 +10,9 @@ square root. Elimination is Gauss-Jordan, one pivot column at a time with
 reads the column's nonzeros once, scales the pivot row only when the pivot
 is not already 1, and clears the column in every other row with a nonzero
 there by one fancy-indexed row update (none when no such row exists), so
-sparse transport matrices pay for the rows they fill. Products mod p
+sparse transport matrices pay for the rows they fill. Pivot columns come
+sorted, so `solve` and `nullspace_basis` read their results off the RREF
+by slicing, with no loop over its rows. Products mod p
 (`matmul`, and with it the check of every inverse) are float64 BLAS
 products kept exact: every partial sum is an integer below 2^53, the
 FFLAS-FFPACK technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
@@ -76,10 +78,6 @@ def matmul(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     return out
 
 
-def _inv_mod(a: int, p: int) -> int:
-    return pow(int(a), p - 2, p)
-
-
 def row_reduce(A: np.ndarray, p: int):
     """Reduced row echelon form of A mod p.
 
@@ -105,7 +103,7 @@ def row_reduce(A: np.ndarray, p: int):
         if lead != r:
             R[[r, lead]] = R[[lead, r]]
         if R[r, c] != 1:
-            R[r] = (R[r] * _inv_mod(R[r, c], p)) % p
+            R[r] = (R[r] * pow(int(R[r, c]), p - 2, p)) % p
         # after the swap, the rows other than r with a nonzero in column c
         # are the hits other than lead
         other = hits[hits != lead]
@@ -124,32 +122,28 @@ def solve(A: np.ndarray, B: np.ndarray, p: int):
     """
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
-    rows, cols = A.shape
-    aug = np.concatenate([A, B], axis=1)
-    R, pivot_cols = row_reduce(aug, p)
-    rank = len([c for c in pivot_cols if c < cols])
-    for i in range(rank, rows):
-        if R[i, cols:].any():
-            return None
+    cols = A.shape[1]
+    R, pivot_cols = row_reduce(np.concatenate([A, B], axis=1), p)
+    rank = int(np.searchsorted(pivot_cols, cols))  # pivots are sorted: A's come first
+    if R[rank:, cols:].any():
+        return None
     X = np.zeros((cols, B.shape[1]), dtype=np.int64)
-    for i, c in enumerate(pivot_cols):
-        if c < cols:
-            X[c] = R[i, cols:]
+    X[pivot_cols[:rank]] = R[:rank, cols:]
     return X
 
 
 def nullspace_basis(A: np.ndarray, p: int) -> np.ndarray:
-    """Basis of the kernel of A mod p, one vector per row (may be empty)."""
+    """Basis of the kernel of A mod p, one vector per row (may be empty).
+
+    Row k is 1 at the k-th free column f and -R[i, f] at the i-th pivot.
+    """
     A = np.asarray(A, dtype=np.int64)
     cols = A.shape[1]
     R, pivot_cols = row_reduce(A, p)
-    pivot_set = set(pivot_cols)
-    free = [c for c in range(cols) if c not in pivot_set]
-    basis = np.zeros((len(free), cols), dtype=np.int64)
-    for k, fc in enumerate(free):
-        basis[k, fc] = 1
-        for i, c in enumerate(pivot_cols):
-            basis[k, c] = (-R[i, fc]) % p
+    free = np.delete(np.arange(cols), pivot_cols)
+    basis = np.zeros((free.size, cols), dtype=np.int64)
+    basis[np.arange(free.size), free] = 1
+    basis[:, pivot_cols] = (-R[: len(pivot_cols), free].T) % p
     return basis
 
 

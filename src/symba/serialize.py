@@ -72,15 +72,15 @@ def group_from_json(data) -> Group:
     data = _require_dict(data, "group")
     kind = data.get("kind")
     if kind == "free_abelian":
-        return FreeAbelianGroup(json_int(data["rank"], "rank"))
+        return FreeAbelianGroup(data["rank"])
     if kind == "free":
-        return FreeGroup(json_int(data["rank"], "rank"))
+        return FreeGroup(data["rank"])
     if kind == "finite":
         return FiniteGroup(_int_array(data["table"], 2, "multiplication table"))
     if kind == "product":
         return ProductGroup([group_from_json(f) for f in _require_list(data["factors"], "factors")])
     if kind == "symmetric":
-        return SymmetricGroup(json_int(data["degree"], "degree"))
+        return SymmetricGroup(data["degree"])
     raise InvalidInputError(f"unknown group kind {kind!r}")
 
 
@@ -89,9 +89,9 @@ def alphabet_from_json(data) -> Alphabet:
     data = _require_dict(data, "alphabet")
     flavor = data.get("flavor")
     if flavor == "plain":
-        return Alphabet.plain(json_int(data["size"], "size"))
+        return Alphabet.plain(data["size"])
     if flavor == "module":
-        return Alphabet.module(json_int(data["modulus"], "modulus"), json_int(data["dim"], "dim"))
+        return Alphabet.module(data["modulus"], data["dim"])
     if flavor == "group":
         return Alphabet.group(_int_array(data["table"], 2, "multiplication table"))
     raise InvalidInputError(f"unknown alphabet flavor {flavor!r}")

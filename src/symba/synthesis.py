@@ -68,11 +68,6 @@ class SynthesisResult:
         return self.ca is not None
 
 
-def _symmetrized(tau: CellularAutomaton) -> CellularAutomaton:
-    M = symmetrize(tau.universe, tau.memory)
-    return CellularAutomaton(tau.universe, tau.alphabet, extend_memory(tau.rule, M))
-
-
 def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyResult:
     """Scan A^{N*M} for image conflicts; synthesize the rule when none exist.
 
@@ -88,7 +83,8 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     ident = G.identity()
     if ident not in N or any(G.inv(n) not in N for n in N):
         raise InvalidInputError("candidate memory must be symmetric and contain 1")
-    tau = _symmetrized(tau)
+    rule = extend_memory(tau.rule, symmetrize(G, tau.memory))
+    tau = CellularAutomaton(G, A, rule)
     NM, pos = product_window(G, N, tau.memory)
 
     if tau.rule.map.is_matrix:
@@ -173,36 +169,28 @@ def synthesize_left_inverse(tau: CellularAutomaton, r_max: int) -> SynthesisResu
 
 
 def _hermite_basis(vectors, dim: int) -> list[list[int]]:
-    """Row-style Hermite basis of the lattice spanned by the vectors."""
-    rows = [list(v) for v in vectors if any(v)]
+    """Row-echelon basis (not reduced) of the lattice spanned by the vectors."""
+    rows = [list(v) for v in vectors if any(v)]  # the rows not yet in the basis
     basis: list[list[int]] = []
-    r = 0
     for c in range(dim):
-        live = [i for i in range(r, len(rows)) if rows[i][c] != 0]
+        live = [i for i, row in enumerate(rows) if row[c]]
         while len(live) > 1:
             live.sort(key=lambda i: abs(rows[i][c]))
             base = rows[live[0]]
             for i in live[1:]:
                 q = rows[i][c] // base[c]
                 rows[i] = [x - q * y for x, y in zip(rows[i], base)]
-            live = [i for i in range(r, len(rows)) if rows[i][c] != 0]
-        if not live:
-            continue
-        rows[r], rows[live[0]] = rows[live[0]], rows[r]
-        if rows[r][c] < 0:
-            rows[r] = [-x for x in rows[r]]
-        for i in range(r):
-            q = rows[i][c] // rows[r][c]
-            if q:
-                rows[i] = [x - q * y for x, y in zip(rows[i], rows[r])]
-        basis.append(rows[r])
-        r += 1
-        rows = rows[:r] + [row for row in rows[r:] if any(row)]
-    return basis[:r]
+            live = [i for i, row in enumerate(rows) if row[c]]
+        if live:
+            rows[0], rows[live[0]] = rows[live[0]], rows[0]
+            lead = rows.pop(0)
+            basis.append(lead if lead[c] > 0 else [-x for x in lead])
+            rows = [row for row in rows if any(row)]
+    return basis
 
 
 def _lattice_coordinates(basis: list[list[int]], v) -> tuple:
-    """Coordinates of v in the Hermite basis (v must lie in the lattice)."""
+    """Coordinates of v in the row-echelon basis (v must lie in the lattice)."""
     v = list(v)
     coords = []
     for row in basis:
@@ -220,10 +208,11 @@ def _lattice_coordinates(basis: list[list[int]], v) -> tuple:
 def restrict_to_memory_subgroup(tau: CellularAutomaton) -> CellularAutomaton:
     """Re-base the automaton on the subgroup its memory generates.
 
-    Recognized shapes: sublattices of Z^d (via an exact Hermite basis), free
-    factors and single-generator powers in free groups, and sub-blocks of
-    direct products. For finite universes the subgroup closure is computed
-    outright. Anything else raises UnsupportedSubgroupError.
+    Recognized shapes: sublattices of Z^d (via an exact row-echelon basis,
+    not reduced), free factors and single-generator powers in free groups,
+    and sub-blocks of direct products. For finite universes the subgroup
+    closure is computed outright. Anything else raises
+    UnsupportedSubgroupError.
     """
     G = tau.universe
     M = tau.memory

@@ -346,18 +346,23 @@ def _equivariant_rows(*maps: TransportedEndomap):
 def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     """Invert the finite endomap exactly; injectivity is all it takes.
 
-    A table is injective iff it hits every configuration, marked with one
-    byte each; only a failure counts hits, to name its witness. A matrix
-    must be F-equivariant; its inverse is the expansion of the one block
-    row left_solve solves for and certifies, or its witness the first
-    vector of the kernel left_solve returns.
+    A table's inverse, filled with -1 and scattered block by block, is its
+    own injectivity test: on a finite set injective means onto, so a -1
+    left over is a configuration nothing maps to. Only a failure counts
+    hits, after the inverse is freed, to name its witness. A matrix must be
+    F-equivariant; its inverse is the expansion of the one block row
+    left_solve solves for and certifies, or its witness the first vector of
+    the kernel left_solve returns.
     """
     A = alpha.alphabet
     table = alpha.table
     if table is not None:
-        hit = np.zeros(table.size, dtype=bool)  # one byte per configuration
-        hit[table] = True
-        if not hit.all():
+        inverse = np.full_like(table, -1)
+        for start in range(0, table.size, _SCAN_CHUNK):  # no full-size index range
+            block = table[start : start + _SCAN_CHUNK]
+            inverse[block] = np.arange(start, start + block.size, dtype=np.int64)
+        if inverse.min() < 0:
+            del inverse  # freed before the hits are counted
             # witness: the first two preimages of the smallest value hit twice
             repeated = np.flatnonzero(np.bincount(table, minlength=table.size) > 1)
             first_two = np.flatnonzero(table == repeated[0])[:2]
@@ -365,11 +370,6 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
             raise NotInvertibleError(
                 tuple(tuple(w) for w in pair.tolist()), "transported map is not injective"
             )
-        del hit  # freed before the inverse exists
-        inverse = np.empty_like(table)
-        for start in range(0, table.size, _SCAN_CHUNK):  # no full-size index range
-            block = table[start : start + _SCAN_CHUNK]
-            inverse[block] = np.arange(start, start + block.size, dtype=np.int64)
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
     E, _ = _equivariant_rows(alpha)
     row, kernel = linalg.left_solve(alpha.matrix, E, A.modulus)

@@ -16,6 +16,12 @@ import pytest
 import symba as sy
 
 
+@pytest.fixture(autouse=True)
+def _default_caps(monkeypatch):
+    """Every test starts from the default caps, whatever SYMBA_CAP the shell exports."""
+    monkeypatch.delenv("SYMBA_CAP", raising=False)
+
+
 @pytest.fixture
 def Z():
     return sy.FreeAbelianGroup(1)
@@ -332,3 +338,25 @@ def oracle_random_invertible_matrix(G, seed, d, r, modulus, factors=5):
         fwd = sy.matrix_mul(fwd, F)
         rev = sy.matrix_mul(F_inv, rev)
     return fwd, rev
+
+
+def oracle_evolve(tau, p, steps):
+    """Window dynamics as separate stages: keep, product window, restrict, apply.
+
+    Each step keeps the candidates g = e * M[0]^-1 whose g*M lies in the
+    window, restricts the pattern to E*M (from `set_product`) through its
+    own dictionary, and applies the rule with `induced_map`. None when the
+    window empties.
+    """
+    G, M = tau.universe, tau.memory
+    anchor = G.inv(M[0])
+    for _ in range(steps):
+        window = dict(zip(p.domain, p.values))
+        candidates = {G.mul(e, anchor) for e in window}
+        kept = [g for g in candidates if all(G.mul(g, m) in window for m in M)]
+        if not kept:
+            return None
+        E = sy.FiniteSubset(G, kept)
+        EM = sy.set_product(G, E, M)
+        p = sy.induced_map(tau, E, sy.Pattern(EM, tuple(window[x] for x in EM)))
+    return p

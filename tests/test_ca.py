@@ -9,7 +9,14 @@ import symba as sy
 from symba.ca import _is_identity
 from symba.errors import EmptyWindowError, InvalidInputError
 
-from conftest import make_table_ca, oracle_left_identity, random_pointed_table, xor_ca
+from conftest import (
+    make_table_ca,
+    oracle_evolve,
+    oracle_left_identity,
+    random_pointed_table,
+    symmetric_table,
+    xor_ca,
+)
 
 
 def _pattern(G, A, cells, values):
@@ -301,3 +308,46 @@ def test_evolve_empty_window_errors(Z, bit):
     p = sy.Pattern(dom, (1, 1))
     with pytest.raises(EmptyWindowError):
         sy.evolve(xor, p, 2)
+
+
+def _evolve_cases():
+    """(automaton, window) pairs over Z, Z^2, F_2, S_3 and a (Z/3)^2 matrix rule."""
+    Z, Z2, F2 = sy.FreeAbelianGroup(1), sy.FreeAbelianGroup(2), sy.FreeGroup(2)
+    S3 = sy.FiniteGroup(symmetric_table(3))
+    bit, c3 = sy.Alphabet.plain(2), sy.Alphabet.group(sy.FiniteGroup.cyclic(3).table)
+    module = sy.Alphabet.module(3, 2)
+    rng = np.random.default_rng(0)
+    smap = sy.StructuredMap(module, 3, matrices=rng.integers(0, 3, size=(3, 2, 2)))
+    linear = sy.CellularAutomaton(Z, module, sy.LocalRule(sy.ball(Z, 1), smap))
+    cases = [
+        (xor_ca(Z, bit, [(-1,), (0,), (2,)]), sy.ball(Z, 6)),
+        (xor_ca(Z2, bit, [(0, 0), (1, 0), (0, -1)]), sy.ball(Z2, 4)),
+        (xor_ca(F2, c3, [(), (1,), (-2,)]), sy.ball(F2, 3)),
+        (xor_ca(S3, bit, [1, 2]), sy.FiniteSubset(S3, range(6))),
+        (xor_ca(S3, bit, [0, 3]), sy.FiniteSubset(S3, [0, 1, 3, 4])),
+        (linear, sy.ball(Z, 5)),
+        (xor_ca(Z, bit, [(0,), (1,)]), sy.FiniteSubset(Z, [(0,), (1,), (2,)])),  # empties at step 3
+    ]
+    out = []
+    for tau, domain in cases:
+        values = rng.integers(0, tau.alphabet.size, size=len(domain)).tolist()
+        out.append((tau, sy.Pattern(domain, values)))
+    return out
+
+
+EVOLVE_CASES = _evolve_cases()
+
+
+@pytest.mark.parametrize("steps", range(4))
+@pytest.mark.parametrize("case", range(len(EVOLVE_CASES)))
+def test_evolve_matches_the_staged_oracle(case, steps):
+    """Same domain and values as keep-restrict-apply, or both empty the window."""
+    tau, p = EVOLVE_CASES[case]
+    want = oracle_evolve(tau, p, steps)
+    if want is None:
+        with pytest.raises(EmptyWindowError):
+            sy.evolve(tau, p, steps)
+        return
+    got = sy.evolve(tau, p, steps)
+    assert got.domain == want.domain
+    assert got.values == want.values

@@ -14,7 +14,6 @@ DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 def _run_python(args):
     env = dict(os.environ)
-    env.pop("SYMBA_CAP", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )

@@ -198,20 +198,55 @@ def test_finite_group_messages(table, message):
         sy.FiniteGroup(table)
 
 
-@pytest.mark.parametrize(
-    "table, identity",
-    [
-        ([[True, False], [False, True]], 1),
-        ([["0", "1"], ["1", "0"]], 0),
-        (["01", "10"], 0),
-        ([[0.0, 1.9], [1, 0]], 0),
-        (np.array([[1, 0], [0, 1]], dtype=np.int32), 1),
-    ],
-)
-def test_finite_group_reads_entries_with_int(table, identity):
-    """Entries are read with int(), so these stay the group of order 2."""
-    G = sy.FiniteGroup(table)
-    assert G.identity() == identity and G.order() == 2
+def _plain_pattern(value):
+    return sy.Pattern(sy.FiniteSubset(sy.FreeAbelianGroup(1), [(0,)]), (value,))
+
+
+# Public constructor calls, each given one float, string or bool where an
+# integer belongs.
+NON_INTEGERS = {
+    "coefficient-float": lambda: sy.GroupRingElement(sy.FreeAbelianGroup(1), 3, {(0,): 1.9}),
+    "coefficient-string": lambda: sy.GroupRingElement(sy.FreeAbelianGroup(1), 3, {(0,): "2"}),
+    "coefficient-bool": lambda: sy.GroupRingElement(sy.FreeAbelianGroup(1), 3, {(0,): True}),
+    "ring-modulus-float": lambda: sy.GroupRingElement(sy.FreeAbelianGroup(1), 3.0),
+    "pattern-float": lambda: _plain_pattern(1.9),
+    "pattern-string": lambda: _plain_pattern("1"),
+    "pattern-bool": lambda: _plain_pattern(True),
+    "table-float": lambda: sy.StructuredMap(sy.Alphabet.plain(2), 1, table=[0, 1.9]),
+    "table-bool": lambda: sy.StructuredMap(sy.Alphabet.plain(2), 1, table=np.array([False, True])),
+    "matrices-float": lambda: sy.StructuredMap(sy.Alphabet.module(3, 1), 1, matrices=[[[1.5]]]),
+    "arity-float": lambda: sy.StructuredMap(sy.Alphabet.plain(2), 1.0, table=[0, 1]),
+    "finite-group-bool": lambda: sy.FiniteGroup([[True, False], [False, True]]),
+    "finite-group-string": lambda: sy.FiniteGroup([["0", "1"], ["1", "0"]]),
+    "finite-group-string-rows": lambda: sy.FiniteGroup(["01", "10"]),
+    "finite-group-float": lambda: sy.FiniteGroup([[0.0, 1.9], [1, 0]]),
+    "plain-size-float": lambda: sy.Alphabet.plain(2.5),
+    "module-modulus-float": lambda: sy.Alphabet.module(3.0, 1),
+    "module-dim-bool": lambda: sy.Alphabet.module(3, True),
+    "rank-float": lambda: sy.FreeAbelianGroup(2.5),
+    "free-rank-bool": lambda: sy.FreeGroup(True),
+    "degree-string": lambda: sy.SymmetricGroup("3"),
+}
+
+
+@pytest.mark.parametrize("call", NON_INTEGERS)
+def test_public_constructors_refuse_non_integers(call):
+    with pytest.raises(InvalidInputError, match="must be (an integer|integers)"):
+        NON_INTEGERS[call]()
+
+
+def test_public_constructors_take_numpy_integers():
+    Z = sy.FreeAbelianGroup(np.int64(1))
+    assert Z.rank == 1 and type(Z.rank) is int
+    assert sy.GroupRingElement(Z, np.int64(3), {(0,): np.int64(5)}).coeffs == {(0,): 2}
+    assert _plain_pattern(np.int32(1)).values == (1,)
+    table = np.array([0, 1], dtype=np.uint8)
+    smap = sy.StructuredMap(sy.Alphabet.plain(np.int64(2)), 1, table=table)
+    assert smap.table.dtype == np.int64 and smap.table.tolist() == [0, 1]
+    A = sy.Alphabet.module(np.int64(3), np.int64(1))
+    assert (A.modulus, A.dim) == (3, 1) and type(A.modulus) is int
+    G = sy.FiniteGroup(np.array([[1, 0], [0, 1]], dtype=np.int32))
+    assert G.identity() == 1 and G.order() == 2
     assert all(isinstance(x, int) for row in G.table for x in row)
 
 

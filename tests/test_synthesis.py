@@ -225,6 +225,35 @@ def test_restriction_trivial_memory(Z2, bit):
     assert list(r.memory) == [()]
 
 
+def test_restriction_keeps_an_unreduced_echelon_basis(Z2, bit):
+    """Memory (0,0), (0,3), (1,5) spans Z^2 through the rows (1,5), (0,3).
+
+    The basis is not back-reduced: a reduced (1,2) would send (1,5) to (1,1).
+    """
+    table = random_pointed_table(np.random.default_rng(3), bit, 3)
+    tau = make_table_ca(Z2, bit, [(0, 0), (1, 5), (0, 3)], table)
+    r = sy.restrict_to_memory_subgroup(tau)
+    assert r.universe == Z2
+    assert list(r.memory) == [(0, 0), (0, 1), (1, 0)]
+    assert np.array_equal(r.rule.map.table, tau.rule.map.table)
+
+
+def test_restriction_identity_memory_in_a_product(Z, bit):
+    """A product universe with memory {1} re-bases onto its first factor."""
+    P = sy.ProductGroup([Z, sy.FiniteGroup.cyclic(2)])
+    r = sy.restrict_to_memory_subgroup(sy.identity_ca(P, bit))
+    assert r.universe == Z
+    assert list(r.memory) == [(0,)]
+
+
+def test_restriction_free_factor_keeps_the_identity_word(F2, bit):
+    tau = xor_ca(F2, bit, [(), (1,), (-2,)])
+    r = sy.restrict_to_memory_subgroup(tau)
+    assert r.universe == F2
+    assert list(r.memory) == list(tau.memory)
+    assert np.array_equal(r.rule.map.table, tau.rule.map.table)
+
+
 def test_restriction_rescaled_sublattice(Z2, Z, bit):
     """Memory {(-2,0),(0,0),(2,0)} re-bases onto Z through the doubled axis."""
     mem = sy.FiniteSubset(Z2, [(2, 0), (-2, 0), (0, 0)])
