@@ -245,10 +245,19 @@ def _grouped(windows, q: int, lead: int) -> list:
     return groups
 
 
-def _int64_entries(array: np.ndarray, what: str) -> np.ndarray:
-    """The array as int64; an array of bools, floats or strings is refused."""
+def _int64_entries(values, what: str, copy: bool) -> np.ndarray:
+    """The values as an int64 array, a new one when `copy` is set.
+
+    An array of bools, floats or strings is refused by its dtype. numpy
+    reads a list that mixes ints and bools as int64, so a list (never an
+    array) is also searched for bools.
+    """
+    array = np.array(values) if copy else np.asarray(values)
     if array.size and array.dtype.kind not in "iu":
         raise InvalidInputError(f"{what} entries must be integers, got dtype {array.dtype}")
+    if not isinstance(values, np.ndarray):
+        if {bool, np.bool_} & set(map(type, np.asarray(values, dtype=object).ravel().tolist())):
+            raise InvalidInputError(f"{what} entries must be integers, got a bool")
     return array.astype(np.int64, copy=False)
 
 
@@ -268,7 +277,7 @@ class StructuredMap:
             # any other table is copied (a view may have a writeable base), so the
             # caller's array is never frozen or aliased
             shared = isinstance(table, np.ndarray) and table.flags.owndata and not table.flags.writeable
-            table = _int64_entries(np.asarray(table) if shared else np.array(table), "table")
+            table = _int64_entries(table, "table", copy=not shared)
             expected = alphabet.size**self.arity
             if table.shape != (expected,):
                 raise InvalidInputError(
@@ -282,7 +291,7 @@ class StructuredMap:
         else:
             if not alphabet.is_module:
                 raise InvalidInputError("matrix maps need a module alphabet")
-            mats = _int64_entries(np.asarray(matrices), "matrix") % alphabet.modulus
+            mats = _int64_entries(matrices, "matrix", copy=False) % alphabet.modulus
             if mats.shape != (self.arity, alphabet.dim, alphabet.dim):
                 raise InvalidInputError(
                     f"need {self.arity} matrices of shape "

@@ -16,16 +16,19 @@ its inverse, scattered in 2^16-entry blocks. So at this cap memory, not
 time, is the budget: each doubling of the cap doubles that peak.
 A determinacy scan of 2^19 windows takes about 6 ms, so one at
 DEFAULT_ENUMERATION_CAP = 2^20 stays well under a second; the same cap stops
-finite-group multiplication tables at order 1024 (Z/192 builds in 2 ms).
+finite-group multiplication tables at order 1024, n^2 <= 2^20
+(`FiniteGroup.cyclic` builds Z/192 in about 0.1 ms and Z/1024 in about 6 ms).
 
 TRANSPORT_DIM_CAP bounds the dimension of a transported block matrix. Its
 products mod p (the block-row certificate of the inverse) are exact float64
 BLAS products, one chunk each up to this dimension for any modulus up to
 MAX_MODULUS. At dimension 384 (Z/192, alphabet (Z/3)^2) building the
-embedding and running the hinted inverse pipeline take 15-20 ms, 10-15 ms
-of it elimination. Elimination is still one Python step per pivot column
+embedding and running the hinted inverse pipeline take about 6 ms, 3-3.5
+ms of it elimination. Elimination is still one Python step per pivot column
 and grows faster than the products, so the cap is not yet a measured
-budget.
+budget. Under the default caps it is not reached on Z/N either: the cyclic
+target stops at order 1024, so a transport with d = 2 stops at dimension
+2048 (Z/1025 exits 3) before TRANSPORT_DIM_CAP = 4096 applies.
 MAX_MODULUS bounds the modulus of module alphabets and of linear algebra
 mod p, so that products of two residues stay exact in int64 and sums of
 8192 of them in float64.

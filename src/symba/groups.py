@@ -257,11 +257,22 @@ class FiniteGroup(Group):
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
+        """Z/n under addition: row a of the table is 0..n-1 rotated left by a.
+
+        Addition mod n is a group, so the table is built directly, without
+        the validation that `FiniteGroup(table)` runs.
+        """
+        n = json_int(n, "cyclic order")
         if n <= 0:
             raise InvalidInputError(f"cyclic order must be positive, got {n}")
         check_size(n * n, "multiplication table")
-        points = np.arange(n)
-        return cls((points[:, None] + points) % n)
+        points = tuple(range(n))
+        self = cls.__new__(cls)
+        self.table = tuple(points[a:] + points[:a] for a in points)
+        self.size = n
+        self._identity = 0
+        self._inv = tuple(-a % n for a in points)
+        return self
 
     def identity(self):
         return self._identity
@@ -585,21 +596,22 @@ def element_inv(G: Group, a: Elem) -> Elem:
 def _bfs(G: Group, seeds: list[Elem], rounds: int) -> FiniteSubset:
     cap = enumeration_cap()
     seen = {G.identity()}
-    frontier = seen
+    frontier = list(seen)
     for _ in range(rounds):
-        nxt = set()
+        nxt = []
         for x in frontier:
             for s in seeds:
                 y = G.mul(x, s)
                 if y not in seen:
-                    nxt.add(y)
-        if len(seen) + len(nxt) > cap:
-            raise ResourceCapError(
-                f"ball enumeration exceeded cap ({len(seen) + len(nxt)} > {cap})"
-            )
+                    seen.add(y)
+                    nxt.append(y)
+                    # stop at the first element past the cap, not after the layer
+                    if len(seen) > cap:
+                        raise ResourceCapError(
+                            f"ball enumeration exceeded cap ({len(seen)} > {cap})"
+                        )
         if not nxt:
             break
-        seen |= nxt
         frontier = nxt
     return FiniteSubset._trusted(G, seen)
 

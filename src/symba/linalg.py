@@ -5,17 +5,22 @@ by `reduce`, which passes an array already in 0..p-1 through untouched:
 `row_reduce` reduces a copy, `matmul` its operands; every output has
 entries in 0..p-1. `require_prime` checks the bound before primality, so
 a huge modulus is refused at once, not after trial division up to its
-square root. Elimination is Gauss-Jordan, one pivot column at a time with
-"first nonzero" pivots, so its output is deterministic. Each pivot column
-reads the column's nonzeros once, scales the pivot row only when the pivot
-is not already 1, and clears the column in every other row with a nonzero
-there by one fancy-indexed row update (none when no such row exists), so
-sparse transport matrices pay for the rows they fill. Pivot columns come
-sorted, so `solve` and `nullspace_basis` read their results off the RREF
-by slicing, with no loop over its rows. Products mod p
-(`matmul`, and with it the check of every inverse) are float64 BLAS
-products kept exact: every partial sum is an integer below 2^53, the
-FFLAS-FFPACK technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
+square root. Elimination is Gauss-Jordan, one pivot column at a time, and
+swaps no rows: the pivot of column c is the first nonzero among the rows
+that hold no pivot yet, and it stays in its row. Each pivot column reads
+the column's nonzeros once, scales the pivot row only when the pivot is
+not already 1, and clears the column over columns c onward in every
+other row with a nonzero there by one fancy-indexed update (none when no
+such row exists). So sparse transport matrices pay for the rows and
+columns they fill. The pivot rows are gathered in pivot order at the end,
+above the rows that never held one, which are zero by then. The RREF of a
+matrix mod p is unique, so the output does not depend on which row
+supplies each pivot. Pivot columns come sorted, so `solve` and
+`nullspace_basis` read their results off the RREF by slicing, with no
+loop over its rows. Products mod p (`matmul`, and
+with it the check of every inverse) are float64 BLAS products kept
+exact: every partial sum is an integer below 2^53, the FFLAS-FFPACK
+technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
 The modulus bound keeps every p^2 inside int64 and every product inside
 one float64 chunk up to an inner dimension of 8192. `left_solve` (rows R
 with R·A = E, or the kernel of A, from which each caller picks its witness)
@@ -82,6 +87,9 @@ def row_reduce(A: np.ndarray, p: int):
     """Reduced row echelon form of A mod p.
 
     Returns (R, pivot_cols); rows of R below len(pivot_cols) are zero.
+    Pivot rows stay in place while columns are cleared, and are gathered in
+    pivot order at the end; the RREF is unique, so R and pivot_cols do not
+    depend on which row supplies each pivot.
     Pivots are scaled by Fermat inverses, so p must be prime, and p must not
     exceed MAX_MODULUS, so that products of entries stay exact in int64 and
     the inverse checks in float64: every other function here eliminates
@@ -90,28 +98,29 @@ def row_reduce(A: np.ndarray, p: int):
     require_prime(p, "linear algebra mod p")
     R = np.array(reduce(A, p), order="C")  # a copy; row operations need C order
     rows, cols = R.shape
-    pivot_cols = []
-    r = 0
+    open_rows = np.ones(rows, dtype=bool)  # rows that hold no pivot yet
+    pivot_rows, pivot_cols = [], []
     for c in range(cols):
-        if r >= rows:
+        if len(pivot_rows) == rows:
             break
         hits = R[:, c].nonzero()[0]
-        below = hits[hits >= r]
-        if below.size == 0:
+        candidates = hits[open_rows[hits]]
+        if candidates.size == 0:
             continue
-        lead = int(below[0])
-        if lead != r:
-            R[[r, lead]] = R[[lead, r]]
-        if R[r, c] != 1:
-            R[r] = (R[r] * pow(int(R[r, c]), p - 2, p)) % p
-        # after the swap, the rows other than r with a nonzero in column c
-        # are the hits other than lead
-        other = hits[hits != lead]
-        if other.size:
-            R[other] = (R[other] - R[other, c, None] * R[r]) % p
+        lead = int(candidates[0])
+        # an open row is zero left of c, so only columns c: change
+        row = R[lead, c:]  # a view: the pivot row is scaled in place
+        if row[0] != 1:
+            row *= pow(int(row[0]), p - 2, p)
+            row %= p
+        if hits.size > 1:
+            other = hits[hits != lead]
+            R[other, c:] = (R[other, c:] - R[other, c, None] * row) % p
+        open_rows[lead] = False
+        pivot_rows.append(lead)
         pivot_cols.append(c)
-        r += 1
-    return R, pivot_cols
+    # every column was cleared in the rows still open, so they are zero
+    return R[pivot_rows + np.flatnonzero(open_rows).tolist()], pivot_cols
 
 
 def solve(A: np.ndarray, B: np.ndarray, p: int):

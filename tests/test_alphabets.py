@@ -267,6 +267,20 @@ def test_structured_map_shape_validation():
         sy.StructuredMap(M, 2, matrices=[[[1, 0], [0, 1]]])  # one matrix short
 
 
+@pytest.mark.parametrize(
+    "alphabet, given",
+    [
+        (sy.Alphabet.plain(2), {"table": [0, True]}),
+        (sy.Alphabet.plain(2), {"table": [np.True_, 0]}),
+        (sy.Alphabet.module(3, 2), {"matrices": [[[1, True], [0, 1]]]}),
+    ],
+)
+def test_structured_map_refuses_a_bool_inside_a_list(alphabet, given):
+    """numpy reads a list that mixes ints and bools as int64; the map does not."""
+    with pytest.raises(InvalidInputError, match="entries must be integers, got a bool"):
+        sy.StructuredMap(alphabet, 1, **given)
+
+
 def test_map_keeps_its_own_copy_of_a_table_array():
     A = sy.Alphabet.plain(2)
     table = np.array([0, 1, 1, 0], dtype=np.int64)

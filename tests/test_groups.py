@@ -58,7 +58,7 @@ def test_ball_finite_group_covers_everything():
 
 def test_ball_resource_cap(F2, monkeypatch):
     monkeypatch.setenv("SYMBA_CAP", "10")
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"\(11 > 10\)"):  # not the whole layer's 17
         sy.ball(F2, 3)
 
 
@@ -267,10 +267,17 @@ def test_finite_group_validation_keeps_table_sized_temporaries():
 
 
 def test_cyclic_tables_and_inverses():
-    for n in (1, 2, 5, 12):
+    """cyclic(n), built without validation, equals the validated table of addition mod n."""
+    for n in range(1, 65):
         G = sy.FiniteGroup.cyclic(n)
-        assert G.table == tuple(tuple((i + j) % n for j in range(n)) for i in range(n))
-        assert [G.inv(a) for a in range(n)] == [(-a) % n for a in range(n)]
+        H = sy.FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+        assert G.table == H.table and G.order() == H.order() == n
+        assert G.identity() == H.identity() == 0
+        assert [G.inv(a) for a in range(n)] == [H.inv(a) for a in range(n)] == [(-a) % n for a in range(n)]
+        assert G == H and hash(G) == hash(H)
+    for bad in (0, -3, True, 2.0):
+        with pytest.raises(InvalidInputError):
+            sy.FiniteGroup.cyclic(bad)
     S3 = sy.FiniteGroup(symmetric_table(3))
     assert all(S3.mul(a, S3.inv(a)) == S3.identity() for a in range(6))
 

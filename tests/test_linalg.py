@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import symba as sy
-from symba import linalg
+from symba import linalg, transport
 from symba.errors import InvalidInputError, UnsupportedModulusError
 
 from conftest import oracle_rref, symmetric_table
@@ -115,6 +115,37 @@ def _rref_cases(rng, p):
             yield near
     yield np.zeros((4, 6), dtype=np.int64)
     yield rng.integers(-3 * p, 3 * p, size=(6, 9))  # entries outside 0..p-1
+    # column 1's first nonzero is in row 0, which holds column 0's pivot; the
+    # first row without a pivot that is nonzero there is row 2, below row 1
+    scale = rng.integers(1, p, size=(3, 1))
+    yield np.array([[1, 1, 0, 1], [0, 0, 1, 1], [0, 1, 1, 0]]) * scale % p
+    yield _transport_system(rng, p)
+    # more rows than columns, at full column rank
+    tall = rng.integers(0, p, size=(20, 6))
+    tall[:6] = np.triu(tall[:6], 1) + np.diag(rng.integers(1, p, size=6))
+    yield rng.permutation(tall)
+    # every row holds a pivot by column 5, so columns 6 on are never pivot columns
+    wide = rng.integers(0, p, size=(6, 14))
+    wide[:, :6] = np.triu(wide[:, :6], 1) + np.diag(rng.integers(1, p, size=6))
+    yield wide
+
+
+def _transport_system(rng, p):
+    """[A^T | E^T] for a seeded sparse matrix rule on Z transported to Z/12.
+
+    A is the transported block matrix and E the identity block row, the
+    system left_solve eliminates to invert a matrix transport.
+    """
+    Z = sy.FreeAbelianGroup(1)
+    A = sy.Alphabet.module(p, 2 if p * p <= 1 << 20 else 1)
+    M = sy.ball(Z, 1)
+    shape = (len(M), A.dim, A.dim)
+    mats = rng.integers(0, p, size=shape) * (rng.random(shape) < 0.75)
+    tau = sy.CellularAutomaton(Z, A, sy.LocalRule(M, sy.StructuredMap(A, len(M), matrices=mats)))
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 12})
+    alpha = sy.transport_endomap(tau, e)
+    E, _ = transport._equivariant_rows(alpha)
+    return np.concatenate([alpha.matrix.T, E.T], axis=1)
 
 
 @pytest.mark.parametrize("p", [2, 3, 7, LARGEST_PRIME])
