@@ -22,13 +22,17 @@ finite-group multiplication tables at order 1024, n^2 <= 2^20
 TRANSPORT_DIM_CAP bounds the dimension of a transported block matrix. Its
 products mod p (the block-row certificate of the inverse) are exact float64
 BLAS products, one chunk each up to this dimension for any modulus up to
-MAX_MODULUS. At dimension 384 (Z/192, alphabet (Z/3)^2) building the
-embedding and running the hinted inverse pipeline take about 6 ms, 3-3.5
-ms of it elimination. Elimination is still one Python step per pivot column
-and grows faster than the products, so the cap is not yet a measured
-budget. Under the default caps it is not reached on Z/N either: the cyclic
-target stops at order 1024, so a transport with d = 2 stops at dimension
-2048 (Z/1025 exits 3) before TRANSPORT_DIM_CAP = 4096 applies.
+MAX_MODULUS. On Z/N the inverse is taken over F_p[x]/(x^N - 1), not by
+elimination: for the linear benchmark's rules over (Z/3)^2, building the
+embedding and running the hinted inverse pipeline take about 1.6 ms at
+dimension 384 (Z/192; 0.9 ms inverting) and 48 ms at dimension 2048
+(Z/1024; 29 ms inverting), against 4.3 ms and 195 ms by dense elimination.
+Every other target, and a singular or pivot-less matrix on Z/N, is still
+eliminated densely, one Python step per pivot column, which grows faster
+than the products, so the cap is not yet a measured budget. Under the
+default caps it is not reached on Z/N: the cyclic target stops at order
+1024, so a transport with d = 2 stops at dimension 2048 (Z/1025 exits 3)
+before TRANSPORT_DIM_CAP = 4096 applies.
 MAX_MODULUS bounds the modulus of module alphabets and of linear algebra
 mod p, so that products of two residues stay exact in int64 and sums of
 8192 of them in float64.

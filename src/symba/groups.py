@@ -617,9 +617,22 @@ def _bfs(G: Group, seeds: list[Elem], rounds: int) -> FiniteSubset:
 
 
 def ball(G: Group, radius: int) -> FiniteSubset:
-    """All elements of word length <= radius over the distinguished generators."""
+    """All elements of word length <= radius over the distinguished generators.
+
+    For Z^k and F_k, k >= 1, two sizes are known before any seed is built,
+    and each is refused up front past the cap. The ball holds the identity,
+    every generator and its inverse, and the powers g^j, |j| <= radius, of
+    the first generator g: 2(k + radius) - 1 distinct elements. In F_1 these
+    powers are words of radius(radius + 1) letters in all, while the walk
+    counts only 2·radius + 1 elements. In higher rank the walk's own count
+    of elements, capped as it goes, also bounds the letters.
+    """
     if radius < 0:
         raise InvalidInputError(f"radius must be >= 0, got {radius}")
+    if radius and isinstance(G, _RankedGroup) and G.rank:
+        check_size(2 * (G.rank + radius) - 1, f"a ball over {G!r} (counted from below)")
+        if isinstance(G, FreeGroup) and G.rank == 1:
+            check_size(radius * (radius + 1), f"a ball over {G!r}, counted in letters,")
     seeds = []
     for g in G.generators():
         seeds.append(g)

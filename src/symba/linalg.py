@@ -24,7 +24,18 @@ technique (Dumas, Giorgi & Pernet, ACM TOMS 35(3), 2008).
 The modulus bound keeps every p^2 inside int64 and every product inside
 one float64 chunk up to an inner dimension of 8192. `left_solve` (rows R
 with R·A = E, or the kernel of A, from which each caller picks its witness)
-serves matrix-rule determinacy, `invert` and the matrix transport inverse.
+serves matrix-rule determinacy, `invert` and every matrix transport inverse
+that the ring route below leaves undecided.
+
+On a cyclic target Z/N an equivariant block matrix is a d x d matrix over
+the group ring F_p[x]/(x^N - 1) (the polynomial view of linear automata:
+Ito, Osato & Nasu, JCSS 27, 1983), so it is inverted as that, not as an
+(N·d) x (N·d) matrix. `cyclic_mul` multiplies two ring elements by
+np.convolve folded at N; a unit is inverted by extended Euclid against
+x^N - 1, each division one power-series quotient of O(log N) numpy steps
+(Newton iteration); `cyclic_inverse` runs Gauss-Jordan over the ring with
+unit pivots. Its int64 sums stay below N·(p-1)^2, at most 2^52 under
+TRANSPORT_DIM_CAP and MAX_MODULUS.
 """
 
 from __future__ import annotations
@@ -32,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .caps import MAX_MODULUS
-from .errors import UnsupportedModulusError
+from .errors import ResourceCapError, UnsupportedModulusError
 
 # float64 represents every integer up to 2^53 exactly
 _FLOAT_EXACT = 1 << 53
@@ -169,6 +180,127 @@ def left_solve(A: np.ndarray, E: np.ndarray, p: int):
     if X is not None and np.array_equal(matmul(X.T, A, p), reduce(E, p)):
         return X.T, None
     return None, nullspace_basis(A, p)
+
+
+def _trim(a: np.ndarray) -> np.ndarray:
+    """a without its zero leading coefficients (the zero polynomial is empty)."""
+    nonzero = np.flatnonzero(a)
+    return a[: nonzero[-1] + 1] if nonzero.size else a[:0]
+
+
+def _series_inverse(f: np.ndarray, m: int, p: int) -> np.ndarray:
+    """g with f·g = 1 mod (p, x^m), for f[0] != 0, by Newton steps g <- g(2 - f·g)."""
+    g = np.array([pow(int(f[0]), p - 2, p)], dtype=np.int64)
+    n = 1
+    while n < m:
+        n = min(2 * n, m)
+        error = np.convolve(f[:n], g)[:n] % p
+        error[0] -= 1  # f·g - 1, zero below the old precision
+        step = np.convolve(g, error)[:n]
+        step[: len(g)] -= g
+        g = -step % p
+    return g
+
+
+def _poly_divmod(a: np.ndarray, b: np.ndarray, p: int):
+    """(q, r) with a = q·b + r over F_p and r trimmed below deg b; b's lead is nonzero.
+
+    Reversed, the quotient is a power series quotient: rev(q) = rev(a)/rev(b)
+    mod x^m, m = len(a) - len(b) + 1, so one division is O(log m) numpy
+    steps, however long its quotient.
+    """
+    m, k = len(a) - len(b) + 1, len(b) - 1
+    if m <= 0:
+        return a[:0], a
+    if k == 0:
+        return a * pow(int(b[0]), p - 2, p) % p, a[:0]
+    q = np.convolve(a[::-1][:m], _series_inverse(b[::-1], m, p))[:m][::-1] % p
+    return q, _trim((a[:k] - np.convolve(q, b)[:k]) % p)
+
+
+def _unit_inverse(a: np.ndarray, p: int) -> np.ndarray | None:
+    """a^-1 in F_p[x]/(x^N - 1), N = len(a), or None when a is not a unit.
+
+    Extended Euclid against x^N - 1 tracks t with t·a = r mod x^N - 1 for
+    each remainder r; a is a unit exactly when the last nonzero remainder,
+    the gcd, is a constant.
+    """
+    N, nonzero = len(a), np.flatnonzero(a)
+    if not nonzero.size:
+        return None
+    # a = x^low·b with the unit x^low, so a^-1 is b^-1 turned back by low
+    low = int(nonzero[0])
+    r0 = np.zeros(N + 1, dtype=np.int64)
+    r0[0], r0[N] = p - 1, 1
+    r1 = a[low : nonzero[-1] + 1]
+    t0, t1 = a[:0], np.ones(1, dtype=np.int64)
+    while r1.size:
+        q, r = _poly_divmod(r0, r1, p)
+        r0, r1 = r1, r
+        t = -np.convolve(q, t1)  # t1's degree grows, so t is longer than t0
+        t[: len(t0)] += t0
+        t0, t1 = t1, t % p
+    if r0.size != 1:
+        return None
+    out = np.zeros(N, dtype=np.int64)
+    out[: len(t0)] = t0 * pow(int(r0[0]), p - 2, p) % p  # deg t0 < N
+    return np.roll(out, -low)
+
+
+def cyclic_mul(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    """a·b in F_p[x]/(x^N - 1): coefficient vectors of length N, x^j at j.
+
+    np.convolve in int64, folded at N and reduced mod p: exact while
+    N·(p-1)^2 < 2^63, which `cyclic_inverse` checks.
+    """
+    N = len(a)
+    full = np.convolve(a, b)
+    full[: N - 1] += full[N:]
+    return full[:N] % p
+
+
+def cyclic_inverse(B: np.ndarray, p: int) -> np.ndarray | None:
+    """The inverse of B(x) among d x d matrices over F_p[x]/(x^N - 1), or None.
+
+    B has shape (d, d, N): B[a, b, j] is the coefficient of x^j in entry
+    (a, b). Gauss-Jordan over the ring on [B | I]: the pivot of column c is
+    the first row holding no pivot yet whose entry there is a unit, scaled
+    to 1 by its inverse (`_unit_inverse`), and every other row is cleared
+    by cyclic products. The ring is a product of local rings, so an
+    invertible B may have no unit left in some column (over F_2[x]/(x^3 - 1)
+    with e = 1 + x + x^2, [[e, 1+e], [1+e, e]] is its own inverse): None
+    then means "no unit pivot", not "singular", and the caller decides by
+    dense elimination. The inverse is unique, so it is the one dense
+    elimination of the expanded block-circulant matrix finds.
+    """
+    require_prime(p, "linear algebra mod p")  # the message elimination would give
+    B = reduce(B, p)
+    d, N = B.shape[0], B.shape[2]
+    if N * (p - 1) ** 2 >= 1 << 63:
+        raise ResourceCapError(f"cyclic products mod {p} at order {N} would overflow int64")
+    M = np.zeros((d, 2 * d, N), dtype=np.int64)
+    M[:, :d] = B
+    M[range(d), range(d, 2 * d), 0] = 1
+    open_rows, pivot_rows = list(range(d)), []
+    for c in range(d):
+        for r in open_rows:
+            unit = _unit_inverse(M[r, c], p)
+            if unit is not None:
+                break
+        else:
+            return None
+        open_rows.remove(r)
+        pivot_rows.append(r)
+        # a row without a pivot is zero left of c; zero entries cost no product
+        filled = [j for j in range(c, 2 * d) if M[r, j].any()]
+        for j in filled:
+            M[r, j] = cyclic_mul(unit, M[r, j], p)
+        for s in range(d):
+            if s != r and M[s, c].any():
+                factor = M[s, c].copy()  # a copy: j = c clears it
+                for j in filled:
+                    M[s, j] = (M[s, j] - cyclic_mul(factor, M[r, j], p)) % p
+    return M[pivot_rows, d:]
 
 
 def invert(A: np.ndarray, p: int):

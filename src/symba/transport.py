@@ -9,8 +9,10 @@ the basepoint. The extracted rule is certified against the original
 automaton by both one-sided inverse checks, an inverse hint by the left one.
 
 A transported matrix is F-equivariant, so its identity block row determines
-it (`division_index`): after an exact equivariance test, `linalg.left_solve`
-(as in matrix-rule synthesis) solves for and certifies that row of the inverse.
+it (`division_index`). After an exact equivariance test, that row of the
+inverse comes from the group ring when F is Z/N (`linalg.cyclic_inverse`),
+else from `linalg.left_solve` (as in matrix-rule synthesis); either way one
+exact product certifies it.
 """
 
 from __future__ import annotations
@@ -343,6 +345,26 @@ def _equivariant_rows(*maps: TransportedEndomap):
     return np.eye(d, n, int(maps[0]._division[0, 0]) * d, dtype=np.int64), rows
 
 
+def _cyclic_inverse_row(alpha: TransportedEndomap, row: np.ndarray, E: np.ndarray):
+    """The inverse's identity block row, certified, through F_p[Z/N], or None.
+
+    When div[h, k] = (k - h) mod N the carrier is Z/N in its natural order,
+    and the product of two block rows is the product of the d x d matrices
+    B(x) = sum_j (block j) x^j over F_p[x]/(x^N - 1). So the inverse's row is
+    B(x)^-1 (`linalg.cyclic_inverse`), kept only when row·alpha = E.
+    """
+    div, d, p = alpha._division, alpha.alphabet.dim, alpha.alphabet.modulus
+    N = len(div)
+    steps = np.arange(N)
+    if not np.array_equal(div, (steps - steps[:, None]) % N):
+        return None
+    inverse = linalg.cyclic_inverse(row.reshape(d, N, d).transpose(0, 2, 1), p)
+    if inverse is None:
+        return None
+    inverse = inverse.transpose(0, 2, 1).reshape(d, N * d)
+    return inverse if np.array_equal(linalg.matmul(inverse, alpha.matrix, p), E) else None
+
+
 def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     """Invert the finite endomap exactly; injectivity is all it takes.
 
@@ -350,9 +372,13 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     own injectivity test: on a finite set injective means onto, so a -1
     left over is a configuration nothing maps to. Only a failure counts
     hits, after the inverse is freed, to name its witness. A matrix must be
-    F-equivariant; its inverse is the expansion of the one block row
-    left_solve solves for and certifies, or its witness the first vector of
-    the kernel left_solve returns.
+    F-equivariant; its inverse is the expansion of one certified block row.
+    On Z/N that row is B(x)^-1 over F_p[x]/(x^N - 1). Off Z/N, and on Z/N
+    when the ring route finds no unit pivot (B singular, or invertible with
+    no unit left in some column) or its row fails the certificate,
+    left_solve solves for and certifies the row, or returns the kernel whose
+    first vector is the witness. The inverse is unique, so both routes give
+    the same matrix.
     """
     A = alpha.alphabet
     table = alpha.table
@@ -371,8 +397,10 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
                 tuple(tuple(w) for w in pair.tolist()), "transported map is not injective"
             )
         return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
-    E, _ = _equivariant_rows(alpha)
-    row, kernel = linalg.left_solve(alpha.matrix, E, A.modulus)
+    E, (block_row,) = _equivariant_rows(alpha)
+    row = _cyclic_inverse_row(alpha, block_row, E)
+    if row is None:
+        row, kernel = linalg.left_solve(alpha.matrix, E, A.modulus)
     if row is None:
         # a kernel configuration, beside the zero one
         x = tuple(A.cell_values(kernel[0]).tolist())

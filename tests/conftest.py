@@ -286,6 +286,16 @@ def oracle_division_index(F):
     return np.array([[at[F.mul(F.inv(h), k)] for k in carrier] for h in carrier])
 
 
+def oracle_block_circulant(B):
+    """The (N*d) x (N*d) matrix whose block (h, k) is B's coefficient of x^((k - h) mod N)."""
+    d, N = B.shape[0], B.shape[2]
+    full = np.zeros((N * d, N * d), dtype=np.int64)
+    for h in range(N):
+        for k in range(N):
+            full[h * d : (h + 1) * d, k * d : (k + 1) * d] = B[:, :, (k - h) % N]
+    return full
+
+
 def oracle_rref(A, p):
     """Reduced row echelon form of A mod p in Python integers: (rows, pivot columns)."""
     R = [[int(x) % p for x in row] for row in np.asarray(A).tolist()]

@@ -23,18 +23,15 @@ from symba import cli, serialize
 
 from conftest import symmetric_table, xor_ca
 
-# `radius` sizes an enumeration before any cap is checked, so it gets small
-# values only (ROADMAP item 8). Every other field may also get huge ones:
-# `rank`, `degree` and `dim` are bounded before the tuples or powers they
-# size, and a huge `size` or `modulus` is refused at once. Hypothesis draws
-# early list entries more often, so the values that once broke the contract
-# come first.
-SIZE_KEYS = {"radius"}
+# Every field may get huge values: `rank`, `degree`, `dim` and `radius` are
+# bounded before the tuples, powers or balls they size, and a huge `size` or
+# `modulus` is refused at once. Hypothesis draws early list entries more
+# often, so the values that once broke the contract come first.
 ODD = [float("inf"), True, float("nan"), -1, 1.5, "2", " 1", "x", None, [], {}, False]
-SMALL = st.one_of(st.sampled_from(ODD), st.integers(-2, 6))
 ANY = st.one_of(st.sampled_from([2**70, *ODD, -(2**70), 2**63, 10**6, 1e300]), st.integers(-2, 6))
 SPECS = [None, {}, {"kind": "modular", "N": 3}, {"kind": "modular", "N": 5},
-         {"kind": "identity"}, {"kind": "product", "factors": [None, None]}]
+         {"kind": "identity"}, {"kind": "product", "factors": [None, None]},
+         {"kind": "ball_action", "radius": 2}]
 
 
 def _automata():
@@ -92,7 +89,7 @@ PATTERNS = _patterns()
 MATRICES = _matrices()
 
 
-def _mutate(draw, value, key=None):
+def _mutate(draw, value):
     """`value` with one node replaced, dropped or repeated."""
     action = draw(st.sampled_from(["descend", "descend", "descend", "drop", "repeat", "replace"]))
     if isinstance(value, dict) and value and action != "replace":
@@ -101,7 +98,7 @@ def _mutate(draw, value, key=None):
         if action == "drop":
             del out[k]
         else:
-            out[k] = _mutate(draw, value[k], k)
+            out[k] = _mutate(draw, value[k])
         return out
     if isinstance(value, list) and value and action != "replace":
         i = draw(st.integers(0, len(value) - 1))
@@ -111,9 +108,9 @@ def _mutate(draw, value, key=None):
         elif action == "repeat":
             out.insert(i, out[i])
         else:
-            out[i] = _mutate(draw, value[i], key)
+            out[i] = _mutate(draw, value[i])
         return out
-    return draw(SMALL if key in SIZE_KEYS else ANY)
+    return draw(ANY)
 
 
 _SERIAL = itertools.count()
@@ -212,6 +209,21 @@ def test_permutation_memory_lists(capsys, memory, code):
     argv = ["verify-embedding", "--group", '{"kind":"symmetric","degree":3}',
             "--memory", memory, "--embedding", "null"]
     assert _run(capsys, argv) == code
+
+
+@pytest.mark.parametrize("radius, code", [(10**4, 3), (10**6, 3), (2**70, 3), (-1, 2), (2, 0)])
+def test_ball_radii_are_bounded_before_their_balls(tmp_path, capsys, radius, code):
+    """A huge radius exits 3 at once, in an embedding spec and in
+    `groupring solve`: F_1's words grow with the radius, so its balls grow
+    in letters as radius^2."""
+    spec = json.dumps({"kind": "ball_action", "radius": radius})
+    argv = ["verify-embedding", "--group", '{"kind":"free","rank":1}', "--memory", "[[1]]",
+            "--embedding", spec]
+    assert _run(capsys, argv) == code
+    F1 = sy.FreeGroup(1)
+    C = sy.GroupRingMatrix(F1, 2, [[sy.GroupRingElement(F1, 2, {(): 1})]])
+    path = _write(tmp_path, serialize.matrix_to_json(C))
+    assert _run(capsys, ["groupring", "solve", "--matrix", path, "--radius", str(radius)]) == code
 
 
 def test_mutation_pool_reaches_every_outcome(tmp_path, capsys):

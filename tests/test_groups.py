@@ -62,6 +62,20 @@ def test_ball_resource_cap(F2, monkeypatch):
         sy.ball(F2, 3)
 
 
+def test_ball_sizes_known_up_front_are_refused_before_the_walk(Z):
+    """The radius-1 ball of F_(10^6) has 2 * 10^6 + 1 elements, and F_1's
+    radius-10^4 ball only 20001, but in 100010000 letters: both are refused
+    before any seed or word is built."""
+    huge_rank = r"FreeGroup\(1000000\) \(counted from below\) would have 2000001 "
+    with pytest.raises(ResourceCapError, match=huge_rank):
+        sy.ball(sy.FreeGroup(10**6), 1)
+    with pytest.raises(ResourceCapError, match=r"counted in letters, would have 100010000 "):
+        sy.ball(sy.FreeGroup(1), 10**4)
+    with pytest.raises(ResourceCapError, match=r"would have at least 2\^"):
+        sy.ball(Z, 2**70)
+    assert len(sy.ball(sy.FreeGroup(1), 1000)) == 2001  # 1001000 letters fit the cap
+
+
 def test_set_product_examples(Z, F2):
     m = sy.ball(Z, 1)
     assert list(sy.set_product(Z, m, m)) == [(-2,), (-1,), (0,), (1,), (2,)]

@@ -1,4 +1,5 @@
-"""Products mod p, the modulus bound of elimination, and group-table validation.
+"""Products and cyclic inverses mod p, the modulus bound of elimination,
+and group-table validation.
 
 The oracles here use Python integers and brute force: a plain triple loop
 for products, and all n^3 triples for associativity.
@@ -13,7 +14,7 @@ import symba as sy
 from symba import linalg, transport
 from symba.errors import InvalidInputError, UnsupportedModulusError
 
-from conftest import oracle_rref, symmetric_table
+from conftest import oracle_block_circulant, oracle_rref, symmetric_table
 
 LARGEST_PRIME = 1048573  # the largest prime below MAX_MODULUS = 2^20
 
@@ -175,6 +176,45 @@ def test_moduli_above_the_cap_are_refused():
         linalg.solve(A, np.ones((8, 1), dtype=np.int64), p)
     with pytest.raises(UnsupportedModulusError):
         linalg.matmul(A, A, p)
+    for q in (p, 4):  # above the cap, and composite
+        with pytest.raises(UnsupportedModulusError):
+            linalg.cyclic_inverse(A.reshape(2, 2, 16), q)
+
+
+@pytest.mark.parametrize("p", [2, 3, 7, LARGEST_PRIME])
+def test_cyclic_inverse_matches_the_expanded_inverse(p):
+    """Over F_p[x]/(x^N - 1) the inverse is the expanded one, byte for byte;
+    a singular B gets None. None for an invertible B (no unit pivot) needs
+    two rows or more: a 1 x 1 entry is invertible exactly when a unit."""
+    rng = np.random.default_rng([p, 19])
+    outcomes = set()
+    for N in (1, 2, 3, 5, 12, 64):
+        for d in (1, 2, 3):
+            for trial in range(3):
+                B = rng.integers(0, p, size=(d, d, N))
+                if trial == 1:  # sparse: a few coefficients only
+                    B[rng.random(B.shape) < 0.8] = 0
+                if trial == 2 and d > 1:
+                    B[1] = B[0] * (p - 1)  # two dependent rows
+                full = linalg.invert(oracle_block_circulant(B), p)
+                inverse = linalg.cyclic_inverse(B, p)
+                if inverse is not None:
+                    assert inverse.dtype == np.int64 and inverse.shape == B.shape
+                    assert oracle_block_circulant(inverse).tobytes() == full.tobytes()
+                    outcomes.add("inverted")
+                elif full is None:
+                    outcomes.add("singular")
+                else:
+                    assert d > 1, (N, p)
+    assert outcomes == {"inverted", "singular"}
+
+
+def test_cyclic_products_match_the_circulant_product():
+    rng = np.random.default_rng(7)
+    for N, p in [(1, 2), (4, 3), (13, LARGEST_PRIME)]:
+        a, b = rng.integers(0, p, size=(2, N))
+        A, B = oracle_block_circulant(a[None, None]), oracle_block_circulant(b[None, None])
+        assert linalg.cyclic_mul(a, b, p).tolist() == linalg.matmul(A, B, p)[0].tolist()
 
 
 def _oracle_first_nonassociative(T):

@@ -14,6 +14,7 @@ from symba.errors import (
 
 from conftest import (
     make_table_ca,
+    oracle_block_circulant,
     oracle_division_index,
     oracle_transport_table,
     random_pointed_table,
@@ -658,6 +659,38 @@ def test_block_row_composite_check_agrees_with_the_full_product(kind):
             assert sy.composes_to_identity(beta, alpha) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def test_invertible_cyclic_transport_eliminates_nothing(Z, monkeypatch):
+    """On Z/N an invertible transport is inverted over F_p[x]/(x^N - 1)."""
+    C, D = _pair_CD(Z)
+    A = sy.Alphabet.module(2, 2)
+    tau, sigma = sy.to_linear_ca(C, Z, A), sy.to_linear_ca(D, Z, A)
+    M = sy.common_memory(sigma, tau)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 8})
+    alpha = sy.transport_endomap(sy.CellularAutomaton(Z, A, sy.extend_memory(tau.rule, M)), e)
+    full = linalg.invert(alpha.matrix, 2)
+
+    def refuse(*args):
+        raise AssertionError("row_reduce called on a cyclic transport")
+
+    monkeypatch.setattr(linalg, "row_reduce", refuse)
+    assert sy.invert_transport(alpha).matrix.tobytes() == full.tobytes()
+
+
+def test_invertible_cyclic_transport_without_a_unit_pivot(Z):
+    """e = 1 + x + x^2 is idempotent in F_2[x]/(x^3 - 1), so T = [[e, 1+e],
+    [1+e, e]] is its own inverse, though no entry of T is a unit: the ring
+    route finds no pivot and dense elimination decides."""
+    A = sy.Alphabet.module(2, 2)
+    e = sy.build_embedding(Z, sy.ball(Z, 1), {"kind": "modular", "N": 3})
+    idem, rest = [1, 1, 1], [0, 1, 1]  # coefficients of x^0, x^1, x^2
+    B = np.array([[idem, rest], [rest, idem]], dtype=np.int64)
+    assert linalg.cyclic_inverse(B, 2) is None
+    T = oracle_block_circulant(B)
+    alpha = sy.TransportedEndomap(e, A, e.target.elements(), matrix=T)
+    assert linalg.matmul(T, T, 2).tolist() == np.eye(6, dtype=np.int64).tolist()
+    assert sy.invert_transport(alpha).matrix.tolist() == T.tolist()
 
 
 def test_non_equivariant_matrix_is_invalid_input(Z):
