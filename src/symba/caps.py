@@ -24,9 +24,10 @@ products mod p (the block-row certificate of the inverse) are exact float64
 BLAS products, one chunk each up to this dimension for any modulus up to
 MAX_MODULUS. On Z/N the inverse is taken over F_p[x]/(x^N - 1), not by
 elimination: for the linear benchmark's rules over (Z/3)^2, building the
-embedding and running the hinted inverse pipeline take about 1.6 ms at
-dimension 384 (Z/192; 0.9 ms inverting) and 48 ms at dimension 2048
-(Z/1024; 29 ms inverting), against 4.3 ms and 195 ms by dense elimination.
+embedding and running the hinted inverse pipeline take about 1.1 ms at
+dimension 384 (Z/192; 0.4 ms inverting) and 22 ms at dimension 2048
+(Z/1024; 14 ms inverting), against 4-4.6 ms and 120-135 ms by dense
+elimination.
 Every other target, and a singular or pivot-less matrix on Z/N, is still
 eliminated densely, one Python step per pivot column, which grows faster
 than the products, so the cap is not yet a measured budget. Under the

@@ -9,10 +9,12 @@ the basepoint. The extracted rule is certified against the original
 automaton by both one-sided inverse checks, an inverse hint by the left one.
 
 A transported matrix is F-equivariant, so its identity block row determines
-it (`division_index`). After an exact equivariance test, that row of the
-inverse comes from the group ring when F is Z/N (`linalg.cyclic_inverse`),
-else from `linalg.left_solve` (as in matrix-rule synthesis); either way one
-exact product certifies it.
+it (`division_index`): the matrix is built as the expansion of that row,
+and after an exact equivariance test the inverse's row comes from the group
+ring when F is Z/N (`linalg.cyclic_inverse`), else from `linalg.left_solve`
+(as in matrix-rule synthesis); either way one exact product certifies it.
+On Z/N the expansion is a strided view of the doubled row, so neither the
+division index nor a gather is needed there.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import linalg
 from .alphabets import (
@@ -256,8 +259,14 @@ class TransportedEndomap:
         return self.matrix is not None
 
     @cached_property
-    def _division(self) -> np.ndarray:
-        return division_index(self.carrier)
+    def _division(self) -> np.ndarray | None:
+        return _layout(self.carrier)
+
+
+def _sharing_division(m: TransportedEndomap, div: np.ndarray | None) -> TransportedEndomap:
+    """m, given div as its division index: one index per carrier, not per map."""
+    m.__dict__["_division"] = div  # where cached_property keeps it
+    return m
 
 
 def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
@@ -265,6 +274,9 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
 
     At cell h of F the transported map applies the local rule to the values
     at the cells h*phi(m), exactly mirroring how the rule reads g*m in G.
+    A matrix rule's block (h, k) sums the matrices of the m with h*phi(m) = k,
+    that is phi(m) = h^-1 k: it is block h^-1 k of the identity's block row,
+    so only that row is built, and then expanded.
     """
     G, A = tau.universe, tau.alphabet
     M = tau.memory
@@ -276,17 +288,20 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
 
     carrier = FiniteSubset(e.target, e.target.elements())
     nF = len(carrier)
-    pos = window_positions(carrier, carrier, [e.phi[m] for m in M])
 
     if tau.rule.map.is_matrix:
         dim = A.dim * nF
         if dim > TRANSPORT_DIM_CAP:
             raise ResourceCapError(f"transport matrix dimension {dim} over cap {TRANSPORT_DIM_CAP}")
-        return TransportedEndomap(e, A, carrier, matrix=tau.rule.map.window_matrix(pos, nF))
+        row = tau.rule.map.window_matrix([[carrier.index_of(e.phi[m]) for m in M]], nF)
+        div = _layout(carrier)
+        matrix = _expansion(row, div).reshape(dim, dim)
+        return _sharing_division(TransportedEndomap(e, A, carrier, matrix=matrix), div)
 
     count = A.size**nF
     if count > transport_cap():
         raise ResourceCapError(f"transport would tabulate {count} configurations")
+    pos = window_positions(carrier, carrier, [e.phi[m] for m in M])
     table = tau.rule.map.window_table(pos, nF)
     return TransportedEndomap(e, A, carrier, table=table)
 
@@ -298,13 +313,31 @@ def _translations(carrier: FiniteSubset) -> np.ndarray:
     return window_positions(carrier, [F.inv(h) for h in gens], carrier)
 
 
+def _cyclic_order(carrier: FiniteSubset) -> int | None:
+    """N when the carrier is Z/N in its natural order, else None; O(N) work.
+
+    F must be a `FiniteGroup` (validated, or built by `cyclic`), so it is
+    associative, with identity 0 and table row 1 the map b -> b + 1 mod N.
+    Then k = 1^k, and k b = 1^k b = b + k: the whole table is addition mod N.
+    """
+    F, N = carrier.group, len(carrier)
+    if not isinstance(F, FiniteGroup) or N != F.size or F.identity() != 0:
+        return None
+    return N if N == 1 or F.table[1] == (*range(1, N), 0) else None
+
+
 def division_index(carrier: FiniteSubset) -> np.ndarray:
     """div[h, k]: the carrier position of h^-1 k, for a carrier that is all of F.
 
-    A breadth-first walk over the greedy generators g fills left[x, u], the
-    position of xu: row x g^-1 is row x read through the translation by g.
-    That is |F| array steps, with no |F|^2 group products; div[h] inverts left[h].
+    On Z/N that is (k - h) mod N. Otherwise a breadth-first walk over the
+    greedy generators g fills left[x, u], the position of xu: row x g^-1 is
+    row x read through the translation by g. That is |F| array steps, with
+    no |F|^2 group products; div[h] inverts left[h].
     """
+    N = _cyclic_order(carrier)
+    if N is not None:
+        steps = np.arange(N)
+        return (steps - steps[:, None]) % N
     nF, one = len(carrier), carrier.index_of(carrier.group.identity())
     perms = _translations(carrier)
     left = np.empty((nF, nF), dtype=np.int64)
@@ -322,42 +355,66 @@ def division_index(carrier: FiniteSubset) -> np.ndarray:
     return div
 
 
-def _expansion(row: np.ndarray, div: np.ndarray) -> np.ndarray:
-    """[a, h, k, b]: entry (a, b) of block h^-1 k of the (d, |F|*d) row."""
-    return np.take(row.reshape(len(row), len(div), -1), div, axis=1)
+def _layout(carrier: FiniteSubset) -> np.ndarray | None:
+    """The carrier's division_index, or None on Z/N, where `_expansion` needs none."""
+    return None if _cyclic_order(carrier) is not None else division_index(carrier)
 
 
-def _identity_row(m: TransportedEndomap, div: np.ndarray) -> np.ndarray | None:
+def _expansion(row: np.ndarray, div: np.ndarray | None) -> np.ndarray:
+    """[h, a, k, b]: entry (a, b) of block h^-1 k of the (d, |F|*d) row.
+
+    That is the (|F|*d)^2 matrix's own layout, written by d gathers. On Z/N
+    (div None) block h^-1 k is block (k - h) mod N, so the result is a view
+    of the doubled row, read backwards in h, and no gather runs.
+    """
+    d = len(row)
+    blocks = row.reshape(d, -1, d)
+    nF = blocks.shape[1]
+    if div is None:
+        # window s at offset t reads block s + t, and s = N - h
+        doubled = np.concatenate([blocks, blocks], axis=1)
+        return sliding_window_view(doubled, nF, axis=1)[:, nF:0:-1].transpose(1, 0, 3, 2)
+    out = np.empty((nF, d, nF, d), dtype=row.dtype)
+    for a in range(d):
+        np.take(blocks[a], div, axis=0, out=out[:, a])
+    return out
+
+
+def _identity_position(div: np.ndarray | None) -> int:
+    """The carrier position of the identity: h^-1 h for h at 0, and 0 on Z/N."""
+    return 0 if div is None else int(div[0, 0])
+
+
+def _identity_row(m: TransportedEndomap, div: np.ndarray | None) -> np.ndarray | None:
     """m's identity block row mod n if m is its expansion (is F-equivariant), else None."""
-    d, one = m.alphabet.dim, int(div[0, 0])  # h^-1 h = 1 for h at 0
+    d, nF, one = m.alphabet.dim, len(m.carrier), _identity_position(div)
     matrix = linalg.reduce(m.matrix, m.alphabet.modulus)
     row = matrix[one * d : (one + 1) * d]
-    blocks = matrix.reshape(len(div), d, len(div), d).transpose(1, 0, 2, 3)
-    return row if np.array_equal(_expansion(row, div), blocks) else None
+    return row if np.array_equal(_expansion(row, div), matrix.reshape(nF, d, nF, d)) else None
 
 
 def _equivariant_rows(*maps: TransportedEndomap):
     """(E, rows): the identity block rows of maps on one carrier, E those of I."""
-    rows = [_identity_row(m, maps[0]._division) for m in maps]
+    div = maps[0]._division
+    rows = [_identity_row(m, div) for m in maps]
     if any(row is None for row in rows):
         raise InvalidInputError("transported matrix is not F-equivariant")
     d, n = rows[0].shape
-    return np.eye(d, n, int(maps[0]._division[0, 0]) * d, dtype=np.int64), rows
+    return np.eye(d, n, _identity_position(div) * d, dtype=np.int64), rows
 
 
 def _cyclic_inverse_row(alpha: TransportedEndomap, row: np.ndarray, E: np.ndarray):
     """The inverse's identity block row, certified, through F_p[Z/N], or None.
 
-    When div[h, k] = (k - h) mod N the carrier is Z/N in its natural order,
-    and the product of two block rows is the product of the d x d matrices
-    B(x) = sum_j (block j) x^j over F_p[x]/(x^N - 1). So the inverse's row is
-    B(x)^-1 (`linalg.cyclic_inverse`), kept only when row·alpha = E.
+    On Z/N in its natural order (`_cyclic_order`, which leaves alpha no
+    division index) the product of two block rows is the product of the
+    d x d matrices B(x) = sum_j (block j) x^j over F_p[x]/(x^N - 1). So the
+    inverse's row is B(x)^-1 (`linalg.cyclic_inverse`), kept only when
+    row·alpha = E.
     """
-    div, d, p = alpha._division, alpha.alphabet.dim, alpha.alphabet.modulus
-    N = len(div)
-    steps = np.arange(N)
-    if not np.array_equal(div, (steps - steps[:, None]) % N):
+    if alpha._division is not None:
         return None
+    d, p, N = alpha.alphabet.dim, alpha.alphabet.modulus, len(alpha.carrier)
     inverse = linalg.cyclic_inverse(row.reshape(d, N, d).transpose(0, 2, 1), p)
     if inverse is None:
         return None
@@ -372,13 +429,14 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     own injectivity test: on a finite set injective means onto, so a -1
     left over is a configuration nothing maps to. Only a failure counts
     hits, after the inverse is freed, to name its witness. A matrix must be
-    F-equivariant; its inverse is the expansion of one certified block row.
-    On Z/N that row is B(x)^-1 over F_p[x]/(x^N - 1). Off Z/N, and on Z/N
-    when the ring route finds no unit pivot (B singular, or invertible with
-    no unit left in some column) or its row fails the certificate,
-    left_solve solves for and certifies the row, or returns the kernel whose
-    first vector is the witness. The inverse is unique, so both routes give
-    the same matrix.
+    F-equivariant; its inverse is the expansion of one certified block row,
+    and shares alpha's division index. On Z/N that row is B(x)^-1 over
+    F_p[x]/(x^N - 1), and its expansion is copied once from a view. Off
+    Z/N, and on Z/N when the ring route finds no unit pivot (B singular, or
+    invertible with no unit left in some column) or its row fails the
+    certificate, left_solve solves for and certifies the row, or returns the
+    kernel whose first vector is the witness. The inverse is unique, so both
+    routes give the same matrix.
     """
     A = alpha.alphabet
     table = alpha.table
@@ -405,8 +463,9 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
         # a kernel configuration, beside the zero one
         x = tuple(A.cell_values(kernel[0]).tolist())
         raise NotInvertibleError((x, (0,) * len(x)), "transported matrix is singular")
-    inverse = _expansion(row, alpha._division).transpose(1, 0, 2, 3).reshape(E.shape[1], -1)
-    return TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inverse)
+    inverse = _expansion(row, alpha._division).reshape(E.shape[1], -1)
+    gamma = TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inverse)
+    return _sharing_division(gamma, alpha._division)
 
 
 def extract_local_rule(
@@ -463,11 +522,14 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
 def composes_to_identity(beta: TransportedEndomap, alpha: TransportedEndomap) -> bool:
     """Exhaustively check beta after alpha is the identity on A^F.
 
-    Matrices must be F-equivariant; then so is the composite, which is I
-    exactly when its identity block row is.
+    Both must act on one carrier and alphabet, so they share alpha's
+    division index. Matrices must be F-equivariant; then so is the
+    composite, which is I exactly when its identity block row is.
     """
     if beta.is_matrix != alpha.is_matrix:
         raise InvalidInputError("endomaps use different representations")
+    if beta.carrier != alpha.carrier or beta.alphabet != alpha.alphabet:
+        raise InvalidInputError("endomaps act on different carriers or alphabets")
     if alpha.is_matrix:
         E, (_, row) = _equivariant_rows(alpha, beta)
         return np.array_equal(linalg.matmul(row, alpha.matrix, alpha.alphabet.modulus), E)

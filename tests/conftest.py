@@ -195,6 +195,25 @@ def oracle_transport_table(tau, e):
     return out
 
 
+def oracle_transport_matrix(tau, e):
+    """Transported block matrix of a matrix rule, built cell by cell.
+
+    Block (h, h*phi(m)) gains the rule's matrix of m, for every cell h of F
+    (carrier in canonical order) and every m in the memory, by plain group
+    products; the sums are reduced mod p at the end.
+    """
+    F = e.target
+    carrier = list(F.elements())
+    at = {h: i for i, h in enumerate(carrier)}
+    A = tau.alphabet
+    d, n = A.dim, len(carrier)
+    out = np.zeros((n, d, n, d), dtype=np.int64)
+    for i, h in enumerate(carrier):
+        for m, mat in zip(tau.memory, tau.rule.map.matrices):
+            out[i, :, at[F.mul(h, e.phi[m])], :] += mat
+    return out.reshape(n * d, n * d) % A.modulus
+
+
 def oracle_window_table(table, q, pos, n_cells):
     """window_table of a raw rule table, read configuration by configuration.
 

@@ -31,7 +31,12 @@ ODD = [float("inf"), True, float("nan"), -1, 1.5, "2", " 1", "x", None, [], {}, 
 ANY = st.one_of(st.sampled_from([2**70, *ODD, -(2**70), 2**63, 10**6, 1e300]), st.integers(-2, 6))
 SPECS = [None, {}, {"kind": "modular", "N": 3}, {"kind": "modular", "N": 5},
          {"kind": "identity"}, {"kind": "product", "factors": [None, None]},
-         {"kind": "ball_action", "radius": 2}]
+         {"kind": "ball_action", "radius": 2}, {"kind": "ball_action", "radius": 2**70}]
+# The construction each universe kind takes. Half the runs draw their spec
+# from the ones of that kind, so that a spec, a huge radius among them,
+# meets the automaton it fits; the other half draw from all of SPECS.
+SPEC_KIND = {"free_abelian": "modular", "free": "ball_action", "finite": "identity",
+             "symmetric": "identity", "product": "product"}
 
 
 def _automata():
@@ -140,8 +145,10 @@ def _run(capsys, argv):
 )
 @given(data=st.data())
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys, data):
+    fit = data.draw(st.booleans())
     ca = dict(data.draw(st.sampled_from(AUTOMATA)))
-    spec = data.draw(st.sampled_from(SPECS))
+    fitting = [s for s in SPECS if s and s["kind"] == SPEC_KIND[ca["universe"]["kind"]]]
+    spec = data.draw(st.sampled_from(fitting if fit else SPECS))
     part = data.draw(st.sampled_from(["table", "universe", "alphabet", "embedding"]))
     tables = [key for key in ("universe", "alphabet") if "table" in ca[key]]
     if part == "table" and tables:
@@ -227,14 +234,14 @@ def test_ball_radii_are_bounded_before_their_balls(tmp_path, capsys, radius, cod
 
 
 def test_mutation_pool_reaches_every_outcome(tmp_path, capsys):
-    """The unmutated starting points alone reach exits 0, 1 and 2."""
+    """The unmutated starting points alone reach exits 0, 1, 2 and 3."""
     seen = set()
     for ca in AUTOMATA:
         path = _write(tmp_path, ca)
         for spec in SPECS:
             argv = ["transport", "--ca", path, "--embedding", json.dumps(spec)]
             seen.add(_run(capsys, argv))
-    assert {0, 1, 2} <= seen
+    assert {0, 1, 2, 3} <= seen
 
 
 @pytest.fixture(scope="module")

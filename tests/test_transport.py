@@ -16,6 +16,7 @@ from conftest import (
     make_table_ca,
     oracle_block_circulant,
     oracle_division_index,
+    oracle_transport_matrix,
     oracle_transport_table,
     random_pointed_table,
     symmetric_table,
@@ -23,7 +24,7 @@ from conftest import (
 )
 from symba import linalg
 from symba.groups import greedy_generators
-from symba.transport import division_index
+from symba.transport import _cyclic_order, division_index
 
 
 def _pair_CD(Z):
@@ -588,31 +589,93 @@ def _c3xc3():
     return sy.build_embedding(G, sy.FiniteSubset(G, G.elements()), None)
 
 
+# Z/6 relabelled so that label 1 names 3, of order 2: _Z6_LABELS[k] names k
+_Z6_LABELS = [0, 2, 3, 1, 4, 5]
+_Z6_RELABELLED = sy.FiniteGroup(
+    [[_Z6_LABELS[(a + b) % 6] for b in np.argsort(_Z6_LABELS)] for a in np.argsort(_Z6_LABELS)]
+)
+
+
 @pytest.mark.parametrize(
     "target",
     [sy.FiniteGroup.cyclic(N) for N in (1, 2, 7, 12)]
     + [sy.FiniteGroup(symmetric_table(3)), sy.FreeAbelianGroup(0)]
-    + [make().target for make in (_c3xc3_via_z2, _s3xc3)],
-    ids=["Z1", "Z2", "Z7", "Z12", "S3", "Z^0", "C3xC3", "S3xC3"],
+    + [make().target for make in (_c3xc3_via_z2, _s3xc3)]
+    + [sy.FiniteGroup(sy.FiniteGroup.cyclic(12).table), _Z6_RELABELLED],
+    ids=["Z1", "Z2", "Z7", "Z12", "S3", "Z^0", "C3xC3", "S3xC3", "Z12-validated", "Z6-relabelled"],
 )
 def test_division_index_matches_group_products(target):
+    """Z/N in its natural labelling takes the (k - h) mod N index, the rest the walk."""
     carrier = sy.FiniteSubset(target, target.elements())
     assert np.array_equal(division_index(carrier), oracle_division_index(target))
+    natural = isinstance(target, sy.FiniteGroup) and target == sy.FiniteGroup.cyclic(target.size)
+    assert (_cyclic_order(carrier) is not None) == natural
 
 
-def _random_matrix_transport(kind, p, d, rng):
-    """A seeded matrix rule on a symmetric memory, transported to its target."""
+def _random_matrix_rule(kind, p, d, rng):
+    """A seeded matrix rule on a symmetric memory, and an embedding to its target."""
     if kind in ("C3xC3", "S3xC3"):
         e = _c3xc3() if kind == "C3xC3" else _s3xc3()
         G = e.source
         M = sy.symmetrize(G, sy.FiniteSubset(G, [(1, 0), (0, 1)]))
+    elif kind in (1, 2, "S3", "Z6-relabelled"):  # finite universes, embedded as themselves
+        G, gens = {
+            1: (sy.FiniteGroup.cyclic(1), []),
+            2: (sy.FiniteGroup.cyclic(2), [1]),
+            "S3": (sy.SymmetricGroup(3), [(1, 0, 2), (1, 2, 0)]),
+            "Z6-relabelled": (_Z6_RELABELLED, [_Z6_LABELS[1]]),
+        }[kind]
+        e = sy.build_embedding(G, sy.FiniteSubset(G, G.elements()), None)
+        M = sy.symmetrize(G, sy.FiniteSubset(G, gens))
     else:
         G = sy.FreeAbelianGroup(1)
         M = sy.ball(G, 1)
         e = sy.build_embedding(G, sy.set_product(G, M, M), {"kind": "modular", "N": kind})
     A = sy.Alphabet.module(p, d)
     smap = sy.StructuredMap(A, len(M), matrices=rng.integers(0, p, (len(M), d, d)))
-    return sy.transport_endomap(sy.CellularAutomaton(G, A, sy.LocalRule(M, smap)), e)
+    return sy.CellularAutomaton(G, A, sy.LocalRule(M, smap)), e
+
+
+def _random_matrix_transport(kind, p, d, rng):
+    """A seeded matrix rule on a symmetric memory, transported to its target."""
+    return sy.transport_endomap(*_random_matrix_rule(kind, p, d, rng))
+
+
+@pytest.mark.parametrize("kind", [1, 2, 5, 12, "C3xC3", "S3xC3", "S3", "Z6-relabelled"])
+def test_transport_matrix_matches_cell_by_cell_oracle(kind):
+    """The expansion of the identity's block row is the matrix built cell by
+    cell, byte for byte, on Z/N and off it (SymmetricGroup(3) is a carrier
+    that is no FiniteGroup)."""
+    rng = np.random.default_rng(13)
+    for p, d in [(2, 1), (3, 2), (7, 3)]:
+        tau, e = _random_matrix_rule(kind, p, d, rng)
+        alpha = sy.transport_endomap(tau, e)
+        expected = oracle_transport_matrix(tau, e)
+        assert alpha.matrix.dtype == expected.dtype and alpha.matrix.shape == expected.shape
+        assert alpha.matrix.tobytes() == expected.tobytes()
+
+
+def test_relabelled_cyclic_group_takes_the_dense_route(monkeypatch):
+    """Z/6 with element 1 of order 2 is no Z/N in its natural order, so its
+    transports are inverted by left_solve, byte for byte as linalg.invert."""
+    rng = np.random.default_rng(14)
+
+    def refuse(*args):
+        raise AssertionError("ring route taken off Z/N")
+
+    monkeypatch.setattr(linalg, "cyclic_inverse", refuse)
+    inverted = 0
+    for p, d in MATRIX_FAMILY:
+        alpha = _random_matrix_transport("Z6-relabelled", p, d, rng)
+        full = linalg.invert(alpha.matrix, p)
+        if full is None:
+            with pytest.raises(NotInvertibleError):
+                sy.invert_transport(alpha)
+            continue
+        inverted += 1
+        gamma = sy.invert_transport(alpha)
+        assert gamma.matrix.dtype == full.dtype and gamma.matrix.tobytes() == full.tobytes()
+    assert inverted
 
 
 MATRIX_TARGETS = [5, 12, "C3xC3", "S3xC3"]
@@ -659,6 +722,30 @@ def test_block_row_composite_check_agrees_with_the_full_product(kind):
             assert sy.composes_to_identity(beta, alpha) == expected
             verdicts.add(expected)
     assert verdicts == {True, False}
+
+
+def _matrices_on(Z, N):
+    """The matrix rule C of _pair_CD over (Z/2)^2, transported to Z/N."""
+    C, _ = _pair_CD(Z)
+    A = sy.Alphabet.module(2, 2)
+    tau = sy.to_linear_ca(C, Z, A)
+    M = sy.symmetrize(Z, tau.memory)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": N})
+    return sy.transport_endomap(sy.CellularAutomaton(Z, A, sy.extend_memory(tau.rule, M)), e)
+
+
+def test_broken_wrap_around_block_is_seen_on_z_mod_8(Z):
+    """Block (N - 1, 0) is block 1 of the row, read from the doubled row's
+    wrap-around: one changed entry there is not F-equivariant."""
+    alpha, A = _matrices_on(Z, 8), sy.Alphabet.module(2, 2)
+    assert sy.check_equivariance(alpha)
+    for row, col in [(14, 0), (15, 1)]:  # entries (0, 0) and (1, 1) of block (7, 0)
+        broken = alpha.matrix.copy()
+        broken[row, col] ^= 1
+        as_endomap = sy.TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=broken)
+        assert not sy.check_equivariance(as_endomap)
+        with pytest.raises(InvalidInputError, match="not F-equivariant"):
+            sy.invert_transport(as_endomap)
 
 
 def test_invertible_cyclic_transport_eliminates_nothing(Z, monkeypatch):
@@ -747,3 +834,31 @@ def test_composes_to_identity_refuses_mixed_representations(Z):
     for beta, alpha in [(table, matrix), (matrix, table)]:
         with pytest.raises(InvalidInputError, match="different representations"):
             sy.composes_to_identity(beta, alpha)
+
+
+def _shift_tables_on(Z, q, N):
+    """The shift over q symbols, transported to Z/N as a table."""
+    shift = sy.projection_ca(Z, sy.Alphabet.plain(q), (1,))
+    M = sy.symmetrize(Z, shift.memory)
+    e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": N})
+    wide = sy.CellularAutomaton(Z, shift.alphabet, sy.extend_memory(shift.rule, M))
+    return sy.transport_endomap(wide, e)
+
+
+@pytest.mark.parametrize(
+    "make_pair",
+    [
+        lambda Z: (_shift_tables_on(Z, 2, 5), _shift_tables_on(Z, 2, 6)),
+        lambda Z: (_matrices_on(Z, 5), _matrices_on(Z, 6)),
+        lambda Z: (_shift_tables_on(Z, 2, 5), _shift_tables_on(Z, 3, 5)),
+    ],
+    ids=["tables-Z5-Z6", "matrices-Z5-Z6", "tables-q2-q3"],
+)
+def test_composes_to_identity_refuses_maps_on_different_spaces(Z, make_pair):
+    """Maps over different carriers or alphabets cannot be composed; each
+    map still composes with its own inverse."""
+    first, second = make_pair(Z)
+    for beta, alpha in [(first, second), (second, first)]:
+        with pytest.raises(InvalidInputError, match="different carriers or alphabets"):
+            sy.composes_to_identity(beta, alpha)
+        assert sy.composes_to_identity(sy.invert_transport(alpha), alpha)
