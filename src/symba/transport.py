@@ -263,12 +263,6 @@ class TransportedEndomap:
         return _layout(self.carrier)
 
 
-def _sharing_division(m: TransportedEndomap, div: np.ndarray | None) -> TransportedEndomap:
-    """m, given div as its division index: one index per carrier, not per map."""
-    m.__dict__["_division"] = div  # where cached_property keeps it
-    return m
-
-
 def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
     """The F-equivariant endomap reading the rule through the embedding.
 
@@ -294,9 +288,8 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
         if dim > TRANSPORT_DIM_CAP:
             raise ResourceCapError(f"transport matrix dimension {dim} over cap {TRANSPORT_DIM_CAP}")
         row = tau.rule.map.window_matrix([[carrier.index_of(e.phi[m]) for m in M]], nF)
-        div = _layout(carrier)
-        matrix = _expansion(row, div).reshape(dim, dim)
-        return _sharing_division(TransportedEndomap(e, A, carrier, matrix=matrix), div)
+        matrix = _expansion(row, _layout(carrier)).reshape(dim, dim)
+        return TransportedEndomap(e, A, carrier, matrix=matrix)
 
     count = A.size**nF
     if count > transport_cap():
@@ -329,15 +322,11 @@ def _cyclic_order(carrier: FiniteSubset) -> int | None:
 def division_index(carrier: FiniteSubset) -> np.ndarray:
     """div[h, k]: the carrier position of h^-1 k, for a carrier that is all of F.
 
-    On Z/N that is (k - h) mod N. Otherwise a breadth-first walk over the
-    greedy generators g fills left[x, u], the position of xu: row x g^-1 is
-    row x read through the translation by g. That is |F| array steps, with
-    no |F|^2 group products; div[h] inverts left[h].
+    A breadth-first walk over the greedy generators g fills left[x, u], the
+    position of xu: row x g^-1 is row x read through the translation by g.
+    That is |F| array steps, with no |F|^2 group products; div[h] inverts
+    left[h].
     """
-    N = _cyclic_order(carrier)
-    if N is not None:
-        steps = np.arange(N)
-        return (steps - steps[:, None]) % N
     nF, one = len(carrier), carrier.index_of(carrier.group.identity())
     perms = _translations(carrier)
     left = np.empty((nF, nF), dtype=np.int64)
@@ -380,14 +369,10 @@ def _expansion(row: np.ndarray, div: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _identity_position(div: np.ndarray | None) -> int:
-    """The carrier position of the identity: h^-1 h for h at 0, and 0 on Z/N."""
-    return 0 if div is None else int(div[0, 0])
-
-
 def _identity_row(m: TransportedEndomap, div: np.ndarray | None) -> np.ndarray | None:
     """m's identity block row mod n if m is its expansion (is F-equivariant), else None."""
-    d, nF, one = m.alphabet.dim, len(m.carrier), _identity_position(div)
+    d, nF = m.alphabet.dim, len(m.carrier)
+    one = m.carrier.index_of(m.carrier.group.identity())
     matrix = linalg.reduce(m.matrix, m.alphabet.modulus)
     row = matrix[one * d : (one + 1) * d]
     return row if np.array_equal(_expansion(row, div), matrix.reshape(nF, d, nF, d)) else None
@@ -395,12 +380,13 @@ def _identity_row(m: TransportedEndomap, div: np.ndarray | None) -> np.ndarray |
 
 def _equivariant_rows(*maps: TransportedEndomap):
     """(E, rows): the identity block rows of maps on one carrier, E those of I."""
-    div = maps[0]._division
+    carrier, div = maps[0].carrier, maps[0]._division
     rows = [_identity_row(m, div) for m in maps]
     if any(row is None for row in rows):
         raise InvalidInputError("transported matrix is not F-equivariant")
     d, n = rows[0].shape
-    return np.eye(d, n, _identity_position(div) * d, dtype=np.int64), rows
+    one = carrier.index_of(carrier.group.identity())
+    return np.eye(d, n, one * d, dtype=np.int64), rows
 
 
 def _cyclic_inverse_row(alpha: TransportedEndomap, row: np.ndarray, E: np.ndarray):
@@ -429,8 +415,8 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     own injectivity test: on a finite set injective means onto, so a -1
     left over is a configuration nothing maps to. Only a failure counts
     hits, after the inverse is freed, to name its witness. A matrix must be
-    F-equivariant; its inverse is the expansion of one certified block row,
-    and shares alpha's division index. On Z/N that row is B(x)^-1 over
+    F-equivariant; its inverse is the expansion of one certified block row.
+    On Z/N that row is B(x)^-1 over
     F_p[x]/(x^N - 1), and its expansion is copied once from a view. Off
     Z/N, and on Z/N when the ring route finds no unit pivot (B singular, or
     invertible with no unit left in some column) or its row fails the
@@ -464,8 +450,7 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
         x = tuple(A.cell_values(kernel[0]).tolist())
         raise NotInvertibleError((x, (0,) * len(x)), "transported matrix is singular")
     inverse = _expansion(row, alpha._division).reshape(E.shape[1], -1)
-    gamma = TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inverse)
-    return _sharing_division(gamma, alpha._division)
+    return TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inverse)
 
 
 def extract_local_rule(
@@ -522,8 +507,8 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
 def composes_to_identity(beta: TransportedEndomap, alpha: TransportedEndomap) -> bool:
     """Exhaustively check beta after alpha is the identity on A^F.
 
-    Both must act on one carrier and alphabet, so they share alpha's
-    division index. Matrices must be F-equivariant; then so is the
+    Both must act on one carrier and alphabet, since both are read with
+    alpha's division index. Matrices must be F-equivariant; then so is the
     composite, which is I exactly when its identity block row is.
     """
     if beta.is_matrix != alpha.is_matrix:

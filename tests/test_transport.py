@@ -605,7 +605,7 @@ _Z6_RELABELLED = sy.FiniteGroup(
     ids=["Z1", "Z2", "Z7", "Z12", "S3", "Z^0", "C3xC3", "S3xC3", "Z12-validated", "Z6-relabelled"],
 )
 def test_division_index_matches_group_products(target):
-    """Z/N in its natural labelling takes the (k - h) mod N index, the rest the walk."""
+    """The walk matches group products; only Z/N in its natural labelling is Z/N."""
     carrier = sy.FiniteSubset(target, target.elements())
     assert np.array_equal(division_index(carrier), oracle_division_index(target))
     natural = isinstance(target, sy.FiniteGroup) and target == sy.FiniteGroup.cyclic(target.size)
