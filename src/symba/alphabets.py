@@ -39,7 +39,7 @@ import numpy as np
 
 from .caps import MAX_MODULUS, check_size, enumeration_cap
 from .errors import InvalidInputError, ResourceCapError, json_int
-from .groups import FiniteGroup, greedy_generators
+from .groups import FiniteGroup, _Keyed, greedy_generators
 
 _PLAIN = "plain"
 _MODULE = "module"
@@ -49,13 +49,13 @@ _SCAN_CHUNK = 1 << 16
 _GROUP_TABLE = 1 << 12  # most entries of one table summing a group of nearby windows
 
 
-class Alphabet:
+class Alphabet(_Keyed):
     """Finite carrier with a basepoint and optional algebraic structure."""
 
-    def __init__(self, flavor, size, basepoint, modulus=None, dim=None, table=None):
+    def __init__(self, flavor, size, modulus=None, dim=None, table=None):
         self.flavor = flavor
         self.size = json_int(size, "size")
-        self.basepoint = json_int(basepoint, "basepoint")
+        self.basepoint = 0 if table is None else table.identity()
         self.modulus = modulus
         self.dim = dim
         self.table = table
@@ -67,7 +67,7 @@ class Alphabet:
 
     @classmethod
     def plain(cls, size: int) -> "Alphabet":
-        return cls(_PLAIN, size, 0)
+        return cls(_PLAIN, size)
 
     @classmethod
     def module(cls, modulus: int, dim: int) -> "Alphabet":
@@ -83,12 +83,12 @@ class Alphabet:
             raise ResourceCapError(f"module alphabet of dim {dim} is over the enumeration cap")
         size = modulus**dim
         check_size(size, "module alphabet carrier")
-        return cls(_MODULE, size, 0, modulus=modulus, dim=dim)
+        return cls(_MODULE, size, modulus=modulus, dim=dim)
 
     @classmethod
     def group(cls, table) -> "Alphabet":
         carrier = FiniteGroup(table)
-        return cls(_GROUP, carrier.size, carrier.identity(), table=carrier)
+        return cls(_GROUP, carrier.size, table=carrier)
 
     @property
     def is_module(self):
@@ -171,11 +171,8 @@ class Alphabet:
             return {"flavor": "module", "modulus": self.modulus, "dim": self.dim}
         return {"flavor": "group", "table": [list(r) for r in self.table.table]}
 
-    def __eq__(self, other):
-        return isinstance(other, Alphabet) and other.to_json() == self.to_json()
-
-    def __hash__(self):
-        return hash((self.flavor, self.size, self.modulus, self.dim))
+    def _key(self):
+        return self.flavor, self.size, self.modulus, self.dim, self.table
 
     def __repr__(self):
         if self.is_module:

@@ -19,8 +19,8 @@ U = B * supp(C), and solves it once for all d rows of D.
 
 The public constructors validate every group element and entry. Results
 computed from validated operands (sums, negations, scalings, products)
-are built by the private `_trusted` constructors, which only reduce the
-coefficients mod n and drop zeros.
+are built by `_trusted`, whose `_fill` only reduces the coefficients mod n
+and drops zeros.
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .alphabets import Alphabet, StructuredMap
 from .ca import CellularAutomaton, LocalRule
 from .caps import check_size
 from .errors import InvalidInputError, json_int
-from .groups import FiniteSubset, Group, ball, set_product
+from .groups import FiniteSubset, Group, _Keyed, ball, set_product
 
 Coeffs = dict
 
 
-class GroupRingElement:
+class GroupRingElement(_Keyed):
     """A finitely supported function G -> Z/n, canonical sparse storage."""
 
     __slots__ = ("group", "modulus", "coeffs")
@@ -52,13 +52,6 @@ class GroupRingElement:
         for g in coeffs:
             group.validate(g)
         self._fill(group, modulus, {g: json_int(c, "coefficient") for g, c in coeffs.items()})
-
-    @classmethod
-    def _trusted(cls, group: Group, modulus: int, coeffs: Coeffs) -> "GroupRingElement":
-        """The element with canonical keys and int coefficients, without validating them."""
-        self = cls.__new__(cls)
-        self._fill(group, modulus, coeffs)
-        return self
 
     def _fill(self, group, modulus, coeffs):
         clean: Coeffs = {}
@@ -122,16 +115,8 @@ class GroupRingElement:
             self.group, self.modulus, {g: c * k for g, c in self.coeffs.items()}
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingElement)
-            and other.group == self.group
-            and other.modulus == self.modulus
-            and other.coeffs == self.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.modulus, tuple(sorted(self.coeffs.items(), key=lambda kv: self.group.sort_key(kv[0])))))
+    def _key(self):
+        return self.group, self.modulus, frozenset(self.coeffs.items())
 
     def to_json(self):
         return [
@@ -140,10 +125,7 @@ class GroupRingElement:
         ]
 
     def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = [f"{c}*{g!r}" for g, c in sorted(self.coeffs.items(), key=lambda kv: self.group.sort_key(kv[0]))]
-        return " + ".join(parts)
+        return " + ".join(f"{self.coeffs[g]}*{g!r}" for g in self.support()) or "0"
 
 
 def _convolve(G: Group, n: int, pairs) -> GroupRingElement:
@@ -164,7 +146,7 @@ def gr_mul(x: GroupRingElement, y: GroupRingElement) -> GroupRingElement:
     return _convolve(x.group, x.modulus, [(x, y)])
 
 
-class GroupRingMatrix:
+class GroupRingMatrix(_Keyed):
     """Square matrix with group-ring entries, all sharing one modulus."""
 
     __slots__ = ("group", "modulus", "dim", "entries")
@@ -182,13 +164,6 @@ class GroupRingMatrix:
                 if e.group != group or e.modulus != modulus:
                     raise InvalidInputError("entry lives in the wrong group ring")
         self._fill(group, modulus, entries)
-
-    @classmethod
-    def _trusted(cls, group: Group, modulus: int, entries) -> "GroupRingMatrix":
-        """The square matrix of entries already in (Z/modulus)[group], without checking them."""
-        self = cls.__new__(cls)
-        self._fill(group, modulus, entries)
-        return self
 
     def _fill(self, group, modulus, entries):
         self.group = group
@@ -246,16 +221,8 @@ class GroupRingMatrix:
             for j, e in enumerate(row)
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, GroupRingMatrix)
-            and other.group == self.group
-            and other.modulus == self.modulus
-            and other.entries == self.entries
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.modulus, self.entries))
+    def _key(self):
+        return self.group, self.modulus, self.entries
 
     def to_json(self):
         return {

@@ -7,11 +7,19 @@ products (tuples of factor elements), and the symmetric group on n points
 (permutation tuples; used as an embedding target, never enumerated unless
 small). Canonical encodings give every subset a deterministic tabulation
 order, which is what makes rule tables reproducible byte for byte.
+
+Groups, subsets, alphabets and group-ring values derive from `_Keyed`:
+equal and hashed by type and `_key()`, and built from validated parts by
+`_trusted`. A new group kind defines `identity`, `mul`, `inv`, `validate`,
+`generators`, `_key` and `to_json` (with `order` and `elements` if finite);
+it inherits equality, hashing, the encoding as `sort_key`, the integer-tuple
+JSON codec worded by `_noun`, and the repr `Kind(key)`.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from operator import add, itemgetter, neg
 from typing import Any, Iterator, Sequence
 
@@ -23,10 +31,33 @@ from .errors import InvalidInputError, ResourceCapError, json_int
 Elem = Any
 
 
-class Group:
+class _Keyed:
+    """An immutable value identified by its type and `_key()`."""
+
+    __slots__ = ()
+
+    def _key(self):
+        raise NotImplementedError
+
+    def __eq__(self, other):
+        return type(other) is type(self) and other._key() == self._key()
+
+    def __hash__(self):
+        return hash((type(self), self._key()))
+
+    @classmethod
+    def _trusted(cls, *args):
+        """The value of already canonical parts: `_fill` without the public checks."""
+        self = cls.__new__(cls)
+        self._fill(*args)
+        return self
+
+
+class Group(_Keyed):
     """Base class: canonical encodings plus the group operations."""
 
     kind = "abstract"
+    _noun, _entry = "entry", None  # JSON errors name a `_noun` list, each entry `_entry or _noun`
 
     def identity(self) -> Elem:
         raise NotImplementedError
@@ -43,7 +74,7 @@ class Group:
 
     def sort_key(self, a: Elem):
         """Key realizing the canonical total order on encodings."""
-        raise NotImplementedError
+        return a
 
     def generators(self) -> list[Elem]:
         """Distinguished generators (inverses not included)."""
@@ -53,28 +84,47 @@ class Group:
         """Group order, or None when infinite."""
         return None
 
+    def _log2_order(self) -> float | None:
+        """log2 of the order, or None when infinite, without forming a huge order."""
+        n = self.order()
+        return None if n is None else math.log2(n)
+
     def elements(self) -> Iterator[Elem]:
         """All elements in canonical order; only for finite kinds."""
         raise InvalidInputError(f"cannot enumerate elements of {self!r}")
 
     def elem_to_json(self, a: Elem):
-        raise NotImplementedError
+        return list(a)
 
     def elem_from_json(self, data) -> Elem:
-        raise NotImplementedError
+        if not isinstance(data, list):
+            raise InvalidInputError(f"expected a {self._noun} list, got {data!r}")
+        elem = tuple(json_int(x, self._entry or self._noun) for x in data)
+        self.validate(elem)
+        return elem
 
     def to_json(self) -> dict:
         raise NotImplementedError
 
     def __repr__(self):
-        return f"{type(self).__name__}"
+        return f"{type(self).__name__}({self._key()!r})"
+
+
+def _check_order(G: Group, what: str) -> None:
+    """check_size on a finite G's order, formed only below 2^64: past that it is
+    over any cap, and forming it can take seconds (degree! does at degree
+    2^20). The rounded log2 is shaved, so that 2^k stays a lower bound."""
+    bits = G._log2_order()
+    if bits >= 64:
+        count = f"at least 2^{int(bits * (1 - 2**-40))}"
+        raise ResourceCapError(f"{what} would have {count} entries, cap is {enumeration_cap()}")
+    check_size(G.order(), what)
 
 
 class _RankedGroup(Group):
     """A free kind fixed by its rank; elements are integer tuples.
 
-    Rank 0 is the trivial group, the only finite one. `_noun` names the
-    tuple entries in JSON error messages.
+    Rank 0 is the trivial group, the only finite one.
     """
 
     def __init__(self, rank: int):
@@ -92,27 +142,11 @@ class _RankedGroup(Group):
             return iter([()])
         return super().elements()
 
-    def elem_to_json(self, a):
-        return list(a)
-
-    def elem_from_json(self, data):
-        if not isinstance(data, list):
-            raise InvalidInputError(f"expected a {self._noun} list, got {data!r}")
-        elem = tuple(json_int(x, self._noun) for x in data)
-        self.validate(elem)
-        return elem
-
     def to_json(self):
         return {"kind": self.kind, "rank": self.rank}
 
-    def __eq__(self, other):
-        return type(other) is type(self) and other.rank == self.rank
-
-    def __hash__(self):
-        return hash((self.kind, self.rank))
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.rank})"
+    def _key(self):
+        return self.rank
 
 
 class FreeAbelianGroup(_RankedGroup):
@@ -137,9 +171,6 @@ class FreeAbelianGroup(_RankedGroup):
             or not all(type(x) is int for x in a)  # bool is an int subclass
         ):
             raise InvalidInputError(f"not a Z^{self.rank} element: {a!r}")
-
-    def sort_key(self, a):
-        return a
 
     def generators(self):
         check_size(self.rank**2, "the rank x rank generators")
@@ -250,10 +281,13 @@ class FiniteGroup(Group):
             a, b = next((a, b) for a in range(n) for b in range(n) if fails(a, b))
             c = next(c for c in range(n) if table[table[a][b]][c] != table[a][table[b][c]])
             raise InvalidInputError(f"table is not associative at ({a},{b},{c})")
+        self._fill(table, ident, tuple((T == ident).argmax(axis=1).tolist()))
+
+    def _fill(self, table, identity, inv):
         self.table = table
-        self.size = n
-        self._identity = ident
-        self._inv = tuple((T == ident).argmax(axis=1).tolist())
+        self.size = len(table)
+        self._identity = identity
+        self._inv = inv
 
     @classmethod
     def cyclic(cls, n: int) -> "FiniteGroup":
@@ -267,12 +301,8 @@ class FiniteGroup(Group):
             raise InvalidInputError(f"cyclic order must be positive, got {n}")
         check_size(n * n, "multiplication table")
         points = tuple(range(n))
-        self = cls.__new__(cls)
-        self.table = tuple(points[a:] + points[:a] for a in points)
-        self.size = n
-        self._identity = 0
-        self._inv = tuple(-a % n for a in points)
-        return self
+        table = tuple(points[a:] + points[:a] for a in points)
+        return cls._trusted(table, 0, tuple(-a % n for a in points))
 
     def identity(self):
         return self._identity
@@ -286,9 +316,6 @@ class FiniteGroup(Group):
     def validate(self, a):
         if type(a) is not int or not (0 <= a < self.size):
             raise InvalidInputError(f"not an index below {self.size}: {a!r}")
-
-    def sort_key(self, a):
-        return a
 
     def generators(self):
         # Every element generates within one step; diameter <= 1.
@@ -311,11 +338,8 @@ class FiniteGroup(Group):
     def to_json(self):
         return {"kind": "finite", "table": [list(row) for row in self.table]}
 
-    def __eq__(self, other):
-        return isinstance(other, FiniteGroup) and other.table == self.table
-
-    def __hash__(self):
-        return hash(("finite", self.table))
+    def _key(self):
+        return self.table
 
     def __repr__(self):
         return f"FiniteGroup(order={self.size})"
@@ -386,19 +410,16 @@ class ProductGroup(Group):
         return gens
 
     def order(self):
-        total = 1
-        for f in self.factors:
-            n = f.order()
-            if n is None:
-                return None
-            total *= n
-        return total
+        return None if self._log2_order() is None else math.prod(f.order() for f in self.factors)
+
+    def _log2_order(self):
+        logs = [f._log2_order() for f in self.factors]
+        return None if None in logs else math.fsum(logs)
 
     def elements(self):
-        n = self.order()
-        if n is None:
+        if self._log2_order() is None:
             return super().elements()
-        check_size(n, "product group carrier")
+        _check_order(self, "product group carrier")
         return itertools.product(*[list(f.elements()) for f in self.factors])
 
     def elem_to_json(self, a):
@@ -412,11 +433,8 @@ class ProductGroup(Group):
     def to_json(self):
         return {"kind": "product", "factors": [f.to_json() for f in self.factors]}
 
-    def __eq__(self, other):
-        return isinstance(other, ProductGroup) and other.factors == self.factors
-
-    def __hash__(self):
-        return hash(("product", self.factors))
+    def _key(self):
+        return self.factors
 
     def __repr__(self):
         return f"ProductGroup({list(self.factors)!r})"
@@ -432,6 +450,7 @@ class SymmetricGroup(Group):
     """
 
     kind = "symmetric"
+    _noun, _entry = "permutation", "permutation entry"
 
     def __init__(self, degree: int):
         degree = json_int(degree, "degree")
@@ -461,9 +480,6 @@ class SymmetricGroup(Group):
         ):
             raise InvalidInputError(f"not a permutation of {self.degree} points: {a!r}")
 
-    def sort_key(self, a):
-        return a
-
     def generators(self):
         if self.degree == 1:
             return [self.identity()]
@@ -473,39 +489,23 @@ class SymmetricGroup(Group):
         return [tuple(swap), cycle]
 
     def order(self):
-        total = 1
-        for i in range(2, self.degree + 1):
-            total *= i
-        return total
+        return math.factorial(self.degree)
+
+    def _log2_order(self):
+        return math.lgamma(self.degree + 1) / math.log(2)
 
     def elements(self):
-        check_size(self.order(), "symmetric group carrier")
+        _check_order(self, "symmetric group carrier")
         return itertools.permutations(range(self.degree))
-
-    def elem_to_json(self, a):
-        return list(a)
-
-    def elem_from_json(self, data):
-        if not isinstance(data, list):
-            raise InvalidInputError(f"expected a permutation list, got {data!r}")
-        elem = tuple(json_int(x, "permutation entry") for x in data)
-        self.validate(elem)
-        return elem
 
     def to_json(self):
         return {"kind": "symmetric", "degree": self.degree}
 
-    def __eq__(self, other):
-        return isinstance(other, SymmetricGroup) and other.degree == self.degree
-
-    def __hash__(self):
-        return hash(("symmetric", self.degree))
-
-    def __repr__(self):
-        return f"SymmetricGroup({self.degree})"
+    def _key(self):
+        return self.degree
 
 
-class FiniteSubset:
+class FiniteSubset(_Keyed):
     """Ordered duplicate-free subset of a group, in canonical order.
 
     Positions in the subset are the coordinate indices used by every rule
@@ -523,13 +523,6 @@ class FiniteSubset:
         for e in elements:
             group.validate(e)
         self._fill(group, elements)
-
-    @classmethod
-    def _trusted(cls, group: Group, elements) -> "FiniteSubset":
-        """The subset of already canonical elements, without validating them."""
-        self = cls.__new__(cls)
-        self._fill(group, elements)
-        return self
 
     def _fill(self, group, elements):
         elems = sorted(set(elements), key=group.sort_key)
@@ -556,15 +549,8 @@ class FiniteSubset:
     def __getitem__(self, i):
         return self.elems[i]
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, FiniteSubset)
-            and other.group == self.group
-            and other.elems == self.elems
-        )
-
-    def __hash__(self):
-        return hash((self.group, self.elems))
+    def _key(self):
+        return self.group, self.elems
 
     def issubset(self, other: "FiniteSubset") -> bool:
         return all(e in other for e in self.elems)

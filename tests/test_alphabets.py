@@ -61,6 +61,33 @@ def test_group_alphabet_basepoint_is_identity():
     A = sy.Alphabet.group(table)
     assert A.basepoint == 0
     assert A.add(1, 1) == table[1][1]
+    # Z/3 relabelled so that its identity is 2
+    shifted = sy.Alphabet.group([[(a + b + 1) % 3 for b in range(3)] for a in range(3)])
+    assert shifted.basepoint == 2
+
+
+def test_alphabet_equality_and_hash():
+    """Alphabets are equal when flavor, size and structure agree, whatever built them."""
+    table = symmetric_table(3)
+    A, B = sy.Alphabet.group(table), sy.Alphabet.group([list(row) for row in table])
+    assert A == B and hash(A) == hash(B)
+    assert A != sy.Alphabet.group([[(a + b) % 6 for b in range(6)] for a in range(6)])
+    assert sy.Alphabet.module(3, 2) == sy.Alphabet.module(3, 2)
+    assert hash(sy.Alphabet.plain(4)) == hash(sy.Alphabet.plain(4))
+    unequal = [
+        sy.Alphabet.plain(4),
+        sy.Alphabet.module(2, 2),
+        sy.Alphabet.module(4, 1),
+        sy.Alphabet.group([[(a + b) % 4 for b in range(4)] for a in range(4)]),
+    ]
+    assert len(set(unequal)) == 4
+    assert all((x == y) == (i == j) for i, x in enumerate(unequal) for j, y in enumerate(unequal))
+    assert [repr(x) for x in unequal] == [
+        "Alphabet.plain(4)",
+        "Alphabet.module(2, 2)",
+        "Alphabet.module(4, 1)",
+        "Alphabet.group(order=4)",
+    ]
 
 
 def test_verify_pointed_examples():

@@ -85,6 +85,22 @@ def test_ring_axioms_randomized(Z, F2):
     assert cases == 1200
 
 
+def test_equal_values_built_apart_are_equal_with_equal_hashes(Z, F2):
+    """Coefficients inserted in another order, or equal mod n, give one element."""
+    g, h, e = (1, 2), (-1,), F2.identity()
+    x = sy.GroupRingElement(F2, 5, {g: 1, h: 2, e: 3})
+    y = sy.GroupRingElement(F2, 5, {e: 8, h: -3, g: 6})
+    assert x == y and hash(x) == hash(y)
+    assert x != sy.GroupRingElement(F2, 7, {g: 1, h: 2, e: 3})
+    assert x != sy.GroupRingElement(sy.FreeGroup(3), 5, {g: 1, h: 2, e: 3})
+    assert repr(x) == repr(y) == "3*() + 2*(-1,) + 1*(1, 2)"
+    assert repr(_E(Z, 5)) == "0"
+    C, D = _pair_CD(Z)
+    assert C == _pair_CD(Z)[0] and hash(C) == hash(_pair_CD(Z)[0])
+    assert C != D and len({C, D, _pair_CD(Z)[1]}) == 2
+    assert repr(C) == "GroupRingMatrix(dim=2, mod 2, |support|=2)"
+
+
 def test_integer_scalars_on_either_side(Z):
     x = _E(Z, 5, {Z.identity(): 2, (1,): 4})
     for k in (0, 1, 3, -2, 7, True, np.int64(3), np.uint8(9)):

@@ -1,6 +1,7 @@
 """Group universes: encodings, balls, subset combinatorics."""
 
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -71,7 +72,8 @@ def test_ball_sizes_known_up_front_are_refused_before_the_walk(Z):
         sy.ball(sy.FreeGroup(10**6), 1)
     with pytest.raises(ResourceCapError, match=r"counted in letters, would have 100010000 "):
         sy.ball(sy.FreeGroup(1), 10**4)
-    with pytest.raises(ResourceCapError, match=r"would have at least 2\^"):
+    pinned = r"^a ball over FreeAbelianGroup\(1\) \(counted from below\) would have at least 2\^"
+    with pytest.raises(ResourceCapError, match=pinned):
         sy.ball(Z, 2**70)
     assert len(sy.ball(sy.FreeGroup(1), 1000)) == 2001  # 1001000 letters fit the cap
 
@@ -164,7 +166,8 @@ def test_canonical_order_is_total_and_stable(F2):
     keys = [F2.sort_key(x) for x in b]
     assert keys == sorted(keys)
     shuffled = sy.FiniteSubset(F2, reversed(list(b)))
-    assert shuffled == b
+    assert shuffled == b and hash(shuffled) == hash(b)
+    assert sy.FiniteSubset(F2, list(b)[1:]) != b
 
 
 def test_finite_group_validation_rejects_bad_tables():
@@ -325,6 +328,84 @@ def test_symmetric_group_operations():
     assert S.mul(a, S.inv(a)) == S.identity()
     assert S.order() == 6
     assert len(list(S.elements())) == 6
+
+
+def test_huge_symmetric_carriers_are_refused_without_their_order(monkeypatch):
+    """log2(degree!) is bounded before degree! is formed: Sym(2^20), alone or
+    as a factor, is refused at once, in the words check_size would use."""
+    cap = sy.caps.enumeration_cap()
+    for n in (10, 21, 57, 1597):
+        count = math.factorial(n)
+        words = count if count < 2**63 else f"at least 2^{count.bit_length() - 1}"
+        with pytest.raises(ResourceCapError) as refused:
+            sy.SymmetricGroup(n).elements()
+        assert str(refused.value) == f"symmetric group carrier would have {words} entries, cap is {cap}"
+    big = sy.ProductGroup([sy.FiniteGroup.cyclic(2), sy.SymmetricGroup(10**5)])
+    with pytest.raises(ResourceCapError, match=r"^product group carrier would have at least 2\^1516705 "):
+        big.elements()
+
+    def refuse(self):
+        raise AssertionError("formed the order of a huge symmetric group")
+
+    monkeypatch.setattr(sy.SymmetricGroup, "order", refuse)
+    huge = sy.SymmetricGroup(2**20)
+    with pytest.raises(ResourceCapError, match=r"^symmetric group carrier would have at least 2\^19458755 "):
+        huge.elements()
+    nested = [sy.ProductGroup([huge]), sy.FreeAbelianGroup(0)]
+    for factors in ([huge], [sy.FiniteGroup.cyclic(3), huge], nested):
+        with pytest.raises(ResourceCapError, match=r"^product group carrier would have at least 2\^"):
+            sy.ProductGroup(factors).elements()
+    with pytest.raises(InvalidInputError, match=r"cannot enumerate elements of ProductGroup"):
+        sy.ProductGroup([sy.FreeGroup(1), huge]).elements()
+    assert sy.ProductGroup([sy.FreeGroup(1), huge]).order() is None
+
+
+# Values of different kinds whose keys coincide.
+SAME_KEYS = [
+    (sy.FreeAbelianGroup(0), sy.FreeGroup(0)),
+    (sy.FreeAbelianGroup(3), sy.SymmetricGroup(3)),
+    (sy.FreeGroup(2), sy.SymmetricGroup(2)),
+]
+
+
+@pytest.mark.parametrize("a, b", SAME_KEYS)
+def test_equal_keys_across_kinds_stay_unequal(a, b):
+    assert a._key() == b._key()
+    assert a != b and b != a and len({a, b}) == 2
+    assert a == type(a)(a._key()) and hash(a) == hash(type(a)(a._key()))
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (sy.FreeAbelianGroup(1), "FreeAbelianGroup(1)"),
+        (sy.FreeGroup(2), "FreeGroup(2)"),
+        (sy.SymmetricGroup(3), "SymmetricGroup(3)"),
+        (sy.FiniteGroup.cyclic(6), "FiniteGroup(order=6)"),
+        (
+            sy.ProductGroup([sy.FiniteGroup.cyclic(2), sy.FreeAbelianGroup(1)]),
+            "ProductGroup([FiniteGroup(order=2), FreeAbelianGroup(1)])",
+        ),
+        (sy.FiniteSubset(sy.FreeAbelianGroup(1), [(1,), (0,)]), "FiniteSubset[(0,), (1,)]"),
+    ],
+)
+def test_reprs_printed_by_error_messages(value, text):
+    assert repr(value) == text
+
+
+def test_tuple_codec_error_wording():
+    """Z^k, F_k and S_n share one integer-tuple JSON codec; each keeps its words."""
+    cases = [
+        (sy.FreeAbelianGroup(2), "coordinate", "coordinate"),
+        (sy.FreeGroup(2), "letter", "letter"),
+        (sy.SymmetricGroup(2), "permutation", "permutation entry"),
+    ]
+    for G, noun, entry in cases:
+        assert G.elem_from_json(G.elem_to_json(G.generators()[0])) == G.generators()[0]
+        with pytest.raises(InvalidInputError, match=rf"^expected a {noun} list, got 3$"):
+            G.elem_from_json(3)
+        with pytest.raises(InvalidInputError, match=rf"^{entry} must be an integer, got 1\.5$"):
+            G.elem_from_json([1.5, 0])
 
 
 # Non-canonical encodings, each with the universe it fails in.

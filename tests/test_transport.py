@@ -70,6 +70,26 @@ def test_ball_action_embedding_free_group(F2):
     assert sy.verify_embedding(e, sy.ball(F2, 1))
 
 
+def test_ball_action_build_multiplies_only_along_words(F2, monkeypatch):
+    """The build multiplies letter permutations along each word of S, at most
+    radius products per word; it never checks the product rule over S x S,
+    which `verify_embedding` checks over M x M where the embedding is used."""
+    calls = []
+    mul = sy.SymmetricGroup.mul
+
+    def counted(self, a, b):
+        calls.append((a, b))
+        return mul(self, a, b)
+
+    monkeypatch.setattr(sy.SymmetricGroup, "mul", counted)
+    M = sy.ball(F2, 2)
+    S = sy.set_product(F2, M, M)
+    e = sy.build_embedding(F2, S, {"kind": "ball_action", "radius": 4})
+    assert e.target.degree == len(sy.ball(F2, 5))
+    assert len(calls) <= len(S) * 4 + 2 * F2.rank
+    assert sy.verify_embedding(e, M)
+
+
 def test_ball_action_translation_structure(F2):
     """Each generator's permutation extends its partial left translation."""
     S = sy.ball(F2, 1)
