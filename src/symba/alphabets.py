@@ -11,10 +11,12 @@ matrices acting by x -> sum_j mat[j] @ x_j mod n.
 `radix` is the only place this index order is computed: every table
 lookup and witness decode goes through it (or `decode_index` /
 `decode_assignments`, built on it). `StructuredMap.window_codes` is the one
-window-scan kernel: every table scan (composition, determinacy, transport
-tabulation, equivariance, re-reading) walks A^n through it in canonical
-order, without decoding configurations into digits; a configuration's
-code is the canonical index of its image pattern. Over large cubes it first
+window-scan kernel: every table scan (composition, inverse checks,
+determinacy, transport tabulation, equivariance, re-reading) walks A^n
+through it in canonical order, without decoding configurations into
+digits; a configuration's code is the canonical index of its image
+pattern, and `cell_digits` gives the inverse checks and determinacy the
+identity cell's digit of each configuration. Over large cubes it first
 sums nearby windows in groups, each into one small table over the union of
 their cells, so a block costs one full-size addition per group.
 Module alphabets never store their carrier: a value's vector is its digits
@@ -190,6 +192,27 @@ def radix(size: int, n: int) -> np.ndarray:
 def decode_index(index, size: int, n: int) -> np.ndarray:
     """Digits of canonical indices: shape index.shape + (n,)."""
     return (np.asarray(index, dtype=np.int64)[..., None] // radix(size, n)) % size
+
+
+def cell_digits(blocks, size: int, n: int, cell: int):
+    """Yield (start, codes, digits) for each (start, codes) block of a scan of A^n.
+
+    digits[k] is the digit at `cell` of configuration start + k, read off
+    the block layout with no division per window: the blocks of
+    `window_codes` share their trailing digits, so a trailing cell's digits
+    are one pattern tiled once and reused, and a leading cell's digit is
+    one constant per block.
+    """
+    place = int(radix(size, n)[cell])
+    tiled = None
+    for start, codes in blocks:
+        if place < codes.size:
+            if tiled is None:
+                digit = np.repeat(np.arange(size, dtype=np.int64), place)
+                tiled = np.tile(digit, codes.size // digit.size)
+            yield start, codes, tiled
+        else:
+            yield start, codes, np.broadcast_to(start // place % size, codes.shape)
 
 
 def decode_assignments(size: int, arity: int) -> np.ndarray:

@@ -8,7 +8,11 @@ assignment E -> A, again in canonical order.
 
 The composite sigma-after-tau is again such an automaton, with memory
 M_sigma * M_tau, so a one-sided inverse is decided in one place: the
-composite's local rule must be the projection onto the identity cell.
+composite's local rule must be the projection onto the identity cell. For
+matrix pairs that is read off the composite's coefficients; otherwise the
+composite is never built: sigma's table is read at tau's window codes over
+M_sigma * M_tau, block by block, and compared with each configuration's
+identity-cell digit, stopping at the first block that differs.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabets import Alphabet, StructuredMap, verify_pointed
+from .alphabets import Alphabet, StructuredMap, cell_digits, verify_pointed
 from .caps import check_size
 from .errors import EmptyWindowError, InvalidInputError, json_int
 from .groups import FiniteSubset, Group, product_window, symmetrize
@@ -190,42 +194,58 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
 
 
 def _is_identity(ca: CellularAutomaton) -> bool:
-    """True iff the rule is the projection onto the identity cell.
-
-    A matrix family must be I at the identity and 0 elsewhere; a table must
-    return the identity cell's digit of every window index. The table is
-    checked in one O(table) comparison with no division: reshaped to
-    (q^c, q, q^(n-1-c)) around the identity cell c, entry [:, v, :] must
-    be v.
-    """
+    """True iff the matrix rule is the projection onto the identity cell:
+    I at the identity and 0 elsewhere."""
     A, M, smap = ca.alphabet, ca.memory, ca.rule.map
     one = ca.universe.identity()
     if one not in M:
         return A.size == 1
-    c = M.index_of(one)
-    if smap.is_matrix:
-        want = np.zeros_like(smap.matrices)
-        want[c] = np.eye(A.dim, dtype=np.int64)
-        return np.array_equal(smap.matrices, want)
-    q, n = A.size, len(M)
-    cube = smap.table.reshape(q**c, q, q ** (n - 1 - c))
-    return bool((cube == np.arange(q)[:, None]).all())
+    want = np.zeros_like(smap.matrices)
+    want[M.index_of(one)] = np.eye(A.dim, dtype=np.int64)
+    return np.array_equal(smap.matrices, want)
+
+
+def _composes_to_identity(outer: CellularAutomaton, inner: CellularAutomaton) -> bool:
+    """True iff outer-after-inner is the identity on every configuration.
+
+    Matrix pairs compose and compare coefficients. Otherwise the composite
+    table entry of each configuration of A^(M_outer * M_inner), outer's
+    table at inner's window code, is compared with the configuration's
+    identity-cell digit block by block, without building the composite.
+    """
+    _require_compatible(outer, inner)
+    if outer.rule.map.is_matrix and inner.rule.map.is_matrix:
+        return _is_identity(compose(outer, inner))
+    G, A = outer.universe, outer.alphabet
+    Mc, pos = product_window(G, outer.memory, inner.memory)
+    n = len(Mc)
+    check_size(A.size**n, "composite rule table")
+    one = G.identity()
+    if one not in Mc:
+        return A.size == 1
+    table = outer.rule.map.expand_table().table
+    blocks = inner.rule.map.window_codes(pos, n)
+    for _, codes, digits in cell_digits(blocks, A.size, n, Mc.index_of(one)):
+        if not np.array_equal(table[codes], digits):
+            return False
+    return True
 
 
 def check_left_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
     """True iff sigma-after-tau is the identity on every configuration.
 
-    Decided on the composite rule over M_sigma * M_tau.
+    Decided on the composite over M_sigma * M_tau: its coefficients for a
+    matrix pair, else its table entries block by block (never built).
     """
-    return _is_identity(compose(sigma, tau))
+    return _composes_to_identity(sigma, tau)
 
 
 def check_right_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
     """True iff tau-after-sigma is the identity on every configuration.
 
-    Decided on the composite rule over M_tau * M_sigma.
+    Decided on the composite over M_tau * M_sigma, as in check_left_inverse.
     """
-    return _is_identity(compose(tau, sigma))
+    return _composes_to_identity(tau, sigma)
 
 
 def evolve(tau: CellularAutomaton, p: Pattern, steps: int) -> Pattern:

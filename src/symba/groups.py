@@ -463,7 +463,7 @@ class SymmetricGroup(Group):
         return tuple(range(self.degree))
 
     def mul(self, a, b):
-        return tuple(a[b[i]] for i in range(self.degree))
+        return tuple(map(a.__getitem__, b))
 
     def inv(self, a):
         out = [0] * self.degree

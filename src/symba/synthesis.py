@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .alphabets import StructuredMap, decode_index, radix
+from .alphabets import StructuredMap, cell_digits, decode_index
 from .ca import (
     CellularAutomaton,
     LocalRule,
@@ -72,10 +72,14 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     """Scan A^{N*M} for image conflicts; synthesize the rule when none exist.
 
     A table scan costs O(windows) per block of `window_codes`, with no sort
-    and no division per window: each new image's earliest window comes from
-    one `np.minimum.at`, and the identity cell's digit is read off the
-    block's digit layout (one fixed pattern when it is a trailing digit,
-    one constant per block when it is a leading one).
+    and no division per window. One `owner` array holds the identity value
+    of each image seen (or -1). After block 0, a block reads it at its
+    images, and stops there when every value matches; a clash with an
+    earlier block shows as a value that differs from one already set. The
+    block then writes its identity values in one scatter and reads them
+    back, to catch two values for one image within the block. The identity
+    digits come from `cell_digits`. Only a block that conflicts is searched
+    for the exact witness (see `_first_conflict`).
     """
     G, A = tau.universe, tau.alphabet
     if N.group != G:
@@ -93,42 +97,51 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     check_size(A.size ** len(N), "inverse rule table")
     check_size(A.size ** len(NM), "determinacy scan")
     n = len(NM)
-    center_place = radix(A.size, n)[NM.index_of(ident)]
-    n_keys = A.size ** len(N)
+    owner = np.full(A.size ** len(N), -1, dtype=np.int64)
+    blocks = tau.rule.map.window_codes(pos, n)
+    for start, keys, vals in cell_digits(blocks, A.size, n, NM.index_of(ident)):
+        seen = None  # block 0 meets no earlier image
+        if start:
+            seen = owner[keys]
+            differs = seen != vals
+            if not differs.any():
+                continue  # every image met before, with these values
+        owner[keys] = vals
+        if (owner[keys] != vals).any() or (seen is not None and (seen[differs] >= 0).any()):
+            x, y = _first_conflict(tau.rule.map.window_codes(pos, n), start, keys, vals, seen, owner)
+            witness = tuple(Pattern(NM, decode_index(w, A.size, n)) for w in (x, y))
+            return DeterminacyResult(rule=None, witness=witness)
 
-    unseen = np.iinfo(np.int64).max
-    first_pattern = np.full(n_keys, unseen, dtype=np.int64)
-    first_value = np.full(n_keys, -1, dtype=np.int64)
-    trailing = None  # identity digit of a block's windows, when it varies
-
-    for start, keys in tau.rule.map.window_codes(pos, n):
-        if center_place < keys.size:
-            if trailing is None:
-                # every block has the same trailing digits, so the pattern is fixed
-                digit = np.repeat(np.arange(A.size, dtype=np.int64), center_place)
-                trailing = np.tile(digit, keys.size // digit.size)
-            vals = trailing
-        else:
-            vals = np.broadcast_to(start // center_place % A.size, keys.shape)
-        # Record each image's earliest window; the witness is then the first
-        # window (in enumeration order) whose center differs from the
-        # earliest window of equal image, paired with that earliest window.
-        new = np.flatnonzero(first_pattern[keys] == unseen)
-        if new.size:
-            fresh = keys[new]
-            np.minimum.at(first_pattern, fresh, start + new)
-            first_value[fresh] = vals[first_pattern[fresh] - start]
-        bad = np.flatnonzero(vals != first_value[keys])
-        if bad.size:
-            y = bad[0]
-            x_pat = Pattern(NM, decode_index(first_pattern[keys[y]], A.size, n))
-            y_pat = Pattern(NM, decode_index(start + y, A.size, n))
-            return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
-
-    table = np.where(first_value >= 0, first_value, A.basepoint)
+    table = np.where(owner >= 0, owner, A.basepoint)
     table.flags.writeable = False  # handed to the map without a copy
     rule = LocalRule(N, StructuredMap(A, len(N), table=table))
     return DeterminacyResult(rule=rule, witness=None)
+
+
+def _first_conflict(blocks, start, keys, vals, seen, scratch) -> tuple:
+    """The witness (x, y) as window indices, for a block that conflicts.
+
+    y is the first window whose identity value differs from that of the
+    earliest window x of equal image. Earlier blocks held one value per
+    image, so y lies in this block. `seen` holds the value each window's
+    image had before it (-1 for none; None in block 0); an image new here
+    takes its block's earliest window from one `np.minimum.at` into
+    `scratch` (the owner array, no longer needed). When y's image is older,
+    `blocks`, a fresh scan, is walked to the first block holding it.
+    """
+    scratch[keys] = keys.size
+    np.minimum.at(scratch, keys, np.arange(keys.size))
+    expected = vals[scratch[keys]]
+    if seen is not None:
+        expected = np.where(seen >= 0, seen, expected)
+    y = int(np.flatnonzero(expected != vals)[0])
+    if seen is None or seen[y] < 0:
+        return start + int(scratch[keys[y]]), start + y
+    for first, codes in blocks:
+        hit = np.flatnonzero(codes == keys[y])
+        if hit.size:
+            return first + int(hit[0]), start + y
+    raise AssertionError("an image seen before is in no earlier block")
 
 
 def _determinacy_linear(tau, N, NM, pos) -> DeterminacyResult:

@@ -165,11 +165,14 @@ def _ball_action_embedding(G: FreeGroup, S: FiniteSubset, radius: int | None) ->
         letter_perm[i] = tuple(perm)
         letter_perm[-i] = target.inv(tuple(perm))
 
+    images = {(): target.identity()}
+
     def image(word):
-        acc = target.identity()
-        for letter in word:
-            acc = target.mul(acc, letter_perm[letter])
-        return acc
+        """The letter permutations multiplied along the word: one product
+        on its prefix's image, taken (or made) first."""
+        if word not in images:
+            images[word] = target.mul(image(word[:-1]), letter_perm[word[-1]])
+        return images[word]
 
     phi = {w: image(w) for w in S}
     return _post_verify(LefEmbedding(G, S, target, phi))

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 import symba as sy
-from symba.ca import _is_identity
-from symba.errors import EmptyWindowError, InvalidInputError
+from symba.errors import EmptyWindowError, InvalidInputError, ResourceCapError
 
 from conftest import (
     make_table_ca,
@@ -199,7 +198,11 @@ def test_check_left_inverse_examples(Z, bit):
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("where", ["first", "middle", "last"])
 def test_is_identity_at_every_identity_position(Z, F2, q, where):
-    """The projection onto the identity cell passes; one changed entry fails."""
+    """The projection onto the identity cell passes; one changed entry fails.
+
+    Composed with the identity on either side, tau's table is the composite
+    over M_tau, so both checks decide whether tau is that projection.
+    """
     G, memory = {
         "first": (F2, list(sy.ball(F2, 1))),  # graded order: identity first
         "middle": (Z, [(-1,), (0,), (1,)]),
@@ -208,13 +211,61 @@ def test_is_identity_at_every_identity_position(Z, F2, q, where):
     c = {"first": 0, "middle": 1, "last": 2}[where]
     assert list(sy.FiniteSubset(G, memory)) == memory and memory[c] == G.identity()
     A = sy.Alphabet.plain(q)
+    ident = sy.identity_ca(G, A)
     table = np.array([w[c] for w in itertools.product(range(q), repeat=len(memory))])
-    assert _is_identity(make_table_ca(G, A, memory, table))
+    tau = make_table_ca(G, A, memory, table)
+    assert sy.check_left_inverse(ident, tau) and sy.check_right_inverse(ident, tau)
     rng = np.random.default_rng(q)
     for k in [1, table.size - 1, *rng.integers(1, table.size, size=6)]:
         wrong = table.copy()
         wrong[k] = (wrong[k] + 1) % q
-        assert not _is_identity(make_table_ca(G, A, memory, wrong))
+        tau = make_table_ca(G, A, memory, wrong)
+        assert not sy.check_left_inverse(ident, tau)
+        assert not sy.check_right_inverse(ident, tau)
+
+
+def test_inverse_checks_over_two_blocks(Z, bit):
+    """2^17-window composites, scanned in two blocks of 2^16.
+
+    The shift pair widened to ball(4) composes over ball(8) to the identity.
+    Against the identity automaton, a rule over ball(8) is its own
+    composite, so one wrong entry in the first or the last block of the
+    projection onto the identity cell must be found.
+    """
+    wide = sy.ball(Z, 4)
+    tau, sigma = (
+        sy.CellularAutomaton(Z, bit, sy.extend_memory(sy.projection_ca(Z, bit, g).rule, wide))
+        for g in [(1,), (-1,)]
+    )
+    assert len(sy.set_product(Z, wide, wide)) == 17
+    assert sy.check_left_inverse(sigma, tau) and sy.check_right_inverse(sigma, tau)
+    assert oracle_left_identity(sigma, tau, [Z.identity()])
+
+    ident = sy.identity_ca(Z, bit)
+    memory = list(sy.ball(Z, 8))
+    table = (np.arange(1 << 17) >> 8) & 1  # the digit of the middle cell
+    assert sy.check_left_inverse(ident, make_table_ca(Z, bit, memory, table))
+    for k in [1, 12345, (1 << 16) - 1, 1 << 16, (1 << 17) - 1]:
+        wrong = table.copy()
+        wrong[k] ^= 1
+        tau = make_table_ca(Z, bit, memory, wrong)
+        assert not sy.check_left_inverse(ident, tau)
+        assert not sy.check_right_inverse(ident, tau)
+        assert oracle_left_identity(ident, tau, [Z.identity()]) is False
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_inverse_checks_when_the_product_memory_misses_the_identity(Z, q):
+    """Shifts by 1 compose to the shift by 2: the identity only when A has
+    one value. The composite table's cap applies before that verdict."""
+    A = sy.Alphabet.plain(q)
+    shift = sy.projection_ca(Z, A, (1,))
+    assert sy.check_left_inverse(shift, shift) == sy.check_right_inverse(shift, shift) == (q == 1)
+    memory = [(i,) for i in range(1, 12)]
+    wide = make_table_ca(Z, sy.Alphabet.plain(2), memory, np.arange(1 << 11) & 1)
+    for check in (sy.check_left_inverse, sy.check_right_inverse):
+        with pytest.raises(ResourceCapError, match=r"^composite rule table would have 2097152 entries, cap is 1048576$"):
+            check(wide, wide)
 
 
 def test_check_left_inverse_matches_brute_force_oracle(Z, F2, bit):

@@ -1,9 +1,12 @@
 """Determinacy scanning, radius search, and subgroup restriction."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import symba as sy
+from symba import alphabets
 from symba.errors import InvalidInputError, UnsupportedSubgroupError
 
 from conftest import (
@@ -132,6 +135,119 @@ def test_determinacy_requires_symmetric_candidate(Z, bit):
     shift = sy.projection_ca(Z, bit, (1,))
     with pytest.raises(InvalidInputError):
         sy.determinacy_check(shift, sy.FiniteSubset(Z, [(0,), (1,)]))
+
+
+def _small_block_scans(monkeypatch):
+    """Blocks of at most 16 windows, and a log of the window scans that start.
+
+    The log holds one entry per `window_codes` scan actually walked, so a
+    determinacy check that re-scans for an earlier block's window logs two.
+    """
+    monkeypatch.setattr(alphabets, "_SCAN_CHUNK", 16)
+    kernel = alphabets.StructuredMap.window_codes
+    scans = []
+
+    def logged(self, pos, n_cells):
+        scans.append(n_cells)
+        yield from kernel(self, pos, n_cells)
+
+    monkeypatch.setattr(alphabets.StructuredMap, "window_codes", logged)
+    return scans
+
+
+def _block_size(q):
+    """Windows per block, at 16 windows at most, of a scan longer than one."""
+    size = q
+    while size * q <= 16:
+        size *= q
+    return size
+
+
+def _assert_matches_oracle(tau, N):
+    """determinacy_check agrees with the unchunked oracles; the witness or None."""
+    want = oracle_determinacy_witness(tau, N)
+    res = sy.determinacy_check(tau, N)
+    if want is None:
+        assert res.is_determined
+        assert np.array_equal(res.rule.map.table, oracle_determinacy_table(tau, N))
+        return None
+    assert not res.is_determined
+    assert (res.witness[0].values, res.witness[1].values) == want
+    return want
+
+
+def test_determinacy_takes_every_witness_path_in_small_blocks(Z, bit, monkeypatch):
+    """Every pointed radius-1 rule over bits, on N = ball(2): 2^7 windows in
+    blocks of 16, the identity a trailing digit.
+
+    Each way the scan can end occurs: no conflict; a conflict in block 0; a
+    later conflict on an image new to its block, whose earliest window that
+    block gives; and a later conflict on an image from an earlier block,
+    found by walking the scan again.
+    """
+    scans = _small_block_scans(monkeypatch)
+    N = sy.ball(Z, 2)
+    paths = {"determined": 0, "block 0": 0, "new image": 0, "earlier image": 0}
+    for bits in itertools.product((0, 1), repeat=7):
+        tau = make_table_ca(Z, bit, [(-1,), (0,), (1,)], (0, *bits))
+        scans.clear()
+        want = _assert_matches_oracle(tau, N)
+        if want is None:
+            path = "determined"
+        elif np.dot(want[1], 2 ** np.arange(6, -1, -1)) < _block_size(2):
+            path = "block 0"
+        else:
+            path = "earlier image" if len(scans) == 2 else "new image"
+        assert len(scans) == (2 if path == "earlier image" else 1)
+        paths[path] += 1
+    assert min(paths.values()) >= 1, paths
+
+
+# (universe, N, symmetric memory): 2^3 to 3^5 windows, or 2^9 for q = 2
+_SMALL_SCANS = [
+    ("Z", [(0,)], [(-1,), (0,), (1,)]),
+    ("Z", [(-1,), (0,), (1,)], [(-1,), (0,), (1,)]),
+    ("Z", [(-3,), (-2,), (-1,), (0,), (1,), (2,), (3,)], [(-1,), (0,), (1,)]),
+    ("F2", [(), (1,), (-1,)], [(), (1,), (-1,)]),
+    ("F2", [(), (1,), (-1,)], [(), (2,), (-2,)]),
+    ("F2", [(), (1,), (-1,), (2,), (-2,)], [()]),
+]
+
+
+def _permutive_table(rng, q, m):
+    """x_j + g(the other cells) mod q, for a seeded cell j and pointed g."""
+    j = int(rng.integers(m))
+    g = rng.integers(0, q, size=q ** (m - 1))
+    g[0] = 0
+    X = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.int64)
+    rest = np.delete(X, j, axis=1) @ q ** np.arange(m - 2, -1, -1)
+    return (X[:, j] + g[rest]) % q
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_determinacy_in_small_blocks_matches_oracle(Z, F2, q, monkeypatch):
+    """Seeded random and cell-permutive pointed rules on Z and F2, scanned in
+    blocks of at most 16 windows, with the identity both a trailing digit
+    (the middle cell on Z) and a leading one (first in graded order on F2)."""
+    _small_block_scans(monkeypatch)
+    A = sy.Alphabet.plain(q)
+    rng = np.random.default_rng([q, 22])
+    places = set()
+    for name, cells, memory in _SMALL_SCANS:
+        G = {"Z": Z, "F2": F2}[name]
+        N = sy.FiniteSubset(G, cells)
+        NM = sy.set_product(G, N, sy.FiniteSubset(G, memory))
+        n = len(NM)
+        if q**n > 1 << 9:
+            continue
+        place = q ** (n - 1 - NM.index_of(G.identity()))
+        places.add("leading" if place >= _block_size(q) else "trailing")
+        for _ in range(8):
+            table = random_pointed_table(rng, A, len(memory))
+            _assert_matches_oracle(make_table_ca(G, A, memory, table), N)
+            table = _permutive_table(rng, q, len(memory))
+            _assert_matches_oracle(make_table_ca(G, A, memory, table), N)
+    assert places == {"leading", "trailing"}
 
 
 def test_witness_validity_reverified_through_induced_map(Z, bit):

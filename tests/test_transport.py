@@ -71,9 +71,10 @@ def test_ball_action_embedding_free_group(F2):
 
 
 def test_ball_action_build_multiplies_only_along_words(F2, monkeypatch):
-    """The build multiplies letter permutations along each word of S, at most
-    radius products per word; it never checks the product rule over S x S,
-    which `verify_embedding` checks over M x M where the embedding is used."""
+    """The build makes one product per word of S, on the image of its
+    prefix, and one per prefix outside S that it needs; it never checks the
+    product rule over S x S, which `verify_embedding` checks over M x M
+    where the embedding is used."""
     calls = []
     mul = sy.SymmetricGroup.mul
 
@@ -82,12 +83,34 @@ def test_ball_action_build_multiplies_only_along_words(F2, monkeypatch):
         return mul(self, a, b)
 
     monkeypatch.setattr(sy.SymmetricGroup, "mul", counted)
-    M = sy.ball(F2, 2)
-    S = sy.set_product(F2, M, M)
-    e = sy.build_embedding(F2, S, {"kind": "ball_action", "radius": 4})
-    assert e.target.degree == len(sy.ball(F2, 5))
-    assert len(calls) <= len(S) * 4 + 2 * F2.rank
-    assert sy.verify_embedding(e, M)
+    sparse = sy.FiniteSubset(F2, [(), (1, 2), (-2, -1)])
+    for M in (sy.ball(F2, 2), sparse):
+        S = sy.set_product(F2, M, M)
+        prefixes = {w[:k] for w in S for k in range(1, len(w))} - set(S)
+        calls.clear()
+        e = sy.build_embedding(F2, S, {"kind": "ball_action", "radius": 4})
+        assert e.target.degree == len(sy.ball(F2, 5))
+        assert len(calls) <= len(S) + len(prefixes)
+        assert sy.verify_embedding(e, M)
+    assert len(prefixes) == 4
+
+
+@pytest.mark.parametrize("radius", [3, 4])
+def test_ball_action_images_are_letter_products(F2, radius):
+    """phi(w) is the product of the letter permutations along w, composed
+    here entry by entry (apply the last letter first)."""
+    S = sy.ball(F2, 3)
+    e = sy.build_embedding(F2, S, {"kind": "ball_action", "radius": radius})
+    n = e.target.degree
+    assert n == len(sy.ball(F2, radius + 1))
+    letters = {x: e.phi[(x,)] for x in (1, 2, -1, -2)}
+    for x in (1, 2):
+        assert [letters[-x][letters[x][i]] for i in range(n)] == list(range(n))
+    for w in S:
+        product = list(range(n))
+        for x in w:
+            product = [product[letters[x][i]] for i in range(n)]
+        assert e.phi[w] == tuple(product), w
 
 
 def test_ball_action_translation_structure(F2):
