@@ -27,9 +27,9 @@ window (a wider memory, or the same cells re-encoded in a subgroup).
 
 A matrix map read at several windows of a cell array is one block matrix
 over (Z/n)^(cells*dim), laid out cell-major with the vector coordinate minor.
-`StructuredMap.window_matrix` writes this layout. `block_row` and
-`from_block_row` turn a matrix family into a block row and back, and
-`Alphabet.cell_values` decodes a coordinate vector cell by cell.
+`StructuredMap.window_matrix` writes this layout, `from_block_row` turns one
+block row back into a matrix family, and `Alphabet.cell_values` decodes a
+coordinate vector cell by cell.
 """
 
 from __future__ import annotations
@@ -208,8 +208,8 @@ def cell_digits(blocks, size: int, n: int, cell: int):
     for start, codes in blocks:
         if place < codes.size:
             if tiled is None:
-                digit = np.repeat(np.arange(size, dtype=np.int64), place)
-                tiled = np.tile(digit, codes.size // digit.size)
+                tiled = np.empty(codes.size, dtype=np.int64)
+                tiled.reshape(-1, size, place)[:] = np.arange(size)[:, None]
             yield start, codes, tiled
         else:
             yield start, codes, np.broadcast_to(start // place % size, codes.shape)
@@ -350,6 +350,10 @@ class StructuredMap:
         of its cells of at most _GROUP_TABLE entries, so a block pays one
         full-size addition per group rather than per window. Windows (or
         groups) that read no leading cell are summed once and reused.
+
+        A yielded block is read-only to its consumer: when no window reads
+        a leading cell (always so when no digit leads), every block is that
+        once-summed base itself, not a copy.
         """
         q = self.alphabet.size
         rows = np.asarray(pos, dtype=np.int64).tolist()
@@ -381,8 +385,9 @@ class StructuredMap:
                 moving.append((cells[:k], spread))
             else:
                 base += spread
+        base.flags.writeable = False
         for b, digits in enumerate(itertools.product(range(q), repeat=lead)):
-            codes = base.copy()
+            codes = base.copy() if moving else base
             for cells, spread in moving:
                 codes += spread[tuple(digits[u] for u in cells)]
             yield b * base.size, codes.reshape(-1)
@@ -410,14 +415,10 @@ class StructuredMap:
         np.remainder(blocks, A.modulus, out=blocks)
         return blocks.reshape(len(pos) * d, n_cells * d)
 
-    def block_row(self) -> np.ndarray:
-        """The family as one (dim, arity*dim) row: window_matrix at one window."""
-        d = self.alphabet.dim
-        return self.matrices.transpose(1, 0, 2).reshape(d, self.arity * d)
-
     @classmethod
     def from_block_row(cls, A: Alphabet, row) -> "StructuredMap":
-        """The matrix map whose block_row() is `row` (reduced mod n)."""
+        """The matrix map whose window_matrix at the window of cells
+        0..arity-1 is the (dim, arity*dim) row `row` (reduced mod n)."""
         row = np.asarray(row, dtype=np.int64)
         arity = row.shape[1] // A.dim
         return cls(A, arity, matrices=row.reshape(A.dim, arity, A.dim).transpose(1, 0, 2))
@@ -460,10 +461,17 @@ class StructuredMap:
 
 
 def verify_pointed(smap: StructuredMap) -> bool:
-    """True iff the map sends the all-basepoints input to the basepoint."""
-    A = smap.alphabet
-    window = np.full(smap.arity, A.basepoint, dtype=np.int64)
-    return smap.evaluate(window) == A.basepoint
+    """True iff the map sends the all-basepoints input to the basepoint.
+
+    One read at most. A matrix map is linear and the module basepoint is
+    0, so it holds. A table is read at the all-basepoints input e*(q^m -
+    1)/(q - 1), for basepoint e, size q and arity m (index 0 when q = 1).
+    """
+    if smap.is_matrix:
+        return True
+    q, e = smap.alphabet.size, smap.alphabet.basepoint
+    index = e * (q**smap.arity - 1) // (q - 1) if q > 1 else 0
+    return int(smap.table[index]) == e
 
 
 def verify_structure(smap: StructuredMap) -> bool:

@@ -8,10 +8,12 @@ assignment E -> A, again in canonical order.
 
 The composite sigma-after-tau is again such an automaton, with memory
 M_sigma * M_tau, so a one-sided inverse is decided in one place: the
-composite's local rule must be the projection onto the identity cell. For
-matrix pairs that is read off the composite's coefficients; otherwise the
-composite is never built: sigma's table is read at tau's window codes over
-M_sigma * M_tau, block by block, and compared with each configuration's
+composite's local rule must be the projection onto the identity cell. The
+composite rule is never built to decide it. For matrix pairs the coefficient
+family of the composite, `_family_product`, is compared with the identity
+family (I at the identity, 0 elsewhere); `compose` builds its matrix rule
+from the same product. Otherwise sigma's table is read at tau's window codes
+over M_sigma * M_tau, block by block, and compared with each configuration's
 identity-cell digit, stopping at the first block that differs.
 """
 
@@ -170,16 +172,17 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     """The automaton acting as sigma-after-tau; memory is M_sigma * M_tau.
 
     When both rules are matrix maps the composite stays a matrix map, with
-    coefficient at u equal to sum over s*m = u of D_s @ C_m: the row of
-    sigma's coefficients times tau's window matrix over the cells s*M_tau.
+    coefficient at u equal to sum over s*m = u of D_s @ C_m (see
+    `_family_product`), zero coefficients included.
     """
     _require_compatible(sigma, tau)
     G, A = sigma.universe, sigma.alphabet
     Mc, pos = product_window(G, sigma.memory, tau.memory)
 
     if sigma.rule.map.is_matrix and tau.rule.map.is_matrix:
-        flat = sigma.rule.map.block_row() @ tau.rule.map.window_matrix(pos, len(Mc))
-        rule = LocalRule(Mc, StructuredMap.from_block_row(A, flat))
+        S, T = sigma.rule.map.matrices, tau.rule.map.matrices
+        family = _family_product(S, T, pos, len(Mc), A.modulus)
+        rule = LocalRule(Mc, StructuredMap(A, len(Mc), matrices=family))
         return CellularAutomaton(G, A, rule)
 
     n = len(Mc)
@@ -193,34 +196,44 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
     return CellularAutomaton(G, A, rule)
 
 
-def _is_identity(ca: CellularAutomaton) -> bool:
-    """True iff the matrix rule is the projection onto the identity cell:
-    I at the identity and 0 elsewhere."""
-    A, M, smap = ca.alphabet, ca.memory, ca.rule.map
-    one = ca.universe.identity()
-    if one not in M:
-        return A.size == 1
-    want = np.zeros_like(smap.matrices)
-    want[M.index_of(one)] = np.eye(A.dim, dtype=np.int64)
-    return np.array_equal(smap.matrices, want)
+def _family_product(S, T, pos, n: int, p: int) -> np.ndarray:
+    """The (n, d, d) family out[u] = sum over pos[s, t] = u of S[s] @ T[t], mod p.
+
+    S and T are coefficient families over memories M_S and M_T, and pos the
+    positions of their products in the n cells of M_S * M_T. Since s*t = u
+    fixes t given s, a coefficient sums at most min(|M_S|, |M_T|) * d
+    products of entries below p.
+    """
+    d = S.shape[1]
+    terms = np.einsum("sij,tjk->stik", S, T).reshape(-1, d, d)
+    out = np.zeros((n, d, d), dtype=np.int64)
+    np.add.at(out, pos.ravel(), terms)
+    return np.remainder(out, p, out=out)
 
 
 def _composes_to_identity(outer: CellularAutomaton, inner: CellularAutomaton) -> bool:
     """True iff outer-after-inner is the identity on every configuration.
 
-    Matrix pairs compose and compare coefficients. Otherwise the composite
-    table entry of each configuration of A^(M_outer * M_inner), outer's
-    table at inner's window code, is compared with the configuration's
-    identity-cell digit block by block, without building the composite.
+    Matrix pairs compare the composite's coefficient family with I at the
+    identity and 0 elsewhere. Otherwise the composite table entry of each
+    configuration of A^(M_outer * M_inner), outer's table at inner's window
+    code, is compared with the configuration's identity-cell digit block by
+    block. Neither builds the composite rule.
     """
     _require_compatible(outer, inner)
-    if outer.rule.map.is_matrix and inner.rule.map.is_matrix:
-        return _is_identity(compose(outer, inner))
     G, A = outer.universe, outer.alphabet
     Mc, pos = product_window(G, outer.memory, inner.memory)
     n = len(Mc)
-    check_size(A.size**n, "composite rule table")
     one = G.identity()
+    if outer.rule.map.is_matrix and inner.rule.map.is_matrix:
+        if one not in Mc:
+            return A.size == 1
+        S, T = outer.rule.map.matrices, inner.rule.map.matrices
+        family = _family_product(S, T, pos, n, A.modulus)
+        want = np.zeros_like(family)
+        want[Mc.index_of(one)] = np.eye(A.dim, dtype=np.int64)
+        return np.array_equal(family, want)
+    check_size(A.size**n, "composite rule table")
     if one not in Mc:
         return A.size == 1
     table = outer.rule.map.expand_table().table
@@ -234,8 +247,9 @@ def _composes_to_identity(outer: CellularAutomaton, inner: CellularAutomaton) ->
 def check_left_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
     """True iff sigma-after-tau is the identity on every configuration.
 
-    Decided on the composite over M_sigma * M_tau: its coefficients for a
-    matrix pair, else its table entries block by block (never built).
+    Decided on the composite over M_sigma * M_tau, which is never built:
+    on its coefficient family for a matrix pair, else on its table entries
+    block by block.
     """
     return _composes_to_identity(sigma, tau)
 

@@ -15,7 +15,9 @@ its elementary factors: it applies each one as a column operation on the
 product and a row operation on the inverse, which multiplies one row or
 column by a monomial. `one_sided_inverse_solve` builds one
 (d*|U|) x (d*|B|) block for D on B = ball(r) and the products
-U = B * supp(C), and solves it once for all d rows of D.
+U = B * supp(C), one assignment per support element, and solves it once
+for all d rows of D. `to_linear_ca` reads its memory off the coefficient
+family, so the support is sorted once.
 
 The public constructors validate every group element and entry. Results
 computed from validated operands (sums, negations, scalings, products)
@@ -264,8 +266,8 @@ def to_linear_ca(X: GroupRingMatrix, G: Group, A: Alphabet) -> CellularAutomaton
         raise InvalidInputError("matrix lives over a different group")
     if not A.is_module or A.modulus != X.modulus or A.dim != X.dim:
         raise InvalidInputError("alphabet does not match the matrix shape")
-    memory = FiniteSubset._trusted(G, X.support() or [G.identity()])
     fam = X.coeff_family()
+    memory = FiniteSubset._trusted(G, fam or [G.identity()])
     mats = np.zeros((len(memory), A.dim, A.dim), dtype=np.int64)
     for i, m in enumerate(memory):
         if m in fam:
@@ -296,9 +298,9 @@ def one_sided_inverse_solve(C: GroupRingMatrix, r: int) -> GroupRingMatrix | Non
     # (k, s) the unknown D_s[i, k]; the coefficient there is C_t[k, j] for
     # the one t with s*t = u. Right-hand column i is 1 at (i, identity).
     block = np.zeros((d, len(U), d, len(B)), dtype=np.int64)
+    columns = np.arange(len(B))
     for t, mat in C.coeff_family().items():
-        for s_idx, s in enumerate(B):
-            block[:, U.index_of(G.mul(s, t)), :, s_idx] = mat.T
+        block[:, [U._index[G.mul(s, t)] for s in B], :, columns] = mat.T
     rhs = np.zeros((d, len(U), d), dtype=np.int64)
     rhs[range(d), U.index_of(G.identity()), range(d)] = 1
     solution = linalg.solve(

@@ -18,6 +18,7 @@ JSON codec worded by `_noun`, and the repr `Kind(key)`.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from operator import add, itemgetter, neg
@@ -218,8 +219,14 @@ class FreeGroup(_RankedGroup):
                 raise InvalidInputError(f"word not reduced: {a!r}")
 
     def sort_key(self, a):
-        # letter i > 0 ranks 2(i-1), its inverse -i ranks 2(i-1) + 1
-        return (len(a), tuple([2 * x - 2 if x > 0 else -2 * x - 1 for x in a]))
+        return (len(a), tuple(map(self._letter_ranks.__getitem__, a)))
+
+    @functools.cached_property
+    def _letter_ranks(self) -> list:
+        """ranks[x] for a letter x: i > 0 ranks 2(i-1), its inverse -i ranks
+        2(i-1) + 1, read from the end of the list."""
+        k = self.rank
+        return [0, *range(0, 2 * k, 2), *range(2 * k - 1, 0, -2)]
 
     def generators(self):
         return [(i,) for i in range(1, self.rank + 1)]
@@ -525,7 +532,9 @@ class FiniteSubset(_Keyed):
         self._fill(group, elements)
 
     def _fill(self, group, elements):
-        elems = sorted(set(elements), key=group.sort_key)
+        # an encoding that is its own key sorts with no call per element
+        key = None if type(group).sort_key is Group.sort_key else group.sort_key
+        elems = sorted(set(elements), key=key)
         check_size(len(elems), "finite subset")
         self.group = group
         self.elems = tuple(elems)

@@ -165,15 +165,21 @@ def _determinacy_linear(tau, N, NM, pos) -> DeterminacyResult:
 
 
 def synthesize_left_inverse(tau: CellularAutomaton, r_max: int) -> SynthesisResult:
-    """Radius-increasing search for a left inverse with memory ball(r)."""
+    """Radius-increasing search for a left inverse with memory ball(r).
+
+    tau is read over its symmetrized memory once, for every radius; the
+    certificate checks the rule found against tau as given.
+    """
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
+    G = tau.universe
+    wide = CellularAutomaton(G, tau.alphabet, extend_memory(tau.rule, symmetrize(G, tau.memory)))
     witness = None
     for r in range(r_max + 1):
-        N = ball(tau.universe, r)
-        res = determinacy_check(tau, N)
+        N = ball(G, r)
+        res = determinacy_check(wide, N)
         if res.is_determined:
-            sigma = CellularAutomaton(tau.universe, tau.alphabet, res.rule)
+            sigma = CellularAutomaton(G, tau.alphabet, res.rule)
             if not check_left_inverse(sigma, tau):
                 raise AssertionError("synthesized rule failed the inverse criterion")
             return SynthesisResult(ca=sigma, radius=r, witness=None)

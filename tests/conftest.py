@@ -135,6 +135,24 @@ def oracle_left_identity(sigma, tau, window_elems, cap=1 << 18):
     return True
 
 
+def oracle_pointed(smap):
+    """Pointedness by evaluation: the map applied, through `evaluate`, to the
+    window holding the basepoint at every cell."""
+    e = smap.alphabet.basepoint
+    return smap.evaluate([e] * smap.arity) == e
+
+
+def oracle_sort_key(G, a):
+    """The canonical order's key, worked out per element: free-group words
+    by length, then letterwise with a < a^-1 < b < ...; products factor by
+    factor; every other kind by its encoding."""
+    if isinstance(G, sy.FreeGroup):
+        return (len(a), tuple([2 * x - 2 if x > 0 else -2 * x - 1 for x in a]))
+    if isinstance(G, sy.ProductGroup):
+        return tuple(oracle_sort_key(f, x) for f, x in zip(G.factors, a))
+    return a
+
+
 def random_pointed_table(rng, A, arity):
     """A uniformly random rule table fixing the all-basepoints window."""
     q = A.size

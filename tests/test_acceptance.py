@@ -15,8 +15,6 @@ import symba as sy
 
 from conftest import make_table_ca, oracle_left_identity, random_pointed_table, xor_ca
 
-Z = sy.FreeAbelianGroup(1)
-F2 = sy.FreeGroup(2)
 FEASIBLE = 1 << 18
 
 
@@ -45,7 +43,7 @@ class budget:
         return False
 
 
-def _pair_CD():
+def _pair_CD(Z):
     E = lambda d: sy.GroupRingElement(Z, 2, d)
     one, t = Z.identity(), (1,)
     C = sy.GroupRingMatrix(Z, 2, [[E({}), E({one: 1})], [E({one: 1}), E({t: 1})]])
@@ -94,7 +92,7 @@ def _pointed_permutation(rng, q):
     return perm.astype(np.int64)
 
 
-def test_criterion_1_inverse_criterion_agrees_with_brute_force():
+def test_criterion_1_inverse_criterion_agrees_with_brute_force(Z, F2):
     """Exact agreement between the window criterion and brute-force scans."""
     rng = np.random.default_rng(20260808)
     with budget(1, "inverse criterion vs brute force, 200 random pairs", 30.0):
@@ -130,7 +128,7 @@ def test_criterion_1_inverse_criterion_agrees_with_brute_force():
         assert true_cases >= 25  # every constructed pair plus any lucky ones
 
 
-def test_criterion_2_shift_round_trip():
+def test_criterion_2_shift_round_trip(Z):
     """Synthesis at radius 1 and two transports all certify the shift inverse."""
     A = sy.Alphabet.plain(2)
     with budget(2, "shift inverse: synthesis + mod-5/mod-8 transports", 1.0):
@@ -149,10 +147,10 @@ def test_criterion_2_shift_round_trip():
             assert sy.check_right_inverse(out.ca, shift)
 
 
-def test_criterion_3_reversible_linear_pair():
+def test_criterion_3_reversible_linear_pair(Z):
     """The linear solver recovers the two-sided inverse of the module pair."""
     with budget(3, "group-ring solve of the reversible pair", 1.0):
-        C, D = _pair_CD()
+        C, D = _pair_CD(Z)
         got = sy.one_sided_inverse_solve(C, 1)
         assert got is not None
         assert sy.matrix_mul(got, C).is_identity()
@@ -165,7 +163,7 @@ def test_criterion_3_reversible_linear_pair():
         assert sy.check_right_inverse(sig, tau)
 
 
-def test_criterion_4_one_sided_implies_two_sided_at_scale():
+def test_criterion_4_one_sided_implies_two_sided_at_scale(Z, F2):
     """100 seeded invertible matrices: left identity forces the right one."""
     with budget(4, "direct finiteness on 100 generated instances", 60.0):
         for seed in range(100):
@@ -185,7 +183,7 @@ def test_criterion_4_one_sided_implies_two_sided_at_scale():
             assert sy.check_right_inverse(sig, tau)
 
 
-def test_criterion_5_negative_control():
+def test_criterion_5_negative_control(Z):
     """The sum rule has no left inverse: search and solver both refuse."""
     A = sy.Alphabet.plain(2)
     with budget(5, "negative control on the sum rule", 10.0):
@@ -209,7 +207,7 @@ def test_criterion_5_negative_control():
             assert sy.one_sided_inverse_solve(one_plus_t, r) is None
 
 
-def test_criterion_6_embedding_verifier():
+def test_criterion_6_embedding_verifier(Z, F2):
     """Rejection with the exact collision; acceptance with full verification."""
     with budget(6, "embedding verifier on mod-3, mod-5, ball action", 5.0):
         S = sy.ball(Z, 2)
@@ -235,7 +233,7 @@ def test_criterion_6_embedding_verifier():
         assert sy.verify_embedding(ef, sy.ball(F2, 1))
 
 
-def test_criterion_7_transport_invariants():
+def test_criterion_7_transport_invariants(Z):
     """Equivariance and hinted inverse composition on every pipeline rerun."""
     A2 = sy.Alphabet.plain(2)
     with budget(7, "transport equivariance and composed identity", 30.0):
@@ -248,7 +246,7 @@ def test_criterion_7_transport_invariants():
             e = sy.build_embedding(Z, S, {"kind": "modular", "N": N})
             runs.append((sy.transport_inverse_pipeline(shift, e, sigma_hint=back), back, M))
 
-        C, D = _pair_CD()
+        C, D = _pair_CD(Z)
         Am = sy.Alphabet.module(2, 2)
         tau = sy.to_linear_ca(C, Z, Am)
         sig = sy.to_linear_ca(D, Z, Am)

@@ -1,5 +1,6 @@
 """Alphabets, structured maps, pointedness and morphism verification."""
 
+import functools
 import itertools
 import tracemalloc
 
@@ -13,6 +14,7 @@ from symba.errors import InvalidInputError, ResourceCapError
 from conftest import (
     oracle_group_morphism,
     oracle_module_morphism,
+    oracle_pointed,
     oracle_window_table,
     symmetric_table,
 )
@@ -99,6 +101,40 @@ def test_verify_pointed_examples():
     M = sy.Alphabet.module(2, 1)
     mat = sy.StructuredMap(M, 2, matrices=[[[1]], [[1]]])
     assert sy.verify_pointed(mat)
+
+
+def test_verify_pointed_agrees_with_evaluation():
+    """The one-read test against the all-basepoints window, evaluated: plain,
+    module and group alphabets, Z/3 labelled so that its identity is 2, one
+    value (q = 1) and arity 0; matrix maps always fix 0, and a table with
+    another value at the all-basepoints input is not pointed."""
+    rng = np.random.default_rng(25)
+    alphabets = [
+        sy.Alphabet.plain(1),
+        sy.Alphabet.plain(2),
+        sy.Alphabet.plain(3),
+        sy.Alphabet.module(2, 2),
+        sy.Alphabet.module(3, 1),
+        sy.Alphabet.group(symmetric_table(3)),
+        sy.Alphabet.group([[(a + b + 1) % 3 for b in range(3)] for a in range(3)]),
+    ]
+    assert alphabets[-1].basepoint == 2
+    for A in alphabets:
+        q, e = A.size, A.basepoint
+        for arity in range(4):
+            all_base = sum(e * q**k for k in range(arity))
+            for _ in range(4):
+                table = rng.integers(0, q, size=q**arity)
+                table[all_base] = e
+                moved = table.copy()
+                moved[all_base] = (e + 1) % q
+                for t, want in [(table, True), (moved, q == 1)]:
+                    smap = sy.StructuredMap(A, arity, table=t)
+                    assert sy.verify_pointed(smap) == oracle_pointed(smap) == want
+                if A.is_module:
+                    mats = rng.integers(0, A.modulus, size=(arity, A.dim, A.dim))
+                    smap = sy.StructuredMap(A, arity, matrices=mats)
+                    assert sy.verify_pointed(smap) and oracle_pointed(smap)
 
 
 def test_verify_structure_examples():
@@ -294,18 +330,19 @@ def test_structured_map_shape_validation():
         sy.StructuredMap(M, 2, matrices=[[[1, 0], [0, 1]]])  # one matrix short
 
 
+# each alphabet is a factory, called in the test under the default caps
 @pytest.mark.parametrize(
     "alphabet, given",
     [
-        (sy.Alphabet.plain(2), {"table": [0, True]}),
-        (sy.Alphabet.plain(2), {"table": [np.True_, 0]}),
-        (sy.Alphabet.module(3, 2), {"matrices": [[[1, True], [0, 1]]]}),
+        (functools.partial(sy.Alphabet.plain, 2), {"table": [0, True]}),
+        (functools.partial(sy.Alphabet.plain, 2), {"table": [np.True_, 0]}),
+        (functools.partial(sy.Alphabet.module, 3, 2), {"matrices": [[[1, True], [0, 1]]]}),
     ],
 )
 def test_structured_map_refuses_a_bool_inside_a_list(alphabet, given):
     """numpy reads a list that mixes ints and bools as int64; the map does not."""
     with pytest.raises(InvalidInputError, match="entries must be integers, got a bool"):
-        sy.StructuredMap(alphabet, 1, **given)
+        sy.StructuredMap(alphabet(), 1, **given)
 
 
 def test_map_keeps_its_own_copy_of_a_table_array():

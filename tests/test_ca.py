@@ -1,5 +1,6 @@
 """Window calculus: induced maps, composition, inverse criteria, dynamics."""
 
+import functools
 import itertools
 
 import numpy as np
@@ -296,29 +297,61 @@ def test_check_left_inverse_matches_brute_force_oracle(Z, F2, bit):
     assert cases >= 48
 
 
-def test_check_left_inverse_matrix_route_agrees_with_table_route(Z):
-    A = sy.Alphabet.module(2, 1)
+def _matrix_ca(G, A, cells, mats):
+    memory = sy.FiniteSubset(G, cells)
+    smap = sy.StructuredMap(A, len(memory), matrices=mats)
+    return sy.CellularAutomaton(G, A, sy.LocalRule(memory, smap))
+
+
+def _matrix_pairs(G, d, rng):
+    """(sigma, tau) matrix rules over (Z/2)^d: seeded random pairs, two that
+    compose to the identity both ways, and pairs whose product memory misses
+    the identity."""
+    A = sy.Alphabet.module(2, d)
+    one, gens = G.identity(), G.generators()
+    g, h = gens[0], gens[-1]
+    g_inv = G.inv(g)
+    pairs = []
+    for cells_s, cells_t in [([g_inv, one], [one, g]), ([g], [g]), ([g], [g, h])]:
+        for _ in range(4):
+            mats_s = rng.integers(0, 2, size=(len(set(cells_s)), d, d))
+            mats_t = rng.integers(0, 2, size=(len(set(cells_t)), d, d))
+            pairs.append((_matrix_ca(G, A, cells_s, mats_s), _matrix_ca(G, A, cells_t, mats_t)))
+    P = np.eye(d, dtype=np.int64)[rng.permutation(d)]  # P^-1 = P^T
+    pairs.append((_matrix_ca(G, A, [g_inv], [P.T]), _matrix_ca(G, A, [g], [P])))
+    N = np.zeros((d, d), dtype=np.int64)
+    N[0, d - 1] = d > 1  # N^2 = 0, so I + N g and I - N g are inverse; N = 0 when d = 1
+    I = np.eye(d, dtype=np.int64)
+    pairs.append((_matrix_ca(G, A, [one, g], [I, -N]), _matrix_ca(G, A, [one, g], [I, N])))
+    return A, pairs
+
+
+def test_check_left_inverse_matrix_route_agrees_with_table_route(Z, Z2, F2):
+    """Matrix pairs are decided on their coefficient-family product; compose
+    and both checks agree with their table route and the brute-force oracle.
+    Over Z, Z^2 and F_2 with d = 1 to 3 over F_2: seeded random pairs,
+    inverse pairs (one with a zero coefficient in its composite) and pairs
+    whose product memory misses the identity."""
     rng = np.random.default_rng(9)
-    # the second pair's product memory {2} misses the identity
-    pairs = [([(-1,), (0,)], [(0,), (1,)])] * 10 + [([(1,)], [(1,)])] * 10
-    for cells_s, cells_t in pairs:
-        mem_s = sy.FiniteSubset(Z, cells_s)
-        mem_t = sy.FiniteSubset(Z, cells_t)
-        mats_s = rng.integers(0, 2, size=(len(mem_s), 1, 1))
-        mats_t = rng.integers(0, 2, size=(len(mem_t), 1, 1))
-        sig_m = sy.CellularAutomaton(
-            Z, A, sy.LocalRule(mem_s, sy.StructuredMap(A, len(mem_s), matrices=mats_s))
-        )
-        tau_m = sy.CellularAutomaton(
-            Z, A, sy.LocalRule(mem_t, sy.StructuredMap(A, len(mem_t), matrices=mats_t))
-        )
-        sig_t = sy.CellularAutomaton(
-            Z, A, sy.LocalRule(mem_s, sig_m.rule.map.expand_table())
-        )
-        tau_t = sy.CellularAutomaton(
-            Z, A, sy.LocalRule(mem_t, tau_m.rule.map.expand_table())
-        )
-        assert sy.check_left_inverse(sig_m, tau_m) == sy.check_left_inverse(sig_t, tau_t)
+    verdicts = []
+    for G, d in itertools.product((Z, Z2, F2), (1, 2, 3)):
+        A, pairs = _matrix_pairs(G, d, rng)
+        ident = sy.identity_ca(G, A)
+        for sig_m, tau_m in pairs:
+            sig_t, tau_t = (
+                sy.CellularAutomaton(G, A, sy.LocalRule(ca.memory, ca.rule.map.expand_table()))
+                for ca in (sig_m, tau_m)
+            )
+            left = oracle_left_identity(sig_m, tau_m, [G.identity()])
+            right = oracle_left_identity(tau_m, sig_m, [G.identity()])
+            for check, want in [(sy.check_left_inverse, left), (sy.check_right_inverse, right)]:
+                assert check(sig_m, tau_m) == check(sig_t, tau_t) == want
+            comp_m, comp_t = sy.compose(sig_m, tau_m), sy.compose(sig_t, tau_t)
+            assert comp_m.rule.map.is_matrix and comp_m.memory == comp_t.memory
+            assert np.array_equal(comp_m.rule.map.expand_table().table, comp_t.rule.map.table)
+            assert sy.check_left_inverse(ident, comp_m) == left
+            verdicts.append(left)
+    assert True in verdicts and False in verdicts
 
 
 def test_module_and_table_windows_agree(Z):
@@ -361,8 +394,15 @@ def test_evolve_empty_window_errors(Z, bit):
         sy.evolve(xor, p, 2)
 
 
+EVOLVE_CASES = 7
+
+
+@functools.cache
 def _evolve_cases():
-    """(automaton, window) pairs over Z, Z^2, F_2, S_3 and a (Z/3)^2 matrix rule."""
+    """(automaton, window) pairs over Z, Z^2, F_2, S_3 and a (Z/3)^2 matrix rule.
+
+    Built on first use inside a test, under the default caps.
+    """
     Z, Z2, F2 = sy.FreeAbelianGroup(1), sy.FreeAbelianGroup(2), sy.FreeGroup(2)
     S3 = sy.FiniteGroup(symmetric_table(3))
     bit, c3 = sy.Alphabet.plain(2), sy.Alphabet.group(sy.FiniteGroup.cyclic(3).table)
@@ -383,17 +423,15 @@ def _evolve_cases():
     for tau, domain in cases:
         values = rng.integers(0, tau.alphabet.size, size=len(domain)).tolist()
         out.append((tau, sy.Pattern(domain, values)))
+    assert len(out) == EVOLVE_CASES
     return out
 
 
-EVOLVE_CASES = _evolve_cases()
-
-
 @pytest.mark.parametrize("steps", range(4))
-@pytest.mark.parametrize("case", range(len(EVOLVE_CASES)))
+@pytest.mark.parametrize("case", range(EVOLVE_CASES))
 def test_evolve_matches_the_staged_oracle(case, steps):
     """Same domain and values as keep-restrict-apply, or both empty the window."""
-    tau, p = EVOLVE_CASES[case]
+    tau, p = _evolve_cases()[case]
     want = oracle_evolve(tau, p, steps)
     if want is None:
         with pytest.raises(EmptyWindowError):

@@ -10,6 +10,7 @@ bounded, so the test is deterministic. An integer replaced by a bool or a
 non-integer float is invalid input wherever it sits, in every file kind.
 """
 
+import functools
 import itertools
 import json
 
@@ -39,6 +40,9 @@ SPEC_KIND = {"free_abelian": "modular", "free": "ball_action", "finite": "identi
              "symmetric": "identity", "product": "product"}
 
 
+# The starting files are built on first use inside a test, under the default
+# caps, and shared by the tests that follow.
+@functools.cache
 def _automata():
     Z, C2 = sy.FreeAbelianGroup(1), sy.FiniteGroup.cyclic(2)
     plain, cyclic = sy.Alphabet.plain(2), sy.Alphabet.group(sy.FiniteGroup.cyclic(3).table)
@@ -62,14 +66,12 @@ def _automata():
     return out
 
 
-AUTOMATA = _automata()
-
-
+@functools.cache
 def _patterns():
     """(automaton, pattern) pairs: seeded values on M*M, one per automaton."""
     rng = np.random.default_rng(0)
     out = []
-    for data in AUTOMATA:
+    for data in _automata():
         tau = serialize.ca_from_json(data)
         G, A = tau.universe, tau.alphabet
         M = sy.symmetrize(G, tau.memory)
@@ -79,6 +81,7 @@ def _patterns():
     return out
 
 
+@functools.cache
 def _matrices():
     """(C, D) pairs of group-ring matrices with D C = 1, as JSON."""
     s3 = sy.FiniteGroup(symmetric_table(3))
@@ -88,10 +91,6 @@ def _matrices():
         C, D = sy.random_invertible_matrix(G, seed=d, d=d, r=1, modulus=modulus, factors=3)
         out.append((serialize.matrix_to_json(C), serialize.matrix_to_json(D)))
     return out
-
-
-PATTERNS = _patterns()
-MATRICES = _matrices()
 
 
 def _mutate(draw, value):
@@ -146,7 +145,7 @@ def _run(capsys, argv):
 @given(data=st.data())
 def test_mutated_inputs_keep_the_exit_code_contract(tmp_path, capsys, data):
     fit = data.draw(st.booleans())
-    ca = dict(data.draw(st.sampled_from(AUTOMATA)))
+    ca = dict(data.draw(st.sampled_from(_automata())))
     fitting = [s for s in SPECS if s and s["kind"] == SPEC_KIND[ca["universe"]["kind"]]]
     spec = data.draw(st.sampled_from(fitting if fit else SPECS))
     part = data.draw(st.sampled_from(["table", "universe", "alphabet", "embedding"]))
@@ -188,8 +187,8 @@ def test_edited_finite_tables_keep_the_exit_code_contract(tmp_path, capsys, edit
     (S3) and of an alphabet (Z/3). Ragged rows, entries that are not JSON
     integers (bools, floats and strings included) and entries outside
     0..n-1 are invalid input."""
-    s3 = next(ca for ca in AUTOMATA if ca["universe"]["kind"] == "finite")
-    c3 = next(ca for ca in AUTOMATA if ca["alphabet"]["flavor"] == "group")
+    s3 = next(ca for ca in _automata() if ca["universe"]["kind"] == "finite")
+    c3 = next(ca for ca in _automata() if ca["alphabet"]["flavor"] == "group")
     for ca, key in [(s3, "universe"), (c3, "alphabet")]:
         for i in (0, -1):
             rows = [list(row) for row in ca[key]["table"]]
@@ -236,7 +235,7 @@ def test_ball_radii_are_bounded_before_their_balls(tmp_path, capsys, radius, cod
 def test_mutation_pool_reaches_every_outcome(tmp_path, capsys):
     """The unmutated starting points alone reach exits 0, 1, 2 and 3."""
     seen = set()
-    for ca in AUTOMATA:
+    for ca in _automata():
         path = _write(tmp_path, ca)
         for spec in SPECS:
             argv = ["transport", "--ca", path, "--embedding", json.dumps(spec)]
@@ -244,13 +243,13 @@ def test_mutation_pool_reaches_every_outcome(tmp_path, capsys):
     assert {0, 1, 2, 3} <= seen
 
 
-@pytest.fixture(scope="module")
+@pytest.fixture
 def fixed_files(tmp_path_factory):
-    """The unmutated partner files, written once: each pattern's automaton
-    and each matrix's inverse."""
+    """The unmutated partner files: each pattern's automaton and each
+    matrix's inverse."""
     root = tmp_path_factory.mktemp("fixed")
-    cas = {f"ca{i}": _write(root, ca) for i, (ca, _) in enumerate(PATTERNS)}
-    return cas | {f"inverse{i}": _write(root, D) for i, (_, D) in enumerate(MATRICES)}
+    cas = {f"ca{i}": _write(root, ca) for i, (ca, _) in enumerate(_patterns())}
+    return cas | {f"inverse{i}": _write(root, D) for i, (_, D) in enumerate(_matrices())}
 
 
 @settings(
@@ -267,16 +266,16 @@ def test_mutated_patterns_and_matrices_keep_the_exit_code_contract(
     """`evolve` on a mutated pattern file; `groupring mul` and `groupring
     solve` on a mutated matrix file."""
     if data.draw(st.booleans()):
-        i = data.draw(st.integers(0, len(PATTERNS) - 1))
-        pattern = PATTERNS[i][1]
+        i = data.draw(st.integers(0, len(_patterns()) - 1))
+        pattern = _patterns()[i][1]
         for _ in range(data.draw(st.integers(1, 2))):
             pattern = _mutate(data.draw, pattern)
         path = _write(tmp_path, pattern)
         argv = ["evolve", "--ca", fixed_files[f"ca{i}"], "--pattern", path, "--steps", "1"]
         _run(capsys, argv)
         return
-    i = data.draw(st.integers(0, len(MATRICES) - 1))
-    C = MATRICES[i][0]
+    i = data.draw(st.integers(0, len(_matrices()) - 1))
+    C = _matrices()[i][0]
     for _ in range(data.draw(st.integers(1, 2))):
         C = _mutate(data.draw, C)
     path = _write(tmp_path, C)
@@ -307,18 +306,19 @@ def _replaced(value, path, new):
 
 def _file_kinds(fixed_files):
     """(kind, JSON, commands on a file holding it): valid files of each kind."""
-    finite = next(ca for ca in AUTOMATA if "table" in ca["universe"] and "table" in ca["alphabet"])
-    i = next(i for i, (ca, _) in enumerate(PATTERNS) if "matrices" in ca["map"])
+    automata, patterns, matrices = _automata(), _patterns(), _matrices()
+    finite = next(ca for ca in automata if "table" in ca["universe"] and "table" in ca["alphabet"])
+    i = next(i for i, (ca, _) in enumerate(patterns) if "matrices" in ca["map"])
     spec = {"kind": "product", "factors": [{"kind": "modular", "N": 3}, {"kind": "identity"}]}
-    product = AUTOMATA.index(next(ca for ca in AUTOMATA if ca["universe"]["kind"] == "product"))
+    product = automata.index(next(ca for ca in automata if ca["universe"]["kind"] == "product"))
     yield "ca", finite, lambda p: [["transport", "--ca", p, "--embedding", "null"]]
-    yield "ca", PATTERNS[i][0], lambda p: [["transport", "--ca", p, "--embedding", "null"]]
+    yield "ca", patterns[i][0], lambda p: [["transport", "--ca", p, "--embedding", "null"]]
     yield "embedding", spec, lambda p: [
         ["transport", "--ca", fixed_files[f"ca{product}"], "--embedding", p]]
-    yield "pattern", PATTERNS[i][1], lambda p: [
+    yield "pattern", patterns[i][1], lambda p: [
         ["evolve", "--ca", fixed_files[f"ca{i}"], "--pattern", p, "--steps", "1"]]
-    yield "matrix", MATRICES[-1][0], lambda p: [
-        ["groupring", "mul", "--a", fixed_files[f"inverse{len(MATRICES) - 1}"], "--b", p],
+    yield "matrix", matrices[-1][0], lambda p: [
+        ["groupring", "mul", "--a", fixed_files[f"inverse{len(matrices) - 1}"], "--b", p],
         ["groupring", "solve", "--matrix", p, "--radius", "1"]]
 
 

@@ -1,17 +1,20 @@
 """Group universes: encodings, balls, subset combinatorics."""
 
+import functools
 import itertools
 import math
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import symba as sy
 from symba.ca import window_positions
 from symba.errors import InvalidInputError, ResourceCapError
 
-from conftest import brute_force_free_ball, symmetric_table
+from conftest import brute_force_free_ball, oracle_sort_key, reduce_word_free, symmetric_table
 
 
 def test_element_mul_examples(Z, F2):
@@ -152,6 +155,43 @@ def test_group_axioms_on_ball_two(make):
         assert G.mul(g, G.inv(g)) == e
     for g, h, k in itertools.product(elems, repeat=3):
         assert G.mul(G.mul(g, h), k) == G.mul(g, G.mul(h, k))
+
+
+def _elements(G):
+    """A strategy drawing canonical elements of G."""
+    if isinstance(G, sy.FreeAbelianGroup):
+        return st.tuples(*[st.integers(-3, 3)] * G.rank)
+    if isinstance(G, sy.FreeGroup):
+        letters = st.sampled_from([x for i in range(1, G.rank + 1) for x in (i, -i)])
+        return st.lists(letters, max_size=5).map(reduce_word_free)
+    if isinstance(G, sy.FiniteGroup):
+        return st.integers(0, G.size - 1)
+    if isinstance(G, sy.SymmetricGroup):
+        return st.permutations(range(G.degree)).map(tuple)
+    return st.tuples(*map(_elements, G.factors))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sy.FreeAbelianGroup(2),
+        lambda: sy.FreeGroup(3),
+        lambda: sy.FiniteGroup(symmetric_table(3)),
+        lambda: sy.SymmetricGroup(4),
+        lambda: sy.ProductGroup([sy.FreeGroup(2), sy.FiniteGroup.cyclic(3)]),
+        lambda: sy.ProductGroup([sy.SymmetricGroup(3), sy.FreeAbelianGroup(1), sy.FreeGroup(1)]),
+    ],
+)
+@settings(max_examples=50, derandomize=True, deadline=None, database=None)
+@given(data=st.data())
+def test_subset_order_is_the_sort_key_order(make, data):
+    """A subset lists its elements in the order of the sort key, whether the
+    encoding is its own key or not, and that key orders as the per-element one."""
+    G = make()
+    xs = data.draw(st.lists(_elements(G), max_size=30))
+    got = list(sy.FiniteSubset(G, xs))
+    assert got == sorted(set(xs), key=G.sort_key)
+    assert got == sorted(set(xs), key=lambda a: oracle_sort_key(G, a))
 
 
 @pytest.mark.parametrize("r,s", [(0, 1), (1, 1), (1, 2), (2, 1), (3, 2)])
@@ -360,37 +400,49 @@ def test_huge_symmetric_carriers_are_refused_without_their_order(monkeypatch):
     assert sy.ProductGroup([sy.FreeGroup(1), huge]).order() is None
 
 
-# Values of different kinds whose keys coincide.
+# Values of different kinds whose keys coincide. Here and below, values are
+# built by factories called in the test, under the default caps; a partial
+# has no __name__, so pytest names it by its position.
 SAME_KEYS = [
-    (sy.FreeAbelianGroup(0), sy.FreeGroup(0)),
-    (sy.FreeAbelianGroup(3), sy.SymmetricGroup(3)),
-    (sy.FreeGroup(2), sy.SymmetricGroup(2)),
+    (functools.partial(kind_a, key), functools.partial(kind_b, key))
+    for kind_a, kind_b, key in [
+        (sy.FreeAbelianGroup, sy.FreeGroup, 0),
+        (sy.FreeAbelianGroup, sy.SymmetricGroup, 3),
+        (sy.FreeGroup, sy.SymmetricGroup, 2),
+    ]
 ]
 
 
 @pytest.mark.parametrize("a, b", SAME_KEYS)
 def test_equal_keys_across_kinds_stay_unequal(a, b):
+    a, b = a(), b()
     assert a._key() == b._key()
     assert a != b and b != a and len({a, b}) == 2
     assert a == type(a)(a._key()) and hash(a) == hash(type(a)(a._key()))
 
 
+Z1 = functools.partial(sy.FreeAbelianGroup, 1)
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
-        (sy.FreeAbelianGroup(1), "FreeAbelianGroup(1)"),
-        (sy.FreeGroup(2), "FreeGroup(2)"),
-        (sy.SymmetricGroup(3), "SymmetricGroup(3)"),
-        (sy.FiniteGroup.cyclic(6), "FiniteGroup(order=6)"),
+        (Z1, "FreeAbelianGroup(1)"),
+        (functools.partial(sy.FreeGroup, 2), "FreeGroup(2)"),
+        (functools.partial(sy.SymmetricGroup, 3), "SymmetricGroup(3)"),
+        (functools.partial(sy.FiniteGroup.cyclic, 6), "FiniteGroup(order=6)"),
         (
-            sy.ProductGroup([sy.FiniteGroup.cyclic(2), sy.FreeAbelianGroup(1)]),
+            functools.partial(lambda: sy.ProductGroup([sy.FiniteGroup.cyclic(2), Z1()])),
             "ProductGroup([FiniteGroup(order=2), FreeAbelianGroup(1)])",
         ),
-        (sy.FiniteSubset(sy.FreeAbelianGroup(1), [(1,), (0,)]), "FiniteSubset[(0,), (1,)]"),
+        (
+            functools.partial(lambda: sy.FiniteSubset(Z1(), [(1,), (0,)])),
+            "FiniteSubset[(0,), (1,)]",
+        ),
     ],
 )
 def test_reprs_printed_by_error_messages(value, text):
-    assert repr(value) == text
+    assert repr(value()) == text
 
 
 def test_tuple_codec_error_wording():

@@ -1,5 +1,7 @@
 """Embeddings into finite groups, transported endomaps, rule extraction."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -310,9 +312,6 @@ def test_beta_alpha_identity_follows_left_inverse(Z, bit):
     assert sy.check_equivariance(alpha) and sy.check_equivariance(beta)
 
 
-S3XC3 = sy.ProductGroup([sy.FiniteGroup(symmetric_table(3)), sy.FiniteGroup.cyclic(3)])
-
-
 def _hinted_pair(G, p, d, seed, representation):
     """A seeded tau, its inverse and a false hint (one coefficient off)."""
     C, D = sy.random_invertible_matrix(G, seed=seed, d=d, r=1, modulus=p, factors=4)
@@ -332,12 +331,19 @@ def _hinted_pair(G, p, d, seed, representation):
     ]
 
 
+def _s3_times_c3():
+    return sy.ProductGroup([sy.FiniteGroup(symmetric_table(3)), sy.FiniteGroup.cyclic(3)])
+
+
+# G is a factory, called in the test under the default caps; a partial has
+# no __name__, so pytest still names each one G<i>.
 @pytest.mark.parametrize(
     "G, modulus, p, d, representation",
-    [(sy.FreeAbelianGroup(1), modulus, p, d, representation)
+    [(functools.partial(sy.FreeAbelianGroup, 1), modulus, p, d, representation)
      for modulus in ("minimal", "wide")
      for p, d, representation in [(2, 2, "table"), (3, 2, "matrix")]]
-    + [(S3XC3, None, 2, 1, "table"), (S3XC3, None, 3, 2, "matrix")],
+    + [(functools.partial(_s3_times_c3), None, p, d, representation)
+       for p, d, representation in [(2, 1, "table"), (3, 2, "matrix")]],
 )
 def test_hint_verdict_on_the_universe_is_the_transported_composite(
     G, modulus, p, d, representation
@@ -346,6 +352,7 @@ def test_hint_verdict_on_the_universe_is_the_transported_composite(
     both rules and composing them on A^F gives the same verdict. Z at its
     minimal modulus and at one above the diameter of M*M, S3xC3 by the
     identity embedding."""
+    G = G()
     for seed in range(3):
         tau, hints = _hinted_pair(G, p, d, seed, representation)
         A = tau.alphabet
@@ -437,7 +444,7 @@ def _c3xc3_via_z2():
 
 
 def _s3xc3():
-    G = sy.ProductGroup([sy.FiniteGroup(symmetric_table(3)), sy.FiniteGroup.cyclic(3)])
+    G = _s3_times_c3()
     return sy.build_embedding(G, sy.FiniteSubset(G, G.elements()), None)
 
 
@@ -634,21 +641,23 @@ def _c3xc3():
 
 # Z/6 relabelled so that label 1 names 3, of order 2: _Z6_LABELS[k] names k
 _Z6_LABELS = [0, 2, 3, 1, 4, 5]
-_Z6_RELABELLED = sy.FiniteGroup(
-    [[_Z6_LABELS[(a + b) % 6] for b in np.argsort(_Z6_LABELS)] for a in np.argsort(_Z6_LABELS)]
-)
+def _z6_relabelled():
+    return sy.FiniteGroup(
+        [[_Z6_LABELS[(a + b) % 6] for b in np.argsort(_Z6_LABELS)] for a in np.argsort(_Z6_LABELS)]
+    )
 
 
 @pytest.mark.parametrize(
     "target",
-    [sy.FiniteGroup.cyclic(N) for N in (1, 2, 7, 12)]
-    + [sy.FiniteGroup(symmetric_table(3)), sy.FreeAbelianGroup(0)]
-    + [make().target for make in (_c3xc3_via_z2, _s3xc3)]
-    + [sy.FiniteGroup(sy.FiniteGroup.cyclic(12).table), _Z6_RELABELLED],
+    [functools.partial(sy.FiniteGroup.cyclic, N) for N in (1, 2, 7, 12)]
+    + [lambda: sy.FiniteGroup(symmetric_table(3)), functools.partial(sy.FreeAbelianGroup, 0)]
+    + [lambda: _c3xc3_via_z2().target, lambda: _s3xc3().target]
+    + [lambda: sy.FiniteGroup(sy.FiniteGroup.cyclic(12).table), _z6_relabelled],
     ids=["Z1", "Z2", "Z7", "Z12", "S3", "Z^0", "C3xC3", "S3xC3", "Z12-validated", "Z6-relabelled"],
 )
 def test_division_index_matches_group_products(target):
     """The walk matches group products; only Z/N in its natural labelling is Z/N."""
+    target = target()  # built here, under the default caps
     carrier = sy.FiniteSubset(target, target.elements())
     assert np.array_equal(division_index(carrier), oracle_division_index(target))
     natural = isinstance(target, sy.FiniteGroup) and target == sy.FiniteGroup.cyclic(target.size)
@@ -666,7 +675,7 @@ def _random_matrix_rule(kind, p, d, rng):
             1: (sy.FiniteGroup.cyclic(1), []),
             2: (sy.FiniteGroup.cyclic(2), [1]),
             "S3": (sy.SymmetricGroup(3), [(1, 0, 2), (1, 2, 0)]),
-            "Z6-relabelled": (_Z6_RELABELLED, [_Z6_LABELS[1]]),
+            "Z6-relabelled": (_z6_relabelled(), [_Z6_LABELS[1]]),
         }[kind]
         e = sy.build_embedding(G, sy.FiniteSubset(G, G.elements()), None)
         M = sy.symmetrize(G, sy.FiniteSubset(G, gens))
