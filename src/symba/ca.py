@@ -211,24 +211,24 @@ def _family_product(S, T, pos, n: int, p: int) -> np.ndarray:
     return np.remainder(out, p, out=out)
 
 
-def _composes_to_identity(outer: CellularAutomaton, inner: CellularAutomaton) -> bool:
-    """True iff outer-after-inner is the identity on every configuration.
+def check_left_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
+    """True iff sigma-after-tau is the identity on every configuration.
 
-    Matrix pairs compare the composite's coefficient family with I at the
+    Both automata are read as given. The composite over M_sigma * M_tau is
+    never built. Matrix pairs compare its coefficient family with I at the
     identity and 0 elsewhere. Otherwise the composite table entry of each
-    configuration of A^(M_outer * M_inner), outer's table at inner's window
-    code, is compared with the configuration's identity-cell digit block by
-    block. Neither builds the composite rule.
+    configuration, sigma's table at tau's window code, is compared with the
+    configuration's identity-cell digit block by block.
     """
-    _require_compatible(outer, inner)
-    G, A = outer.universe, outer.alphabet
-    Mc, pos = product_window(G, outer.memory, inner.memory)
+    _require_compatible(sigma, tau)
+    G, A = sigma.universe, sigma.alphabet
+    Mc, pos = product_window(G, sigma.memory, tau.memory)
     n = len(Mc)
     one = G.identity()
-    if outer.rule.map.is_matrix and inner.rule.map.is_matrix:
+    if sigma.rule.map.is_matrix and tau.rule.map.is_matrix:
         if one not in Mc:
             return A.size == 1
-        S, T = outer.rule.map.matrices, inner.rule.map.matrices
+        S, T = sigma.rule.map.matrices, tau.rule.map.matrices
         family = _family_product(S, T, pos, n, A.modulus)
         want = np.zeros_like(family)
         want[Mc.index_of(one)] = np.eye(A.dim, dtype=np.int64)
@@ -236,30 +236,18 @@ def _composes_to_identity(outer: CellularAutomaton, inner: CellularAutomaton) ->
     check_size(A.size**n, "composite rule table")
     if one not in Mc:
         return A.size == 1
-    table = outer.rule.map.expand_table().table
-    blocks = inner.rule.map.window_codes(pos, n)
+    table = sigma.rule.map.expand_table().table
+    blocks = tau.rule.map.window_codes(pos, n)
     for _, codes, digits in cell_digits(blocks, A.size, n, Mc.index_of(one)):
         if not np.array_equal(table[codes], digits):
             return False
     return True
 
 
-def check_left_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
-    """True iff sigma-after-tau is the identity on every configuration.
-
-    Decided on the composite over M_sigma * M_tau, which is never built:
-    on its coefficient family for a matrix pair, else on its table entries
-    block by block.
-    """
-    return _composes_to_identity(sigma, tau)
-
-
 def check_right_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
-    """True iff tau-after-sigma is the identity on every configuration.
-
-    Decided on the composite over M_tau * M_sigma, as in check_left_inverse.
-    """
-    return _composes_to_identity(tau, sigma)
+    """True iff tau-after-sigma is the identity, both read as given:
+    check_left_inverse(tau, sigma)."""
+    return check_left_inverse(tau, sigma)
 
 
 def evolve(tau: CellularAutomaton, p: Pattern, steps: int) -> Pattern:
@@ -267,11 +255,13 @@ def evolve(tau: CellularAutomaton, p: Pattern, steps: int) -> Pattern:
 
     A step keeps each g = e * M[0]^-1 (e in the window) with all of g * M in
     the window; the positions of those products, each computed once, are the
-    cells the rule reads.
+    cells the rule reads. A window need not shrink (a shift keeps its size),
+    so steps * |window| * |M| reads are capped before the first step.
     """
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
     G, M, smap = tau.universe, tau.memory, tau.rule.map
+    check_size(steps * len(p.domain) * len(M), "evolve cell reads")
     mul, anchor = G.mul, G.inv(M[0])
     for _ in range(steps):
         index = p.domain._index

@@ -46,11 +46,11 @@ class EmbeddingCollisionError(SymbaError):
     product embedding that is the factor whose embedding collided.
     """
 
-    def __init__(self, first, second, group, message=None):
+    def __init__(self, first, second, group):
         self.first = first
         self.second = second
         self.group = group
-        super().__init__(message or f"embedding collision: {first!r} and {second!r}")
+        super().__init__(f"embedding collision: {first!r} and {second!r}")
 
 
 class NotInvertibleError(SymbaError):
@@ -71,10 +71,8 @@ class UncertifiedInverseError(SymbaError):
     automaton; `left` and `right` are the outcomes of the two checks.
     """
 
-    def __init__(self, ca, left, right, message=None):
+    def __init__(self, ca, left, right):
         self.ca = ca
         self.left = left
         self.right = right
-        super().__init__(
-            message or f"transported inverse failed certification (left={left}, right={right})"
-        )
+        super().__init__(f"transported inverse failed certification (left={left}, right={right})")

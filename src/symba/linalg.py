@@ -205,13 +205,13 @@ def _series_inverse(f: np.ndarray, m: int, p: int) -> np.ndarray:
 def _poly_divmod(a: np.ndarray, b: np.ndarray, p: int):
     """(q, r) with a = q·b + r over F_p and r trimmed below deg b; b's lead is nonzero.
 
-    Reversed, the quotient is a power series quotient: rev(q) = rev(a)/rev(b)
-    mod x^m, m = len(a) - len(b) + 1, so one division is O(log m) numpy
-    steps, however long its quotient.
+    a must be longer than b, as in `_unit_inverse`: x^N - 1 is divided by a
+    slice of at most N coefficients, then each divisor by a remainder
+    trimmed below it. Reversed, the quotient is a power series quotient:
+    rev(q) = rev(a)/rev(b) mod x^m, m = len(a) - len(b) + 1 >= 2, so one
+    division is O(log m) numpy steps, however long its quotient.
     """
     m, k = len(a) - len(b) + 1, len(b) - 1
-    if m <= 0:
-        return a[:0], a
     if k == 0:
         return a * pow(int(b[0]), p - 2, p) % p, a[:0]
     q = np.convolve(a[::-1][:m], _series_inverse(b[::-1], m, p))[:m][::-1] % p

@@ -16,18 +16,9 @@ import numpy as np
 
 from . import linalg
 from .alphabets import StructuredMap, cell_digits, decode_index
-from .ca import (
-    CellularAutomaton,
-    LocalRule,
-    Pattern,
-    check_left_inverse,
-    extend_memory,
-)
+from .ca import CellularAutomaton, LocalRule, Pattern, check_left_inverse, window_positions
 from .caps import check_size
-from .errors import (
-    InvalidInputError,
-    UnsupportedSubgroupError,
-)
+from .errors import InvalidInputError, UnsupportedSubgroupError
 from .groups import (
     FiniteGroup,
     FiniteSubset,
@@ -69,17 +60,19 @@ class SynthesisResult:
 
 
 def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyResult:
-    """Scan A^{N*M} for image conflicts; synthesize the rule when none exist.
+    """Scan A^{N*M'} for image conflicts; synthesize the rule when none exist.
 
-    A table scan costs O(windows) per block of `window_codes`, with no sort
-    and no division per window. One `owner` array holds the identity value
-    of each image seen (or -1). After block 0, a block reads it at its
-    images, and stops there when every value matches; a clash with an
-    earlier block shows as a value that differs from one already set. The
-    block then writes its identity values in one scatter and reads them
-    back, to catch two values for one image within the block. The identity
-    digits come from `cell_digits`. Only a block that conflicts is searched
-    for the exact witness (see `_first_conflict`).
+    M' = symmetrize(M) fixes the scan window and the witness domain; tau is
+    read as given, each window taking the cells of M in its row of
+    `product_window(G, N, M')`. A table scan costs O(windows) per block of
+    `window_codes`, with no sort and no division per window. One `owner`
+    array holds the identity value of each image seen (or -1). After block
+    0, a block reads it at its images, and stops there when every value
+    matches; a clash with an earlier block shows as a value that differs
+    from one already set. The block then writes its identity values in one
+    scatter and reads them back, to catch two values for one image within
+    the block. The identity digits come from `cell_digits`. Only a block
+    that conflicts is searched for the exact witness (see `_first_conflict`).
     """
     G, A = tau.universe, tau.alphabet
     if N.group != G:
@@ -87,18 +80,19 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     ident = G.identity()
     if ident not in N or any(G.inv(n) not in N for n in N):
         raise InvalidInputError("candidate memory must be symmetric and contain 1")
-    rule = extend_memory(tau.rule, symmetrize(G, tau.memory))
-    tau = CellularAutomaton(G, A, rule)
-    NM, pos = product_window(G, N, tau.memory)
+    wide = symmetrize(G, tau.memory)
+    NM, pos = product_window(G, N, wide)
+    pos = pos[:, [wide.index_of(m) for m in tau.memory]]
+    smap = tau.rule.map
 
-    if tau.rule.map.is_matrix:
-        return _determinacy_linear(tau, N, NM, pos)
+    if smap.is_matrix:
+        return _determinacy_linear(smap, N, NM, pos)
 
     check_size(A.size ** len(N), "inverse rule table")
     check_size(A.size ** len(NM), "determinacy scan")
     n = len(NM)
     owner = np.full(A.size ** len(N), -1, dtype=np.int64)
-    blocks = tau.rule.map.window_codes(pos, n)
+    blocks = smap.window_codes(pos, n)
     for start, keys, vals in cell_digits(blocks, A.size, n, NM.index_of(ident)):
         seen = None  # block 0 meets no earlier image
         if start:
@@ -108,7 +102,7 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
                 continue  # every image met before, with these values
         owner[keys] = vals
         if (owner[keys] != vals).any() or (seen is not None and (seen[differs] >= 0).any()):
-            x, y = _first_conflict(tau.rule.map.window_codes(pos, n), start, keys, vals, seen, owner)
+            x, y = _first_conflict(smap.window_codes(pos, n), start, keys, vals, seen, owner)
             witness = tuple(Pattern(NM, decode_index(w, A.size, n)) for w in (x, y))
             return DeterminacyResult(rule=None, witness=witness)
 
@@ -144,14 +138,14 @@ def _first_conflict(blocks, start, keys, vals, seen, scratch) -> tuple:
     raise AssertionError("an image seen before is in no earlier block")
 
 
-def _determinacy_linear(tau, N, NM, pos) -> DeterminacyResult:
+def _determinacy_linear(smap, N, NM, pos) -> DeterminacyResult:
     """Matrix-rule determinacy: solve eta @ T = (read off at identity)."""
-    G, A = tau.universe, tau.alphabet
+    A = smap.alphabet
     d = A.dim
     check_size(len(N) * d * len(NM) * d, "determinacy linear system")
-    T = tau.rule.map.window_matrix(pos, len(NM))
-    center = NM.index_of(G.identity())
-    proj = np.eye(len(NM) * d, dtype=np.int64)[center * d : (center + 1) * d]
+    T = smap.window_matrix(pos, len(NM))
+    center = NM.index_of(NM.group.identity())
+    proj = np.eye(d, len(NM) * d, center * d, dtype=np.int64)
 
     eta, kernel = linalg.left_solve(T, proj, A.modulus)
     if eta is None:
@@ -167,17 +161,16 @@ def _determinacy_linear(tau, N, NM, pos) -> DeterminacyResult:
 def synthesize_left_inverse(tau: CellularAutomaton, r_max: int) -> SynthesisResult:
     """Radius-increasing search for a left inverse with memory ball(r).
 
-    tau is read over its symmetrized memory once, for every radius; the
-    certificate checks the rule found against tau as given.
+    tau is read as given, by every scan and by the certificate, which
+    checks the rule found with check_left_inverse.
     """
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
     G = tau.universe
-    wide = CellularAutomaton(G, tau.alphabet, extend_memory(tau.rule, symmetrize(G, tau.memory)))
     witness = None
     for r in range(r_max + 1):
         N = ball(G, r)
-        res = determinacy_check(wide, N)
+        res = determinacy_check(tau, N)
         if res.is_determined:
             sigma = CellularAutomaton(G, tau.alphabet, res.rule)
             if not check_left_inverse(sigma, tau):
@@ -259,12 +252,8 @@ def restrict_to_memory_subgroup(tau: CellularAutomaton) -> CellularAutomaton:
             encode = {m: tuple(m[i] for i in live) for m in M}
     elif isinstance(G, FiniteGroup):
         closure = generated_ball(G, M, G.size)
-        relabel = {e: i for i, e in enumerate(closure)}
-        table = [
-            [relabel[G.mul(a, b)] for b in closure] for a in closure
-        ]
-        H = FiniteGroup(table)
-        encode = {m: relabel[m] for m in M}
+        H = FiniteGroup(window_positions(closure, closure, closure))
+        encode = {m: closure.index_of(m) for m in M}
     else:
         raise UnsupportedSubgroupError(f"no subgroup re-basing for {G!r}")
 
@@ -296,11 +285,10 @@ def _free_subgroup_encoding(G: FreeGroup, M: FiniteSubset):
         return H, encode
     letters = {abs(x) for w in words for x in w}
     if len(letters) == 1 and all(len(set(w)) == 1 for w in words):
-        exps = [len(w) * (1 if w[0] > 0 else -1) for w in words]
-        step = int(np.gcd.reduce([abs(e) for e in exps]))
-        H = FreeAbelianGroup(1)
-        encode = {m: ((len(m) * (1 if m[0] > 0 else -1)) // step,) if m else (0,) for m in M}
-        return H, encode
+        # a^k is the vector (k,) of Z, re-based as a sublattice of Z^d is
+        exps = {m: (len(m) * (1 if m[0] > 0 else -1) if m else 0,) for m in M}
+        basis = _hermite_basis(exps.values(), 1)
+        return FreeAbelianGroup(1), {m: _lattice_coordinates(basis, v) for m, v in exps.items()}
     raise UnsupportedSubgroupError(
         "free-group memory is neither inside a free factor nor a single generator's powers"
     )

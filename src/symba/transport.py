@@ -149,21 +149,11 @@ def _ball_action_embedding(G: FreeGroup, S: FiniteSubset, radius: int | None) ->
 
     letter_perm = {}
     for i in range(1, G.rank + 1):
-        g = (i,)
-        perm = [-1] * n
-        used = [False] * n
-        for idx, x in enumerate(pts):
-            y = G.mul(g, x)
-            if y in pts:
-                j = pts.index_of(y)
-                perm[idx] = j
-                used[j] = True
-        free_targets = iter([j for j in range(n) if not used[j]])
-        for idx in range(n):
-            if perm[idx] < 0:
-                perm[idx] = next(free_targets)
-        letter_perm[i] = tuple(perm)
-        letter_perm[-i] = target.inv(tuple(perm))
+        # a point whose translate leaves the ball takes an unused target, in order
+        perm = [pts._index.get(G.mul((i,), x), -1) for x in pts]
+        free_targets = iter(sorted(set(range(n)).difference(perm)))
+        letter_perm[i] = tuple(j if j >= 0 else next(free_targets) for j in perm)
+        letter_perm[-i] = target.inv(letter_perm[i])
 
     images = {(): target.identity()}
 
@@ -469,9 +459,10 @@ def extract_local_rule(
     one = carrier.index_of(e.target.identity())
 
     if gamma.is_matrix:
-        # the identity cell's block row, read as a map of all of F, then at M
-        row = StructuredMap.from_block_row(A, gamma.matrix[one * A.dim : (one + 1) * A.dim])
-        return LocalRule(M, StructuredMap(A, len(M), matrices=row.matrices[cols]))
+        # the identity cell's block row, read at the cells of M
+        d = A.dim
+        row = gamma.matrix[one * d : (one + 1) * d].reshape(d, len(carrier), d)[:, cols]
+        return LocalRule(M, StructuredMap(A, len(M), matrices=row.transpose(1, 0, 2)))
 
     place = radix(A.size, len(carrier))
     X = decode_assignments(A.size, len(M))

@@ -135,6 +135,30 @@ def oracle_left_identity(sigma, tau, window_elems, cap=1 << 18):
     return True
 
 
+def oracle_ball_action_letters(G, R):
+    """Letter permutations of the radius-R ball-action embedding, by a plain loop.
+
+    On ball(R+1), in canonical order, letter i sends x to the free reduction
+    of i·x when that stays in the ball; the points it pushes out take the
+    targets no point reached, in increasing order. Returns {i: perm} for
+    the positive letters.
+    """
+    pts = list(sy.ball(G, R + 1))
+    at = {x: j for j, x in enumerate(pts)}
+    n = len(pts)
+    letters = {}
+    for i in range(1, G.rank + 1):
+        perm, used = [-1] * n, [False] * n
+        for idx, x in enumerate(pts):
+            y = reduce_word_free((i,) + x)
+            if y in at:
+                perm[idx] = at[y]
+                used[at[y]] = True
+        free_targets = iter([j for j in range(n) if not used[j]])
+        letters[i] = tuple(j if j >= 0 else next(free_targets) for j in perm)
+    return letters
+
+
 def oracle_pointed(smap):
     """Pointedness by evaluation: the map applied, through `evaluate`, to the
     window holding the basepoint at every cell."""

@@ -394,6 +394,24 @@ def test_evolve_empty_window_errors(Z, bit):
         sy.evolve(xor, p, 2)
 
 
+def test_evolve_caps_its_cell_reads_before_the_first_step(Z, bit, monkeypatch):
+    """A shift never shrinks its window, so steps * |window| * |M| reads are
+    capped up front: 10^12 steps on 13 cells are refused with no step run."""
+    shift = sy.projection_ca(Z, bit, (1,))
+    p = sy.Pattern(sy.ball(Z, 6), (1,) + (0,) * 12)
+    monkeypatch.setenv("SYMBA_CAP", "26")
+    assert sy.evolve(shift, p, 2).values == p.values  # 2 * 13 * 1 reads, at the cap
+    with pytest.raises(ResourceCapError, match="evolve cell reads would have 39 entries"):
+        sy.evolve(shift, p, 3)
+    monkeypatch.delenv("SYMBA_CAP")
+    calls = []
+    batch = sy.StructuredMap.evaluate_batch
+    monkeypatch.setattr(sy.StructuredMap, "evaluate_batch", lambda *a: calls.append(1) or batch(*a))
+    with pytest.raises(ResourceCapError, match="evolve cell reads"):
+        sy.evolve(shift, p, 10**12)
+    assert not calls
+
+
 EVOLVE_CASES = 7
 
 

@@ -449,6 +449,20 @@ def test_evolve_command(files, capsys, Z, bit):
     assert code == 2
 
 
+def test_evolve_huge_step_count_exits_three_before_stepping(files, capsys, Z, bit, monkeypatch):
+    p = sy.Pattern(sy.ball(Z, 6), (1,) + (0,) * 12)
+    ppath = files["dir"] / "p.json"
+    ppath.write_text(serialize.canonical_dumps(serialize.pattern_to_json(p, bit)))
+    calls = []
+    batch = sy.StructuredMap.evaluate_batch
+    monkeypatch.setattr(sy.StructuredMap, "evaluate_batch", lambda *a: calls.append(1) or batch(*a))
+    code, report = run(
+        capsys, "evolve", "--ca", files["tau"], "--pattern", str(ppath), "--steps", "1000000000"
+    )
+    assert code == 3 and "evolve cell reads" in report["outcome"]["error"]
+    assert not calls
+
+
 def test_compose_command(files, capsys):
     out = str(files["dir"] / "comp.json")
     code, report = run(

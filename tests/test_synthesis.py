@@ -14,6 +14,7 @@ from conftest import (
     oracle_determinacy_table,
     oracle_determinacy_witness,
     random_pointed_table,
+    symmetric_table,
     xor_ca,
 )
 
@@ -481,3 +482,105 @@ def test_restriction_free_group_cases(F2, bit):
     assert list(r2.memory) == [(1,)]
     with pytest.raises(UnsupportedSubgroupError):
         sy.restrict_to_memory_subgroup(sy.projection_ca(F2, bit, (1, 2)))
+
+
+def _widened(tau):
+    """tau re-read over its symmetrized memory, as synthesis once scanned it."""
+    G = tau.universe
+    rule = sy.extend_memory(tau.rule, sy.symmetrize(G, tau.memory))
+    return sy.CellularAutomaton(G, tau.alphabet, rule)
+
+
+def _rule_bytes(rule):
+    smap = rule.map
+    return list(rule.memory), (smap.matrices if smap.is_matrix else smap.table).tobytes()
+
+
+def _verdict(res):
+    """A determinacy or synthesis result as comparable data: rule bytes or witnesses."""
+    rule = res.rule if isinstance(res, sy.DeterminacyResult) else res.found and res.ca.rule
+    if rule:
+        return getattr(res, "radius", None), _rule_bytes(rule)
+    return [(list(p.domain), p.values) for p in res.witness]
+
+
+def _swap_rule(G, A, g1, g2):
+    """(a, b) at g becomes (a at g*g1 + b at g*g2, b at g*g2): invertible, with
+    inverse memory {g1^-1, g2^-1}, and memory {g1, g2}, not symmetric."""
+    mats = {g1: [[1, 0], [0, 0]], g2: [[0, 1], [0, 1]]}
+    memory = sy.FiniteSubset(G, [g1, g2])
+    smap = sy.StructuredMap(A, 2, matrices=[mats[m] for m in memory])
+    return sy.CellularAutomaton(G, A, sy.LocalRule(memory, smap))
+
+
+def _as_given_case(name, seed):
+    """(tau, r_max, whether a left inverse exists by r_max) for each named case."""
+    rng = np.random.default_rng(seed)
+    Z, Z2, F2 = sy.FreeAbelianGroup(1), sy.FreeAbelianGroup(2), sy.FreeGroup(2)
+    bit, pair, f3 = sy.Alphabet.plain(2), sy.Alphabet.module(2, 2), sy.Alphabet.module(3, 1)
+    cells = {"Z": (Z, [(1,), (3,)]), "Z2": (Z2, [(0, 1), (1, 0)]), "F2": (F2, [(1,), (2,)])}
+    kind, where = name.split("-")
+    G, memory = cells[where]
+    if kind == "table":  # a seeded table: no inverse
+        return make_table_ca(G, bit, memory, random_pointed_table(rng, bit, 2)), 1, False
+    if kind == "first":  # reads two cells, keeps the first: an inverse at radius 1 or 3
+        return make_table_ca(G, bit, memory, [0, 0, 1, 1]), 3 if where == "Z" else 1, True
+    if kind == "matrix":  # seeded scalars mod 3 at both cells: no inverse
+        mats = rng.integers(1, 3, size=(2, 1, 1))
+        rule = sy.LocalRule(sy.FiniteSubset(G, memory), sy.StructuredMap(f3, 2, matrices=mats))
+        return sy.CellularAutomaton(G, f3, rule), 1, False
+    if kind == "swap":
+        return _swap_rule(G, pair, *memory), 3 if where == "Z" else 1, True
+    # the swap rule over Z with its table over a plain alphabet of size 4
+    swap = _swap_rule(Z, pair, (1,), (2,))
+    table = swap.rule.map.expand_table().table
+    return make_table_ca(Z, sy.Alphabet.plain(4), [(1,), (2,)], table), 2, True
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize(
+    "name",
+    ["table-Z", "table-Z2", "table-F2", "first-Z", "first-Z2", "first-F2",
+     "matrix-Z", "matrix-Z2", "matrix-F2", "swap-Z", "swap-Z2", "swap-F2", "swaptable-Z"],
+)
+def test_tau_read_as_given_matches_the_widened_copy(name, seed):
+    """Determinacy and synthesis on tau as given give the same rule bytes, or
+    the same witness patterns, as on tau re-read over its symmetrized memory."""
+    tau, r_max, found = _as_given_case(name, seed)
+    wide = _widened(tau)
+    assert list(wide.memory) != list(tau.memory)
+    for r in range(r_max + 1):
+        N = sy.ball(tau.universe, r)
+        assert _verdict(sy.determinacy_check(tau, N)) == _verdict(sy.determinacy_check(wide, N))
+    res = sy.synthesize_left_inverse(tau, r_max)
+    assert res.found == found
+    assert _verdict(res) == _verdict(sy.synthesize_left_inverse(wide, r_max))
+
+
+def test_restriction_finite_closure_matches_group_products(bit):
+    """On S_4, memory {(0 1), (0 1 2)} generates a copy of S_3: the re-based
+    table is the one that G.mul's products give on the closure."""
+    G = sy.FiniteGroup(symmetric_table(4))
+    perms = sorted(itertools.permutations(range(4)))
+    memory = [perms.index((1, 0, 2, 3)), perms.index((1, 2, 0, 3))]
+    table = random_pointed_table(np.random.default_rng(4), bit, 2)
+    tau = make_table_ca(G, bit, memory, table)
+    r = sy.restrict_to_memory_subgroup(tau)
+    closure = list(sy.generated_ball(G, tau.memory, G.size))
+    assert len(closure) == 6
+    expected = [[closure.index(G.mul(a, b)) for b in closure] for a in closure]
+    assert r.universe == sy.FiniteGroup(expected)
+    assert list(r.memory) == [closure.index(m) for m in tau.memory]
+    assert np.array_equal(r.rule.map.table, tau.rule.map.table)
+
+
+def test_restriction_letter_powers_rescale_by_their_gcd(F2, bit):
+    """Memory {a^-4, 1, a^6} re-bases onto Z with step 2: (-2,), (0,), (3,)."""
+    memory = [(-1,) * 4, (), (1,) * 6]
+    tau = make_table_ca(F2, bit, memory, random_pointed_table(np.random.default_rng(9), bit, 3))
+    r = sy.restrict_to_memory_subgroup(tau)
+    assert r.universe == sy.FreeAbelianGroup(1)
+    assert list(r.memory) == [(-2,), (0,), (3,)]
+    # tau's memory order is 1, a^-4, a^6 (by length), so two inputs swap
+    for x in itertools.product(range(2), repeat=3):
+        assert r.rule.map.evaluate([x[1], x[0], x[2]]) == tau.rule.map.evaluate(x)

@@ -16,6 +16,7 @@ from symba.errors import (
 
 from conftest import (
     make_table_ca,
+    oracle_ball_action_letters,
     oracle_block_circulant,
     oracle_division_index,
     oracle_transport_matrix,
@@ -113,6 +114,23 @@ def test_ball_action_images_are_letter_products(F2, radius):
         for x in w:
             product = [product[letters[x][i]] for i in range(n)]
         assert e.phi[w] == tuple(product), w
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3])
+def test_ball_action_letters_match_oracle(rank, radius):
+    """Each letter's permutation of ball(R+1), and its inverse letter's, equal
+    the oracle's loop; at R = 0 only the identity word fits in the subset."""
+    G = sy.FreeGroup(rank)
+    S = sy.ball(G, radius)
+    e = sy.build_embedding(G, S, {"kind": "ball_action", "radius": radius})
+    n = len(sy.ball(G, radius + 1))
+    assert e.target.degree == n and e.phi[()] == tuple(range(n))
+    letters = oracle_ball_action_letters(G, radius)
+    for i, perm in letters.items():
+        if radius:
+            assert e.phi[(i,)] == perm
+            assert [e.phi[(-i,)][j] for j in perm] == list(range(n))
 
 
 def test_ball_action_translation_structure(F2):
