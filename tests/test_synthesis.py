@@ -504,10 +504,14 @@ def _verdict(res):
     return [(list(p.domain), p.values) for p in res.witness]
 
 
-def _swap_rule(G, A, g1, g2):
-    """(a, b) at g becomes (a at g*g1 + b at g*g2, b at g*g2): invertible, with
-    inverse memory {g1^-1, g2^-1}, and memory {g1, g2}, not symmetric."""
-    mats = {g1: [[1, 0], [0, 0]], g2: [[0, 1], [0, 1]]}
+def _swap_rule(G, A, g1, g2, rng):
+    """(a, b) at g becomes P(a at g*g1 + b at g*g2, b at g*g2) for a seeded
+    invertible P over F_2: invertible, with inverse memory {g1^-1, g2^-1},
+    and memory {g1, g2}, not symmetric."""
+    P = rng.integers(0, 2, size=(2, 2))
+    while round(np.linalg.det(P)) % 2 == 0:
+        P = rng.integers(0, 2, size=(2, 2))
+    mats = {g1: P @ [[1, 0], [0, 0]], g2: P @ [[0, 1], [0, 1]]}
     memory = sy.FiniteSubset(G, [g1, g2])
     smap = sy.StructuredMap(A, 2, matrices=[mats[m] for m in memory])
     return sy.CellularAutomaton(G, A, sy.LocalRule(memory, smap))
@@ -523,21 +527,21 @@ def _as_given_case(name, seed):
     G, memory = cells[where]
     if kind == "table":  # a seeded table: no inverse
         return make_table_ca(G, bit, memory, random_pointed_table(rng, bit, 2)), 1, False
-    if kind == "first":  # reads two cells, keeps the first: an inverse at radius 1 or 3
-        return make_table_ca(G, bit, memory, [0, 0, 1, 1]), 3 if where == "Z" else 1, True
+    if kind == "first":  # reads two cells, keeps the first: an inverse at radius 1
+        return make_table_ca(G, bit, memory, [0, 0, 1, 1]), 1, True
     if kind == "matrix":  # seeded scalars mod 3 at both cells: no inverse
         mats = rng.integers(1, 3, size=(2, 1, 1))
         rule = sy.LocalRule(sy.FiniteSubset(G, memory), sy.StructuredMap(f3, 2, matrices=mats))
         return sy.CellularAutomaton(G, f3, rule), 1, False
     if kind == "swap":
-        return _swap_rule(G, pair, *memory), 3 if where == "Z" else 1, True
+        return _swap_rule(G, pair, *memory, rng), 3 if where == "Z" else 1, True
     # the swap rule over Z with its table over a plain alphabet of size 4
-    swap = _swap_rule(Z, pair, (1,), (2,))
+    swap = _swap_rule(Z, pair, (1,), (2,), rng)
     table = swap.rule.map.expand_table().table
     return make_table_ca(Z, sy.Alphabet.plain(4), [(1,), (2,)], table), 2, True
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize(
     "name",
     ["table-Z", "table-Z2", "table-F2", "first-Z", "first-Z2", "first-F2",
