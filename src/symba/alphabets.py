@@ -133,15 +133,11 @@ class Alphabet(_Keyed):
         raise InvalidInputError("plain alphabets carry no operation")
 
     def _row(self, i: int) -> np.ndarray:
-        """add(i, x) for every index x, in O(size): a group table row, or
-        for a module the sum built one digit at a time, most significant
-        first, by broadcasting."""
+        """add(i, x) for every index x: a group table row, or for a module
+        every vector plus i's, re-encoded."""
         if self.is_group:
             return np.asarray(self.table.table[i])
-        n, row = self.modulus, np.zeros(1, dtype=np.int64)
-        for r in self._radix.tolist():
-            row = (row[:, None] + (np.arange(n) + i // r) % n * r).reshape(-1)
-        return row
+        return (self.vectors() + self._vector(i)) % self.modulus @ self._radix
 
     def scale(self, c: int, i: int) -> int:
         if not self.is_module:

@@ -187,10 +187,7 @@ def compose(sigma: CellularAutomaton, tau: CellularAutomaton) -> CellularAutomat
 
     n = len(Mc)
     check_size(A.size**n, "composite rule table")
-    table = np.empty(A.size**n, dtype=np.int64)
-    outer = sigma.rule.map.expand_table().table
-    for start, codes in tau.rule.map.window_codes(pos, n):
-        table[start : start + codes.size] = outer[codes]
+    table = sigma.rule.map.expand_table().table[tau.rule.map.window_table(pos, n)]
     table.flags.writeable = False  # handed to the map without a copy
     rule = LocalRule(Mc, StructuredMap(A, n, table=table))
     return CellularAutomaton(G, A, rule)
@@ -214,28 +211,26 @@ def _family_product(S, T, pos, n: int, p: int) -> np.ndarray:
 def check_left_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
     """True iff sigma-after-tau is the identity on every configuration.
 
-    Both automata are read as given. The composite over M_sigma * M_tau is
-    never built. Matrix pairs compare its coefficient family with I at the
-    identity and 0 elsewhere. Otherwise the composite table entry of each
-    configuration, sigma's table at tau's window code, is compared with the
+    Both automata are read as given; the composite over M_sigma * M_tau is
+    never built. An identity outside M_sigma * M_tau is decided first, before
+    any scan or cap: the verdict is then |A| == 1. Matrix pairs compare the
+    coefficient family with I at the identity and 0 elsewhere. Otherwise
+    sigma's table at tau's window code is compared with each
     configuration's identity-cell digit block by block.
     """
     _require_compatible(sigma, tau)
     G, A = sigma.universe, sigma.alphabet
     Mc, pos = product_window(G, sigma.memory, tau.memory)
-    n = len(Mc)
-    one = G.identity()
+    n, one = len(Mc), G.identity()
+    if one not in Mc:
+        return A.size == 1
     if sigma.rule.map.is_matrix and tau.rule.map.is_matrix:
-        if one not in Mc:
-            return A.size == 1
         S, T = sigma.rule.map.matrices, tau.rule.map.matrices
         family = _family_product(S, T, pos, n, A.modulus)
         want = np.zeros_like(family)
         want[Mc.index_of(one)] = np.eye(A.dim, dtype=np.int64)
         return np.array_equal(family, want)
     check_size(A.size**n, "composite rule table")
-    if one not in Mc:
-        return A.size == 1
     table = sigma.rule.map.expand_table().table
     blocks = tau.rule.map.window_codes(pos, n)
     for _, codes, digits in cell_digits(blocks, A.size, n, Mc.index_of(one)):

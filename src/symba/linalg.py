@@ -43,7 +43,7 @@ from __future__ import annotations
 import numpy as np
 
 from .caps import MAX_MODULUS
-from .errors import ResourceCapError, UnsupportedModulusError
+from .errors import InvalidInputError, ResourceCapError, UnsupportedModulusError
 
 # float64 represents every integer up to 2^53 exactly
 _FLOAT_EXACT = 1 << 53
@@ -308,7 +308,7 @@ def invert(A: np.ndarray, p: int):
     A = np.asarray(A, dtype=np.int64)
     n = A.shape[0]
     if A.shape != (n, n):
-        raise ValueError(f"matrix must be square, got {A.shape}")
+        raise InvalidInputError(f"matrix must be square, got {A.shape}")
     return left_solve(A, np.eye(n, dtype=np.int64), p)[0]
 
 

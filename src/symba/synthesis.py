@@ -273,16 +273,8 @@ def _free_subgroup_encoding(G: FreeGroup, M: FiniteSubset):
     words = [w for w in M if w]
     if all(len(w) <= 1 for w in words):
         letters = sorted({abs(w[0]) for w in words})
-        rename = {a: i + 1 for i, a in enumerate(letters)}
-        H = FreeGroup(len(letters))
-        encode = {}
-        for w in M:
-            if not w:
-                encode[w] = ()
-            else:
-                x = w[0]
-                encode[w] = ((rename[abs(x)] if x > 0 else -rename[abs(x)]),)
-        return H, encode
+        rename = {s * a: s * (i + 1) for i, a in enumerate(letters) for s in (1, -1)}
+        return FreeGroup(len(letters)), {w: tuple(rename[x] for x in w) for w in M}
     letters = {abs(x) for w in words for x in w}
     if len(letters) == 1 and all(len(set(w)) == 1 for w in words):
         # a^k is the vector (k,) of Z, re-based as a sublattice of Z^d is

@@ -121,27 +121,27 @@ def _minimal_modulus(S: FiniteSubset) -> int:
 
 
 def _modular_embedding(G: FreeAbelianGroup, S: FiniteSubset, N: int | None) -> LefEmbedding:
+    """Reduction mod N into Z/1, Z/N or (Z/N)^k: one branch per rank, building one target."""
     if N is None:
         N = _minimal_modulus(S)
     if N < 1:
         raise InvalidInputError(f"modulus must be >= 1, got {N}")
-    cyc = FiniteGroup.cyclic(N)
-    if G.rank == 1:
-        target: Group = cyc
+    if G.rank == 0:
+        target: Group = FiniteGroup.cyclic(1)
+        phi = {v: 0 for v in S}
+    elif G.rank == 1:
+        target = FiniteGroup.cyclic(N)
         phi = {v: v[0] % N for v in S}
     else:
-        target = ProductGroup([cyc] * G.rank) if G.rank > 0 else FiniteGroup.cyclic(1)
+        target = ProductGroup([FiniteGroup.cyclic(N)] * G.rank)
         phi = {v: tuple(x % N for x in v) for v in S}
-        if G.rank == 0:
-            phi = {v: 0 for v in S}
     return _post_verify(LefEmbedding(G, S, target, phi))
 
 
 def _ball_action_embedding(G: FreeGroup, S: FiniteSubset, radius: int | None) -> LefEmbedding:
     """Generators act on the radius-(R+1) ball by extended left translation."""
     R = max((len(w) for w in S), default=0) if radius is None else radius
-    inner = ball(G, R)
-    if not S.issubset(inner):
+    if any(len(w) > R for w in S):  # a reduced word lies in ball(R) iff it has at most R letters
         raise InvalidInputError(f"subset does not fit inside the radius-{R} ball")
     pts = ball(G, R + 1)
     n = len(pts)
@@ -233,7 +233,10 @@ def verify_embedding(e: LefEmbedding, M: FiniteSubset) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class TransportedEndomap:
-    """An endomap of A^F, as a config lookup table or a block matrix."""
+    """An endomap of A^F, as a config lookup table or a block matrix (exactly one).
+
+    A matrix built by `_expanded` keeps the layout it was expanded with as `_division`.
+    """
 
     embedding: LefEmbedding
     alphabet: Alphabet
@@ -242,6 +245,8 @@ class TransportedEndomap:
     matrix: np.ndarray | None = None
 
     def __post_init__(self):
+        if (self.table is None) == (self.matrix is None):
+            raise InvalidInputError("give exactly one of table / matrix")
         if not isinstance(self.carrier, FiniteSubset):
             carrier = FiniteSubset(self.embedding.target, self.carrier)
             object.__setattr__(self, "carrier", carrier)
@@ -280,8 +285,7 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
         if dim > TRANSPORT_DIM_CAP:
             raise ResourceCapError(f"transport matrix dimension {dim} over cap {TRANSPORT_DIM_CAP}")
         row = tau.rule.map.window_matrix([[carrier.index_of(e.phi[m]) for m in M]], nF)
-        matrix = _expansion(row, _layout(carrier)).reshape(dim, dim)
-        return TransportedEndomap(e, A, carrier, matrix=matrix)
+        return _expanded(e, A, carrier, row, _layout(carrier))
 
     count = A.size**nF
     if count > transport_cap():
@@ -359,6 +363,14 @@ def _expansion(row: np.ndarray, div: np.ndarray | None) -> np.ndarray:
     for a in range(d):
         np.take(blocks[a], div, axis=0, out=out[:, a])
     return out
+
+
+def _expanded(e, A, carrier, row, div) -> TransportedEndomap:
+    """The map whose matrix is the expansion of `row` by `div`, kept as its layout."""
+    dim = len(carrier) * A.dim
+    m = TransportedEndomap(e, A, carrier, matrix=_expansion(row, div).reshape(dim, dim))
+    m.__dict__["_division"] = div  # where cached_property keeps it
+    return m
 
 
 def _identity_row(m: TransportedEndomap, div: np.ndarray | None) -> np.ndarray | None:
@@ -441,8 +453,7 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
         # a kernel configuration, beside the zero one
         x = tuple(A.cell_values(kernel[0]).tolist())
         raise NotInvertibleError((x, (0,) * len(x)), "transported matrix is singular")
-    inverse = _expansion(row, alpha._division).reshape(E.shape[1], -1)
-    return TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=inverse)
+    return _expanded(alpha.embedding, A, alpha.carrier, row, alpha._division)
 
 
 def extract_local_rule(

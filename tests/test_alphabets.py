@@ -35,6 +35,15 @@ def test_module_alphabet_indexing():
     assert A.basepoint == 0
 
 
+def test_row_is_add_at_every_index():
+    """A._row(i) lists add(i, x) over every index x, for modules and for a
+    non-commutative group."""
+    for A in (sy.Alphabet.module(2, 2), sy.Alphabet.module(3, 2), sy.Alphabet.module(5, 1),
+              sy.Alphabet.group(symmetric_table(3))):
+        for i in range(A.size):
+            assert A._row(i).tolist() == [A.add(i, x) for x in range(A.size)]
+
+
 def test_large_module_alphabet_stores_no_carrier(monkeypatch):
     monkeypatch.setenv("SYMBA_CAP", str(1 << 41))
     p = 1048573

@@ -258,15 +258,18 @@ def test_inverse_checks_over_two_blocks(Z, bit):
 @pytest.mark.parametrize("q", [1, 2, 3])
 def test_inverse_checks_when_the_product_memory_misses_the_identity(Z, q):
     """Shifts by 1 compose to the shift by 2: the identity only when A has
-    one value. The composite table's cap applies before that verdict."""
+    one value. That verdict comes before the composite table's cap, which
+    applies only to a pair whose product holds the identity."""
     A = sy.Alphabet.plain(q)
     shift = sy.projection_ca(Z, A, (1,))
     assert sy.check_left_inverse(shift, shift) == sy.check_right_inverse(shift, shift) == (q == 1)
-    memory = [(i,) for i in range(1, 12)]
-    wide = make_table_ca(Z, sy.Alphabet.plain(2), memory, np.arange(1 << 11) & 1)
+    bit = sy.Alphabet.plain(2)
+    ahead = make_table_ca(Z, bit, [(i,) for i in range(1, 12)], np.arange(1 << 11) & 1)
+    behind = make_table_ca(Z, bit, [(-i,) for i in range(1, 12)], np.arange(1 << 11) & 1)
     for check in (sy.check_left_inverse, sy.check_right_inverse):
+        assert check(ahead, ahead) is False  # memory {2, ..., 22}: no scan, no cap
         with pytest.raises(ResourceCapError, match=r"^composite rule table would have 2097152 entries, cap is 1048576$"):
-            check(wide, wide)
+            check(behind, ahead)  # memory {-10, ..., 10}
 
 
 def test_check_left_inverse_matches_brute_force_oracle(Z, F2, bit):

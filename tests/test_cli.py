@@ -13,7 +13,7 @@ import pytest
 import symba as sy
 from symba import cli, serialize
 
-from conftest import xor_ca
+from conftest import make_table_ca, xor_ca
 
 
 @pytest.fixture
@@ -35,6 +35,17 @@ def run(capsys, *argv):
     code = cli.main(list(argv))
     report = json.loads(capsys.readouterr().out)
     return code, report
+
+
+def test_check_inverse_decides_a_product_without_the_identity_before_its_cap(tmp_path, capsys, Z, bit):
+    """Memory {1, ..., 11} twice: M_sigma * M_tau = {2, ..., 22} misses the
+    identity, so the pair fails at once, though a composite table over those
+    21 cells would be over the cap."""
+    wide = make_table_ca(Z, bit, [(i,) for i in range(1, 12)], np.arange(1 << 11) & 1)
+    path = tmp_path / "wide.json"
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(wide)))
+    code, report = run(capsys, "check-inverse", "--sigma", str(path), "--tau", str(path), "--side", "left")
+    assert code == 1 and report["outcome"] == {"left": False}
 
 
 def test_check_inverse_pass_and_fail(files, capsys):

@@ -8,7 +8,8 @@ import pytest
 
 import symba as sy
 from symba import cli, serialize
-from symba.errors import InvalidInputError, ResourceCapError
+from symba import linalg
+from symba.errors import InvalidInputError, ResourceCapError, UnsupportedSubgroupError
 
 from conftest import xor_ca
 
@@ -32,6 +33,37 @@ def _ca_file_with_map(path, smap_json):
     bad = path.with_name("bad.json")
     bad.write_text(json.dumps(data))
     return str(bad)
+
+
+# groups
+
+
+def test_group_guards(Z, F2):
+    with pytest.raises(InvalidInputError, match="rank must be >= 0, got -1"):
+        sy.FreeAbelianGroup(-1)
+    with pytest.raises(InvalidInputError, match="cannot enumerate elements of"):
+        list(Z.elements())
+    with pytest.raises(InvalidInputError, match="not a free-group word"):
+        F2.validate([1])
+    with pytest.raises(InvalidInputError, match="product needs at least one factor"):
+        sy.ProductGroup([])
+    with pytest.raises(InvalidInputError, match="not a 2-factor element"):
+        sy.ProductGroup([Z, Z]).validate(((0,),))
+    with pytest.raises(InvalidInputError, match="degree must be >= 1, got 0"):
+        sy.SymmetricGroup(0)
+    assert sy.SymmetricGroup(1).generators() == [(0,)]
+
+
+def test_subset_guards(Z, Z2):
+    ball = sy.ball(Z, 1)
+    with pytest.raises(InvalidInputError, match=r"element \(2,\) not in subset"):
+        ball.index_of((2,))
+    with pytest.raises(InvalidInputError, match="subsets live in different groups"):
+        ball.union(sy.ball(Z2, 1))
+    with pytest.raises(InvalidInputError, match="subset must live in the given group"):
+        sy.symmetrize(Z, sy.ball(Z2, 1))
+    with pytest.raises(InvalidInputError, match="radius must be >= 0, got -1"):
+        sy.generated_ball(Z, ball, -1)
 
 
 # serialize
@@ -108,7 +140,65 @@ def test_structured_map_shape_guards(bit):
         sy.Alphabet.plain(0)
 
 
-# ca, synthesis, caps
+def test_module_operations_on_a_plain_alphabet(bit):
+    for call, message in [
+        (bit.vectors, "vectors only exist for module alphabets"),
+        (lambda: bit.cell_values([0, 1]), "vectors only exist for module alphabets"),
+        (lambda: bit.add(0, 1), "plain alphabets carry no operation"),
+        (lambda: bit.scale(1, 1), "scaling needs a module alphabet"),
+    ]:
+        with pytest.raises(InvalidInputError, match=message):
+            call()
+    with pytest.raises(InvalidInputError, match="expected a length-2 vector"):
+        sy.Alphabet.module(3, 2).vector_to_index([1])
+
+
+def test_verify_structure_and_classify_guards(bit):
+    with pytest.raises(InvalidInputError, match="plain alphabets carry no structure to verify"):
+        sy.verify_structure(sy.StructuredMap(bit, 1, table=[0, 1]))
+    A = sy.Alphabet.module(3, 2)
+    assert sy.verify_structure(sy.StructuredMap(A, 1, matrices=[[[1, 2], [0, 1]]])) is True
+    with pytest.raises(InvalidInputError, match=r"expected a 1-d lookup array, got shape \(2, 2\)"):
+        sy.finite_map_classify([[0, 1], [1, 0]])
+    for values in ([0, 2], [-1, 0]):
+        with pytest.raises(InvalidInputError, match=r"endomap values must stay within 0\.\.n-1"):
+            sy.finite_map_classify(values)
+
+
+# ca, groupring, synthesis, linalg, caps
+
+
+def test_automaton_rule_from_another_universe_or_alphabet(Z, Z2, bit):
+    rule = sy.projection_ca(Z, bit, (1,)).rule
+    with pytest.raises(InvalidInputError, match="rule memory does not live in the universe"):
+        sy.CellularAutomaton(Z2, bit, rule)
+    with pytest.raises(InvalidInputError, match="rule map is not over the given alphabet"):
+        sy.CellularAutomaton(Z, sy.Alphabet.plain(3), rule)
+
+
+def test_group_ring_operators_and_linear_ca_guards(Z, Z2):
+    x = sy.GroupRingElement(Z, 3, {(0,): 1, (1,): 2})
+    y = sy.GroupRingElement(Z, 3, {(-1,): 1, (2,): 1})
+    assert x * y == sy.gr_mul(x, y)
+    with pytest.raises(InvalidInputError, match="elements live in different group rings"):
+        x + sy.GroupRingElement(Z, 5, {(0,): 1})
+    X = sy.GroupRingMatrix(Z, 3, [[x]])
+    with pytest.raises(InvalidInputError, match="matrix lives over a different group"):
+        sy.to_linear_ca(X, Z2, sy.Alphabet.module(3, 1))
+    for A in (sy.Alphabet.module(3, 2), sy.Alphabet.module(5, 1), sy.Alphabet.plain(3)):
+        with pytest.raises(InvalidInputError, match="alphabet does not match the matrix shape"):
+            sy.to_linear_ca(X, Z, A)
+
+
+def test_memory_subgroup_of_a_symmetric_universe_is_unsupported(bit):
+    S3 = sy.SymmetricGroup(3)
+    with pytest.raises(UnsupportedSubgroupError, match="no subgroup re-basing for"):
+        sy.restrict_to_memory_subgroup(sy.projection_ca(S3, bit, (1, 0, 2)))
+
+
+def test_invert_refuses_a_non_square_matrix():
+    with pytest.raises(InvalidInputError, match=r"matrix must be square, got \(2, 3\)"):
+        linalg.invert(np.zeros((2, 3), dtype=np.int64), 5)
 
 
 def test_automata_over_different_universes_or_alphabets(Z, Z2, bit):

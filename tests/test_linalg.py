@@ -165,6 +165,17 @@ def test_row_reduce_matches_python_rref(p):
     assert deficient >= 6
 
 
+@pytest.mark.parametrize("p", [2, 3, 7, LARGEST_PRIME])
+def test_rank_is_the_python_pivot_count(p):
+    rng = np.random.default_rng([p, 6])
+    deficient = set()
+    for A in _rref_cases(rng, p):
+        r = linalg.rank(A, p)
+        assert r == len(oracle_rref(A, p)[1])
+        deficient.add(r < min(A.shape))
+    assert deficient == {False, True}  # full-rank and deficient cases both met
+
+
 def test_moduli_above_the_cap_are_refused():
     """A modulus above 2^20 would overflow int64 in the inverse check."""
     p = 2**31 - 1

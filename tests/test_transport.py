@@ -54,12 +54,25 @@ def test_modular_embedding_minimal_default(Z):
     assert e0.target.order() == 1
 
 
+def test_modular_embedding_of_rank_zero_builds_only_the_trivial_target():
+    """Z^0 maps to Z/1 whatever N says; Z/2000 (a 4 * 10^6-entry table, over
+    the default cap) is never built."""
+    Z0 = sy.FreeAbelianGroup(0)
+    e = sy.build_embedding(Z0, sy.ball(Z0, 1), {"kind": "modular", "N": 2000})
+    assert e.target == sy.FiniteGroup.cyclic(1) and e.phi == {(): 0}
+
+
 def test_modular_embedding_rank_two():
     Z2 = sy.FreeAbelianGroup(2)
     S = sy.ball(Z2, 1)
     e = sy.build_embedding(Z2, S, None)
     assert e.target.order() == 9  # 3 x 3
     assert sy.verify_embedding(e, sy.ball(Z2, 0))
+
+
+def test_ball_action_radius_below_the_word_length_is_refused(F2):
+    with pytest.raises(InvalidInputError, match=r"^subset does not fit inside the radius-1 ball$"):
+        sy.build_embedding(F2, sy.ball(F2, 2), {"kind": "ball_action", "radius": 1})
 
 
 def test_ball_action_embedding_free_group(F2):
@@ -353,6 +366,25 @@ def _s3_times_c3():
     return sy.ProductGroup([sy.FiniteGroup(symmetric_table(3)), sy.FiniteGroup.cyclic(3)])
 
 
+@pytest.mark.parametrize("G", [functools.partial(sy.FreeAbelianGroup, 2), _s3_times_c3])
+def test_hinted_matrix_pipeline_walks_the_division_index_once(G, monkeypatch):
+    """(Z/N)^2 and S3xC3 need a division index; the transport keeps the one
+    it expanded with, so inverting it walks the carrier no second time."""
+    from symba import transport
+
+    G = G()
+    tau, [(hint, _), _] = _hinted_pair(G, 3, 1, 0, "matrix")
+    M = sy.common_memory(hint, tau)
+    e = sy.build_embedding(G, sy.set_product(G, M, M), None)
+    calls = []
+    counted = lambda carrier: calls.append(carrier) or division_index(carrier)
+    monkeypatch.setattr(transport, "division_index", counted)
+    result = transport.transport_inverse_pipeline(tau, e, sigma_hint=hint)
+    assert result.report["beta_alpha_identity"] is True
+    assert calls == [result.alpha.carrier]
+    assert result.alpha._division is result.gamma._division is not None
+
+
 # G is a factory, called in the test under the default caps; a partial has
 # no __name__, so pytest still names each one G<i>.
 @pytest.mark.parametrize(
@@ -387,6 +419,15 @@ def test_hint_verdict_on_the_universe_is_the_transported_composite(
             assert sy.composes_to_identity(beta, alpha) == expected
             report = sy.transport_inverse_pipeline(tau, e, sigma_hint=hint).report
             assert report["beta_alpha_identity"] is expected
+
+
+def test_transported_endomap_needs_exactly_one_representation(Z, bit):
+    e = sy.build_embedding(Z, sy.ball(Z, 1), {"kind": "modular", "N": 3})
+    both = {"table": np.arange(8), "matrix": np.eye(3, dtype=np.int64)}
+    for call in (sy.invert_transport, sy.check_equivariance):
+        for given in ({}, both):
+            with pytest.raises(InvalidInputError, match="^give exactly one of table / matrix$"):
+                call(sy.TransportedEndomap(e, bit, (0, 1, 2), **given))
 
 
 def test_mixed_representation_hint_takes_one_transport(Z, monkeypatch):
