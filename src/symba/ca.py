@@ -158,6 +158,7 @@ def extend_memory(rule: LocalRule, bigger: FiniteSubset) -> LocalRule:
 
 def common_memory(sigma: CellularAutomaton, tau: CellularAutomaton) -> FiniteSubset:
     """Symmetrized union of the two memories (contains the identity)."""
+    _require_compatible(sigma, tau)
     return symmetrize(sigma.universe, sigma.memory.union(tau.memory))
 
 

@@ -3,7 +3,7 @@
 Exit-code contract, uniform across subcommands:
   0  the requested property holds / the artifact was produced
   1  the property fails; a witness is included in the report
-  2  invalid input (malformed JSON, bad encodings, precondition violations)
+  2  invalid input (malformed JSON, bad encodings, bad preconditions or output paths)
   3  an enumeration exceeded the configured resource cap (see SYMBA_CAP),
      or the run ran out of memory
   4  internal error: any other exception; the report names its type and
@@ -97,7 +97,10 @@ def _load_json_arg(value: str, digests: dict, label: str):
 
 def _write_artifact(path: str | None, payload: dict) -> None:
     if path:
-        Path(path).write_text(serialize.canonical_dumps(payload))
+        try:
+            Path(path).write_text(serialize.canonical_dumps(payload))
+        except OSError as err:
+            raise InvalidInputError(f"cannot write output file {path!r}: {err}") from None
 
 
 def _cmd_check_inverse(args, digests):
@@ -119,16 +122,14 @@ def _cmd_synthesize_inverse(args, digests):
         artifact = serialize.ca_to_json(result.ca)
         _write_artifact(args.output, artifact)
         outcome = {"found": True, "radius": result.radius}
-        if args.report:
-            _write_artifact(args.report, {"outcome": outcome, "sigma": artifact})
+        _write_artifact(args.report, {"outcome": outcome, "sigma": artifact})
         return outcome, EXIT_OK
     outcome = {
         "found": False,
         "max_radius": args.max_radius,
         "witness": [serialize.pattern_to_json(p, tau.alphabet) for p in result.witness],
     }
-    if args.report:
-        _write_artifact(args.report, {"outcome": outcome})
+    _write_artifact(args.report, {"outcome": outcome})
     return outcome, EXIT_PROPERTY_FAILS
 
 
@@ -137,13 +138,9 @@ def _cmd_transport(args, digests):
     sigma = None
     if args.sigma:
         sigma = serialize.ca_from_json(_load_json_file(args.sigma, digests, "sigma"))
-        if sigma.universe != tau.universe or sigma.alphabet != tau.alphabet:
-            raise InvalidInputError("hint automaton is not compatible with the input")
+    M = common_memory(sigma or tau, tau)
     spec = _load_json_arg(args.embedding, digests, "embedding")
-    G = tau.universe
-    M = common_memory(sigma if sigma is not None else tau, tau)
-    S = set_product(G, M, M)
-    e = build_embedding(G, S, spec)
+    e = build_embedding(tau.universe, set_product(tau.universe, M, M), spec)
     result = transport_inverse_pipeline(tau, e, sigma_hint=sigma)
     payload = {
         "report": result.report,

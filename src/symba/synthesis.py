@@ -167,9 +167,12 @@ def synthesize_left_inverse(tau: CellularAutomaton, r_max: int) -> SynthesisResu
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
     G = tau.universe
-    witness = None
+    witness = previous = None
     for r in range(r_max + 1):
         N = ball(G, r)
+        if N == previous:
+            break  # ball(r) = ball(r - 1): every later radius repeats the last scan
+        previous = N
         res = determinacy_check(tau, N)
         if res.is_determined:
             sigma = CellularAutomaton(G, tau.alphabet, res.rule)

@@ -1,9 +1,9 @@
 """Transport of an automaton to a finite group, inversion, rule extraction.
 
 The route to an inverse rule: embed the window M*M of the universe into a
-finite group F preserving products of memory elements, re-read the local
-rule as an F-equivariant endomap of A^F, invert that finite object exactly
-(table scan or modular linear algebra), and read the inverse's local rule
+finite group F preserving products of memory elements, read the local rule
+over its own memory as an F-equivariant endomap of A^F, invert that exactly
+(table scan or modular linear algebra), and read the inverse's rule over M
 back off through the embedding, filling the cells outside the image with
 the basepoint. The extracted rule is certified against the original
 automaton by both one-sided inverse checks, an inverse hint by the left one.
@@ -40,10 +40,9 @@ from .ca import (
     check_left_inverse,
     check_right_inverse,
     common_memory,
-    extend_memory,
     window_positions,
 )
-from .caps import TRANSPORT_DIM_CAP, transport_cap
+from .caps import TRANSPORT_DIM_CAP, enumeration_cap, transport_cap
 from .errors import (
     EmbeddingCollisionError,
     InvalidInputError,
@@ -112,18 +111,22 @@ def _post_verify(e: LefEmbedding) -> LefEmbedding:
 
 
 def _minimal_modulus(S: FiniteSubset) -> int:
-    N = 1
-    while True:
-        residues = {tuple(x % N for x in v) for v in S}
-        if len(residues) == len(S):
+    """The least N injective on S mod N, searched from just below the pigeonhole
+    bound N^k >= |S|, or else the first N whose N^2 passes the cap (the cyclic
+    target refuses it). Each element's residues are coded base N in a Python int."""
+    k = S.group.rank
+    N = max(1, int(len(S) ** (1 / max(k, 1))))
+    points = np.array(S.elems, dtype=object).reshape(len(S), k)
+    while N * N <= enumeration_cap():
+        if len(set((points % N) @ (N ** np.arange(k, dtype=object)))) == len(S):
             return N
         N += 1
+    return N
 
 
 def _modular_embedding(G: FreeAbelianGroup, S: FiniteSubset, N: int | None) -> LefEmbedding:
     """Reduction mod N into Z/1, Z/N or (Z/N)^k: one branch per rank, building one target."""
-    if N is None:
-        N = _minimal_modulus(S)
+    N = _minimal_modulus(S) if N is None else N
     if N < 1:
         raise InvalidInputError(f"modulus must be >= 1, got {N}")
     if G.rank == 0:
@@ -226,8 +229,8 @@ def verify_embedding(e: LefEmbedding, M: FiniteSubset) -> bool:
     if M.group != G:
         raise InvalidInputError("memory lives in the wrong group")
     M2 = set_product(G, M, M)
-    if not M2.issubset(e.subset):
-        raise InvalidInputError("embedded subset must contain M*M")
+    if not (M.issubset(e.subset) and M2.issubset(e.subset)):  # M need not hold 1
+        raise InvalidInputError("embedded subset must contain M and M*M")
     return _first_collision(e, M2) is None and _product_rule_failure(e, M) is None
 
 
@@ -261,19 +264,15 @@ class TransportedEndomap:
 
 
 def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
-    """The F-equivariant endomap reading the rule through the embedding.
+    """The F-equivariant endomap reading the rule as given through the embedding.
 
     At cell h of F the transported map applies the local rule to the values
-    at the cells h*phi(m), exactly mirroring how the rule reads g*m in G.
-    A matrix rule's block (h, k) sums the matrices of the m with h*phi(m) = k,
-    that is phi(m) = h^-1 k: it is block h^-1 k of the identity's block row,
-    so only that row is built, and then expanded.
+    at the cells h*phi(m), m in tau's own memory (symmetric or not), exactly
+    mirroring how the rule reads g*m in G. A matrix rule's block (h, k) sums
+    the matrices of the m with h*phi(m) = k, that is phi(m) = h^-1 k: it is
+    block h^-1 k of the identity's block row, so only that row is built.
     """
-    G, A = tau.universe, tau.alphabet
-    M = tau.memory
-    ident = G.identity()
-    if ident not in M or any(G.inv(m) not in M for m in M):
-        raise InvalidInputError("memory must be symmetric and contain the identity")
+    A, M = tau.alphabet, tau.memory
     if not verify_embedding(e, M):
         raise InvalidInputError("embedding fails verification over this memory")
 
@@ -541,7 +540,8 @@ def transport_inverse_pipeline(
 ) -> TransportResult:
     """Full route: transport, invert, extract, certify.
 
-    M is common_memory(sigma_hint, tau), or tau's symmetrized memory. The
+    M is common_memory(sigma_hint, tau), or tau's symmetrized memory; the
+    embedding is verified over it, and tau is transported as given. The
     hint's verdict is check_left_inverse(sigma_hint, tau): phi is injective
     on M*M and multiplicative on M x M, so the transported hint after the
     transported tau reads sigma-after-tau at the distinct cells h*phi(st),
@@ -553,12 +553,11 @@ def transport_inverse_pipeline(
     outcomes.
     """
     G, A = tau.universe, tau.alphabet
-    if sigma_hint is not None and (sigma_hint.universe != G or sigma_hint.alphabet != A):
-        raise InvalidInputError("hint automaton is not compatible")
     M = common_memory(sigma_hint if sigma_hint is not None else tau, tau)
-    tau_ext = CellularAutomaton(G, A, extend_memory(tau.rule, M))
+    if not verify_embedding(e, M):
+        raise InvalidInputError("embedding fails verification over this memory")
 
-    alpha = transport_endomap(tau_ext, e)
+    alpha = transport_endomap(tau, e)
     gamma = invert_transport(alpha)
     rule = extract_local_rule(gamma, e, M, A)
     nu_ca = CellularAutomaton(G, A, rule)

@@ -392,14 +392,16 @@ def test_transport_bijective_but_not_liftable_exits_one(files, capsys, Z, flavou
 
 def test_transport_hint_is_decided_on_the_universe(files, capsys, Z):
     """A false hint is a report, not a failure; a table hint for a matrix rule
-    over the same alphabet runs; a hint over another alphabet is refused."""
+    over the same alphabet runs; a hint over another alphabet or universe is
+    refused in the words of every other two-automaton command."""
     A = sy.Alphabet.module(2, 1)
     smap = sy.StructuredMap(A, 1, matrices=[[[1]]])
     shift = sy.CellularAutomaton(Z, A, sy.LocalRule(sy.FiniteSubset(Z, [(1,)]), smap))
     ternary = sy.identity_ca(Z, sy.Alphabet.plain(3))
+    planar = sy.identity_ca(sy.FreeAbelianGroup(2), sy.Alphabet.plain(2))
     paths = {}
     for name, ca in [("shift", shift), ("back", sy.projection_ca(Z, A, (-1,))),
-                     ("ident", sy.identity_ca(Z, A)), ("ternary", ternary)]:
+                     ("ident", sy.identity_ca(Z, A)), ("ternary", ternary), ("planar", planar)]:
         paths[name] = files["dir"] / f"module_{name}.json"
         paths[name].write_text(serialize.canonical_dumps(serialize.ca_to_json(ca)))
     embedding = ["--embedding", '{"kind":"modular","N":5}']
@@ -409,11 +411,13 @@ def test_transport_hint_is_decided_on_the_universe(files, capsys, Z):
         code, report = run(capsys, "transport", "--ca", str(tau), "--sigma", str(hint), *embedding)
         assert code == 0, report["outcome"]
         assert report["outcome"]["report"]["beta_alpha_identity"] is expected
-    code, report = run(
-        capsys, "transport", "--ca", files["tau"], "--sigma", str(paths["ternary"]), *embedding
-    )
-    assert code == 2
-    assert "hint automaton is not compatible" in report["outcome"]["error"]
+    for hint, message in [("ternary", "automata use different alphabets"),
+                          ("planar", "automata live over different universes")]:
+        argv = ["--ca", files["tau"], "--sigma", str(paths[hint])]
+        code, report = run(capsys, "transport", *argv, *embedding)
+        assert code == 2 and report["outcome"]["error"] == message
+        code, report = run(capsys, "check-inverse", "--sigma", str(paths[hint]), "--tau", files["tau"])
+        assert code == 2 and report["outcome"]["error"] == message
 
 
 def test_direct_finiteness_exit_zero(files, capsys):
@@ -601,6 +605,43 @@ def test_huge_cyclic_target_exits_three_at_once(files, capsys):
     )
     assert code == 3 and "multiplication table" in report["outcome"]["error"]
     assert time.perf_counter() - started < 1.0
+
+
+@pytest.mark.parametrize(
+    "rank, entries", [(1, 2041**2), (2, 1025**2)], ids=["Z", "one-axis-of-Z2"]
+)
+def test_default_modulus_over_the_cap_exits_three(capsys, rank, entries):
+    """M*M = {-1020, ..., 1020} along one axis needs Z/2041, over the cap.
+    On Z the pigeonhole bound is 2041 itself; on Z^2 the search stops at
+    1025, the first modulus whose table passes the cap, and names that one
+    (test_transport times the search)."""
+    memory = json.dumps([[i] + [0] * (rank - 1) for i in range(511)])
+    group = json.dumps({"kind": "free_abelian", "rank": rank})
+    code, report = run(capsys, "verify-embedding", "--group", group, "--memory", memory,
+                       "--embedding", '{"kind":"modular"}')
+    assert code == 3
+    assert report["outcome"]["error"] == (
+        f"multiplication table would have {entries} entries, cap is {1 << 20}"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compose", "--sigma", "{sigma}", "--tau", "{tau}", "--output", "{dir}"],
+        ["synthesize-inverse", "--input", "{tau}", "--max-radius", "1", "--output", "{dir}"],
+        ["synthesize-inverse", "--input", "{xor}", "--max-radius", "1", "--report", "{dir}"],
+        ["transport", "--ca", "{tau}", "--embedding", "null", "--out", "{dir}"],
+    ],
+    ids=["compose-output", "synthesize-output", "synthesize-report", "transport-out"],
+)
+def test_unwritable_output_path_is_invalid_input(files, capsys, argv):
+    """A directory given as an output file is a bad path, exit 2, with the report."""
+    argv = [arg.format(**files) for arg in argv]
+    code, report = run(capsys, *argv)
+    assert code == report["exit_code"] == 2
+    assert report["outcome"]["error"].startswith(f"cannot write output file {str(files['dir'])!r}: ")
+    assert "exception" not in report["outcome"]
 
 
 def test_huge_symmetric_target_exits_three(tmp_path, capsys):

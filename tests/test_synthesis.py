@@ -588,3 +588,26 @@ def test_restriction_letter_powers_rescale_by_their_gcd(F2, bit):
     # tau's memory order is 1, a^-4, a^6 (by length), so two inputs swap
     for x in itertools.product(range(2), repeat=3):
         assert r.rule.map.evaluate([x[1], x[0], x[2]]) == tau.rule.map.evaluate(x)
+
+
+def test_search_stops_once_the_ball_stops_growing(bit, monkeypatch):
+    """On Z/3, ball(1) is the whole group, so every radius past 1 would repeat
+    radius 1's scan: a bound of 10^6 scans twice and keeps radius 1's witness."""
+    from symba import synthesis
+
+    z3 = sy.FiniteGroup.cyclic(3)
+    xor = xor_ca(z3, bit, [0, 1])
+    expected = sy.synthesize_left_inverse(xor, 1)
+    calls = []
+
+    def counted(tau, N):
+        calls.append(N)
+        if len(calls) > 2:
+            raise AssertionError("scanned a radius whose ball did not grow")
+        return sy.determinacy_check(tau, N)
+
+    monkeypatch.setattr(synthesis, "determinacy_check", counted)
+    res = sy.synthesize_left_inverse(xor, 10**6)
+    assert not res.found and res.radius is None
+    assert res.witness == expected.witness is not None
+    assert calls == [sy.ball(z3, 0), sy.ball(z3, 1)]

@@ -1,6 +1,7 @@
 """Embeddings into finite groups, transported endomaps, rule extraction."""
 
 import functools
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from symba.errors import (
     InvalidInputError,
     NotInvertibleError,
     ResourceCapError,
+    UncertifiedInverseError,
     UnsupportedModulusError,
 )
 
@@ -25,7 +27,7 @@ from conftest import (
     symmetric_table,
     xor_ca,
 )
-from symba import linalg
+from symba import linalg, serialize
 from symba.groups import greedy_generators
 from symba.transport import _cyclic_order, division_index
 
@@ -68,6 +70,50 @@ def test_modular_embedding_rank_two():
     e = sy.build_embedding(Z2, S, None)
     assert e.target.order() == 9  # 3 x 3
     assert sy.verify_embedding(e, sy.ball(Z2, 0))
+
+
+def _least_injective_modulus(S):
+    N = 1
+    while len({tuple(x % N for x in v) for v in S}) < len(S):
+        N += 1
+    return N
+
+
+def test_default_modulus_is_the_least_injective_one(monkeypatch):
+    """The search from the pigeonhole bound finds the modulus of a plain
+    upward scan on 800 seeded sets in Z^0 to Z^3, and on coordinates past
+    int64. Past the cap it stops at the first N with N^2 over it, no larger
+    than the least injective N, and the cyclic target refuses that N."""
+    from symba.transport import _minimal_modulus
+
+    rng = np.random.default_rng(5)
+    for i in range(800):
+        G, spread = sy.FreeAbelianGroup(i % 4), int(rng.integers(1, 60))
+        S = sy.FiniteSubset(G, [tuple(rng.integers(-spread, spread + 1, G.rank).tolist())
+                                for _ in range(int(rng.integers(1, 40)))])
+        assert _minimal_modulus(S) == _least_injective_modulus(S)
+    for elems in ([(0,), (10**30,)], [(0, 0), (2**64, 1), (2**64, 2**65)]):
+        S = sy.FiniteSubset(sy.FreeAbelianGroup(len(elems[0])), elems)
+        assert _minimal_modulus(S) == _least_injective_modulus(S) > 1
+    monkeypatch.setenv("SYMBA_CAP", "64")
+    Z2 = sy.FreeAbelianGroup(2)
+    line = sy.FiniteSubset(Z2, [(x, 0) for x in range(11)])
+    assert _minimal_modulus(line) == 9 < _least_injective_modulus(line) == 11
+    with pytest.raises(ResourceCapError, match="^multiplication table would have 81 entries"):
+        sy.build_embedding(Z2, line, None)
+
+
+@pytest.mark.parametrize("rank", [1, 2], ids=["Z", "one-axis-of-Z2"])
+def test_default_modulus_over_the_cap_is_refused_at_once(rank):
+    """M*M = {-1020, ..., 1020} along one axis: the least injective modulus,
+    2041, is over the cap, and the search gives up within a second."""
+    G = sy.FreeAbelianGroup(rank)
+    M = sy.symmetrize(G, sy.FiniteSubset(G, [(i,) + (0,) * (rank - 1) for i in range(511)]))
+    S = sy.set_product(G, M, M)
+    started = time.perf_counter()
+    with pytest.raises(ResourceCapError, match="^multiplication table would have"):
+        sy.build_embedding(G, S, None)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_ball_action_radius_below_the_word_length_is_refused(F2):
@@ -203,11 +249,17 @@ def test_transport_identity_ca(Z, bit):
     assert np.array_equal(alpha.table, np.arange(2))
 
 
-def test_transport_requires_symmetric_memory(Z, bit):
+def test_transport_reads_a_one_sided_memory_as_given(Z, bit):
+    """The shift on memory {1} transports to the table of its copy widened to
+    {-1, 0, 1}. An embedding that misses M*M = {2}, or M itself, is refused."""
     shift = sy.projection_ca(Z, bit, (1,))
+    wide = sy.CellularAutomaton(Z, bit, sy.extend_memory(shift.rule, sy.symmetrize(Z, shift.memory)))
     e = sy.build_embedding(Z, sy.ball(Z, 2), None)
-    with pytest.raises(InvalidInputError):
-        sy.transport_endomap(shift, e)
+    alpha = sy.transport_endomap(shift, e)
+    assert alpha.table.tobytes() == sy.transport_endomap(wide, e).table.tobytes()
+    for S in (sy.ball(Z, 1), sy.FiniteSubset(Z, [(2,)])):
+        with pytest.raises(InvalidInputError, match=r"^embedded subset must contain M and M\*M$"):
+            sy.transport_endomap(shift, sy.build_embedding(Z, S, None))
 
 
 def test_transport_matrix_flavor_dimensions(Z):
@@ -366,6 +418,121 @@ def _s3_times_c3():
     return sy.ProductGroup([sy.FiniteGroup(symmetric_table(3)), sy.FiniteGroup.cyclic(3)])
 
 
+def _shift(G, A, s):
+    """The matrix rule reading the cell g*s."""
+    eye = sy.StructuredMap(A, 1, matrices=[np.eye(A.dim, dtype=np.int64)])
+    return sy.CellularAutomaton(G, A, sy.LocalRule(sy.FiniteSubset(G, [s]), eye))
+
+
+def _one_sided_triple(G, p, d, seed, s):
+    """A seeded matrix rule tau0 after the shift by s, its inverse (the shift
+    back after sigma0), and the shift back alone, a hint that is false unless
+    tau0 is the identity: memories M0*s, s^-1*M0 and {s^-1}, none symmetric."""
+    C, D = sy.random_invertible_matrix(G, seed=seed, d=d, r=1, modulus=p, factors=2)
+    A = sy.Alphabet.module(p, d)
+    back = _shift(G, A, G.inv(s))
+    cas = [sy.compose(sy.to_linear_ca(C, G, A), _shift(G, A, s)),
+           sy.compose(back, sy.to_linear_ca(D, G, A)), back]
+    for ca in cas:
+        assert sy.symmetrize(G, ca.memory) != ca.memory
+    return cas
+
+
+def _along_letter(ca, F2):
+    """A matrix rule on Z read along the letter a of F2: cell k becomes a^k."""
+    word = lambda m: (1,) * m[0] if m[0] >= 0 else (-1,) * -m[0]
+    family = dict(zip(map(word, ca.memory), ca.rule.map.matrices))
+    memory = sy.FiniteSubset(F2, family)
+    smap = sy.StructuredMap(ca.alphabet, len(memory), matrices=[family[w] for w in memory])
+    return sy.CellularAutomaton(F2, ca.alphabet, sy.LocalRule(memory, smap))
+
+
+def _letter_embedding(F2, S):
+    """a^k -> k mod N on a subset of powers of a, N past its diameter: the
+    restriction of a homomorphism F2 -> Z/N (the ball action's target would
+    be a symmetric group of degree 53 or more)."""
+    power = {w: len(w) if not w or w[0] > 0 else -len(w) for w in S}
+    N = 2 * max(map(abs, power.values())) + 1
+    return sy.LefEmbedding(F2, S, sy.FiniteGroup.cyclic(N), {w: k % N for w, k in power.items()})
+
+
+def _one_sided_cases(kind, representation):
+    """Three seeded one-sided triples on a universe, each with an embedding of
+    M*M, M the symmetrized union of their memories. On F2 the rules live on
+    the powers of a, so that a cyclic target holds M*M."""
+    p, d = (2, 1) if representation == "table" else (3, 1 if kind == "Z2" else 2)
+    G, s = {"Z": (sy.FreeAbelianGroup(1), (1,)), "F2": (sy.FreeAbelianGroup(1), (1,)),
+            "Z2": (sy.FreeAbelianGroup(2), (1, 0)), "S3xC3": (_s3_times_c3(), (1, 1))}[kind]
+    for seed in range(3):
+        cas = _one_sided_triple(G, p, d, seed, s)
+        if kind == "F2":
+            cas = [_along_letter(ca, sy.FreeGroup(2)) for ca in cas]
+        U = cas[0].universe
+        if representation == "table":
+            as_table = lambda ca: sy.LocalRule(ca.memory, ca.rule.map.expand_table())
+            cas = [sy.CellularAutomaton(U, ca.alphabet, as_table(ca)) for ca in cas]
+        M = sy.symmetrize(U, cas[0].memory.union(cas[1].memory).union(cas[2].memory))
+        S = sy.set_product(U, M, M)
+        yield cas, _letter_embedding(U, S) if kind == "F2" else sy.build_embedding(U, S, None)
+
+
+def _outputs(tau, e, hint):
+    """The pipeline's alpha, gamma, nu and report, as bytes and JSON, or its
+    uncertified rule and both verdicts."""
+    try:
+        result = sy.transport_inverse_pipeline(tau, e, sigma_hint=hint)
+    except UncertifiedInverseError as err:
+        return serialize.canonical_dumps(serialize.ca_to_json(err.ca)), (err.left, err.right)
+    maps = [m.matrix if m.is_matrix else m.table for m in (result.alpha, result.gamma)]
+    nu = serialize.canonical_dumps(serialize.ca_to_json(result.ca))
+    return [(m.dtype.str, m.shape, m.tobytes()) for m in maps], nu, result.report
+
+
+@pytest.mark.parametrize(
+    "kind, representation",
+    [("Z", "table"), ("Z", "matrix"), ("Z2", "matrix"), ("F2", "table"), ("F2", "matrix"),
+     ("S3xC3", "table"), ("S3xC3", "matrix")],
+)
+def test_pipeline_on_tau_as_given_equals_the_pipeline_on_tau_widened(kind, representation):
+    """Byte for byte: transporting tau on its own one-sided memory gives the
+    alpha, gamma, nu and report of transporting its copy widened to the
+    inverse's memory, with no hint, the true hint and the shift back. Without
+    the true hint the inverse's memory may miss sigma's, and both routes then
+    return the same uncertified rule."""
+    certified = 0
+    for (tau, sigma, back), e in _one_sided_cases(kind, representation):
+        G, A = tau.universe, tau.alphabet
+        for hint in (None, sigma, back):
+            M = sy.common_memory(hint or tau, tau)
+            wide = sy.CellularAutomaton(G, A, sy.extend_memory(tau.rule, M))
+            outputs = _outputs(tau, e, hint)
+            assert outputs == _outputs(wide, e, hint)
+            report = outputs[-1]
+            if hint is sigma:
+                assert report["beta_alpha_identity"] is True
+                assert report["representation"] == representation
+            certified += isinstance(report, dict)
+    assert certified >= 7  # of 9
+
+
+def test_pipeline_widens_no_rule(monkeypatch):
+    """Seeded table and matrix pipelines on Z run with extend_memory and
+    StructuredMap.reindexed refusing: tau is transported as given."""
+    from symba import ca
+
+    cases = [case for rep in ("table", "matrix") for case in _one_sided_cases("Z", rep)]
+
+    def refuse(*args):
+        raise AssertionError("a rule was widened")
+
+    for owner, name in [(sy, "extend_memory"), (ca, "extend_memory"), (sy.StructuredMap, "reindexed")]:
+        monkeypatch.setattr(owner, name, refuse)
+    for (tau, sigma, back), e in cases:
+        for hint in (None, sigma, back):
+            result = sy.transport_inverse_pipeline(tau, e, sigma_hint=hint)
+            assert result.report["left_certified"] and result.report["right_certified"]
+
+
 @pytest.mark.parametrize("G", [functools.partial(sy.FreeAbelianGroup, 2), _s3_times_c3])
 def test_hinted_matrix_pipeline_walks_the_division_index_once(G, monkeypatch):
     """(Z/N)^2 and S3xC3 need a division index; the transport keeps the one
@@ -451,12 +618,18 @@ def test_mixed_representation_hint_takes_one_transport(Z, monkeypatch):
 
 
 def test_hint_over_another_alphabet_is_invalid_input(Z, bit):
+    """common_memory refuses the hint, as check_left_inverse would."""
     shift = sy.projection_ca(Z, bit, (1,))
-    hint = sy.projection_ca(Z, sy.Alphabet.plain(3), (-1,))
-    M = sy.common_memory(hint, shift)
+    M = sy.common_memory(shift, shift)
     e = sy.build_embedding(Z, sy.set_product(Z, M, M), None)
-    with pytest.raises(InvalidInputError, match="hint automaton is not compatible"):
-        sy.transport_inverse_pipeline(shift, e, sigma_hint=hint)
+    for hint, message in [
+        (sy.projection_ca(Z, sy.Alphabet.plain(3), (-1,)), "automata use different alphabets"),
+        (sy.projection_ca(sy.FreeAbelianGroup(2), bit, (-1, 0)), "automata live over different universes"),
+    ]:
+        for refused in (lambda: sy.transport_inverse_pipeline(shift, e, sigma_hint=hint),
+                        lambda: sy.check_left_inverse(hint, shift)):
+            with pytest.raises(InvalidInputError, match=f"^{message}$"):
+                refused()
 
 
 def test_check_equivariance_sees_one_broken_configuration(Z, bit):
