@@ -14,10 +14,11 @@ about 290 MB: the table plus one translation table). The whole hinted
 inverse pipeline takes 0.055 s at a peak of about 286 MB: the table and
 its inverse, scattered in 2^16-entry blocks. So at this cap memory, not
 time, is the budget: each doubling of the cap doubles that peak.
-A determinacy scan of 2^19 windows (a shift on Z, N = ball(8)) takes
-about 1 ms at best and 1.4 ms in the median of seven, so one at
-DEFAULT_ENUMERATION_CAP = 2^20 stays well under a second; the same cap stops
-finite-group multiplication tables at order 1024, n^2 <= 2^20
+A determinacy scan of 2^17 windows (the shift by one on Z, N = ball(8),
+which reads the cells -7..9) takes about 2.6 ms at best and 2.9 ms in the
+median of seven; one of 2^20 windows, DEFAULT_ENUMERATION_CAP (x_{g+1} read
+over {1, 2}, N = ball(9): cells -8..11), takes 17 and 18 ms. The same cap
+stops finite-group multiplication tables at order 1024, n^2 <= 2^20
 (`FiniteGroup.cyclic` builds Z/192 in about 0.1 ms and Z/1024 in about 6 ms).
 
 TRANSPORT_DIM_CAP bounds the dimension of a transported block matrix. Its

@@ -28,16 +28,17 @@ from .groups import (
     ball,
     generated_ball,
     product_window,
+    set_product,
     symmetrize,
 )
 
 
 @dataclass(frozen=True)
 class DeterminacyResult:
-    """Either an inverse rule over N, or a witness pair over N*M.
+    """Either an inverse rule over N, or a witness pair over N*M', M' = symmetrize(M).
 
     Witness patterns x, y satisfy: equal rule images on N, different values
-    at the identity cell.
+    at the identity cell, and digit 0 on the cells the scan does not read.
     """
 
     rule: LocalRule | None
@@ -60,19 +61,21 @@ class SynthesisResult:
 
 
 def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyResult:
-    """Scan A^{N*M'} for image conflicts; synthesize the rule when none exist.
+    """Scan A^W for image conflicts, W = N*M and 1; synthesize the rule when none exist.
 
-    M' = symmetrize(M) fixes the scan window and the witness domain; tau is
-    read as given, each window taking the cells of M in its row of
-    `product_window(G, N, M')`. A table scan costs O(windows) per block of
-    `window_codes`, with no sort and no division per window. One `owner`
-    array holds the identity value of each image seen (or -1). After block
-    0, a block reads it at its images, and stops there when every value
-    matches; a clash with an earlier block shows as a value that differs
-    from one already set. The block then writes its identity values in one
-    scatter and reads them back, to catch two values for one image within
-    the block. The identity digits come from `cell_digits`. Only a block
-    that conflicts is searched for the exact witness (see `_first_conflict`).
+    tau is read as given: a window takes its row of `product_window(G, N, M)`;
+    the identity joins W when N*M misses it. Witnesses are padded with
+    digit 0 to N*M', built only then: zeroing cells tau does not read keeps
+    each image, so the first conflict over N*M' is 0 there. A table
+    scan costs O(windows) per block of `window_codes`, with no sort and no
+    division per window. One `owner` array holds the identity value of each
+    image seen (or -1). After block 0, a block reads it at its images, and
+    stops there when every value matches; a clash with an earlier block
+    shows as a value that differs from one already set. The block then
+    writes its identity values in one scatter and reads them back, to catch
+    two values for one image within the block. The identity digits come from
+    `cell_digits`. Only a block that conflicts is searched for the exact
+    witness (see `_first_conflict`).
     """
     G, A = tau.universe, tau.alphabet
     if N.group != G:
@@ -80,20 +83,21 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     ident = G.identity()
     if ident not in N or any(G.inv(n) not in N for n in N):
         raise InvalidInputError("candidate memory must be symmetric and contain 1")
-    wide = symmetrize(G, tau.memory)
-    NM, pos = product_window(G, N, wide)
-    pos = pos[:, [wide.index_of(m) for m in tau.memory]]
+    W, pos = product_window(G, N, tau.memory)
+    if ident not in W:  # tau does not read the identity cell on N; the scan does
+        W = FiniteSubset._trusted(G, (*W, ident))
+        pos += pos >= W.index_of(ident)
     smap = tau.rule.map
 
     if smap.is_matrix:
-        return _determinacy_linear(smap, N, NM, pos)
+        return _determinacy_linear(tau, N, W, pos)
 
     check_size(A.size ** len(N), "inverse rule table")
-    check_size(A.size ** len(NM), "determinacy scan")
-    n = len(NM)
+    check_size(A.size ** len(W), "determinacy scan")
+    n = len(W)
     owner = np.full(A.size ** len(N), -1, dtype=np.int64)
     blocks = smap.window_codes(pos, n)
-    for start, keys, vals in cell_digits(blocks, A.size, n, NM.index_of(ident)):
+    for start, keys, vals in cell_digits(blocks, A.size, n, W.index_of(ident)):
         seen = None  # block 0 meets no earlier image
         if start:
             seen = owner[keys]
@@ -103,13 +107,20 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
         owner[keys] = vals
         if (owner[keys] != vals).any() or (seen is not None and (seen[differs] >= 0).any()):
             x, y = _first_conflict(smap.window_codes(pos, n), start, keys, vals, seen, owner)
-            witness = tuple(Pattern(NM, decode_index(w, A.size, n)) for w in (x, y))
-            return DeterminacyResult(rule=None, witness=witness)
+            return _witness(tau, N, W, decode_index([x, y], A.size, n))
 
     table = np.where(owner >= 0, owner, A.basepoint)
     table.flags.writeable = False  # handed to the map without a copy
     rule = LocalRule(N, StructuredMap(A, len(N), table=table))
     return DeterminacyResult(rule=rule, witness=None)
+
+
+def _witness(tau, N, W, rows) -> DeterminacyResult:
+    """The witness pair over N*M': the two rows of digits on W, 0 elsewhere."""
+    wide = set_product(tau.universe, N, symmetrize(tau.universe, tau.memory))
+    pair = np.zeros((2, len(wide)), dtype=np.int64)
+    pair[:, [wide.index_of(w) for w in W]] = rows
+    return DeterminacyResult(rule=None, witness=tuple(Pattern(wide, r) for r in pair))
 
 
 def _first_conflict(blocks, start, keys, vals, seen, scratch) -> tuple:
@@ -138,22 +149,21 @@ def _first_conflict(blocks, start, keys, vals, seen, scratch) -> tuple:
     raise AssertionError("an image seen before is in no earlier block")
 
 
-def _determinacy_linear(smap, N, NM, pos) -> DeterminacyResult:
-    """Matrix-rule determinacy: solve eta @ T = (read off at identity)."""
-    A = smap.alphabet
+def _determinacy_linear(tau, N, W, pos) -> DeterminacyResult:
+    """Matrix-rule determinacy: solve eta @ T = (read off at identity) over W;
+    the cells off W would add zero columns, with no pivot and no witness."""
+    A = tau.alphabet
     d = A.dim
-    check_size(len(N) * d * len(NM) * d, "determinacy linear system")
-    T = smap.window_matrix(pos, len(NM))
-    center = NM.index_of(NM.group.identity())
-    proj = np.eye(d, len(NM) * d, center * d, dtype=np.int64)
+    check_size(len(N) * d * len(W) * d, "determinacy linear system")
+    T = tau.rule.map.window_matrix(pos, len(W))
+    center = W.index_of(W.group.identity())
+    proj = np.eye(d, len(W) * d, center * d, dtype=np.int64)
 
     eta, kernel = linalg.left_solve(T, proj, A.modulus)
     if eta is None:
         # witness: the first kernel vector that is nonzero at the identity cell
         z = next(z for z in kernel if z[center * d : (center + 1) * d].any())
-        x_pat = Pattern(NM, A.cell_values(z))
-        y_pat = Pattern(NM, A.cell_values(np.zeros_like(z)))
-        return DeterminacyResult(rule=None, witness=(x_pat, y_pat))
+        return _witness(tau, N, W, A.cell_values(np.stack([z, 0 * z])).reshape(2, -1))
     rule = LocalRule(N, StructuredMap.from_block_row(A, eta))
     return DeterminacyResult(rule=rule, witness=None)
 

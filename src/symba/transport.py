@@ -272,10 +272,14 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
     the matrices of the m with h*phi(m) = k, that is phi(m) = h^-1 k: it is
     block h^-1 k of the identity's block row, so only that row is built.
     """
-    A, M = tau.alphabet, tau.memory
-    if not verify_embedding(e, M):
+    if not verify_embedding(e, tau.memory):
         raise InvalidInputError("embedding fails verification over this memory")
+    return _transported(tau, e)
 
+
+def _transported(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
+    """`transport_endomap` for an embedding already verified over tau's memory."""
+    A, M = tau.alphabet, tau.memory
     carrier = FiniteSubset(e.target, e.target.elements())
     nF = len(carrier)
 
@@ -557,7 +561,7 @@ def transport_inverse_pipeline(
     if not verify_embedding(e, M):
         raise InvalidInputError("embedding fails verification over this memory")
 
-    alpha = transport_endomap(tau, e)
+    alpha = _transported(tau, e)  # M holds M_tau: verified above
     gamma = invert_transport(alpha)
     rule = extract_local_rule(gamma, e, M, A)
     nu_ca = CellularAutomaton(G, A, rule)

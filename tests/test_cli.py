@@ -223,12 +223,32 @@ def test_synthesize_failure_writes_witness_report(files, capsys):
 
 
 def test_synthesize_resource_cap_exit_three(files, capsys, monkeypatch):
+    """Under a cap of 8 the xor on {0, 1} is scanned at radius 0, over the
+    cells {0, 1}, and stops at radius 1, whose scan reads {-1, ..., 2}: 16
+    windows. The shift by one passes this cap: its radius-1 scan reads the
+    8 windows of {0, 1, 2}, and finds the shift back."""
     monkeypatch.setenv("SYMBA_CAP", "8")
+    code, report = run(
+        capsys, "synthesize-inverse", "--input", files["xor"], "--max-radius", "3"
+    )
+    assert code == 3
+    assert report["outcome"]["error"] == "determinacy scan would have 16 entries, cap is 8"
     code, report = run(
         capsys, "synthesize-inverse", "--input", files["tau"], "--max-radius", "3"
     )
-    assert code == 3
-    assert "cap" in report["outcome"]["error"]
+    assert code == 0 and report["outcome"] == {"found": True, "radius": 1}
+
+
+def test_synthesize_a_shift_by_eight_finds_its_inverse_at_radius_eight(tmp_path, capsys, Z, bit):
+    """tau(x)_g = x_{g+8}: the inverse reads the cell -8, so it has radius 8.
+    At radius r the scan reads the cells 8 - r, ..., 8 + r and the identity,
+    2^17 windows at r = 8, under the default cap of 2^20."""
+    path = tmp_path / "shift8.json"
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(sy.projection_ca(Z, bit, (8,)))))
+    code, report = run(
+        capsys, "synthesize-inverse", "--input", str(path), "--max-radius", "8"
+    )
+    assert code == 0 and report["outcome"] == {"found": True, "radius": 8}
 
 
 def test_cap_above_int64_index_range_exit_three(files, capsys, monkeypatch):

@@ -174,6 +174,8 @@ def _assert_matches_oracle(tau, N):
         return None
     assert not res.is_determined
     assert (res.witness[0].values, res.witness[1].values) == want
+    G = tau.universe
+    assert res.witness[0].domain == sy.set_product(G, N, sy.symmetrize(G, tau.memory))
     return want
 
 
@@ -249,6 +251,105 @@ def test_determinacy_in_small_blocks_matches_oracle(Z, F2, q, monkeypatch):
             table = _permutive_table(rng, q, len(memory))
             _assert_matches_oracle(make_table_ca(G, A, memory, table), N)
     assert places == {"leading", "trailing"}
+
+
+# (universe, radius of N, a memory that is not symmetric); the first three
+# leave the identity out of N*M, as the leading, trailing or a middle cell
+_ASYMMETRIC_SCANS = [
+    ("Z", 1, [(3,), (4,)]),
+    ("Z", 1, [(-4,), (-3,)]),
+    ("Z", 0, [(-1,), (1,), (3,)]),
+    ("Z", 1, [(1,), (2,)]),
+    ("Z2", 1, [(1, 1)]),
+    ("Z2", 1, [(0, 1), (1, 0)]),
+    ("F2", 0, [(1,), (2,)]),
+    ("F2", 1, [(-2,)]),
+    ("F2", 1, [(1, 2)]),
+]
+
+
+def _scan_window(G, N, memory):
+    """N*M and the identity: the cells a determinacy scan reads."""
+    return sy.set_product(G, N, sy.FiniteSubset(G, memory)).union(sy.FiniteSubset(G, [G.identity()]))
+
+
+def test_determinacy_scans_only_the_cells_tau_reads(Z, bit, monkeypatch):
+    """tau(x)_g = x_{g+1}, read over {1, 2}: on N = ball(1) it reads the 4
+    cells N*M = {0, ..., 3}, where N*sym(M) = {-3, ..., 3} has 7, and the
+    scan finds the shift back."""
+    scans = _small_block_scans(monkeypatch)
+    tau = make_table_ca(Z, bit, [(1,), (2,)], [0, 0, 1, 1])
+    res = sy.determinacy_check(tau, sy.ball(Z, 1))
+    assert scans == [4]
+    assert res.is_determined
+    assert sy.same_action(sy.CellularAutomaton(Z, bit, res.rule), sy.projection_ca(Z, bit, (-1,)))
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_determinacy_on_asymmetric_memories_matches_oracle(Z, Z2, F2, q, monkeypatch):
+    """Seeded random and cell-permutive pointed rules with one-sided memories
+    on Z, Z^2 and F2, and the projection onto the first memory cell, scanned
+    in blocks of at most 16 windows. Every scan
+    reads N*M and the identity only; the table, or the witness over
+    N*sym(M), is the oracle's, which scans all of N*sym(M)."""
+    scans = _small_block_scans(monkeypatch)
+    A = sy.Alphabet.plain(q)
+    rng = np.random.default_rng([q, 29])
+    places, outcomes = set(), set()
+    for name, r, memory in _ASYMMETRIC_SCANS:
+        G = {"Z": Z, "Z2": Z2, "F2": F2}[name]
+        N = sy.ball(G, r)
+        if q ** len(sy.set_product(G, N, sy.symmetrize(G, sy.FiniteSubset(G, memory)))) > 1 << 15:
+            continue
+        W = _scan_window(G, N, memory)
+        at = W.index_of(G.identity())
+        if G.identity() not in sy.set_product(G, N, sy.FiniteSubset(G, memory)):
+            places.add("leading" if at == 0 else "trailing" if at == len(W) - 1 else "middle")
+        m = len(memory)
+        tables = [np.arange(q**m) // q ** (m - 1)]
+        for _ in range(4):
+            tables += [random_pointed_table(rng, A, m), _permutive_table(rng, q, m)]
+        for table in tables:
+            scans.clear()
+            outcomes.add(_assert_matches_oracle(make_table_ca(G, A, memory, table), N) is None)
+            assert set(scans) == {len(W)}
+    # at q = 3 the oracle over N*sym(M) is too large for M = {-4, -3}
+    assert places == {"leading", "middle"} | ({"trailing"} if q == 2 else set())
+    assert outcomes == {True, False}
+
+
+def test_matrix_determinacy_on_asymmetric_memories(Z, Z2, F2, monkeypatch):
+    """Seeded matrix rules with one-sided memories: the linear system has a
+    column block per cell of N*M and the identity; each verdict is the one
+    of tau re-read over sym(M), whose system spans all of N*sym(M); a
+    witness lies over N*sym(M), with equal images on N, through that copy,
+    and different identity values."""
+    kernel = alphabets.StructuredMap.window_matrix
+    cells = []
+    logged = lambda self, pos, n_cells: cells.append(n_cells) or kernel(self, pos, n_cells)
+    monkeypatch.setattr(alphabets.StructuredMap, "window_matrix", logged)
+    rng = np.random.default_rng(29)
+    outcomes = set()
+    for name, r, memory in _ASYMMETRIC_SCANS:
+        G = {"Z": Z, "Z2": Z2, "F2": F2}[name]
+        N, M = sy.ball(G, r), sy.FiniteSubset(G, memory)
+        for p, d in [(2, 2), (3, 1)]:
+            A = sy.Alphabet.module(p, d)
+            smap = sy.StructuredMap(A, len(M), matrices=rng.integers(0, p, size=(len(M), d, d)))
+            tau = sy.CellularAutomaton(G, A, sy.LocalRule(M, smap))
+            wide = _widened(tau)
+            cells.clear()
+            res = sy.determinacy_check(tau, N)
+            assert cells == [len(_scan_window(G, N, memory))]
+            assert _verdict(res) == _verdict(sy.determinacy_check(wide, N))
+            outcomes.add(res.is_determined)
+            if res.is_determined:
+                continue
+            x, y = res.witness
+            assert x.domain == y.domain == sy.set_product(G, N, wide.memory)
+            assert sy.induced_map(wide, N, x) == sy.induced_map(wide, N, y)
+            assert x.value_at(G.identity()) != y.value_at(G.identity())
+    assert outcomes == {True, False}
 
 
 def test_witness_validity_reverified_through_induced_map(Z, bit):

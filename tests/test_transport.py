@@ -608,13 +608,44 @@ def test_mixed_representation_hint_takes_one_transport(Z, monkeypatch):
     M = sy.common_memory(back, shift)
     e = sy.build_embedding(Z, sy.set_product(Z, M, M), {"kind": "modular", "N": 5})
     calls = []
-    counted = lambda tau, e: calls.append(tau) or sy.transport_endomap(tau, e)
-    monkeypatch.setattr(transport, "transport_endomap", counted)
+    transported = transport._transported  # the pipeline's transport, after its one check
+    counted = lambda tau, e: calls.append(tau) or transported(tau, e)
+    monkeypatch.setattr(transport, "_transported", counted)
     for hint, expected in [(back, True), (sy.identity_ca(Z, A), False)]:
         result = transport.transport_inverse_pipeline(shift, e, sigma_hint=hint)
         assert result.report["representation"] == "matrix"
         assert result.report["beta_alpha_identity"] is expected
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("representation", ["table", "matrix"])
+def test_pipeline_verifies_its_embedding_once(representation, monkeypatch):
+    """Hinted or not, the pipeline checks its embedding once, over the
+    inverse's memory M, which holds tau's; its alpha, gamma, nu and report
+    are those of the public steps, transport_endomap checking on its own."""
+    from symba import transport
+
+    (tau, sigma, _), e = next(_one_sided_cases("Z", representation))
+    G, A = tau.universe, tau.alphabet
+    for hint in (None, sigma):
+        M = sy.common_memory(hint or tau, tau)
+        alpha = sy.transport_endomap(tau, e)
+        gamma = sy.invert_transport(alpha)
+        nu = sy.CellularAutomaton(G, A, sy.extract_local_rule(gamma, e, M, A))
+        report = {"alpha": dict.fromkeys(["injective", "surjective", "bijective"], True),
+                  "target_order": len(alpha.carrier), "representation": representation,
+                  "left_certified": True, "right_certified": True}
+        if hint is not None:
+            report["beta_alpha_identity"] = True
+        maps = [m.matrix if m.is_matrix else m.table for m in (alpha, gamma)]
+        expected = ([(m.dtype.str, m.shape, m.tobytes()) for m in maps],
+                    serialize.canonical_dumps(serialize.ca_to_json(nu)), report)
+        calls = []
+        verify = transport.verify_embedding
+        with monkeypatch.context() as patch:
+            patch.setattr(transport, "verify_embedding", lambda e, M: calls.append(M) or verify(e, M))
+            assert _outputs(tau, e, hint) == expected
+        assert calls == [M]
 
 
 def test_hint_over_another_alphabet_is_invalid_input(Z, bit):
