@@ -253,8 +253,9 @@ def test_determinacy_in_small_blocks_matches_oracle(Z, F2, q, monkeypatch):
     assert places == {"leading", "trailing"}
 
 
-# (universe, radius of N, a memory that is not symmetric); the first three
-# leave the identity out of N*M, as the leading, trailing or a middle cell
+# (universe, radius of N, a memory that is not symmetric); on Z the first
+# three leave the identity out of N*M: it is the leading, trailing or a
+# middle cell of the scan
 _ASYMMETRIC_SCANS = [
     ("Z", 1, [(3,), (4,)]),
     ("Z", 1, [(-4,), (-3,)]),
@@ -289,21 +290,21 @@ def test_determinacy_scans_only_the_cells_tau_reads(Z, bit, monkeypatch):
 def test_determinacy_on_asymmetric_memories_matches_oracle(Z, Z2, F2, q, monkeypatch):
     """Seeded random and cell-permutive pointed rules with one-sided memories
     on Z, Z^2 and F2, and the projection onto the first memory cell, scanned
-    in blocks of at most 16 windows. Every scan
-    reads N*M and the identity only; the table, or the witness over
-    N*sym(M), is the oracle's, which scans all of N*sym(M)."""
+    in blocks of at most 16 windows. Every scan reads N*M and the identity
+    only; the table, or the witness over N*sym(M), is the oracle's, which
+    scans all of N*sym(M)."""
     scans = _small_block_scans(monkeypatch)
     A = sy.Alphabet.plain(q)
     rng = np.random.default_rng([q, 29])
     places, outcomes = set(), set()
     for name, r, memory in _ASYMMETRIC_SCANS:
         G = {"Z": Z, "Z2": Z2, "F2": F2}[name]
-        N = sy.ball(G, r)
-        if q ** len(sy.set_product(G, N, sy.symmetrize(G, sy.FiniteSubset(G, memory)))) > 1 << 15:
+        N, M = sy.ball(G, r), sy.FiniteSubset(G, memory)
+        if q ** len(sy.set_product(G, N, sy.symmetrize(G, M))) > 1 << 15:
             continue
         W = _scan_window(G, N, memory)
         at = W.index_of(G.identity())
-        if G.identity() not in sy.set_product(G, N, sy.FiniteSubset(G, memory)):
+        if len(W) > len(sy.set_product(G, N, M)):  # the scan adds the identity
             places.add("leading" if at == 0 else "trailing" if at == len(W) - 1 else "middle")
         m = len(memory)
         tables = [np.arange(q**m) // q ** (m - 1)]
