@@ -1,12 +1,13 @@
 """Transport of an automaton to a finite group, inversion, rule extraction.
 
 The route to an inverse rule: embed the window M*M of the universe into a
-finite group F preserving products of memory elements, read the local rule
-over its own memory as an F-equivariant endomap of A^F, invert that exactly
-(table scan or modular linear algebra), and read the inverse's rule over M
-back off through the embedding, filling the cells outside the image with
-the basepoint. The extracted rule is certified against the original
-automaton by both one-sided inverse checks, an inverse hint by the left one.
+finite group F (injective where built, `LefEmbedding`; multiplicative on
+M x M where used, `verify_embedding`), read the local rule over its own
+memory as an F-equivariant endomap of A^F, invert that exactly (table scan
+or modular linear algebra), and read the inverse's rule over M back off
+through the embedding, filling the cells outside the image with the
+basepoint. The extracted rule is certified against the original automaton
+by both one-sided inverse checks, an inverse hint by the left one.
 
 A transported matrix is F-equivariant, so its identity block row determines
 it (`division_index`): the matrix is built as the expansion of that row,
@@ -61,7 +62,6 @@ from .groups import (
     SymmetricGroup,
     ball,
     greedy_generators,
-    set_product,
 )
 
 
@@ -69,7 +69,8 @@ from .groups import (
 class LefEmbedding:
     """A finite-group approximation of a subset of the universe.
 
-    `phi` maps the subset injectively into the finite target. It restricts a
+    `phi` maps the subset injectively into the finite target (a collision
+    raises EmbeddingCollisionError, first pair in subset order). It restricts a
     homomorphism, so phi(ab) = phi(a)phi(b) whenever a, b and ab all lie in
     the subset; `verify_embedding` checks this over M x M where it is used.
     """
@@ -79,35 +80,12 @@ class LefEmbedding:
     target: Group
     phi: dict = field(hash=False)
 
-
-def _first_collision(e: LefEmbedding, S) -> tuple | None:
-    """The first pair of S, in S's order, that phi sends to one image."""
-    seen = {}
-    for s in S:
-        img = e.phi[s]
-        if img in seen:
-            return seen[img], s
-        seen[img] = s
-    return None
-
-
-def _product_rule_failure(e: LefEmbedding, M) -> tuple | None:
-    """The first (a, b) in M x M with ab in the subset and phi(a)phi(b) != phi(ab)."""
-    G, F = e.source, e.target
-    for a in M:
-        for b in M:
-            ab = G.mul(a, b)
-            if ab in e.subset and F.mul(e.phi[a], e.phi[b]) != e.phi[ab]:
-                return a, b
-    return None
-
-
-def _post_verify(e: LefEmbedding) -> LefEmbedding:
-    """Reject collisions; products agree by construction (see LefEmbedding)."""
-    pair = _first_collision(e, e.subset)
-    if pair is not None:
-        raise EmbeddingCollisionError(*pair, e.source)
-    return e
+    def __post_init__(self):
+        seen = {}
+        for s in self.subset:
+            first = seen.setdefault(self.phi[s], s)
+            if first != s:
+                raise EmbeddingCollisionError(first, s, self.source)
 
 
 def _minimal_modulus(S: FiniteSubset) -> int:
@@ -138,7 +116,7 @@ def _modular_embedding(G: FreeAbelianGroup, S: FiniteSubset, N: int | None) -> L
     else:
         target = ProductGroup([FiniteGroup.cyclic(N)] * G.rank)
         phi = {v: tuple(x % N for x in v) for v in S}
-    return _post_verify(LefEmbedding(G, S, target, phi))
+    return LefEmbedding(G, S, target, phi)
 
 
 def _ball_action_embedding(G: FreeGroup, S: FiniteSubset, radius: int | None) -> LefEmbedding:
@@ -168,7 +146,7 @@ def _ball_action_embedding(G: FreeGroup, S: FiniteSubset, radius: int | None) ->
         return images[word]
 
     phi = {w: image(w) for w in S}
-    return _post_verify(LefEmbedding(G, S, target, phi))
+    return LefEmbedding(G, S, target, phi)
 
 
 def _checked_spec(spec) -> dict:
@@ -193,8 +171,9 @@ def build_embedding(G: Group, S: FiniteSubset, spec: dict | None = None) -> LefE
     "identity"} for finite universes, {"kind": "product", "factors": [...]}
     componentwise. With spec=None each kind gets its minimal default. Every
     construction restricts a homomorphism (reduction mod N, the identity,
-    letter permutations multiplied along the word), so only injectivity on
-    S is checked (EmbeddingCollisionError). A bad spec raises InvalidInputError.
+    letter permutations multiplied along the word), so LefEmbedding checks
+    only injectivity on S (EmbeddingCollisionError, from the colliding factor
+    of a product). A bad spec raises InvalidInputError.
     """
     if S.group != G:
         raise InvalidInputError("subset lives in the wrong group")
@@ -206,7 +185,7 @@ def build_embedding(G: Group, S: FiniteSubset, spec: dict | None = None) -> LefE
     if isinstance(G, FreeGroup) and kind in ("auto", "ball_action"):
         return _ball_action_embedding(G, S, spec.get("radius"))
     if isinstance(G, (FiniteGroup, SymmetricGroup)) and kind in ("auto", "identity"):
-        return _post_verify(LefEmbedding(G, S, G, {s: s for s in S}))
+        return LefEmbedding(G, S, G, {s: s for s in S})
     if isinstance(G, ProductGroup) and kind in ("auto", "product"):
         factor_specs = spec.get("factors")
         if factor_specs is None:
@@ -219,19 +198,30 @@ def build_embedding(G: Group, S: FiniteSubset, spec: dict | None = None) -> LefE
             parts.append(build_embedding(f, proj, fspec))
         target = ProductGroup([p.target for p in parts])
         phi = {v: tuple(p.phi[x] for p, x in zip(parts, v)) for v in S}
-        return _post_verify(LefEmbedding(G, S, target, phi))
+        return LefEmbedding(G, S, target, phi)
     raise InvalidInputError(f"no {kind!r} embedding construction for {G!r}")
 
 
 def verify_embedding(e: LefEmbedding, M: FiniteSubset) -> bool:
-    """Check injectivity on M*M and the product rule on all pairs from M."""
-    G = e.source
+    """Whether phi(a)phi(b) = phi(ab) for all a, b in M.
+
+    The subset must hold M and M*M (InvalidInputError otherwise; M need not
+    hold 1). phi is injective on the subset by construction, so one pass
+    over M x M, one product each, is the whole check.
+    """
+    G, F, S, phi = e.source, e.target, e.subset, e.phi
     if M.group != G:
         raise InvalidInputError("memory lives in the wrong group")
-    M2 = set_product(G, M, M)
-    if not (M.issubset(e.subset) and M2.issubset(e.subset)):  # M need not hold 1
+    if not M.issubset(S):
         raise InvalidInputError("embedded subset must contain M and M*M")
-    return _first_collision(e, M2) is None and _product_rule_failure(e, M) is None
+    holds = True
+    for a in M:
+        for b in M:
+            ab = G.mul(a, b)
+            if ab not in S:
+                raise InvalidInputError("embedded subset must contain M and M*M")
+            holds = holds and F.mul(phi[a], phi[b]) == phi[ab]
+    return holds
 
 
 @dataclass(frozen=True, eq=False)

@@ -214,6 +214,24 @@ def oracle_determinacy_witness(tau, N):
     return None
 
 
+def oracle_verify_embedding(e, M):
+    """Whether e embeds the window of M, by brute force from set_product.
+
+    Raises InvalidInputError, with verify_embedding's messages, when M lives
+    in another group or M or M*M leaves the subset; else checks phi
+    injective on M*M and phi(a)phi(b) = phi(ab) over all of M x M.
+    """
+    G, F, phi = e.source, e.target, e.phi
+    if M.group != G:
+        raise sy.InvalidInputError("memory lives in the wrong group")
+    M2 = sy.set_product(G, M, M)
+    if any(x not in e.subset for x in [*M, *M2]):
+        raise sy.InvalidInputError("embedded subset must contain M and M*M")
+    injective = len({phi[x] for x in M2}) == len(M2)
+    products = all(F.mul(phi[a], phi[b]) == phi[G.mul(a, b)] for a in M for b in M)
+    return injective and products
+
+
 def oracle_transport_table(tau, e):
     """Transported table of a table rule, read cell by cell.
 

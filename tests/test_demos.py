@@ -1,5 +1,6 @@
 """Every demo script, and the README's library tour, runs to completion
-against the source tree."""
+against the source tree, under `-X dev -W error` as the suite itself does
+in CI, so a warning inside a demo fails it."""
 
 import os
 import subprocess
@@ -18,7 +19,8 @@ def _run_python(args):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     return subprocess.run(
-        [sys.executable, *args], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-X", "dev", "-W", "error", *args],
+        env=env, capture_output=True, text=True, timeout=120,
     )
 
 

@@ -1,6 +1,7 @@
 """Embeddings into finite groups, transported endomaps, rule extraction."""
 
 import functools
+import itertools
 import time
 
 import numpy as np
@@ -23,6 +24,7 @@ from conftest import (
     oracle_division_index,
     oracle_transport_matrix,
     oracle_transport_table,
+    oracle_verify_embedding,
     random_pointed_table,
     symmetric_table,
     xor_ca,
@@ -47,6 +49,89 @@ def test_modular_embedding_accepts_and_rejects(Z):
     with pytest.raises(EmbeddingCollisionError) as err:
         sy.build_embedding(Z, S, {"kind": "modular", "N": 3})
     assert err.value.first == (-2,) and err.value.second == (1,)
+
+
+def test_hand_built_embedding_refuses_a_collision(Z):
+    """phi sends 1 onto -2 and 2 onto -1 in Z/5: construction raises with the
+    first pair in subset order (-2, -1, 0, 1, 2), in the source group."""
+    S = sy.ball(Z, 2)
+    phi = {v: v[0] % 5 for v in S} | {(1,): 3, (2,): 4}
+    with pytest.raises(EmbeddingCollisionError) as err:
+        sy.LefEmbedding(Z, S, sy.FiniteGroup.cyclic(5), phi)
+    assert (err.value.first, err.value.second, err.value.group) == ((-2,), (1,), Z)
+
+
+def test_verify_embedding_makes_one_product_per_pair(Z2, monkeypatch):
+    """|M|^2 products in the universe: phi is injective by construction, so
+    M*M is not rebuilt to check it again."""
+    M = sy.ball(Z2, 3)
+    e = sy.build_embedding(Z2, sy.set_product(Z2, M, M), None)
+    calls = []
+    mul = sy.FreeAbelianGroup.mul
+    monkeypatch.setattr(sy.FreeAbelianGroup, "mul", lambda self, a, b: calls.append(1) or mul(self, a, b))
+    assert sy.verify_embedding(e, M)
+    assert len(calls) == len(M) ** 2 == 625
+
+
+def _verdict(verify, e, M):
+    """verify(e, M), or the type and message of the InvalidInputError it raises."""
+    try:
+        return verify(e, M)
+    except InvalidInputError as err:
+        return type(err), str(err)
+
+
+def _hand_built_embeddings():
+    """Seeded injective maps into Z/9 and (Z/9)^2 over M*M and M, M in ball(2):
+    reduction mod 9 (a homomorphism there), the same with two images swapped,
+    or a random injective map; the subset whole, missing a product outside
+    M, or missing an element of M."""
+    for rank, how, gap, seed in itertools.product((1, 2), range(3), range(3), range(3)):
+        rng = np.random.default_rng([rank, how, gap, seed])
+        G = sy.FreeAbelianGroup(rank)
+        F = sy.ProductGroup([sy.FiniteGroup.cyclic(9)] * 2) if rank == 2 else sy.FiniteGroup.cyclic(9)
+        pool = list(sy.ball(G, 2))
+        M = sy.FiniteSubset(G, [pool[i] for i in rng.choice(len(pool), rng.integers(1, 5), replace=False)])
+        S = sorted(set(sy.set_product(G, M, M)) | set(M))
+        outside = sorted(set(S) - set(M))
+        if gap == 1 and outside:
+            S.remove(outside[rng.integers(len(outside))])
+        elif gap == 2:
+            S.remove(list(M)[rng.integers(len(M))])
+        S = sy.FiniteSubset(G, S)
+        reduce = (lambda v: v[0] % 9) if rank == 1 else (lambda v: tuple(x % 9 for x in v))
+        images = [reduce(v) for v in S]
+        if how == 1 and len(S) > 1:
+            i, j = rng.choice(len(S), 2, replace=False)
+            images[i], images[j] = images[j], images[i]
+        elif how == 2:
+            elements = list(F.elements())
+            images = [elements[k] for k in rng.choice(len(elements), len(S), replace=False)]
+        yield sy.LefEmbedding(G, S, F, dict(zip(S, images))), M
+
+
+def _built_embeddings():
+    """Every build_embedding kind, over the window of ball(1), checked against
+    memories inside it, beyond it, and in another group."""
+    Z, Z2, F2 = sy.FreeAbelianGroup(1), sy.FreeAbelianGroup(2), sy.FreeGroup(2)
+    for G, spec in [(Z, None), (Z, {"kind": "modular", "N": 5}), (Z2, None), (F2, None),
+                    (sy.FiniteGroup(symmetric_table(3)), None), (sy.SymmetricGroup(3), None),
+                    (sy.ProductGroup([sy.FiniteGroup.cyclic(2), Z]), None)]:
+        B1 = sy.ball(G, 1)
+        e = sy.build_embedding(G, sy.set_product(G, B1, B1), spec)
+        for M in (sy.ball(G, 0), B1, sy.ball(G, 2), sy.ball(Z2 if G == Z else Z, 1)):
+            yield e, M
+
+
+def test_verify_embedding_agrees_with_the_brute_force_oracle():
+    verdicts = []
+    for e, M in [*_hand_built_embeddings(), *_built_embeddings()]:
+        verdict = _verdict(sy.verify_embedding, e, M)
+        assert verdict == _verdict(oracle_verify_embedding, e, M)
+        verdicts.append(verdict)
+    # every outcome occurs: both verdicts and both refusals
+    assert {v if isinstance(v, bool) else v[1] for v in verdicts} == {
+        True, False, "embedded subset must contain M and M*M", "memory lives in the wrong group"}
 
 
 def test_modular_embedding_minimal_default(Z):
