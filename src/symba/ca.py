@@ -15,6 +15,13 @@ family (I at the identity, 0 elsewhere); `compose` builds its matrix rule
 from the same product. Otherwise sigma's table is read at tau's window codes
 over M_sigma * M_tau, block by block, and compared with each configuration's
 identity-cell digit, stopping at the first block that differs.
+
+A memory is only a presentation: a table rule need not read every cell it
+names. A scan over the written memories that would pass one block
+(`_SCAN_CHUNK` windows) or the enumeration cap first reads each table rule
+over its live cells (`_live_rule`), the inputs its table is not constant
+along. Smaller scans keep the written memories, since there the detection
+would cost more than it saves.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabets import Alphabet, StructuredMap, cell_digits, verify_pointed
-from .caps import check_size
+from .alphabets import _SCAN_CHUNK, Alphabet, StructuredMap, cell_digits, verify_pointed
+from .caps import check_size, enumeration_cap
 from .errors import EmptyWindowError, InvalidInputError, json_int
 from .groups import FiniteSubset, Group, product_window, symmetrize
 
@@ -42,6 +49,14 @@ class Pattern:
                 f"pattern needs {len(self.domain)} values, got {len(self.values)}"
             )
         object.__setattr__(self, "values", tuple(json_int(v, "pattern value") for v in self.values))
+
+    @classmethod
+    def _trusted(cls, domain: FiniteSubset, values: tuple) -> "Pattern":
+        """A pattern of Python ints already checked: no per-value `json_int`."""
+        self = cls.__new__(cls)
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "values", values)
+        return self
 
     @classmethod
     def from_dict(cls, domain: FiniteSubset, assignment: dict) -> "Pattern":
@@ -156,6 +171,36 @@ def extend_memory(rule: LocalRule, bigger: FiniteSubset) -> LocalRule:
     return LocalRule(bigger, rule.map.reindexed(cols, len(bigger)))
 
 
+def _live_rule(rule: LocalRule, windows: int) -> LocalRule:
+    """The rule read over its live cells, for a scan of `windows` windows
+    that would pass one block or the enumeration cap; else the rule itself.
+
+    Input j is dead when the table, read as a (q^j, q, rest) array, equals
+    its first slice along the middle axis. A few leading entries are
+    compared first, so a table that reads every input costs O(arity) small
+    compares, and each dead axis is dropped (taken at digit 0) before the
+    next input is tested. The live memory is a subsequence of the canonical
+    order, and the rule stays pointed, since dead digits do not matter. A
+    matrix map, or a table that reads every input, is returned as it is.
+    Nothing is kept between calls.
+    """
+    smap = rule.map
+    if smap.is_matrix or windows <= min(_SCAN_CHUNK, enumeration_cap()):
+        return rule
+    q, table, live = smap.alphabet.size, smap.table, []
+    for j in range(smap.arity):
+        cube = table.reshape(q ** len(live), q, -1)  # live inputs before j lead
+        head = cube[:4, :, :4]
+        if (head != head[:, :1]).any() or (cube != cube[:, :1]).any():
+            live.append(j)
+        else:
+            table = cube[:, 0].ravel()
+    if len(live) == smap.arity:
+        return rule
+    memory = FiniteSubset._trusted(rule.memory.group, [rule.memory[j] for j in live])
+    return LocalRule(memory, StructuredMap(smap.alphabet, len(live), table=table))
+
+
 def common_memory(sigma: CellularAutomaton, tau: CellularAutomaton) -> FiniteSubset:
     """Symmetrized union of the two memories (contains the identity)."""
     _require_compatible(sigma, tau)
@@ -212,12 +257,16 @@ def _family_product(S, T, pos, n: int, p: int) -> np.ndarray:
 def check_left_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool:
     """True iff sigma-after-tau is the identity on every configuration.
 
-    Both automata are read as given; the composite over M_sigma * M_tau is
-    never built. An identity outside M_sigma * M_tau is decided first, before
-    any scan or cap: the verdict is then |A| == 1. Matrix pairs compare the
-    coefficient family with I at the identity and 0 elsewhere. Otherwise
-    sigma's table at tau's window code is compared with each
-    configuration's identity-cell digit block by block.
+    The composite over M_sigma * M_tau is never built. An identity outside
+    M_sigma * M_tau is decided first, before any scan or cap: the verdict is
+    then |A| == 1. Matrix pairs compare the coefficient family with I at the
+    identity and 0 elsewhere. Otherwise sigma's table at tau's window code
+    is compared with each configuration's identity-cell digit block by
+    block. When that scan would pass one block or the cap, each table rule
+    is first read over its live cells (`_live_rule`): the composite depends
+    only on the live product M'_sigma * M'_tau, so the scan and the cap
+    count that product, and a live product that misses the identity again
+    gives |A| == 1.
     """
     _require_compatible(sigma, tau)
     G, A = sigma.universe, sigma.alphabet
@@ -231,9 +280,16 @@ def check_left_inverse(sigma: CellularAutomaton, tau: CellularAutomaton) -> bool
         want = np.zeros_like(family)
         want[Mc.index_of(one)] = np.eye(A.dim, dtype=np.int64)
         return np.array_equal(family, want)
+    windows = A.size**n
+    live_s, live_t = _live_rule(sigma.rule, windows), _live_rule(tau.rule, windows)
+    if live_s is not sigma.rule or live_t is not tau.rule:
+        Mc, pos = product_window(G, live_s.memory, live_t.memory)
+        n = len(Mc)
+        if one not in Mc:
+            return A.size == 1
     check_size(A.size**n, "composite rule table")
-    table = sigma.rule.map.expand_table().table
-    blocks = tau.rule.map.window_codes(pos, n)
+    table = live_s.map.expand_table().table
+    blocks = live_t.map.window_codes(pos, n)
     for _, codes, digits in cell_digits(blocks, A.size, n, Mc.index_of(one)):
         if not np.array_equal(table[codes], digits):
             return False

@@ -15,9 +15,15 @@ inverse pipeline takes 0.055 s at a peak of about 286 MB: the table and
 its inverse, scattered in 2^16-entry blocks. So at this cap memory, not
 time, is the budget: each doubling of the cap doubles that peak.
 A determinacy scan of 2^17 windows (the shift by one on Z, N = ball(8),
-which reads the cells -7..9) takes about 2.6 ms at best and 2.9 ms in the
-median of seven; one of 2^20 windows, DEFAULT_ENUMERATION_CAP (x_{g+1} read
-over {1, 2}, N = ball(9): cells -8..11), takes 17 and 18 ms. The same cap
+which reads the cells -7..9) takes about 2.6-3.3 ms at best and 2.9-3.4 ms
+in the median of seven; one of 2^20 windows, DEFAULT_ENUMERATION_CAP (on
+pairs of bits, the high bit of x_{g+1} with the low bit of x_{g+2}, q = 4,
+N = ball(4): cells -3..6), takes 8.5 and 9.0 ms. A scan counts the cells
+its table rules read: once the inverse checks or determinacy would scan
+more than one block (2^16 windows) or the cap over the written memories,
+each table rule is first read over its live cells, and the scan and the
+cap count those (x_{g+1} written over {1, 2} scans 2^19 windows on
+N = ball(9), not 2^20). The same cap
 stops finite-group multiplication tables at order 1024, n^2 <= 2^20
 (`FiniteGroup.cyclic` builds Z/192 in about 0.1 ms and Z/1024 in about 6 ms).
 

@@ -16,7 +16,14 @@ import numpy as np
 
 from . import linalg
 from .alphabets import StructuredMap, cell_digits, decode_index
-from .ca import CellularAutomaton, LocalRule, Pattern, check_left_inverse, window_positions
+from .ca import (
+    CellularAutomaton,
+    LocalRule,
+    Pattern,
+    _live_rule,
+    check_left_inverse,
+    window_positions,
+)
 from .caps import check_size
 from .errors import InvalidInputError, UnsupportedSubgroupError
 from .groups import (
@@ -28,8 +35,6 @@ from .groups import (
     ball,
     generated_ball,
     product_window,
-    set_product,
-    symmetrize,
 )
 
 
@@ -63,12 +68,14 @@ class SynthesisResult:
 def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyResult:
     """Scan A^W for image conflicts, W = N*M and 1; synthesize the rule when none exist.
 
-    tau is read as given: a window takes its row of `product_window(G, N, M)`;
-    the identity joins W when N*M misses it. Witnesses are padded with
-    digit 0 to N*M', built only then: zeroing cells tau does not read keeps
-    each image, so the first conflict over N*M' is 0 there. A table
-    scan costs O(windows) per block of `window_codes`, with no sort and no
-    division per window. One `owner` array holds the identity value of each
+    A window takes its row of `product_window(G, N, M)`; the identity joins
+    W when N*M misses it. When that scan would pass one block or the cap, a
+    table rule is first read over its live cells M'' (`ca._live_rule`), so
+    that W = N*M'' and 1, and the cap counts that window. Witnesses are
+    padded with digit 0 to N*M', built only then: zeroing cells tau does
+    not read keeps each image, so the first conflict over N*M' is 0 there.
+    A table scan costs O(windows) per block of `window_codes`, with no sort
+    and no division per window. One `owner` array holds the identity value of each
     image seen (or -1). After block 0, a block reads it at its images, and
     stops there when every value matches; a clash with an earlier block
     shows as a value that differs from one already set. The block then
@@ -83,14 +90,13 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     ident = G.identity()
     if ident not in N or any(G.inv(n) not in N for n in N):
         raise InvalidInputError("candidate memory must be symmetric and contain 1")
-    W, pos = product_window(G, N, tau.memory)
-    if ident not in W:  # tau does not read the identity cell on N; the scan does
-        W = FiniteSubset._trusted(G, (*W, ident))
-        pos += pos >= W.index_of(ident)
-    smap = tau.rule.map
-
-    if smap.is_matrix:
+    W, pos = _scan_window(G, N, tau.memory)
+    if tau.rule.map.is_matrix:
         return _determinacy_linear(tau, N, W, pos)
+    live = _live_rule(tau.rule, A.size ** len(W))
+    if live is not tau.rule:
+        W, pos = _scan_window(G, N, live.memory)
+    smap = live.map
 
     check_size(A.size ** len(N), "inverse rule table")
     check_size(A.size ** len(W), "determinacy scan")
@@ -115,12 +121,30 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     return DeterminacyResult(rule=rule, witness=None)
 
 
+def _scan_window(G, N, memory):
+    """(W, pos): W = N*memory and 1, pos[i, j] the position of N[i]*memory[j] in W."""
+    W, pos = product_window(G, N, memory)
+    ident = G.identity()
+    if ident not in W:  # the rule does not read the identity cell on N; the scan does
+        W = FiniteSubset._trusted(G, (*W, ident))
+        pos += pos >= W.index_of(ident)
+    return W, pos
+
+
 def _witness(tau, N, W, rows) -> DeterminacyResult:
-    """The witness pair over N*M': the two rows of digits on W, 0 elsewhere."""
-    wide = set_product(tau.universe, N, symmetrize(tau.universe, tau.memory))
+    """The witness pair over N*M': the two rows of digits on W, 0 elsewhere.
+
+    N*M' is built in one pass, as `set_product(G, N, symmetrize(G, M))`
+    would build it; the digits are Python ints, so the patterns take them
+    unchecked.
+    """
+    G = tau.universe
+    mul, sym = G.mul, {G.identity(), *tau.memory, *map(G.inv, tau.memory)}
+    wide = FiniteSubset._trusted(G, {mul(n, m) for n in N for m in sym})
     pair = np.zeros((2, len(wide)), dtype=np.int64)
-    pair[:, [wide.index_of(w) for w in W]] = rows
-    return DeterminacyResult(rule=None, witness=tuple(Pattern(wide, r) for r in pair))
+    pair[:, np.fromiter(map(wide._index.__getitem__, W), dtype=np.int64, count=len(W))] = rows
+    witness = tuple(Pattern._trusted(wide, tuple(row)) for row in pair.tolist())
+    return DeterminacyResult(rule=None, witness=witness)
 
 
 def _first_conflict(blocks, start, keys, vals, seen, scratch) -> tuple:

@@ -186,6 +186,38 @@ def random_pointed_table(rng, A, arity):
     return table
 
 
+def planted_table(rng, A, arity, live):
+    """A seeded pointed table of `arity` inputs that reads only those in `live`."""
+    q = A.size
+    table = random_pointed_table(rng, A, len(live))
+    axes = [q if j in live else 1 for j in range(arity)]
+    return np.broadcast_to(table.reshape(axes), (q,) * arity).ravel()
+
+
+def cyclic_alphabet(n, identity):
+    """Z/n as a group alphabet whose identity is the index `identity`."""
+    label = [(k + identity) % n for k in range(n)]  # label[k]: the index of k in Z/n
+    table = [[0] * n for _ in range(n)]
+    for a, b in itertools.product(range(n), repeat=2):
+        table[label[a]][label[b]] = label[(a + b) % n]
+    return sy.Alphabet.group(table)
+
+
+def oracle_live_inputs(smap):
+    """The inputs a table rule reads, by brute force: input j is read when
+    setting digit j of some input tuple to 0 changes the value."""
+    q, m = smap.alphabet.size, smap.arity
+    X = np.array(list(itertools.product(range(q), repeat=m)), dtype=np.int64).reshape(-1, m)
+    rt = q ** np.arange(m - 1, -1, -1, dtype=np.int64)
+    live = []
+    for j in range(m):
+        Y = X.copy()
+        Y[:, j] = 0
+        if (smap.table[X @ rt] != smap.table[Y @ rt]).any():
+            live.append(j)
+    return live
+
+
 def oracle_determinacy_witness(tau, N):
     """Unchunked determinacy scan: the first conflict pair as value tuples.
 

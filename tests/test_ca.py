@@ -12,7 +12,10 @@ from symba.errors import EmptyWindowError, InvalidInputError, ResourceCapError
 from conftest import (
     make_table_ca,
     oracle_evolve,
+    cyclic_alphabet,
     oracle_left_identity,
+    oracle_live_inputs,
+    planted_table,
     random_pointed_table,
     symmetric_table,
     xor_ca,
@@ -256,20 +259,146 @@ def test_inverse_checks_over_two_blocks(Z, bit):
 
 
 @pytest.mark.parametrize("q", [1, 2, 3])
-def test_inverse_checks_when_the_product_memory_misses_the_identity(Z, q):
+def test_inverse_checks_when_the_product_memory_misses_the_identity(Z, q, monkeypatch):
     """Shifts by 1 compose to the shift by 2: the identity only when A has
     one value. That verdict comes before the composite table's cap, which
-    applies only to a pair whose product holds the identity."""
+    applies only to a pair whose live product holds the identity.
+
+    Shifts by 11 and -11 written over {1, ..., 11} and {-11, ..., -1} read
+    one cell each: their live product is {0}, so the pair is decided, though
+    its written product {-10, ..., 10} passes the cap. Seeded dense tables
+    over the same memories read every cell and still meet the cap. The
+    oracle, which enumerates the written product, checks the same shape
+    over 6 cells each under a cap of 2^10.
+    """
     A = sy.Alphabet.plain(q)
     shift = sy.projection_ca(Z, A, (1,))
     assert sy.check_left_inverse(shift, shift) == sy.check_right_inverse(shift, shift) == (q == 1)
     bit = sy.Alphabet.plain(2)
-    ahead = make_table_ca(Z, bit, [(i,) for i in range(1, 12)], np.arange(1 << 11) & 1)
-    behind = make_table_ca(Z, bit, [(-i,) for i in range(1, 12)], np.arange(1 << 11) & 1)
+    rng = np.random.default_rng([q, 31])
+
+    def pair(m):
+        ahead = make_table_ca(Z, bit, [(i,) for i in range(1, m + 1)], np.arange(1 << m) & 1)
+        behind = make_table_ca(Z, bit, [(-i,) for i in range(1, m + 1)], np.arange(1 << m) >> (m - 1))
+        dense = [make_table_ca(Z, bit, ca.memory, random_pointed_table(rng, bit, m)) for ca in (behind, ahead)]
+        return behind, ahead, dense
+
+    behind, ahead, (dense_behind, dense_ahead) = pair(11)
     for check in (sy.check_left_inverse, sy.check_right_inverse):
         assert check(ahead, ahead) is False  # memory {2, ..., 22}: no scan, no cap
+        assert check(behind, ahead) is True
         with pytest.raises(ResourceCapError, match=r"^composite rule table would have 2097152 entries, cap is 1048576$"):
-            check(behind, ahead)  # memory {-10, ..., 10}
+            check(dense_behind, dense_ahead)  # memory {-10, ..., 10}, every cell live
+
+    behind, ahead, (dense_behind, dense_ahead) = pair(6)
+    monkeypatch.setenv("SYMBA_CAP", str(1 << 10))
+    assert sy.check_left_inverse(behind, ahead) is oracle_left_identity(behind, ahead, [Z.identity()])
+    assert sy.check_right_inverse(behind, ahead) is oracle_left_identity(ahead, behind, [Z.identity()])
+    assert sy.check_left_inverse(behind, ahead) is True
+    for check in (sy.check_left_inverse, sy.check_right_inverse):
+        with pytest.raises(ResourceCapError, match=r"^composite rule table would have 2048 entries, cap is 1024$"):
+            check(dense_behind, dense_ahead)
+
+
+def test_widened_shift_pair_past_the_cap_is_decided(Z, bit):
+    """The shift pair widened to ball(6): 2^25 windows over the written
+    product ball(12), past the default cap, but each rule reads one cell,
+    so both checks scan the two windows of the live product {0}."""
+    wide = sy.ball(Z, 6)
+    tau, sigma = (
+        sy.CellularAutomaton(Z, bit, sy.extend_memory(sy.projection_ca(Z, bit, g).rule, wide))
+        for g in [(1,), (-1,)]
+    )
+    assert len(sy.set_product(Z, wide, wide)) == 25
+    assert sy.check_left_inverse(sigma, tau) is True
+    assert sy.check_right_inverse(sigma, tau) is True
+    assert sy.check_left_inverse(tau, tau) is False  # live product {2}
+
+
+def _logged_scans(monkeypatch):
+    """A log of the cell count of each window scan walked."""
+    kernel = sy.StructuredMap.window_codes
+    scans = []
+
+    def logged(self, pos, n_cells):
+        scans.append(n_cells)
+        yield from kernel(self, pos, n_cells)
+
+    monkeypatch.setattr(sy.StructuredMap, "window_codes", logged)
+    return scans
+
+
+# (universe, sigma's memory, tau's memory): written products of 7 to 9 cells
+_DEAD_INPUT_PAIRS = [
+    ("Z", [(-2,), (-1,), (0,), (1,)], [(-1,), (0,), (1,), (2,)]),
+    ("Z", [(-3,), (-1,), (0,), (2,)], [(-1,), (1,), (3,)]),
+    ("Z2", [(0, 0), (0, -1), (-1, 0)], [(0, 0), (0, 1), (1, 0)]),
+    ("F2", [(), (-1,), (2,)], [(), (1,), (-2,)]),
+]
+
+
+@pytest.mark.parametrize("alphabet", ["q1", "q2", "q3", "group"])
+def test_inverse_checks_on_live_cells_match_the_oracle(Z, Z2, F2, alphabet, monkeypatch):
+    """Seeded tables with planted dead inputs on Z, Z^2 and F_2, under a cap
+    of max(|A|, 2)^5 windows, so every written product is read over its live
+    cells: random tables, shift pairs that are inverses (each a pointed
+    permutation of one cell, the other cells dead), constant rules and an
+    arity-0 rule, over |A| = 1, 2, 3 and a group alphabet whose identity
+    is index 2. Both checks agree with the oracle, which enumerates the
+    written product, and scan the product of the cells each table reads
+    (found by brute force), or nothing when it misses the identity; with
+    one value no scan passes the cap."""
+    A = {"q1": sy.Alphabet.plain(1), "q2": sy.Alphabet.plain(2), "q3": sy.Alphabet.plain(3),
+         "group": cyclic_alphabet(3, 2)}[alphabet]
+    q = A.size
+    monkeypatch.setenv("SYMBA_CAP", str(max(q, 2) ** 5))
+    scans = _logged_scans(monkeypatch)
+    rng = np.random.default_rng([q, 31])
+    verdicts, narrowed = set(), 0
+    for name, mem_s, mem_t in _DEAD_INPUT_PAIRS:
+        G = {"Z": Z, "Z2": Z2, "F2": F2}[name]
+        ms, mt = sy.FiniteSubset(G, mem_s), sy.FiniteSubset(G, mem_t)
+        written = len(sy.set_product(G, ms, mt))
+        cases = []
+        for _ in range(4):
+            live_s = sorted(rng.choice(len(ms), size=int(rng.integers(1, 3)), replace=False).tolist())
+            live_t = sorted(rng.choice(len(mt), size=int(rng.integers(1, 3)), replace=False).tolist())
+            cases.append((planted_table(rng, A, len(ms), live_s), planted_table(rng, A, len(mt), live_t)))
+        for j in range(len(mt)):  # tau a permutation of cell mt[j], sigma its inverse at mt[j]^-1
+            g = mt[j]
+            if G.inv(g) not in ms:
+                continue
+            perm, e = rng.permutation(q), A.basepoint
+            k = int(np.flatnonzero(perm == e)[0])
+            perm[[e, k]] = perm[[k, e]]  # perm fixes the basepoint
+            i = ms.index_of(G.inv(g))
+            cases.append((np.argsort(perm)[_digit(q, len(ms), i)], perm[_digit(q, len(mt), j)]))
+        cases.append((np.full(q ** len(ms), A.basepoint), planted_table(rng, A, len(mt), [0, 1])))
+        for tab_s, tab_t in cases:
+            sigma, tau = make_table_ca(G, A, mem_s, tab_s), make_table_ca(G, A, mem_t, tab_t)
+            for check, first, second in [(sy.check_left_inverse, sigma, tau), (sy.check_right_inverse, tau, sigma)]:
+                scans.clear()
+                want = oracle_left_identity(first, second, [G.identity()])
+                assert check(sigma, tau) is want
+                verdicts.add(want)
+                read = sy.set_product(G, *(
+                    sy.FiniteSubset(G, [ca.memory[j] for j in oracle_live_inputs(ca.rule.map)]) for ca in (first, second)
+                ))
+                if q == 1:
+                    assert scans == [written]
+                else:
+                    assert scans == ([len(read)] if G.identity() in read else [])
+                    narrowed += len(read) < written
+        empty = sy.CellularAutomaton(G, A, sy.LocalRule(sy.FiniteSubset(G, []), sy.StructuredMap(A, 0, table=[A.basepoint])))
+        for check in (sy.check_left_inverse, sy.check_right_inverse):
+            assert check(empty, tau) is check(tau, empty) is (q == 1)
+    assert verdicts == ({True} if q == 1 else {True, False})
+    assert (narrowed > 0) == (q > 1)
+
+
+def _digit(q, arity, j):
+    """The digit of input j of every index of a table over `arity` inputs."""
+    return np.arange(q**arity) // q ** (arity - 1 - j) % q
 
 
 def test_check_left_inverse_matches_brute_force_oracle(Z, F2, bit):

@@ -48,6 +48,21 @@ def test_check_inverse_decides_a_product_without_the_identity_before_its_cap(tmp
     assert code == 1 and report["outcome"] == {"left": False}
 
 
+def test_check_inverse_decides_a_widened_pair_past_the_cap_on_its_live_cells(tmp_path, capsys, Z, bit):
+    """The shift pair written over ball(6): the written product ball(12)
+    would be a 2^25-window scan, past the cap, but each table reads one
+    cell, so both sides are decided on the live product {0}."""
+    paths = []
+    for g in [(1,), (-1,)]:
+        rule = sy.extend_memory(sy.projection_ca(Z, bit, g).rule, sy.ball(Z, 6))
+        paths.append(tmp_path / f"shift{g[0]}.json")
+        paths[-1].write_text(serialize.canonical_dumps(serialize.ca_to_json(sy.CellularAutomaton(Z, bit, rule))))
+    tau, sigma = map(str, paths)
+    code, report = run(capsys, "check-inverse", "--sigma", sigma, "--tau", tau, "--side", "both")
+    assert code == report["exit_code"] == 0
+    assert report["outcome"] == {"left": True, "right": True}
+
+
 def test_check_inverse_pass_and_fail(files, capsys):
     code, report = run(
         capsys, "check-inverse", "--sigma", files["sigma"], "--tau", files["tau"]

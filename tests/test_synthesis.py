@@ -10,9 +10,12 @@ from symba import alphabets
 from symba.errors import InvalidInputError, UnsupportedSubgroupError
 
 from conftest import (
+    cyclic_alphabet,
     make_table_ca,
     oracle_determinacy_table,
     oracle_determinacy_witness,
+    oracle_live_inputs,
+    planted_table,
     random_pointed_table,
     symmetric_table,
     xor_ca,
@@ -317,6 +320,71 @@ def test_determinacy_on_asymmetric_memories_matches_oracle(Z, Z2, F2, q, monkeyp
     # at q = 3 the oracle over N*sym(M) is too large for M = {-4, -3}
     assert places == {"leading", "middle"} | ({"trailing"} if q == 2 else set())
     assert outcomes == {True, False}
+
+
+# (universe, radius of N, memory): written scans of 8 to 10 cells
+_DEAD_INPUT_SCANS = [
+    ("Z", 1, [(-3,), (-2,), (-1,), (0,), (1,), (2,), (3,)]),
+    ("Z", 1, [(1,), (2,), (3,), (4,), (5,), (6,), (7,)]),
+    ("Z2", 1, [(0, 0), (0, 1), (1, 0)]),
+    ("F2", 1, [(), (1,)]),
+]
+
+
+@pytest.mark.parametrize("alphabet", ["q1", "q2", "q3", "group"])
+def test_determinacy_on_live_cells_matches_oracle(Z, Z2, F2, alphabet, monkeypatch):
+    """Seeded tables with planted dead inputs on Z, Z^2 and F_2, over |A| =
+    1, 2, 3 and a group alphabet whose identity is index 1, each under a cap
+    one cell short of its written scan N*M and 1. Past the cap, the scan
+    reads N*M'' and 1, M'' the cells the table reads (found by brute
+    force), and counts that window against the cap; the table, or the
+    witness over N*sym(M), is the oracle's, which scans all of N*sym(M).
+    Random tables, cell-permutive ones on a plain alphabet, a pointed
+    permutation of one cell, a constant rule and an arity-0 rule; a table
+    that reads every cell is still refused."""
+    A = {"q1": sy.Alphabet.plain(1), "q2": sy.Alphabet.plain(2), "q3": sy.Alphabet.plain(3),
+         "group": cyclic_alphabet(3, 1)}[alphabet]
+    q = A.size
+    scans = []
+    kernel = alphabets.StructuredMap.window_codes
+    logged = lambda self, pos, n_cells: scans.append(n_cells) or kernel(self, pos, n_cells)
+    monkeypatch.setattr(alphabets.StructuredMap, "window_codes", logged)
+    rng = np.random.default_rng([q, 31])
+    outcomes, capped = set(), 0
+    for name, r, memory in _DEAD_INPUT_SCANS:
+        G = {"Z": Z, "Z2": Z2, "F2": F2}[name]
+        N, M = sy.ball(G, r), sy.FiniteSubset(G, memory)
+        if q ** len(sy.set_product(G, N, sy.symmetrize(G, M))) > 1 << 15:
+            continue  # the oracle's scan of N*sym(M): Z^2 and F_2 at |A| = 3
+        m, W = len(M), _scan_window(G, N, memory)
+        tables = [np.full(q**m, A.basepoint), random_pointed_table(rng, A, m)]
+        for _ in range(6):
+            live = sorted(rng.choice(m, size=int(rng.integers(1, min(m, 4))), replace=False).tolist())
+            tables.append(planted_table(rng, A, m, live))
+            if not A.is_group:
+                spread = _permutive_table(rng, q, len(live)).reshape([q if j in live else 1 for j in range(m)])
+                tables.append(np.broadcast_to(spread, (q,) * m).ravel())
+            perm, e = rng.permutation(q), A.basepoint
+            k = int(np.flatnonzero(perm == e)[0])
+            perm[[e, k]] = perm[[k, e]]  # perm fixes the basepoint
+            tables.append(perm[np.arange(q**m) // q ** (m - 1 - live[0]) % q])
+        monkeypatch.setenv("SYMBA_CAP", str(max(q, 2) ** (len(W) - 1)))
+        for table in tables:
+            tau = make_table_ca(G, A, memory, table)
+            live = [M[j] for j in oracle_live_inputs(tau.rule.map)]
+            read = W if q == 1 else _scan_window(G, N, live)
+            scans.clear()
+            if q ** len(read) > max(q, 2) ** (len(W) - 1):
+                with pytest.raises(sy.ResourceCapError, match=f"^determinacy scan would have {q ** len(read)} entries"):
+                    sy.determinacy_check(tau, N)
+                capped += 1
+                continue
+            outcomes.add(_assert_matches_oracle(tau, N) is None)
+            assert scans[0] == len(read)
+    empty = make_table_ca(Z, A, [], [A.basepoint])
+    assert (_assert_matches_oracle(empty, sy.ball(Z, 2)) is None) == (q == 1)
+    assert outcomes == ({True} if q == 1 else {True, False})
+    assert (capped > 0) == (q > 1)
 
 
 def test_matrix_determinacy_on_asymmetric_memories(Z, Z2, F2, monkeypatch):
