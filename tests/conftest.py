@@ -194,6 +194,14 @@ def planted_table(rng, A, arity, live):
     return np.broadcast_to(table.reshape(axes), (q,) * arity).ravel()
 
 
+def pointed_permutation(rng, A):
+    """A seeded permutation of A's indices that fixes the basepoint."""
+    perm, e = rng.permutation(A.size), A.basepoint
+    k = int(np.flatnonzero(perm == e)[0])
+    perm[[e, k]] = perm[[k, e]]
+    return perm
+
+
 def cyclic_alphabet(n, identity):
     """Z/n as a group alphabet whose identity is the index `identity`."""
     label = [(k + identity) % n for k in range(n)]  # label[k]: the index of k in Z/n

@@ -16,6 +16,7 @@ from conftest import (
     oracle_left_identity,
     oracle_live_inputs,
     planted_table,
+    pointed_permutation,
     random_pointed_table,
     symmetric_table,
     xor_ca,
@@ -231,10 +232,12 @@ def test_is_identity_at_every_identity_position(Z, F2, q, where):
 def test_inverse_checks_over_two_blocks(Z, bit):
     """2^17-window composites, scanned in two blocks of 2^16.
 
-    The shift pair widened to ball(4) composes over ball(8) to the identity.
+    The shift pair widened to ball(4) composes over ball(8) to the identity
+    (each rule reads one cell, so it is decided on the live product {0}).
     Against the identity automaton, a rule over ball(8) is its own
     composite, so one wrong entry in the first or the last block of the
-    projection onto the identity cell must be found.
+    projection onto the identity cell must be found: that entry makes every
+    cell live, so the scan covers both blocks.
     """
     wide = sy.ball(Z, 4)
     tau, sigma = (
@@ -368,9 +371,7 @@ def test_inverse_checks_on_live_cells_match_the_oracle(Z, Z2, F2, alphabet, monk
             g = mt[j]
             if G.inv(g) not in ms:
                 continue
-            perm, e = rng.permutation(q), A.basepoint
-            k = int(np.flatnonzero(perm == e)[0])
-            perm[[e, k]] = perm[[k, e]]  # perm fixes the basepoint
+            perm = pointed_permutation(rng, A)
             i = ms.index_of(G.inv(g))
             cases.append((np.argsort(perm)[_digit(q, len(ms), i)], perm[_digit(q, len(mt), j)]))
         cases.append((np.full(q ** len(ms), A.basepoint), planted_table(rng, A, len(mt), [0, 1])))

@@ -16,6 +16,7 @@ from conftest import (
     oracle_determinacy_witness,
     oracle_live_inputs,
     planted_table,
+    pointed_permutation,
     random_pointed_table,
     symmetric_table,
     xor_ca,
@@ -364,9 +365,7 @@ def test_determinacy_on_live_cells_matches_oracle(Z, Z2, F2, alphabet, monkeypat
             if not A.is_group:
                 spread = _permutive_table(rng, q, len(live)).reshape([q if j in live else 1 for j in range(m)])
                 tables.append(np.broadcast_to(spread, (q,) * m).ravel())
-            perm, e = rng.permutation(q), A.basepoint
-            k = int(np.flatnonzero(perm == e)[0])
-            perm[[e, k]] = perm[[k, e]]  # perm fixes the basepoint
+            perm = pointed_permutation(rng, A)
             tables.append(perm[np.arange(q**m) // q ** (m - 1 - live[0]) % q])
         monkeypatch.setenv("SYMBA_CAP", str(max(q, 2) ** (len(W) - 1)))
         for table in tables:
