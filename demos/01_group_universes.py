@@ -13,13 +13,15 @@ Z2 = sy.FreeAbelianGroup(2)
 F2 = sy.FreeGroup(2)
 
 print("== integers ==")
-print("2 * 3 ->", sy.element_mul(Z, (2,), (3,)))
+Z.validate((2,))  # a malformed encoding raises InvalidInputError
+print("2 * 3 ->", Z.mul((2,), (3,)))
 print("ball of radius 2:", list(sy.ball(Z, 2)))
 
 print()
 print("== free group on a, b (letters 1, 2; negatives are inverses) ==")
-print("a * a^-1 ->", sy.element_mul(F2, (1,), (-1,)))
-print("(ab)^-1  ->", sy.element_inv(F2, (1, 2)))
+F2.validate((1, 2))  # reduced words only: (1, -1) is refused
+print("a * a^-1 ->", F2.mul((1,), (-1,)))
+print("(ab)^-1  ->", F2.inv((1, 2)))
 for r in range(4):
     print(f"|ball({r})| =", len(sy.ball(F2, r)))
 
@@ -42,7 +44,7 @@ print("radius-2 ball of <a^2>:", list(sy.generated_ball(F2, S2, 2)))
 print()
 print("== a finite universe from a multiplication table ==")
 z5 = sy.FiniteGroup.cyclic(5)
-print("3 * 4 mod 5 ->", sy.element_mul(z5, 3, 4))
+print("3 * 4 mod 5 ->", z5.mul(3, 4))
 print("whole group reached at radius 1:", list(sy.ball(z5, 1)))
 
 print()

@@ -43,20 +43,14 @@ print("found:", res.found, "at radius", res.radius, "- rule stays a matrix famil
       res.ca.rule.map.is_matrix)
 
 print()
-print("== restriction to the subgroup the memory generates ==")
+print("== a rule on one axis of Z^2 pays for one row, not the plane ==")
 Z2 = sy.FreeAbelianGroup(2)
-axis_shift = sy.projection_ca(Z2, bits, (1, 0))
-restricted = sy.restrict_to_memory_subgroup(axis_shift)
-print("a rule over Z^2 reading only along the x-axis re-bases onto",
-      restricted.universe)
-stretched = sy.CellularAutomaton(
-    Z2,
-    sy.Alphabet.module(2, 1),
-    sy.LocalRule(
-        sy.FiniteSubset(Z2, [(2, 0)]),
-        sy.StructuredMap(sy.Alphabet.module(2, 1), 1, matrices=[[[1]]]),
-    ),
-)
-r2 = sy.restrict_to_memory_subgroup(stretched)
-print("memory {(2,0)} re-bases onto", r2.universe, "with memory", list(r2.memory))
-print("(the doubled lattice rescales: radius 2 upstairs is radius 1 downstairs)")
+C, _ = sy.random_invertible_matrix(Z, 2, 2, 1, 2, factors=3)
+line = sy.to_linear_ca(C, Z, A)
+cells = sy.FiniteSubset(Z2, [(m[0], 0) for m in line.memory])
+table = line.rule.map.expand_table().table
+axis = sy.CellularAutomaton(Z2, sy.Alphabet.plain(4), sy.LocalRule(
+    cells, sy.StructuredMap(sy.Alphabet.plain(4), len(cells), table=table)))
+res = sy.synthesize_left_inverse(axis, 2)
+print("a 4-symbol table reading", list(cells), "inverts at radius", res.radius)
+print("(the scan reads the identity's row of the window: 4^5 windows, not 4^11)")

@@ -39,7 +39,6 @@ from .errors import (
     SymbaError,
     UncertifiedInverseError,
     UnsupportedModulusError,
-    UnsupportedSubgroupError,
 )
 from .groupring import (
     GroupRingElement,
@@ -60,8 +59,6 @@ from .groups import (
     ProductGroup,
     SymmetricGroup,
     ball,
-    element_inv,
-    element_mul,
     generated_ball,
     product_window,
     set_product,
@@ -71,7 +68,6 @@ from .synthesis import (
     DeterminacyResult,
     SynthesisResult,
     determinacy_check,
-    restrict_to_memory_subgroup,
     synthesize_left_inverse,
 )
 from .transport import (

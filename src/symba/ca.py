@@ -171,6 +171,13 @@ def extend_memory(rule: LocalRule, bigger: FiniteSubset) -> LocalRule:
     return LocalRule(bigger, rule.map.reindexed(cols, len(bigger)))
 
 
+def _large_scan(windows: int) -> bool:
+    """True when a scan of `windows` windows would pass one block or the
+    enumeration cap: the scans that first read table rules over their live
+    cells."""
+    return windows > min(_SCAN_CHUNK, enumeration_cap())
+
+
 def _live_rule(rule: LocalRule, windows: int) -> LocalRule:
     """The rule read over its live cells, for a scan of `windows` windows
     that would pass one block or the enumeration cap; else the rule itself.
@@ -185,7 +192,7 @@ def _live_rule(rule: LocalRule, windows: int) -> LocalRule:
     Nothing is kept between calls.
     """
     smap = rule.map
-    if smap.is_matrix or windows <= min(_SCAN_CHUNK, enumeration_cap()):
+    if smap.is_matrix or not _large_scan(windows):
         return rule
     q, table, live = smap.alphabet.size, smap.table, []
     for j in range(smap.arity):
@@ -308,11 +315,19 @@ def evolve(tau: CellularAutomaton, p: Pattern, steps: int) -> Pattern:
     A step keeps each g = e * M[0]^-1 (e in the window) with all of g * M in
     the window; the positions of those products, each computed once, are the
     cells the rule reads. A window need not shrink (a shift keeps its size),
-    so steps * |window| * |M| reads are capped before the first step.
+    so steps * |window| * |M| reads are capped before the first step. Zero
+    steps return the window as it is; a rule with an empty memory is
+    refused for any other count, since every cell of G would stay.
     """
     if steps < 0:
         raise InvalidInputError(f"steps must be >= 0, got {steps}")
     G, M, smap = tau.universe, tau.memory, tau.rule.map
+    if not steps:
+        return p
+    if not len(M):
+        raise InvalidInputError(
+            "cannot evolve a rule with an empty memory: every cell of the universe would stay in the window"
+        )
     check_size(steps * len(p.domain) * len(M), "evolve cell reads")
     mul, anchor = G.mul, G.inv(M[0])
     for _ in range(steps):

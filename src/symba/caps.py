@@ -23,7 +23,8 @@ its table rules read: once the inverse checks or determinacy would scan
 more than one block (2^16 windows) or the cap over the written memories,
 each table rule is first read over its live cells, and the scan and the
 cap count those (x_{g+1} written over {1, 2} scans 2^19 windows on
-N = ball(9), not 2^20). The same cap
+N = ball(9), not 2^20); determinacy counts only the cells linked to the
+identity cell through the windows of N. The same cap
 stops finite-group multiplication tables at order 1024, n^2 <= 2^20
 (`FiniteGroup.cyclic` builds Z/192 in about 0.1 ms and Z/1024 in about 6 ms).
 

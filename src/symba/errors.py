@@ -30,10 +30,6 @@ class UnsupportedModulusError(InvalidInputError):
     """Operation needs a prime modulus but got a composite one."""
 
 
-class UnsupportedSubgroupError(InvalidInputError):
-    """Memory does not lie in a recognizable standard subgroup."""
-
-
 class EmptyWindowError(SymbaError):
     """Window dynamics shrank the domain to nothing before finishing."""
 

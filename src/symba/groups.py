@@ -575,19 +575,6 @@ class FiniteSubset(_Keyed):
         return f"FiniteSubset[{shown}{more}]"
 
 
-def element_mul(G: Group, a: Elem, b: Elem) -> Elem:
-    """Product ab in canonical form."""
-    G.validate(a)
-    G.validate(b)
-    return G.mul(a, b)
-
-
-def element_inv(G: Group, a: Elem) -> Elem:
-    """Inverse of a in canonical form."""
-    G.validate(a)
-    return G.inv(a)
-
-
 def _bfs(G: Group, seeds: list[Elem], rounds: int) -> FiniteSubset:
     cap = enumeration_cap()
     seen = {G.identity()}

@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from contextlib import contextmanager
 
+import numpy as np
+
 from .alphabets import Alphabet, StructuredMap
 from .ca import CellularAutomaton, LocalRule, Pattern
 from .errors import InvalidInputError, json_int
@@ -108,6 +110,8 @@ def structured_map_from_json(data, alphabet: Alphabet) -> StructuredMap:
         return StructuredMap(alphabet, arity, table=table)
     if "matrices" in data:
         matrices = _int_array(data["matrices"], 3, "matrices")
+        if not matrices and alphabet.is_module:  # numpy would read [] as shape (0,)
+            matrices = np.zeros((0, alphabet.dim, alphabet.dim), dtype=np.int64)
         return StructuredMap(alphabet, arity, matrices=matrices)
     raise InvalidInputError("map JSON needs a table or matrices")
 

@@ -4,8 +4,11 @@ The core scan asks, for a candidate inverse memory N, whether the window
 image of the rule on N determines the value at the identity cell. A conflict
 (two windows with equal images but different center values) is a witness
 that no inverse with memory N exists; no conflict yields an inverse rule
-directly, with the basepoint filled in off the image. Radius-increasing
-search over balls turns this into a bounded-radius decision procedure.
+directly, with the basepoint filled in off the image. A large table scan
+reads only the windows of N linked to the identity cell through shared
+cells, so a memory inside a proper subgroup pays for one coset, not all of
+the universe. Radius-increasing search over balls turns this into a
+bounded-radius decision procedure.
 """
 
 from __future__ import annotations
@@ -20,22 +23,13 @@ from .ca import (
     CellularAutomaton,
     LocalRule,
     Pattern,
+    _large_scan,
     _live_rule,
     check_left_inverse,
-    window_positions,
 )
 from .caps import check_size
-from .errors import InvalidInputError, UnsupportedSubgroupError
-from .groups import (
-    FiniteGroup,
-    FiniteSubset,
-    FreeAbelianGroup,
-    FreeGroup,
-    ProductGroup,
-    ball,
-    generated_ball,
-    product_window,
-)
+from .errors import InvalidInputError
+from .groups import FiniteSubset, ball, product_window
 
 
 @dataclass(frozen=True)
@@ -70,10 +64,19 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
 
     A window takes its row of `product_window(G, N, M)`; the identity joins
     W when N*M misses it. When that scan would pass one block or the cap, a
-    table rule is first read over its live cells M'' (`ca._live_rule`), so
-    that W = N*M'' and 1, and the cap counts that window. Witnesses are
-    padded with digit 0 to N*M', built only then: zeroing cells tau does
-    not read keeps each image, so the first conflict over N*M' is 0 there.
+    table rule is first read over its live cells M'' (`ca._live_rule`), and
+    only the rows N_C of N whose windows link to the identity cell through
+    shared cells are kept (`_identity_component`), so that W = N_C*M'' and
+    1, and the cap counts that window. The rows off N_C read only cells
+    that no row of N_C reads, so they do not bear on the identity value
+    (Ceccherini-Silberstein & Coornaert, ch. 1: the cosets of the subgroup
+    the memory generates). A determined table over N_C is read back over N:
+    a determined tau is injective, hence surjective (every universe here is
+    sofic), so every pattern on N is an image and the table over N would
+    be constant off N_C. Witnesses are padded with digit 0 to N*M', built
+    only then: zeroing the cells tau does not read, or those off the
+    component, on both windows of a conflict keeps it a conflict and moves
+    it no later, so the first conflict over N*M' is 0 there.
     A table scan costs O(windows) per block of `window_codes`, with no sort
     and no division per window. One `owner` array holds the identity value of each
     image seen (or -1). After block 0, a block reads it at its images, and
@@ -93,15 +96,16 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     W, pos = _scan_window(G, N, tau.memory)
     if tau.rule.map.is_matrix:
         return _determinacy_linear(tau, N, W, pos)
-    live = _live_rule(tau.rule, A.size ** len(W))
-    if live is not tau.rule:
-        W, pos = _scan_window(G, N, live.memory)
-    smap = live.map
+    smap, rows = tau.rule.map, None  # None: every row of N
+    if _large_scan(A.size ** len(W)):
+        live = _live_rule(tau.rule, A.size ** len(W))
+        smap = live.map
+        W, pos, rows = _identity_component(G, N, live.memory)
 
     check_size(A.size ** len(N), "inverse rule table")
     check_size(A.size ** len(W), "determinacy scan")
     n = len(W)
-    owner = np.full(A.size ** len(N), -1, dtype=np.int64)
+    owner = np.full(A.size ** len(pos), -1, dtype=np.int64)
     blocks = smap.window_codes(pos, n)
     for start, keys, vals in cell_digits(blocks, A.size, n, W.index_of(ident)):
         seen = None  # block 0 meets no earlier image
@@ -117,8 +121,10 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
 
     table = np.where(owner >= 0, owner, A.basepoint)
     table.flags.writeable = False  # handed to the map without a copy
-    rule = LocalRule(N, StructuredMap(A, len(N), table=table))
-    return DeterminacyResult(rule=rule, witness=None)
+    inverse = StructuredMap(A, len(pos), table=table)
+    if len(pos) < len(N):
+        inverse = inverse.reindexed(rows, len(N))
+    return DeterminacyResult(rule=LocalRule(N, inverse), witness=None)
 
 
 def _scan_window(G, N, memory):
@@ -129,6 +135,28 @@ def _scan_window(G, N, memory):
         W = FiniteSubset._trusted(G, (*W, ident))
         pos += pos >= W.index_of(ident)
     return W, pos
+
+
+def _identity_component(G, N, memory):
+    """(W, pos, rows): the rows of N whose windows over `memory` link to the
+    identity cell through shared cells, their cells and 1, and positions.
+
+    A breadth-first walk over the rows of the scan window of `_scan_window`:
+    each step takes every row that reads a cell reached so far, and reaches
+    its cells. `rows` are indices into N, ascending; W keeps the canonical
+    order of the cells reached, and pos[i, j] is the position in W of
+    N[rows[i]]*memory[j].
+    """
+    W, pos = _scan_window(G, N, memory)
+    cells = np.zeros(len(W), dtype=bool)
+    cells[W.index_of(G.identity())] = True
+    rows = np.zeros(len(N), dtype=bool)
+    while (step := ~rows & cells[pos].any(axis=1)).any():
+        rows |= step
+        cells[pos[step]] = True
+    at = np.cumsum(cells) - 1  # a reached cell's position among those reached
+    W = FiniteSubset._trusted(G, [W[i] for i in np.flatnonzero(cells)])
+    return W, at[pos[rows]], np.flatnonzero(rows)
 
 
 def _witness(tau, N, W, rows) -> DeterminacyResult:
@@ -216,108 +244,3 @@ def synthesize_left_inverse(tau: CellularAutomaton, r_max: int) -> SynthesisResu
         witness = res.witness
     return SynthesisResult(ca=None, radius=None, witness=witness)
 
-
-def _hermite_basis(vectors, dim: int) -> list[list[int]]:
-    """Row-echelon basis (not reduced) of the lattice spanned by the vectors."""
-    rows = [list(v) for v in vectors if any(v)]  # the rows not yet in the basis
-    basis: list[list[int]] = []
-    for c in range(dim):
-        live = [i for i, row in enumerate(rows) if row[c]]
-        while len(live) > 1:
-            live.sort(key=lambda i: abs(rows[i][c]))
-            base = rows[live[0]]
-            for i in live[1:]:
-                q = rows[i][c] // base[c]
-                rows[i] = [x - q * y for x, y in zip(rows[i], base)]
-            live = [i for i, row in enumerate(rows) if row[c]]
-        if live:
-            rows[0], rows[live[0]] = rows[live[0]], rows[0]
-            lead = rows.pop(0)
-            basis.append(lead if lead[c] > 0 else [-x for x in lead])
-            rows = [row for row in rows if any(row)]
-    return basis
-
-
-def _lattice_coordinates(basis: list[list[int]], v) -> tuple:
-    """Coordinates of v in the row-echelon basis (v must lie in the lattice)."""
-    v = list(v)
-    coords = []
-    for row in basis:
-        c = next(i for i, x in enumerate(row) if x != 0)
-        if v[c] % row[c] != 0:
-            raise AssertionError("memory vector escaped its own lattice")
-        q = v[c] // row[c]
-        coords.append(q)
-        v = [x - q * y for x, y in zip(v, row)]
-    if any(v):
-        raise AssertionError("memory vector escaped its own lattice")
-    return tuple(coords)
-
-
-def restrict_to_memory_subgroup(tau: CellularAutomaton) -> CellularAutomaton:
-    """Re-base the automaton on the subgroup its memory generates.
-
-    Recognized shapes: sublattices of Z^d (via an exact row-echelon basis,
-    not reduced), free factors and single-generator powers in free groups,
-    and sub-blocks of direct products. For finite universes the subgroup
-    closure is computed outright. Anything else raises
-    UnsupportedSubgroupError.
-    """
-    G = tau.universe
-    M = tau.memory
-
-    if isinstance(G, FreeAbelianGroup):
-        basis = _hermite_basis(M.elems, G.rank)
-        H = FreeAbelianGroup(len(basis))
-        encode = {m: _lattice_coordinates(basis, m) for m in M}
-    elif isinstance(G, FreeGroup):
-        H, encode = _free_subgroup_encoding(G, M)
-    elif isinstance(G, ProductGroup):
-        ident = G.identity()
-        live = [
-            i
-            for i in range(len(G.factors))
-            if any(m[i] != ident[i] for m in M)
-        ]
-        if not live:
-            live = [0]
-        if len(live) == 1:
-            H = G.factors[live[0]]
-            encode = {m: m[live[0]] for m in M}
-        else:
-            H = ProductGroup([G.factors[i] for i in live])
-            encode = {m: tuple(m[i] for i in live) for m in M}
-    elif isinstance(G, FiniteGroup):
-        closure = generated_ball(G, M, G.size)
-        H = FiniteGroup(window_positions(closure, closure, closure))
-        encode = {m: closure.index_of(m) for m in M}
-    else:
-        raise UnsupportedSubgroupError(f"no subgroup re-basing for {G!r}")
-
-    new_memory = FiniteSubset(H, encode.values())
-    cols = [new_memory.index_of(encode[m]) for m in M]
-    rule = LocalRule(new_memory, tau.rule.map.reindexed(cols, len(new_memory)))
-    return CellularAutomaton(H, tau.alphabet, rule)
-
-
-def _free_subgroup_encoding(G: FreeGroup, M: FiniteSubset):
-    """Re-encode free-group memory into a standard subgroup, if recognizable.
-
-    Two supported shapes: all words of length <= 1 (the free factor on the
-    letters used), and all words powers of one generator (an infinite cyclic
-    subgroup, rescaled by the gcd of the exponents).
-    """
-    words = [w for w in M if w]
-    if all(len(w) <= 1 for w in words):
-        letters = sorted({abs(w[0]) for w in words})
-        rename = {s * a: s * (i + 1) for i, a in enumerate(letters) for s in (1, -1)}
-        return FreeGroup(len(letters)), {w: tuple(rename[x] for x in w) for w in M}
-    letters = {abs(x) for w in words for x in w}
-    if len(letters) == 1 and all(len(set(w)) == 1 for w in words):
-        # a^k is the vector (k,) of Z, re-based as a sublattice of Z^d is
-        exps = {m: (len(m) * (1 if m[0] > 0 else -1) if m else 0,) for m in M}
-        basis = _hermite_basis(exps.values(), 1)
-        return FreeAbelianGroup(1), {m: _lattice_coordinates(basis, v) for m, v in exps.items()}
-    raise UnsupportedSubgroupError(
-        "free-group memory is neither inside a free factor nor a single generator's powers"
-    )

@@ -57,6 +57,17 @@ def xor_ca(G, A, cells):
     return make_table_ca(G, A, list(memory), table)
 
 
+def axis_table_ca():
+    """A seeded invertible matrix rule over Z, memory {-1, 0, 1} and
+    alphabet (Z/2)^2, read as a table over 4 plain symbols on the x-axis of
+    Z^2: a rule whose memory lies in a proper subgroup."""
+    Z, Z2 = sy.FreeAbelianGroup(1), sy.FreeAbelianGroup(2)
+    C, _ = sy.random_invertible_matrix(Z, 2, 2, 1, 2, factors=3)
+    line = sy.to_linear_ca(C, Z, sy.Alphabet.module(2, 2))
+    cells = [(m[0], 0) for m in line.memory]
+    return make_table_ca(Z2, sy.Alphabet.plain(4), cells, line.rule.map.expand_table().table)
+
+
 def symmetric_table(n):
     """Multiplication table of the symmetric group on n points."""
     perms = sorted(itertools.permutations(range(n)))
@@ -224,6 +235,21 @@ def oracle_live_inputs(smap):
         if (smap.table[X @ rt] != smap.table[Y @ rt]).any():
             live.append(j)
     return live
+
+
+def oracle_identity_component(G, N, memory):
+    """The cells a large determinacy scan reads, by brute force: starting
+    from {1}, every window g*memory (g in N) that meets the cells gathered
+    so far is merged into them, until no window adds a cell."""
+    windows = [{G.mul(g, m) for m in memory} for g in N]
+    cells, grown = {G.identity()}, True
+    while grown:
+        grown = False
+        for window in windows:
+            if window & cells and not window <= cells:
+                cells |= window
+                grown = True
+    return cells
 
 
 def oracle_determinacy_witness(tau, N):

@@ -13,7 +13,7 @@ import pytest
 import symba as sy
 from symba import cli, serialize
 
-from conftest import make_table_ca, xor_ca
+from conftest import axis_table_ca, make_table_ca, xor_ca
 
 
 @pytest.fixture
@@ -84,6 +84,18 @@ def test_check_inverse_pass_and_fail(files, capsys):
         "left",
     )
     assert code == 0
+
+
+def test_check_inverse_on_arity_zero_matrix_rules_exits_one(tmp_path, capsys, Z):
+    """Two matrix rules that read no cell load from their own JSON; sigma
+    after tau reads no cell either, so it is no identity on (Z/2)^1."""
+    A = sy.Alphabet.module(2, 1)
+    smap = sy.StructuredMap(A, 0, matrices=np.zeros((0, 1, 1), dtype=np.int64))
+    path = tmp_path / "zero.json"
+    zero = sy.CellularAutomaton(Z, A, sy.LocalRule(sy.FiniteSubset(Z, []), smap))
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(zero)))
+    code, report = run(capsys, "check-inverse", "--sigma", str(path), "--tau", str(path))
+    assert code == 1 and report["outcome"] == {"left": False, "right": False}
 
 
 def test_malformed_input_exit_two(files, capsys):
@@ -264,6 +276,16 @@ def test_synthesize_a_shift_by_eight_finds_its_inverse_at_radius_eight(tmp_path,
         capsys, "synthesize-inverse", "--input", str(path), "--max-radius", "8"
     )
     assert code == 0 and report["outcome"] == {"found": True, "radius": 8}
+
+
+def test_synthesize_an_axis_rule_on_z2_finds_radius_one(tmp_path, capsys):
+    """A 4-symbol table reading (-1, 0), (0, 0) and (1, 0) of Z^2: its written
+    radius-1 scan would have 4^11 windows, past the default cap; the scan
+    reads the identity's row only, 4^5 windows."""
+    path = tmp_path / "axis.json"
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(axis_table_ca())))
+    code, report = run(capsys, "synthesize-inverse", "--input", str(path), "--max-radius", "2")
+    assert code == 0 and report["outcome"] == {"found": True, "radius": 1}
 
 
 def test_cap_above_int64_index_range_exit_three(files, capsys, monkeypatch):
@@ -497,6 +519,24 @@ def test_evolve_command(files, capsys, Z, bit):
         capsys, "evolve", "--ca", files["xor"], "--pattern", str(ppath), "--steps", "9"
     )
     assert code == 2
+
+
+def test_evolve_a_rule_with_an_empty_memory(files, capsys, Z):
+    """A rule that reads no cell: zero steps return the window as it is; one
+    step is refused up front, since every cell of Z would stay."""
+    A = sy.Alphabet.plain(2)
+    const = make_table_ca(Z, A, [], [0])
+    cpath, ppath = files["dir"] / "const.json", files["dir"] / "p.json"
+    cpath.write_text(serialize.canonical_dumps(serialize.ca_to_json(const)))
+    p = sy.Pattern(sy.ball(Z, 1), (1, 0, 1))
+    ppath.write_text(serialize.canonical_dumps(serialize.pattern_to_json(p, A)))
+    out = files["dir"] / "same.json"
+    argv = ["evolve", "--ca", str(cpath), "--pattern", str(ppath)]
+    code, report = run(capsys, *argv, "--steps", "0", "--output", str(out))
+    assert code == 0 and report["outcome"] == {"steps": 0, "cells": 3}
+    assert out.read_text() == ppath.read_text()
+    code, report = run(capsys, *argv, "--steps", "1")
+    assert code == 2 and "empty memory" in report["outcome"]["error"]
 
 
 def test_evolve_huge_step_count_exits_three_before_stepping(files, capsys, Z, bit, monkeypatch):

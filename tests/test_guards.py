@@ -9,7 +9,7 @@ import pytest
 import symba as sy
 from symba import cli, serialize
 from symba import linalg
-from symba.errors import InvalidInputError, ResourceCapError, UnsupportedSubgroupError
+from symba.errors import InvalidInputError, ResourceCapError
 
 from conftest import xor_ca
 
@@ -188,12 +188,6 @@ def test_group_ring_operators_and_linear_ca_guards(Z, Z2):
     for A in (sy.Alphabet.module(3, 2), sy.Alphabet.module(5, 1), sy.Alphabet.plain(3)):
         with pytest.raises(InvalidInputError, match="alphabet does not match the matrix shape"):
             sy.to_linear_ca(X, Z, A)
-
-
-def test_memory_subgroup_of_a_symmetric_universe_is_unsupported(bit):
-    S3 = sy.SymmetricGroup(3)
-    with pytest.raises(UnsupportedSubgroupError, match="no subgroup re-basing for"):
-        sy.restrict_to_memory_subgroup(sy.projection_ca(S3, bit, (1, 0, 2)))
 
 
 def test_invert_refuses_a_non_square_matrix():

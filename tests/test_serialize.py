@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 import symba as sy
@@ -66,6 +67,22 @@ def test_module_ca_round_trip(Z):
     data2 = serialize.ca_to_json(expanded)
     assert isinstance(data2["map"]["table"][0], list)
     assert sy.same_action(serialize.ca_from_json(data2), tau)
+
+
+def test_arity_zero_matrix_rule_round_trip(Z):
+    """A matrix rule that reads no cell writes "matrices": [], which loads
+    back as a (0, d, d) family; that list with a nonzero arity is refused."""
+    A = sy.Alphabet.module(3, 2)
+    smap = sy.StructuredMap(A, 0, matrices=np.zeros((0, 2, 2), dtype=np.int64))
+    tau = sy.CellularAutomaton(Z, A, sy.LocalRule(sy.FiniteSubset(Z, []), smap))
+    blob = serialize.canonical_dumps(serialize.ca_to_json(tau))
+    again = serialize.ca_from_json(json.loads(blob))
+    assert again.rule.map.matrices.shape == (0, 2, 2)
+    assert serialize.canonical_dumps(serialize.ca_to_json(again)) == blob
+    data = json.loads(blob)
+    data["memory"], data["map"]["arity"] = [[0]], 1
+    with pytest.raises(InvalidInputError, match=r"need 1 matrices of shape 2x2, got \(0, 2, 2\)"):
+        serialize.ca_from_json(data)
 
 
 def test_ca_memory_must_be_canonical(Z, bit):

@@ -1,4 +1,4 @@
-"""Determinacy scanning, radius search, and subgroup restriction."""
+"""Determinacy scanning and radius search."""
 
 import itertools
 
@@ -7,13 +7,15 @@ import pytest
 
 import symba as sy
 from symba import alphabets
-from symba.errors import InvalidInputError, UnsupportedSubgroupError
+from symba.errors import InvalidInputError
 
 from conftest import (
+    axis_table_ca,
     cyclic_alphabet,
     make_table_ca,
     oracle_determinacy_table,
     oracle_determinacy_witness,
+    oracle_identity_component,
     oracle_live_inputs,
     planted_table,
     pointed_permutation,
@@ -337,9 +339,10 @@ def test_determinacy_on_live_cells_matches_oracle(Z, Z2, F2, alphabet, monkeypat
     """Seeded tables with planted dead inputs on Z, Z^2 and F_2, over |A| =
     1, 2, 3 and a group alphabet whose identity is index 1, each under a cap
     one cell short of its written scan N*M and 1. Past the cap, the scan
-    reads N*M'' and 1, M'' the cells the table reads (found by brute
-    force), and counts that window against the cap; the table, or the
-    witness over N*sym(M), is the oracle's, which scans all of N*sym(M).
+    reads the identity's component of N*M'' and 1, M'' the cells the table
+    reads (both found by brute force), and counts those cells against the
+    cap; the table, or the witness over N*sym(M), is the oracle's, which
+    scans all of N*sym(M).
     Random tables, cell-permutive ones on a plain alphabet, a pointed
     permutation of one cell, a constant rule and an arity-0 rule; a table
     that reads every cell is still refused."""
@@ -371,7 +374,7 @@ def test_determinacy_on_live_cells_matches_oracle(Z, Z2, F2, alphabet, monkeypat
         for table in tables:
             tau = make_table_ca(G, A, memory, table)
             live = [M[j] for j in oracle_live_inputs(tau.rule.map)]
-            read = W if q == 1 else _scan_window(G, N, live)
+            read = W if q == 1 else oracle_identity_component(G, N, live)
             scans.clear()
             if q ** len(read) > max(q, 2) ** (len(W) - 1):
                 with pytest.raises(sy.ResourceCapError, match=f"^determinacy scan would have {q ** len(read)} entries"):
@@ -384,6 +387,92 @@ def test_determinacy_on_live_cells_matches_oracle(Z, Z2, F2, alphabet, monkeypat
     assert (_assert_matches_oracle(empty, sy.ball(Z, 2)) is None) == (q == 1)
     assert outcomes == ({True} if q == 1 else {True, False})
     assert (capped > 0) == (q > 1)
+
+
+# (universe, memory): memories whose windows split, on Z by parity or by
+# distance, on Z^2 by row, on F_2 within and off the powers of a
+_SPLIT_MEMORIES = [
+    ("Z", [(-2,), (0,), (2,)]),
+    ("Z", [(0,), (2,)]),
+    ("Z", [(2,)]),
+    ("Z2", [(-1, 0), (0, 0), (1, 0)]),
+    ("F2", [(1,), (-1,)]),
+    ("F2", [(), (1, 1)]),
+]
+
+
+@pytest.mark.parametrize("alphabet", ["q1", "q2", "q3", "group"])
+def test_determinacy_on_the_identity_component_matches_oracle(Z, Z2, F2, alphabet, monkeypatch):
+    """Seeded planted, cell-permutive, pointed-permutation and constant
+    tables on split memories, N = ball(0) to ball(2), over |A| = 1, 2, 3
+    and a group alphabet whose identity is index 1, each under a cap one
+    cell short of its written scan N*M and 1. Past the cap, the scan reads
+    only the identity's component of N*M'' and 1 (found by brute force),
+    fewer cells than N*M'' and 1 for some tables, and counts those cells
+    against the cap; the table, or the witness over N*sym(M), is the
+    oracle's, which scans all of N*sym(M)."""
+    A = {"q1": sy.Alphabet.plain(1), "q2": sy.Alphabet.plain(2), "q3": sy.Alphabet.plain(3),
+         "group": cyclic_alphabet(3, 1)}[alphabet]
+    q = A.size
+    scans = []
+    kernel = alphabets.StructuredMap.window_codes
+    logged = lambda self, pos, n_cells: scans.append(n_cells) or kernel(self, pos, n_cells)
+    monkeypatch.setattr(alphabets.StructuredMap, "window_codes", logged)
+    rng = np.random.default_rng([q, 32])
+    outcomes, narrowed, capped = set(), 0, 0
+    for name, memory in _SPLIT_MEMORIES:
+        G = {"Z": Z, "Z2": Z2, "F2": F2}[name]
+        M = sy.FiniteSubset(G, memory)
+        m = len(M)
+        for r in range(3):
+            monkeypatch.delenv("SYMBA_CAP", raising=False)  # the last case's cap
+            N, sym = sy.ball(G, r), sy.symmetrize(G, M)
+            W = _scan_window(G, N, memory)
+            cap = max(q, 2) ** (len(W) - 1)
+            if q ** len(sy.set_product(G, N, sym)) > 1 << 15 or max(q ** len(N), len(N) * len(sym)) > cap:
+                continue  # the oracle's scan of N*sym(M), or a cap met before the scan
+            tables = [np.full(q**m, A.basepoint)]
+            for _ in range(3):
+                live = sorted(rng.choice(m, size=int(rng.integers(1, m + 1)), replace=False).tolist())
+                tables.append(planted_table(rng, A, m, live))
+                if not A.is_group:
+                    tables.append(_permutive_table(rng, q, m))
+                perm = pointed_permutation(rng, A)
+                tables.append(perm[np.arange(q**m) // q ** (m - 1 - live[0]) % q])
+            monkeypatch.setenv("SYMBA_CAP", str(cap))
+            for table in tables:
+                tau = make_table_ca(G, A, list(M), table)
+                live = [M[j] for j in oracle_live_inputs(tau.rule.map)]
+                read = W if q == 1 else oracle_identity_component(G, N, live)
+                scans.clear()
+                if q ** len(read) > cap:
+                    with pytest.raises(sy.ResourceCapError, match=f"^determinacy scan would have {q ** len(read)} entries"):
+                        sy.determinacy_check(tau, N)
+                    capped += 1
+                    continue
+                outcomes.add(_assert_matches_oracle(tau, N) is None)
+                assert scans[0] == len(read)
+                narrowed += len(read) < len(_scan_window(G, N, live))
+    assert outcomes == ({True} if q == 1 else {True, False})
+    assert (narrowed > 0) == (q > 1)
+    assert (capped > 0) == (q > 1)
+
+
+def test_axis_rule_on_z2_synthesizes_at_radius_1(Z2):
+    """An invertible 4-symbol table on the x-axis of Z^2, memory {-1, 0, 1}:
+    its written radius-1 scan would have 4^11 windows, past the default cap;
+    the identity's component, the cells (-2, 0) to (2, 0), has 4^5."""
+    tau = axis_table_ca()
+    scans = []
+    kernel = alphabets.StructuredMap.window_codes
+    logged = lambda self, pos, n_cells: scans.append(n_cells) or kernel(self, pos, n_cells)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(alphabets.StructuredMap, "window_codes", logged)
+        assert sy.determinacy_check(tau, sy.ball(Z2, 1)).is_determined
+    assert scans[0] == 5  # then the table is read back over the 5 cells of N
+    res = sy.synthesize_left_inverse(tau, 2)
+    assert res.found and res.radius == 1
+    assert sy.check_right_inverse(res.ca, tau)
 
 
 def test_matrix_determinacy_on_asymmetric_memories(Z, Z2, F2, monkeypatch):
@@ -420,28 +509,32 @@ def test_matrix_determinacy_on_asymmetric_memories(Z, Z2, F2, monkeypatch):
     assert outcomes == {True, False}
 
 
-def test_witness_validity_reverified_through_induced_map(Z, bit):
-    """The reported witness must be a genuine image collision."""
-    xor = xor_ca(Z, bit, [(0,), (1,)])
-    res = sy.synthesize_left_inverse(xor, 3)
-    assert not res.found
-    x, y = res.witness
-    xor_wide = sy.CellularAutomaton(
-        Z, bit, sy.extend_memory(xor.rule, sy.symmetrize(Z, xor.memory))
-    )
-    N = sy.ball(Z, 3)
-    ix = sy.induced_map(xor_wide, N, x)
-    iy = sy.induced_map(xor_wide, N, y)
-    assert ix.values == iy.values
-    assert x.value_at(Z.identity()) != y.value_at(Z.identity())
+def test_witness_validity_reverified_through_induced_map(Z, Z2, bit):
+    """The reported witness must be a genuine image collision: the xor of
+    two neighbours on Z up to radius 3, and along the x-axis of Z^2 at
+    radius 1."""
+    for G, cells, r in [(Z, [(0,), (1,)], 3), (Z2, [(0, 0), (1, 0)], 1)]:
+        xor = xor_ca(G, bit, cells)
+        res = sy.synthesize_left_inverse(xor, r)
+        assert not res.found
+        x, y = res.witness
+        xor_wide = sy.CellularAutomaton(
+            G, bit, sy.extend_memory(xor.rule, sy.symmetrize(G, xor.memory))
+        )
+        N = sy.ball(G, r)
+        ix = sy.induced_map(xor_wide, N, x)
+        iy = sy.induced_map(xor_wide, N, y)
+        assert ix.values == iy.values
+        assert x.value_at(G.identity()) != y.value_at(G.identity())
 
 
-def test_synthesize_shift(Z, bit):
-    shift = sy.projection_ca(Z, bit, (1,))
-    res = sy.synthesize_left_inverse(shift, 2)
-    assert res.found and res.radius == 1
-    assert sy.check_left_inverse(res.ca, shift)
-    assert sy.check_right_inverse(res.ca, shift)
+def test_synthesize_shift(Z, Z2, bit):
+    """The shift by one on Z, and along the x-axis of Z^2, inverts at radius 1."""
+    for shift in (sy.projection_ca(Z, bit, (1,)), sy.projection_ca(Z2, bit, (1, 0))):
+        res = sy.synthesize_left_inverse(shift, 2)
+        assert res.found and res.radius == 1
+        assert sy.check_left_inverse(res.ca, shift)
+        assert sy.check_right_inverse(res.ca, shift)
 
 
 def test_synthesize_identity_radius_zero(Z, bit):
@@ -450,8 +543,9 @@ def test_synthesize_identity_radius_zero(Z, bit):
     assert res.found and res.radius == 0
 
 
-def test_synthesize_linear_rule(Z):
-    """Matrix-rule synthesis solves the reversible pair exactly."""
+def test_synthesize_linear_rule(Z, Z2):
+    """Matrix-rule synthesis solves the reversible pair exactly, and finds the
+    shift by (2, 0) on Z^2 back at radius 2."""
     A = sy.Alphabet.module(2, 2)
     E = lambda d: sy.GroupRingElement(Z, 2, d)
     one, t = Z.identity(), (1,)
@@ -461,6 +555,10 @@ def test_synthesize_linear_rule(Z):
     assert res.found and res.radius == 1
     assert res.ca.rule.map.is_matrix  # structure preserved
     assert sy.check_right_inverse(res.ca, tau)
+    f2 = sy.Alphabet.module(2, 1)
+    stretched = sy.LocalRule(sy.FiniteSubset(Z2, [(2, 0)]), sy.StructuredMap(f2, 1, matrices=[[[1]]]))
+    res = sy.synthesize_left_inverse(sy.CellularAutomaton(Z2, f2, stretched), 3)
+    assert res.found and res.radius == 2
 
 
 def test_synthesize_linear_negative(Z):
@@ -498,99 +596,6 @@ def test_soundness_randomized(Z, bit):
     assert found > 0
 
 
-def test_restriction_axis_shift(Z2, Z, bit):
-    tau = sy.projection_ca(Z2, bit, (1, 0))
-    r = sy.restrict_to_memory_subgroup(tau)
-    assert r.universe == Z
-    assert sy.same_action(r, sy.projection_ca(Z, bit, (1,)))
-
-
-def test_restriction_trivial_memory(Z2, bit):
-    r = sy.restrict_to_memory_subgroup(sy.identity_ca(Z2, bit))
-    assert r.universe == sy.FreeAbelianGroup(0)
-    assert list(r.memory) == [()]
-
-
-def test_restriction_keeps_an_unreduced_echelon_basis(Z2, bit):
-    """Memory (0,0), (0,3), (1,5) spans Z^2 through the rows (1,5), (0,3).
-
-    The basis is not back-reduced: a reduced (1,2) would send (1,5) to (1,1).
-    """
-    table = random_pointed_table(np.random.default_rng(3), bit, 3)
-    tau = make_table_ca(Z2, bit, [(0, 0), (1, 5), (0, 3)], table)
-    r = sy.restrict_to_memory_subgroup(tau)
-    assert r.universe == Z2
-    assert list(r.memory) == [(0, 0), (0, 1), (1, 0)]
-    assert np.array_equal(r.rule.map.table, tau.rule.map.table)
-
-
-def test_restriction_identity_memory_in_a_product(Z, bit):
-    """A product universe with memory {1} re-bases onto its first factor."""
-    P = sy.ProductGroup([Z, sy.FiniteGroup.cyclic(2)])
-    r = sy.restrict_to_memory_subgroup(sy.identity_ca(P, bit))
-    assert r.universe == Z
-    assert list(r.memory) == [(0,)]
-
-
-def test_restriction_free_factor_keeps_the_identity_word(F2, bit):
-    tau = xor_ca(F2, bit, [(), (1,), (-2,)])
-    r = sy.restrict_to_memory_subgroup(tau)
-    assert r.universe == F2
-    assert list(r.memory) == list(tau.memory)
-    assert np.array_equal(r.rule.map.table, tau.rule.map.table)
-
-
-def test_restriction_rescaled_sublattice(Z2, Z, bit):
-    """Memory {(-2,0),(0,0),(2,0)} re-bases onto Z through the doubled axis."""
-    mem = sy.FiniteSubset(Z2, [(2, 0), (-2, 0), (0, 0)])
-    # projection onto the (2,0) coordinate; canonical order (-2,0),(0,0),(2,0)
-    table = [(i >> 0) & 1 for i in range(8)]
-    tau = make_table_ca(Z2, bit, list(mem), table)
-    r = sy.restrict_to_memory_subgroup(tau)
-    assert r.universe == Z
-    assert list(r.memory) == [(-1,), (0,), (1,)]
-    assert sy.same_action(r, sy.CellularAutomaton(Z, bit, sy.extend_memory(
-        sy.projection_ca(Z, bit, (1,)).rule, sy.ball(Z, 1))))
-
-
-def test_restriction_preserves_synthesis_radius_unscaled(Z2, bit):
-    tau = sy.projection_ca(Z2, bit, (1, 0))
-    restricted = sy.restrict_to_memory_subgroup(tau)
-    full = sy.synthesize_left_inverse(tau, 1)
-    small = sy.synthesize_left_inverse(restricted, 1)
-    assert full.found and small.found
-    assert full.radius == small.radius == 1
-    xor2 = xor_ca(Z2, bit, [(0, 0), (1, 0)])
-    xor1 = sy.restrict_to_memory_subgroup(xor2)
-    assert not sy.synthesize_left_inverse(xor2, 1).found
-    assert not sy.synthesize_left_inverse(xor1, 1).found
-
-
-def test_restriction_success_agrees_when_rescaled(Z2):
-    """Rescaling changes the radius but not success (matrix rule keeps it cheap)."""
-    A = sy.Alphabet.module(2, 1)
-    mem = sy.FiniteSubset(Z2, [(2, 0)])
-    tau = sy.CellularAutomaton(
-        Z2, A, sy.LocalRule(mem, sy.StructuredMap(A, 1, matrices=[[[1]]]))
-    )
-    restricted = sy.restrict_to_memory_subgroup(tau)
-    full = sy.synthesize_left_inverse(tau, 3)
-    small = sy.synthesize_left_inverse(restricted, 3)
-    assert full.found and small.found
-    assert small.radius == 1 and full.radius == 2
-    assert sy.same_action(
-        restricted,
-        sy.CellularAutomaton(
-            sy.FreeAbelianGroup(1),
-            A,
-            sy.LocalRule(
-                sy.FiniteSubset(sy.FreeAbelianGroup(1), [(1,)]),
-                sy.StructuredMap(A, 1, matrices=[[[1]]]),
-            ),
-        ),
-    )
-
-
 def test_matrix_rule_composite_modulus_rejected(Z):
     from symba.errors import UnsupportedModulusError
 
@@ -612,45 +617,6 @@ def test_group_alphabet_synthesis(Z):
     res = sy.synthesize_left_inverse(shift, 1)
     assert res.found and res.radius == 1
     assert sy.check_right_inverse(res.ca, shift)
-
-
-def test_restriction_product_multi_factor(bit):
-    z3 = sy.FiniteGroup.cyclic(3)
-    Zline = sy.FreeAbelianGroup(1)
-    P = sy.ProductGroup([z3, Zline, sy.FiniteGroup.cyclic(2)])
-    mem = sy.FiniteSubset(P, [(1, (0,), 0), (0, (1,), 0)])
-    table = [0, 1, 1, 0]  # parity of the two read values
-    tau = make_table_ca(P, bit, list(mem), table)
-    r = sy.restrict_to_memory_subgroup(tau)
-    assert r.universe == sy.ProductGroup([z3, Zline])
-    assert list(r.memory) == [(0, (1,)), (1, (0,))]
-
-
-def test_restriction_product_factor(bit):
-    z3 = sy.FiniteGroup.cyclic(3)
-    P = sy.ProductGroup([z3, sy.FreeAbelianGroup(1)])
-    tau = sy.projection_ca(P, bit, (0, (1,)))
-    r = sy.restrict_to_memory_subgroup(tau)
-    assert r.universe == sy.FreeAbelianGroup(1)
-    assert sy.same_action(r, sy.projection_ca(sy.FreeAbelianGroup(1), bit, (1,)))
-
-
-def test_restriction_finite_closure(bit):
-    z6 = sy.FiniteGroup.cyclic(6)
-    tau = sy.projection_ca(z6, bit, 2)
-    r = sy.restrict_to_memory_subgroup(tau)
-    assert isinstance(r.universe, sy.FiniteGroup)
-    assert r.universe.size == 3  # closure of {2} in Z/6
-
-
-def test_restriction_free_group_cases(F2, bit):
-    r = sy.restrict_to_memory_subgroup(sy.projection_ca(F2, bit, (2,)))
-    assert r.universe == sy.FreeGroup(1)
-    r2 = sy.restrict_to_memory_subgroup(sy.projection_ca(F2, bit, (1, 1)))
-    assert r2.universe == sy.FreeAbelianGroup(1)
-    assert list(r2.memory) == [(1,)]
-    with pytest.raises(UnsupportedSubgroupError):
-        sy.restrict_to_memory_subgroup(sy.projection_ca(F2, bit, (1, 2)))
 
 
 def _widened(tau):
@@ -728,35 +694,6 @@ def test_tau_read_as_given_matches_the_widened_copy(name, seed):
     res = sy.synthesize_left_inverse(tau, r_max)
     assert res.found == found
     assert _verdict(res) == _verdict(sy.synthesize_left_inverse(wide, r_max))
-
-
-def test_restriction_finite_closure_matches_group_products(bit):
-    """On S_4, memory {(0 1), (0 1 2)} generates a copy of S_3: the re-based
-    table is the one that G.mul's products give on the closure."""
-    G = sy.FiniteGroup(symmetric_table(4))
-    perms = sorted(itertools.permutations(range(4)))
-    memory = [perms.index((1, 0, 2, 3)), perms.index((1, 2, 0, 3))]
-    table = random_pointed_table(np.random.default_rng(4), bit, 2)
-    tau = make_table_ca(G, bit, memory, table)
-    r = sy.restrict_to_memory_subgroup(tau)
-    closure = list(sy.generated_ball(G, tau.memory, G.size))
-    assert len(closure) == 6
-    expected = [[closure.index(G.mul(a, b)) for b in closure] for a in closure]
-    assert r.universe == sy.FiniteGroup(expected)
-    assert list(r.memory) == [closure.index(m) for m in tau.memory]
-    assert np.array_equal(r.rule.map.table, tau.rule.map.table)
-
-
-def test_restriction_letter_powers_rescale_by_their_gcd(F2, bit):
-    """Memory {a^-4, 1, a^6} re-bases onto Z with step 2: (-2,), (0,), (3,)."""
-    memory = [(-1,) * 4, (), (1,) * 6]
-    tau = make_table_ca(F2, bit, memory, random_pointed_table(np.random.default_rng(9), bit, 3))
-    r = sy.restrict_to_memory_subgroup(tau)
-    assert r.universe == sy.FreeAbelianGroup(1)
-    assert list(r.memory) == [(-2,), (0,), (3,)]
-    # tau's memory order is 1, a^-4, a^6 (by length), so two inputs swap
-    for x in itertools.product(range(2), repeat=3):
-        assert r.rule.map.evaluate([x[1], x[0], x[2]]) == tau.rule.map.evaluate(x)
 
 
 def test_search_stops_once_the_ball_stops_growing(bit, monkeypatch):
