@@ -58,4 +58,5 @@ print("extracted rule matches the known inverse:", sy.same_action(out.ca, sig))
 
 print()
 print("== one-sided always means two-sided here ==")
-print(sy.direct_finiteness(sig, tau))
+print("left inverse:", sy.check_left_inverse(sig, tau),
+      "right inverse:", sy.check_right_inverse(sig, tau))

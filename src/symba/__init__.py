@@ -77,7 +77,6 @@ from .transport import (
     build_embedding,
     check_equivariance,
     composes_to_identity,
-    direct_finiteness,
     extract_local_rule,
     invert_transport,
     transport_endomap,

@@ -23,7 +23,7 @@ Module alphabets never store their carrier: a value's vector is its digits
 in radix `modulus`.
 
 `StructuredMap.reindexed` is the one way to re-read a map over a different
-window (a wider memory, or the same cells re-encoded in a subgroup).
+window (a wider memory, or a determined table read back over N).
 
 A matrix map read at several windows of a cell array is one block matrix
 over (Z/n)^(cells*dim), laid out cell-major with the vector coordinate minor.
@@ -345,7 +345,8 @@ class StructuredMap:
         cell are first summed in groups, each into one table over the union
         of its cells of at most _GROUP_TABLE entries, so a block pays one
         full-size addition per group rather than per window. Windows (or
-        groups) that read no leading cell are summed once and reused.
+        groups) that read no leading cell are summed once and reused. A
+        one-letter alphabet has one configuration and one block, [0].
 
         A yielded block is read-only to its consumer: when no window reads
         a leading cell (always so when no digit leads), every block is that
@@ -355,21 +356,26 @@ class StructuredMap:
         rows = np.asarray(pos, dtype=np.int64).tolist()
         if any(len(row) != self.arity for row in rows):
             raise InvalidInputError(f"every window needs {self.arity} cells")
-        place = radix(q, len(rows))
-        table = self.expand_table().table.reshape((q,) * self.arity)
-        trail = min(n_cells, 1)  # digits that vary within a block
-        while trail < n_cells and q ** (trail + 1) <= _SCAN_CHUNK:
-            trail += 1
-        lead = n_cells - trail
-        windows = []  # (sorted cells, place * table with its axes in that order)
-        for row, c in zip(rows, place):
+        windows = []  # (sorted cells, their order in the row)
+        for row in rows:
             order = sorted(range(self.arity), key=row.__getitem__)
             cells = [row[j] for j in order]
             if len(set(cells)) < len(cells):
                 raise InvalidInputError("a window reads one cell twice")
             if cells and not 0 <= cells[0] <= cells[-1] < n_cells:
                 raise InvalidInputError(f"window cells must lie in 0..{n_cells - 1}")
-            windows.append((cells, (c * table).transpose(order)))
+            windows.append((cells, order))
+        if q == 1:  # one configuration, of code 0: no digit cube, whose axes numpy caps at 64
+            yield 0, np.zeros(1, dtype=np.int64)
+            return
+        table = self.expand_table().table.reshape((q,) * self.arity)
+        # place * table with its axes in the order of its sorted cells
+        windows = [(cells, (c * table).transpose(order))
+                   for (cells, order), c in zip(windows, radix(q, len(rows)))]
+        trail = min(n_cells, 1)  # digits that vary within a block
+        while trail < n_cells and q ** (trail + 1) <= _SCAN_CHUNK:
+            trail += 1
+        lead = n_cells - trail
         if q**trail > _GROUP_TABLE:
             windows = _grouped(windows, q, lead)
         base = np.zeros((q,) * trail, dtype=np.int64)
@@ -429,9 +435,6 @@ class StructuredMap:
             return StructuredMap.from_block_row(A, self.window_matrix([cols], arity))
         check_size(A.size**arity, "re-read rule table")
         return StructuredMap(A, arity, table=self.window_table([cols], arity))
-
-    def evaluate(self, window) -> int:
-        return int(self.evaluate_batch(np.asarray(window, dtype=np.int64)[None, :])[0])
 
     def expand_table(self) -> "StructuredMap":
         """The same map with its table materialized (identity for tables)."""

@@ -38,8 +38,12 @@ dimension 384 (Z/192; 0.4 ms inverting) and 22 ms at dimension 2048
 (Z/1024; 14 ms inverting), against 4-4.6 ms and 120-135 ms by dense
 elimination.
 Every other target, and a singular or pivot-less matrix on Z/N, is still
-eliminated densely, one Python step per pivot column, which grows faster
-than the products, so the cap is not yet a measured budget. Under the
+eliminated densely, one Python step per pivot column. For a seeded Z^2
+rule over (Z/3)^2 (random_invertible_matrix, seed 1, r = 1, 3 factors)
+the hinted pipeline into (Z/32)^2, dimension 2048, takes 0.21-0.26 s at
+a peak RSS of 269 MB, and into (Z/45)^2, dimension 4050, 0.92 s at 883 MB
+(best of three, each in a fresh process): both grow about as the square
+of the dimension, so the cap bounds a run near 1 s and 0.9 GB. Under the
 default caps it is not reached on Z/N: the cyclic target stops at order
 1024, so a transport with d = 2 stops at dimension 2048 (Z/1025 exits 3)
 before TRANSPORT_DIM_CAP = 4096 applies.

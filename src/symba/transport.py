@@ -573,14 +573,3 @@ def transport_inverse_pipeline(
     if sigma_hint is not None:
         report["beta_alpha_identity"] = check_left_inverse(sigma_hint, tau)
     return TransportResult(alpha=alpha, gamma=gamma, rule=rule, ca=nu_ca, report=report)
-
-
-def direct_finiteness(sigma: CellularAutomaton, tau: CellularAutomaton) -> dict:
-    """Report both one-sided checks and whether left implies right held."""
-    left = check_left_inverse(sigma, tau)
-    right = check_right_inverse(sigma, tau)
-    return {
-        "left": left,
-        "right": right,
-        "theorem_consistent": (not left) or right,
-    }

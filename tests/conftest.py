@@ -57,6 +57,16 @@ def xor_ca(G, A, cells):
     return make_table_ca(G, A, list(memory), table)
 
 
+def pair_CD(Z):
+    """A linear pair over Z with coefficients in Z/2: D is a two-sided
+    inverse of the 2x2 group-ring matrix C."""
+    E = lambda d: sy.GroupRingElement(Z, 2, d)
+    one, t = Z.identity(), (1,)
+    C = sy.GroupRingMatrix(Z, 2, [[E({}), E({one: 1})], [E({one: 1}), E({t: 1})]])
+    D = sy.GroupRingMatrix(Z, 2, [[E({t: 1}), E({one: 1})], [E({one: 1}), E({})]])
+    return C, D
+
+
 def axis_table_ca():
     """A seeded invertible matrix rule over Z, memory {-1, 0, 1} and
     alphabet (Z/2)^2, read as a table over 4 plain symbols on the x-axis of
@@ -171,10 +181,10 @@ def oracle_ball_action_letters(G, R):
 
 
 def oracle_pointed(smap):
-    """Pointedness by evaluation: the map applied, through `evaluate`, to the
-    window holding the basepoint at every cell."""
+    """Pointedness by evaluation: the map applied, through `evaluate_batch`,
+    to the window holding the basepoint at every cell."""
     e = smap.alphabet.basepoint
-    return smap.evaluate([e] * smap.arity) == e
+    return smap.evaluate_batch([[e] * smap.arity])[0] == e
 
 
 def oracle_sort_key(G, a):

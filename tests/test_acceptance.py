@@ -13,7 +13,7 @@ import pytest
 
 import symba as sy
 
-from conftest import make_table_ca, oracle_left_identity, random_pointed_table, xor_ca
+from conftest import make_table_ca, oracle_left_identity, pair_CD, random_pointed_table, xor_ca
 
 FEASIBLE = 1 << 18
 
@@ -41,14 +41,6 @@ class budget:
         else:
             print(f"criterion {self.number} ({self.label}): FAIL after {elapsed:.2f}s")
         return False
-
-
-def _pair_CD(Z):
-    E = lambda d: sy.GroupRingElement(Z, 2, d)
-    one, t = Z.identity(), (1,)
-    C = sy.GroupRingMatrix(Z, 2, [[E({}), E({one: 1})], [E({one: 1}), E({t: 1})]])
-    D = sy.GroupRingMatrix(Z, 2, [[E({t: 1}), E({one: 1})], [E({one: 1}), E({})]])
-    return C, D
 
 
 def _cells_needed(G, window, mem_s, mem_t):
@@ -150,7 +142,7 @@ def test_criterion_2_shift_round_trip(Z):
 def test_criterion_3_reversible_linear_pair(Z):
     """The linear solver recovers the two-sided inverse of the module pair."""
     with budget(3, "group-ring solve of the reversible pair", 1.0):
-        C, D = _pair_CD(Z)
+        C, D = pair_CD(Z)
         got = sy.one_sided_inverse_solve(C, 1)
         assert got is not None
         assert sy.matrix_mul(got, C).is_identity()
@@ -246,7 +238,7 @@ def test_criterion_7_transport_invariants(Z):
             e = sy.build_embedding(Z, S, {"kind": "modular", "N": N})
             runs.append((sy.transport_inverse_pipeline(shift, e, sigma_hint=back), back, M))
 
-        C, D = _pair_CD(Z)
+        C, D = pair_CD(Z)
         Am = sy.Alphabet.module(2, 2)
         tau = sy.to_linear_ca(C, Z, Am)
         sig = sy.to_linear_ca(D, Z, Am)

@@ -53,7 +53,7 @@ def test_large_module_alphabet_stores_no_carrier(monkeypatch):
     assert A.value_to_json(A.add(i, i)) == [p - 2, 10]
     assert A.value_to_json(A.scale(3, i)) == [p - 3, 15]
     double = sy.StructuredMap(A, 1, matrices=[[[2, 0], [0, 1]]])
-    assert A.value_to_json(double.evaluate([i])) == [p - 2, 5]
+    assert A.value_to_json(double.evaluate_batch([[i]])[0]) == [p - 2, 5]
     # above 2^20 the modulus is refused whatever the cap, so p^2 fits int64
     with pytest.raises(ResourceCapError):
         sy.Alphabet.module(1048583, 1)
@@ -298,7 +298,7 @@ def test_matrix_map_agrees_with_expanded_table():
     v = A.vectors()
     x = (A.vector_to_index((1, 2)), A.vector_to_index((0, 1)))
     want = (mats[0] @ v[x[0]] + mats[1] @ v[x[1]]) % 3
-    assert smap.evaluate(x) == A.vector_to_index(want)
+    assert smap.evaluate_batch([x])[0] == A.vector_to_index(want)
 
 
 def test_finite_map_classify_examples():

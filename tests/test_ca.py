@@ -318,6 +318,18 @@ def test_widened_shift_pair_past_the_cap_is_decided(Z, bit):
     assert sy.check_left_inverse(tau, tau) is False  # live product {2}
 
 
+def test_one_letter_rules_past_numpy_axes(Z):
+    """Over one letter every scan has one configuration, however many cells
+    it spans: 81 cells for the product of {-20..20}, 121 for a radius-40
+    determinacy, 70 for a rule compared with the identity."""
+    one = sy.Alphabet.plain(1)
+    tau = xor_ca(Z, one, [(i,) for i in range(-20, 21)])
+    assert sy.check_left_inverse(tau, tau) is True
+    assert sy.compose(tau, tau).rule.map.table.tolist() == [0]
+    assert sy.determinacy_check(tau, sy.ball(Z, 40)).is_determined
+    assert sy.same_action(xor_ca(Z, one, [(i,) for i in range(70)]), sy.identity_ca(Z, one))
+
+
 def _logged_scans(monkeypatch):
     """A log of the cell count of each window scan walked."""
     kernel = sy.StructuredMap.window_codes

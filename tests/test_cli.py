@@ -13,7 +13,7 @@ import pytest
 import symba as sy
 from symba import cli, serialize
 
-from conftest import axis_table_ca, make_table_ca, xor_ca
+from conftest import axis_table_ca, make_table_ca, pair_CD, xor_ca
 
 
 @pytest.fixture
@@ -477,20 +477,18 @@ def test_transport_hint_is_decided_on_the_universe(files, capsys, Z):
         assert code == 2 and report["outcome"]["error"] == message
 
 
-def test_direct_finiteness_exit_zero(files, capsys):
-    code, report = run(
-        capsys, "direct-finiteness", "--sigma", files["sigma"], "--tau", files["tau"]
-    )
-    assert code == 0 and report["outcome"]["theorem_consistent"]
-    code, report = run(
-        capsys, "direct-finiteness", "--sigma", files["ident"], "--tau", files["xor"]
-    )
-    assert code == 0  # vacuously consistent
-    assert report["outcome"] == {
-        "left": False,
-        "right": False,
-        "theorem_consistent": True,
-    }
+def test_direct_finiteness_exit_zero(files, capsys, Z):
+    """The shift pair and the linear pair (a matrix rule) are two-sided
+    inverses; identity against xor is neither, so vacuously consistent."""
+    C, D = pair_CD(Z)
+    A = sy.Alphabet.module(2, 2)
+    for name, M in [("C", C), ("D", D)]:
+        files[name] = files["dir"] / f"{name}.json"
+        files[name].write_text(serialize.canonical_dumps(serialize.ca_to_json(sy.to_linear_ca(M, Z, A))))
+    for sigma, tau, holds in [("sigma", "tau", True), ("D", "C", True), ("ident", "xor", False)]:
+        code, report = run(capsys, "direct-finiteness", "--sigma", str(files[sigma]), "--tau", str(files[tau]))
+        assert code == 0
+        assert report["outcome"] == {"left": holds, "right": holds, "theorem_consistent": True}
 
 
 def test_evolve_command(files, capsys, Z, bit):
@@ -869,6 +867,7 @@ def _sweep_cases():
         (sy.FreeAbelianGroup(0), [[()]]),
     ]
     alphabets = [
+        sy.Alphabet.plain(1),
         sy.Alphabet.plain(2),
         sy.Alphabet.group(sy.FiniteGroup.cyclic(3).table),
         sy.Alphabet.module(2, 1),
@@ -882,6 +881,8 @@ def _sweep_cases():
                     yield sy.CellularAutomaton(G, A, sy.LocalRule(memory, smap))
                 else:
                     yield xor_ca(G, A, list(memory))
+    # more cells than numpy has axes; a table over them exists for one letter only
+    yield xor_ca(Z, sy.Alphabet.plain(1), [(i,) for i in range(-32, 33)])
 
 
 def test_exit_code_contract_over_a_fixed_grid(tmp_path, capsys):

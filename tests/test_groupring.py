@@ -9,22 +9,11 @@ import symba as sy
 from symba import serialize
 from symba.errors import InvalidInputError, UnsupportedModulusError
 
-from conftest import make_table_ca, oracle_random_invertible_matrix
+from conftest import make_table_ca, oracle_random_invertible_matrix, pair_CD
 
 
 def _E(G, n, d=None):
     return sy.GroupRingElement(G, n, d or {})
-
-
-def _pair_CD(Z):
-    one, t = Z.identity(), (1,)
-    C = sy.GroupRingMatrix(
-        Z, 2, [[_E(Z, 2), _E(Z, 2, {one: 1})], [_E(Z, 2, {one: 1}), _E(Z, 2, {t: 1})]]
-    )
-    D = sy.GroupRingMatrix(
-        Z, 2, [[_E(Z, 2, {t: 1}), _E(Z, 2, {one: 1})], [_E(Z, 2, {one: 1}), _E(Z, 2)]]
-    )
-    return C, D
 
 
 def _random_element(rng, G, modulus, support_pool, max_terms=3):
@@ -95,9 +84,9 @@ def test_equal_values_built_apart_are_equal_with_equal_hashes(Z, F2):
     assert x != sy.GroupRingElement(sy.FreeGroup(3), 5, {g: 1, h: 2, e: 3})
     assert repr(x) == repr(y) == "3*() + 2*(-1,) + 1*(1, 2)"
     assert repr(_E(Z, 5)) == "0"
-    C, D = _pair_CD(Z)
-    assert C == _pair_CD(Z)[0] and hash(C) == hash(_pair_CD(Z)[0])
-    assert C != D and len({C, D, _pair_CD(Z)[1]}) == 2
+    C, D = pair_CD(Z)
+    assert C == pair_CD(Z)[0] and hash(C) == hash(pair_CD(Z)[0])
+    assert C != D and len({C, D, pair_CD(Z)[1]}) == 2
     assert repr(C) == "GroupRingMatrix(dim=2, mod 2, |support|=2)"
 
 
@@ -125,7 +114,7 @@ def test_matrix_refuses_entries_from_another_ring(Z, Z2):
 
 
 def test_matrix_mul_reversible_pair(Z):
-    C, D = _pair_CD(Z)
+    C, D = pair_CD(Z)
     assert sy.matrix_mul(D, C).is_identity()
     assert sy.matrix_mul(C, D).is_identity()
     I = sy.GroupRingMatrix.identity(Z, 2, 2)
@@ -134,7 +123,7 @@ def test_matrix_mul_reversible_pair(Z):
 
 def test_matrix_mul_hand_oracle(Z):
     """Row-by-row hand convolution of D@C, frozen from first principles."""
-    C, D = _pair_CD(Z)
+    C, D = pair_CD(Z)
     got = sy.matrix_mul(D, C)
     # (D@C)[0][0] = t*0 + 1*1 = 1 ; [0][1] = t*1 + 1*t = 0
     # (D@C)[1][0] = 1*0 + 0*1 = 0 ; [1][1] = 1*1 + 0*t = 1
@@ -154,7 +143,7 @@ def test_linear_ca_round_trip(Z):
     xor = sy.GroupRingMatrix(Z, 2, [[_E(Z, 2, {Z.identity(): 1, (1,): 1})]])
     assert sy.from_linear_ca(sy.to_linear_ca(xor, Z, A1)) == xor
 
-    C, _ = _pair_CD(Z)
+    C, _ = pair_CD(Z)
     A2 = sy.Alphabet.module(2, 2)
     assert sy.from_linear_ca(sy.to_linear_ca(C, Z, A2)) == C
 
@@ -185,7 +174,7 @@ def test_evaluation_agreement_on_windows(Z):
     import itertools
 
     A = sy.Alphabet.module(2, 2)
-    C, _ = _pair_CD(Z)
+    C, _ = pair_CD(Z)
     tau = sy.to_linear_ca(C, Z, A)
     E = sy.ball(Z, 2)
     EM = sy.set_product(Z, E, tau.memory)
@@ -202,7 +191,7 @@ def test_evaluation_agreement_on_windows(Z):
 
 
 def test_one_sided_inverse_solve_pair(Z):
-    C, D = _pair_CD(Z)
+    C, D = pair_CD(Z)
     got = sy.one_sided_inverse_solve(C, 1)
     assert got == D
     assert sy.matrix_mul(got, C).is_identity()
@@ -248,7 +237,7 @@ def test_solver_agrees_with_synthesis(Z):
     """The linear solver and the window search agree case by case."""
     A2 = sy.Alphabet.module(2, 2)
     A1 = sy.Alphabet.module(2, 1)
-    C, D = _pair_CD(Z)
+    C, D = pair_CD(Z)
     tau = sy.to_linear_ca(C, Z, A2)
     for r in (0, 1):
         solved = sy.one_sided_inverse_solve(C, r)

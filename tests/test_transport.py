@@ -25,6 +25,7 @@ from conftest import (
     oracle_transport_matrix,
     oracle_transport_table,
     oracle_verify_embedding,
+    pair_CD,
     random_pointed_table,
     symmetric_table,
     xor_ca,
@@ -32,14 +33,6 @@ from conftest import (
 from symba import linalg, serialize
 from symba.groups import greedy_generators
 from symba.transport import _cyclic_order, division_index
-
-
-def _pair_CD(Z):
-    E = lambda d: sy.GroupRingElement(Z, 2, d)
-    one, t = Z.identity(), (1,)
-    C = sy.GroupRingMatrix(Z, 2, [[E({}), E({one: 1})], [E({one: 1}), E({t: 1})]])
-    D = sy.GroupRingMatrix(Z, 2, [[E({t: 1}), E({one: 1})], [E({one: 1}), E({})]])
-    return C, D
 
 
 def test_modular_embedding_accepts_and_rejects(Z):
@@ -348,7 +341,7 @@ def test_transport_reads_a_one_sided_memory_as_given(Z, bit):
 
 
 def test_transport_matrix_flavor_dimensions(Z):
-    C, D = _pair_CD(Z)
+    C, D = pair_CD(Z)
     A = sy.Alphabet.module(2, 2)
     tau = sy.to_linear_ca(C, Z, A)
     M = sy.symmetrize(Z, tau.memory)
@@ -454,7 +447,7 @@ def test_pipeline_identity(Z, bit):
 
 
 def test_pipeline_linear_pair_with_hint(Z):
-    C, D = _pair_CD(Z)
+    C, D = pair_CD(Z)
     A = sy.Alphabet.module(2, 2)
     tau, sig = sy.to_linear_ca(C, Z, A), sy.to_linear_ca(D, Z, A)
     M = sy.common_memory(sig, tau)
@@ -769,7 +762,7 @@ def test_check_equivariance_sees_one_broken_configuration(Z, bit):
 
 def test_check_equivariance_sees_one_broken_matrix_entry(Z):
     """The matrix twin: one changed entry of a transported block matrix."""
-    C, _ = _pair_CD(Z)
+    C, _ = pair_CD(Z)
     A = sy.Alphabet.module(2, 2)
     tau = sy.to_linear_ca(C, Z, A)
     M = sy.symmetrize(Z, tau.memory)
@@ -903,23 +896,6 @@ def test_transport_cap_enforced(Z, monkeypatch):
         sy.transport_endomap(
             sy.CellularAutomaton(Z, big, sy.extend_memory(ident.rule, M)), e
         )
-
-
-def test_direct_finiteness_reports(Z, bit):
-    fwd = sy.projection_ca(Z, bit, (1,))
-    back = sy.projection_ca(Z, bit, (-1,))
-    assert sy.direct_finiteness(back, fwd) == {
-        "left": True,
-        "right": True,
-        "theorem_consistent": True,
-    }
-    C, D = _pair_CD(Z)
-    A = sy.Alphabet.module(2, 2)
-    rep = sy.direct_finiteness(sy.to_linear_ca(D, Z, A), sy.to_linear_ca(C, Z, A))
-    assert rep == {"left": True, "right": True, "theorem_consistent": True}
-    xor = xor_ca(Z, bit, [(0,), (1,)])
-    rep2 = sy.direct_finiteness(sy.identity_ca(Z, bit), xor)
-    assert rep2 == {"left": False, "right": False, "theorem_consistent": True}
 
 
 def _z_mod_7():
@@ -1125,8 +1101,8 @@ def test_block_row_composite_check_agrees_with_the_full_product(kind):
 
 
 def _matrices_on(Z, N):
-    """The matrix rule C of _pair_CD over (Z/2)^2, transported to Z/N."""
-    C, _ = _pair_CD(Z)
+    """The matrix rule C of pair_CD over (Z/2)^2, transported to Z/N."""
+    C, _ = pair_CD(Z)
     A = sy.Alphabet.module(2, 2)
     tau = sy.to_linear_ca(C, Z, A)
     M = sy.symmetrize(Z, tau.memory)
@@ -1150,7 +1126,7 @@ def test_broken_wrap_around_block_is_seen_on_z_mod_8(Z):
 
 def test_invertible_cyclic_transport_eliminates_nothing(Z, monkeypatch):
     """On Z/N an invertible transport is inverted over F_p[x]/(x^N - 1)."""
-    C, D = _pair_CD(Z)
+    C, D = pair_CD(Z)
     A = sy.Alphabet.module(2, 2)
     tau, sigma = sy.to_linear_ca(C, Z, A), sy.to_linear_ca(D, Z, A)
     M = sy.common_memory(sigma, tau)
@@ -1182,7 +1158,7 @@ def test_invertible_cyclic_transport_without_a_unit_pivot(Z):
 
 def test_non_equivariant_matrix_is_invalid_input(Z):
     """A block-row solve would misread these, so they are refused."""
-    C, D = _pair_CD(Z)
+    C, D = pair_CD(Z)
     A = sy.Alphabet.module(2, 2)
     tau, sigma = sy.to_linear_ca(C, Z, A), sy.to_linear_ca(D, Z, A)
     M = sy.common_memory(sigma, tau)
@@ -1221,7 +1197,7 @@ def test_transport_refuses_an_embedding_that_fails_verification(Z, bit):
 
 def test_composes_to_identity_refuses_mixed_representations(Z):
     """The same rule transported as a matrix and as a table cannot be composed."""
-    C, _ = _pair_CD(Z)
+    C, _ = pair_CD(Z)
     A = sy.Alphabet.module(2, 2)
     tau = sy.to_linear_ca(C, Z, A)
     M = sy.symmetrize(Z, tau.memory)
