@@ -898,6 +898,24 @@ def test_transport_cap_enforced(Z, monkeypatch):
         )
 
 
+def test_direct_finiteness_reports(Z, bit):
+    """Direct finiteness is decided by the two inverse checks: the shift
+    pair and the linear pair C/D are two-sided inverses, identity against
+    xor is neither (so left implies right holds vacuously)."""
+    C, D = pair_CD(Z)
+    A = sy.Alphabet.module(2, 2)
+    cases = [
+        (sy.projection_ca(Z, bit, (-1,)), sy.projection_ca(Z, bit, (1,)), True),
+        (sy.to_linear_ca(D, Z, A), sy.to_linear_ca(C, Z, A), True),
+        (sy.identity_ca(Z, bit), xor_ca(Z, bit, [(0,), (1,)]), False),
+    ]
+    for sigma, tau, holds in cases:
+        left = sy.check_left_inverse(sigma, tau)
+        right = sy.check_right_inverse(sigma, tau)
+        assert (left, right) == (holds, holds)
+        assert (not left) or right
+
+
 def _z_mod_7():
     Z = sy.FreeAbelianGroup(1)
     return sy.build_embedding(Z, sy.ball(Z, 2), {"kind": "modular", "N": 7})
