@@ -4,7 +4,11 @@ Every algorithm in this package is exponential in some window size, so all
 enumerated collections (subsets, pattern spaces, finite-group carriers) are
 capped and fail fast with ResourceCapError instead of thrashing. The env var
 SYMBA_CAP overrides the caps for a whole process, up to 2^62: capped counts
-then keep every mixed-radix index and place value inside int64.
+then keep every mixed-radix index and place value inside int64. It is read
+once, at the first cap check, never at import: the value in force then
+holds for the process, and a malformed value is refused (ResourceCapError)
+at that check and at every later one. This module is the only one that
+reads the environment.
 
 The caps match measured budgets (2-core VM, Python 3.11, numpy 2.4, q = 2).
 At DEFAULT_TRANSPORT_CAP = 2^24 configurations, for a radius-1 shift on
@@ -63,10 +67,15 @@ MAX_MODULUS = 1 << 20
 
 _ENV_VAR = "SYMBA_CAP"
 _MAX_ENV_CAP = 1 << 62
+_UNREAD = object()
+_raw = _UNREAD  # SYMBA_CAP as the first cap check read it (None: unset)
 
 
 def _env_cap():
-    raw = os.environ.get(_ENV_VAR)
+    global _raw
+    if _raw is _UNREAD:
+        _raw = os.environ.get(_ENV_VAR)
+    raw = _raw
     if raw is None:
         return None
     try:

@@ -575,11 +575,19 @@ class FiniteSubset(_Keyed):
         return f"FiniteSubset[{shown}{more}]"
 
 
-def _bfs(G: Group, seeds: list[Elem], rounds: int) -> FiniteSubset:
+def _walk(G: Group, seeds: list[Elem]) -> Iterator[set]:
+    """The elements within 0, 1, 2, ... steps of the identity, one breadth-first walk.
+
+    Each step multiplies the last layer by every seed on the right. The walk
+    is lazy: step r runs only when its set is pulled, and it ends once a step
+    adds nothing. Each yield is the same set, grown in place, so a caller
+    copies what it keeps before pulling the next.
+    """
     cap = enumeration_cap()
     seen = {G.identity()}
     frontier = list(seen)
-    for _ in range(rounds):
+    while frontier:
+        yield seen
         nxt = []
         for x in frontier:
             for s in seeds:
@@ -592,10 +600,26 @@ def _bfs(G: Group, seeds: list[Elem], rounds: int) -> FiniteSubset:
                         raise ResourceCapError(
                             f"ball enumeration exceeded cap ({len(seen)} > {cap})"
                         )
-        if not nxt:
-            break
         frontier = nxt
+
+
+def _walked(G: Group, seeds: list[Elem], rounds: int) -> FiniteSubset:
+    """The walk's set after `rounds` steps, or after its last step if sooner."""
+    for seen in itertools.islice(_walk(G, seeds), rounds + 1):
+        pass
     return FiniteSubset._trusted(G, seen)
+
+
+def _ball_seeds(G: Group) -> list[Elem]:
+    return [h for g in G.generators() for h in (g, G.inv(g))]
+
+
+def _ball_bounds(G: Group, radius: int) -> None:
+    """`ball`'s two sizes known before the walk, each refused past the cap."""
+    if radius and isinstance(G, _RankedGroup) and G.rank:
+        check_size(2 * (G.rank + radius) - 1, f"a ball over {G!r} (counted from below)")
+        if isinstance(G, FreeGroup) and G.rank == 1:
+            check_size(radius * (radius + 1), f"a ball over {G!r}, counted in letters,")
 
 
 def ball(G: Group, radius: int) -> FiniteSubset:
@@ -611,15 +635,20 @@ def ball(G: Group, radius: int) -> FiniteSubset:
     """
     if radius < 0:
         raise InvalidInputError(f"radius must be >= 0, got {radius}")
-    if radius and isinstance(G, _RankedGroup) and G.rank:
-        check_size(2 * (G.rank + radius) - 1, f"a ball over {G!r} (counted from below)")
-        if isinstance(G, FreeGroup) and G.rank == 1:
-            check_size(radius * (radius + 1), f"a ball over {G!r}, counted in letters,")
-    seeds = []
-    for g in G.generators():
-        seeds.append(g)
-        seeds.append(G.inv(g))
-    return _bfs(G, seeds, radius)
+    _ball_bounds(G, radius)
+    return _walked(G, _ball_seeds(G), radius)
+
+
+def _balls(G: Group) -> Iterator[FiniteSubset]:
+    """ball(G, 0), ball(G, 1), ... from one walk, until a ball stops growing.
+
+    Radius r's bounds are checked, and its layer walked, only when its ball
+    is pulled, so each refusal comes at the radius, and with the message,
+    of `ball(G, r)`. The last ball yielded is every later radius's ball.
+    """
+    for radius, seen in enumerate(_walk(G, _ball_seeds(G))):
+        yield FiniteSubset._trusted(G, seen)
+        _ball_bounds(G, radius + 1)
 
 
 def _check_product(G: Group, M: FiniteSubset, N: FiniteSubset) -> None:
@@ -666,5 +695,4 @@ def generated_ball(G: Group, S: FiniteSubset, radius: int) -> FiniteSubset:
     """
     if radius < 0:
         raise InvalidInputError(f"radius must be >= 0, got {radius}")
-    seeds = list(symmetrize(G, S))
-    return _bfs(G, seeds, radius)
+    return _walked(G, list(symmetrize(G, S)), radius)

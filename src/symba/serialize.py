@@ -122,8 +122,8 @@ def subset_to_json(S: FiniteSubset) -> list:
 
 @_parsing("subset")
 def subset_from_json(data, G: Group, what: str = "subset") -> FiniteSubset:
-    elems = [G.elem_from_json(e) for e in _require_list(data, what)]
-    subset = FiniteSubset(G, elems)
+    elems = [G.elem_from_json(e) for e in _require_list(data, what)]  # each validated here
+    subset = FiniteSubset._trusted(G, elems)
     if list(subset) != elems:
         raise InvalidInputError(
             f"{what} must be listed in canonical order without duplicates"
@@ -162,8 +162,10 @@ def pattern_from_json(data, G: Group, alphabet: Alphabet) -> Pattern:
     if "domain" not in data or "values" not in data:
         raise InvalidInputError("pattern JSON needs domain and values")
     domain = subset_from_json(data["domain"], G, "domain")
-    values = [alphabet.value_from_json(v) for v in _require_list(data["values"], "values")]
-    return Pattern(domain, tuple(values))
+    values = tuple(alphabet.value_from_json(v) for v in _require_list(data["values"], "values"))
+    if len(values) != len(domain):
+        raise InvalidInputError(f"pattern needs {len(domain)} values, got {len(values)}")
+    return Pattern._trusted(domain, values)  # value_from_json read each value as an int
 
 
 def matrix_to_json(X: GroupRingMatrix) -> dict:

@@ -8,7 +8,8 @@ directly, with the basepoint filled in off the image. A large table scan
 reads only the windows of N linked to the identity cell through shared
 cells, so a memory inside a proper subgroup pays for one coset, not all of
 the universe. Radius-increasing search over balls turns this into a
-bounded-radius decision procedure.
+bounded-radius decision procedure: one scan per radius, over balls taken
+from one breadth-first walk, and one witness, built for the radius reported.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .ca import (
 )
 from .caps import check_size
 from .errors import InvalidInputError
-from .groups import FiniteSubset, ball, product_window
+from .groups import FiniteSubset, _balls, product_window
 
 
 @dataclass(frozen=True)
@@ -62,6 +63,26 @@ class SynthesisResult:
 def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyResult:
     """Scan A^W for image conflicts, W = N*M and 1; synthesize the rule when none exist.
 
+    The scan is `_determinacy`'s; a conflict's witness is built at once.
+    """
+    G = tau.universe
+    if N.group != G:
+        raise InvalidInputError("candidate memory lives in the wrong group")
+    if G.identity() not in N or any(G.inv(n) not in N for n in N):
+        raise InvalidInputError("candidate memory must be symmetric and contain 1")
+    rule, witness = _determinacy(tau, N)
+    return DeterminacyResult(rule=rule, witness=None if rule is not None else witness())
+
+
+def _determinacy(tau, N):
+    """(rule, None) when the image on N determines the identity value, else
+    (None, witness): `witness()` builds the witness pair of the first conflict.
+
+    The scan stops at the first conflict and keeps what the witness needs:
+    the conflicting block, or the kernel of a linear system. Building the
+    witness is left to the caller, so a search over radii builds it only
+    for the radius it reports.
+
     A window takes its row of `product_window(G, N, M)`; the identity joins
     W when N*M misses it. When that scan would pass one block or the cap, a
     table rule is first read over its live cells M'' (`ca._live_rule`), and
@@ -88,11 +109,7 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
     witness (see `_first_conflict`).
     """
     G, A = tau.universe, tau.alphabet
-    if N.group != G:
-        raise InvalidInputError("candidate memory lives in the wrong group")
     ident = G.identity()
-    if ident not in N or any(G.inv(n) not in N for n in N):
-        raise InvalidInputError("candidate memory must be symmetric and contain 1")
     W, pos = _scan_window(G, N, tau.memory)
     if tau.rule.map.is_matrix:
         return _determinacy_linear(tau, N, W, pos)
@@ -116,15 +133,19 @@ def determinacy_check(tau: CellularAutomaton, N: FiniteSubset) -> DeterminacyRes
                 continue  # every image met before, with these values
         owner[keys] = vals
         if (owner[keys] != vals).any() or (seen is not None and (seen[differs] >= 0).any()):
-            x, y = _first_conflict(smap.window_codes(pos, n), start, keys, vals, seen, owner)
-            return _witness(tau, N, W, decode_index([x, y], A.size, n))
+
+            def witness():
+                x, y = _first_conflict(smap.window_codes(pos, n), start, keys, vals, seen)
+                return _witness(tau, N, W, decode_index([x, y], A.size, n))
+
+            return None, witness
 
     table = np.where(owner >= 0, owner, A.basepoint)
     table.flags.writeable = False  # handed to the map without a copy
     inverse = StructuredMap(A, len(pos), table=table)
     if len(pos) < len(N):
         inverse = inverse.reindexed(rows, len(N))
-    return DeterminacyResult(rule=LocalRule(N, inverse), witness=None)
+    return LocalRule(N, inverse), None
 
 
 def _scan_window(G, N, memory):
@@ -159,7 +180,7 @@ def _identity_component(G, N, memory):
     return W, at[pos[rows]], np.flatnonzero(rows)
 
 
-def _witness(tau, N, W, rows) -> DeterminacyResult:
+def _witness(tau, N, W, rows) -> tuple:
     """The witness pair over N*M': the two rows of digits on W, 0 elsewhere.
 
     N*M' is built in one pass, as `set_product(G, N, symmetrize(G, M))`
@@ -171,21 +192,21 @@ def _witness(tau, N, W, rows) -> DeterminacyResult:
     wide = FiniteSubset._trusted(G, {mul(n, m) for n in N for m in sym})
     pair = np.zeros((2, len(wide)), dtype=np.int64)
     pair[:, np.fromiter(map(wide._index.__getitem__, W), dtype=np.int64, count=len(W))] = rows
-    witness = tuple(Pattern._trusted(wide, tuple(row)) for row in pair.tolist())
-    return DeterminacyResult(rule=None, witness=witness)
+    return tuple(Pattern._trusted(wide, tuple(row)) for row in pair.tolist())
 
 
-def _first_conflict(blocks, start, keys, vals, seen, scratch) -> tuple:
+def _first_conflict(blocks, start, keys, vals, seen) -> tuple:
     """The witness (x, y) as window indices, for a block that conflicts.
 
     y is the first window whose identity value differs from that of the
     earliest window x of equal image. Earlier blocks held one value per
     image, so y lies in this block. `seen` holds the value each window's
     image had before it (-1 for none; None in block 0); an image new here
-    takes its block's earliest window from one `np.minimum.at` into
-    `scratch` (the owner array, no longer needed). When y's image is older,
-    `blocks`, a fresh scan, is walked to the first block holding it.
+    takes its block's earliest window from one `np.minimum.at` into a
+    scratch array indexed by image. When y's image is older, `blocks`, a
+    fresh scan, is walked to the first block holding it.
     """
+    scratch = np.empty(int(keys.max()) + 1, dtype=np.int64)
     scratch[keys] = keys.size
     np.minimum.at(scratch, keys, np.arange(keys.size))
     expected = vals[scratch[keys]]
@@ -201,7 +222,7 @@ def _first_conflict(blocks, start, keys, vals, seen, scratch) -> tuple:
     raise AssertionError("an image seen before is in no earlier block")
 
 
-def _determinacy_linear(tau, N, W, pos) -> DeterminacyResult:
+def _determinacy_linear(tau, N, W, pos):
     """Matrix-rule determinacy: solve eta @ T = (read off at identity) over W;
     the cells off W would add zero columns, with no pivot and no witness."""
     A = tau.alphabet
@@ -213,34 +234,35 @@ def _determinacy_linear(tau, N, W, pos) -> DeterminacyResult:
 
     eta, kernel = linalg.left_solve(T, proj, A.modulus)
     if eta is None:
-        # witness: the first kernel vector that is nonzero at the identity cell
-        z = next(z for z in kernel if z[center * d : (center + 1) * d].any())
-        return _witness(tau, N, W, A.cell_values(np.stack([z, 0 * z])).reshape(2, -1))
-    rule = LocalRule(N, StructuredMap.from_block_row(A, eta))
-    return DeterminacyResult(rule=rule, witness=None)
+
+        def witness():
+            # the first kernel vector that is nonzero at the identity cell
+            z = next(z for z in kernel if z[center * d : (center + 1) * d].any())
+            return _witness(tau, N, W, A.cell_values(np.stack([z, 0 * z])).reshape(2, -1))
+
+        return None, witness
+    return LocalRule(N, StructuredMap.from_block_row(A, eta)), None
 
 
 def synthesize_left_inverse(tau: CellularAutomaton, r_max: int) -> SynthesisResult:
     """Radius-increasing search for a left inverse with memory ball(r).
 
-    tau is read as given, by every scan and by the certificate, which
+    The balls come from one walk (`groups._balls`), radius r + 1's layer
+    walked only once radius r's scan has failed; the search ends at r_max
+    or at the first radius whose ball did not grow, since every later radius
+    would repeat the last scan. Each radius costs one scan, and the witness
+    is built once, for the radius reported: r_max, or the last whose ball
+    grew. tau is read as given, by every scan and by the certificate, which
     checks the rule found with check_left_inverse.
     """
     if r_max < 0:
         raise InvalidInputError(f"r_max must be >= 0, got {r_max}")
     G = tau.universe
-    witness = previous = None
-    for r in range(r_max + 1):
-        N = ball(G, r)
-        if N == previous:
-            break  # ball(r) = ball(r - 1): every later radius repeats the last scan
-        previous = N
-        res = determinacy_check(tau, N)
-        if res.is_determined:
-            sigma = CellularAutomaton(G, tau.alphabet, res.rule)
+    for r, N in zip(range(r_max + 1), _balls(G)):
+        rule, witness = _determinacy(tau, N)
+        if rule is not None:
+            sigma = CellularAutomaton(G, tau.alphabet, rule)
             if not check_left_inverse(sigma, tau):
                 raise AssertionError("synthesized rule failed the inverse criterion")
             return SynthesisResult(ca=sigma, radius=r, witness=None)
-        witness = res.witness
-    return SynthesisResult(ca=None, radius=None, witness=witness)
-
+    return SynthesisResult(ca=None, radius=None, witness=witness())

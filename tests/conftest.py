@@ -19,7 +19,17 @@ import symba as sy
 @pytest.fixture(autouse=True)
 def _default_caps(monkeypatch):
     """Every test starts from the default caps, whatever SYMBA_CAP the shell exports."""
-    monkeypatch.delenv("SYMBA_CAP", raising=False)
+    set_cap(monkeypatch, None)
+
+
+def set_cap(monkeypatch, value):
+    """Set SYMBA_CAP to `value` (None: unset) for this test, and drop the value
+    read once per process, so that the next cap check reads this one."""
+    if value is None:
+        monkeypatch.delenv("SYMBA_CAP", raising=False)
+    else:
+        monkeypatch.setenv("SYMBA_CAP", str(value))
+    monkeypatch.setattr(sy.caps, "_raw", sy.caps._UNREAD)
 
 
 @pytest.fixture

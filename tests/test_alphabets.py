@@ -16,6 +16,7 @@ from conftest import (
     oracle_module_morphism,
     oracle_pointed,
     oracle_window_table,
+    set_cap,
     symmetric_table,
 )
 
@@ -45,7 +46,7 @@ def test_row_is_add_at_every_index():
 
 
 def test_large_module_alphabet_stores_no_carrier(monkeypatch):
-    monkeypatch.setenv("SYMBA_CAP", str(1 << 41))
+    set_cap(monkeypatch, str(1 << 41))
     p = 1048573
     A = sy.Alphabet.module(p, 2)
     assert A.size == p * p

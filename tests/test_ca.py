@@ -18,6 +18,7 @@ from conftest import (
     planted_table,
     pointed_permutation,
     random_pointed_table,
+    set_cap,
     symmetric_table,
     xor_ca,
 )
@@ -294,7 +295,7 @@ def test_inverse_checks_when_the_product_memory_misses_the_identity(Z, q, monkey
             check(dense_behind, dense_ahead)  # memory {-10, ..., 10}, every cell live
 
     behind, ahead, (dense_behind, dense_ahead) = pair(6)
-    monkeypatch.setenv("SYMBA_CAP", str(1 << 10))
+    set_cap(monkeypatch, str(1 << 10))
     assert sy.check_left_inverse(behind, ahead) is oracle_left_identity(behind, ahead, [Z.identity()])
     assert sy.check_right_inverse(behind, ahead) is oracle_left_identity(ahead, behind, [Z.identity()])
     assert sy.check_left_inverse(behind, ahead) is True
@@ -366,7 +367,7 @@ def test_inverse_checks_on_live_cells_match_the_oracle(Z, Z2, F2, alphabet, monk
     A = {"q1": sy.Alphabet.plain(1), "q2": sy.Alphabet.plain(2), "q3": sy.Alphabet.plain(3),
          "group": cyclic_alphabet(3, 2)}[alphabet]
     q = A.size
-    monkeypatch.setenv("SYMBA_CAP", str(max(q, 2) ** 5))
+    set_cap(monkeypatch, str(max(q, 2) ** 5))
     scans = _logged_scans(monkeypatch)
     rng = np.random.default_rng([q, 31])
     verdicts, narrowed = set(), 0
@@ -544,11 +545,11 @@ def test_evolve_caps_its_cell_reads_before_the_first_step(Z, bit, monkeypatch):
     capped up front: 10^12 steps on 13 cells are refused with no step run."""
     shift = sy.projection_ca(Z, bit, (1,))
     p = sy.Pattern(sy.ball(Z, 6), (1,) + (0,) * 12)
-    monkeypatch.setenv("SYMBA_CAP", "26")
+    set_cap(monkeypatch, "26")
     assert sy.evolve(shift, p, 2).values == p.values  # 2 * 13 * 1 reads, at the cap
     with pytest.raises(ResourceCapError, match="evolve cell reads would have 39 entries"):
         sy.evolve(shift, p, 3)
-    monkeypatch.delenv("SYMBA_CAP")
+    set_cap(monkeypatch, None)
     calls = []
     batch = sy.StructuredMap.evaluate_batch
     monkeypatch.setattr(sy.StructuredMap, "evaluate_batch", lambda *a: calls.append(1) or batch(*a))

@@ -13,7 +13,7 @@ import pytest
 import symba as sy
 from symba import cli, serialize
 
-from conftest import axis_table_ca, make_table_ca, pair_CD, xor_ca
+from conftest import axis_table_ca, make_table_ca, pair_CD, set_cap, xor_ca
 
 
 @pytest.fixture
@@ -254,7 +254,7 @@ def test_synthesize_resource_cap_exit_three(files, capsys, monkeypatch):
     cells {0, 1}, and stops at radius 1, whose scan reads {-1, ..., 2}: 16
     windows. The shift by one passes this cap: its radius-1 scan reads the
     8 windows of {0, 1, 2}, and finds the shift back."""
-    monkeypatch.setenv("SYMBA_CAP", "8")
+    set_cap(monkeypatch, "8")
     code, report = run(
         capsys, "synthesize-inverse", "--input", files["xor"], "--max-radius", "3"
     )
@@ -264,6 +264,37 @@ def test_synthesize_resource_cap_exit_three(files, capsys, monkeypatch):
         capsys, "synthesize-inverse", "--input", files["tau"], "--max-radius", "3"
     )
     assert code == 0 and report["outcome"] == {"found": True, "radius": 1}
+
+
+def test_symba_cap_is_read_once_at_the_first_cap_check(files, monkeypatch):
+    """The SYMBA_CAP in force at the first cap check holds for the process.
+    Import does not read it, so a malformed value there is harmless until a
+    check; a fresh `python -m symba.cli` under a cap of 8 exits 3 on the
+    xor's 16-window scan at radius 1."""
+    set_cap(monkeypatch, 8)
+    assert sy.caps.enumeration_cap() == sy.caps.transport_cap() == 8
+    monkeypatch.setenv("SYMBA_CAP", "abc")
+    assert sy.caps.enumeration_cap() == 8
+    monkeypatch.delenv("SYMBA_CAP")
+    assert sy.caps.check_size(8, "a count") is None
+    with pytest.raises(sy.ResourceCapError, match="^a count would have 9 entries, cap is 8$"):
+        sy.caps.check_size(9, "a count")
+
+    probe = (
+        "import os, symba\n"
+        "os.environ['SYMBA_CAP'] = '12'\n"
+        "print(symba.caps.enumeration_cap())\n"
+        "os.environ['SYMBA_CAP'] = '16'\n"
+        "print(symba.caps.enumeration_cap(), symba.caps.transport_cap())\n"
+    )
+    proc = _python("-c", probe, SYMBA_CAP="abc")
+    assert (proc.returncode, proc.stdout.split(), proc.stderr) == (0, ["12", "12", "12"], "")
+
+    proc = _python("-m", "symba.cli", "synthesize-inverse", "--input", files["xor"],
+                   "--max-radius", "3", SYMBA_CAP="8")
+    report = json.loads(proc.stdout)
+    assert proc.returncode == report["exit_code"] == 3
+    assert report["outcome"]["error"] == "determinacy scan would have 16 entries, cap is 8"
 
 
 def test_synthesize_a_shift_by_eight_finds_its_inverse_at_radius_eight(tmp_path, capsys, Z, bit):
@@ -289,7 +320,7 @@ def test_synthesize_an_axis_rule_on_z2_finds_radius_one(tmp_path, capsys):
 
 
 def test_cap_above_int64_index_range_exit_three(files, capsys, monkeypatch):
-    monkeypatch.setenv("SYMBA_CAP", str((1 << 62) + 1))
+    set_cap(monkeypatch, str((1 << 62) + 1))
     code, report = run(
         capsys, "synthesize-inverse", "--input", files["tau"], "--max-radius", "1"
     )
@@ -321,7 +352,7 @@ def test_unexpected_exceptions_keep_the_exit_code_contract(
 
 def test_check_inverse_decided_on_composite_memory(files, capsys, monkeypatch):
     # both composites have memory {0} (2 windows); the merged M*M has 2^5
-    monkeypatch.setenv("SYMBA_CAP", "16")
+    set_cap(monkeypatch, "16")
     code, report = run(
         capsys, "check-inverse", "--sigma", files["sigma"], "--tau", files["tau"]
     )
@@ -330,7 +361,7 @@ def test_check_inverse_decided_on_composite_memory(files, capsys, monkeypatch):
 
 
 def test_modulus_above_supported_range_exit_three(files, capsys, monkeypatch):
-    monkeypatch.setenv("SYMBA_CAP", str(1 << 40))
+    set_cap(monkeypatch, str(1 << 40))
     ca = {
         "universe": {"kind": "free_abelian", "rank": 1},
         "alphabet": {"flavor": "module", "modulus": 4294967291, "dim": 1},
@@ -818,19 +849,23 @@ def test_parser_reuse_leaks_nothing_between_calls(files, capsys, Z):
     assert code == 0 and report["outcome"] == {"found": True, "radius": 1}
 
 
+def _python(*argv, **env):
+    """Run a fresh interpreter on this checkout's package, with `env` added."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path, **env},
+        timeout=60,
+    )
+
+
 def test_module_entry_point_matches_in_process_run(files, capsys):
     """`python -m symba.cli` exits with the report's code and prints the same report."""
     argv = ["check-inverse", "--sigma", files["ident"], "--tau", files["xor"]]
-    src = str(Path(cli.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-m", "symba.cli", *argv],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=60,
-    )
+    proc = _python("-m", "symba.cli", *argv)
     report = json.loads(proc.stdout)
     assert proc.returncode == report["exit_code"] == 1
     _, in_process = run(capsys, *argv)

@@ -13,8 +13,15 @@ from hypothesis import strategies as st
 import symba as sy
 from symba.ca import window_positions
 from symba.errors import InvalidInputError, ResourceCapError
+from symba.groups import _balls
 
-from conftest import brute_force_free_ball, oracle_sort_key, reduce_word_free, symmetric_table
+from conftest import (
+    brute_force_free_ball,
+    oracle_sort_key,
+    reduce_word_free,
+    set_cap,
+    symmetric_table,
+)
 
 
 def test_element_mul_examples(Z, F2):
@@ -61,7 +68,7 @@ def test_ball_finite_group_covers_everything():
 
 
 def test_ball_resource_cap(F2, monkeypatch):
-    monkeypatch.setenv("SYMBA_CAP", "10")
+    set_cap(monkeypatch, "10")
     with pytest.raises(ResourceCapError, match=r"\(11 > 10\)"):  # not the whole layer's 17
         sy.ball(F2, 3)
 
@@ -79,6 +86,65 @@ def test_ball_sizes_known_up_front_are_refused_before_the_walk(Z):
     with pytest.raises(ResourceCapError, match=pinned):
         sy.ball(Z, 2**70)
     assert len(sy.ball(sy.FreeGroup(1), 1000)) == 2001  # 1001000 letters fit the cap
+
+
+_WALKED = {
+    "Z": lambda: sy.FreeAbelianGroup(1),
+    "Z2": lambda: sy.FreeAbelianGroup(2),
+    "F1": lambda: sy.FreeGroup(1),
+    "F2": lambda: sy.FreeGroup(2),
+    "S3": lambda: sy.FiniteGroup(symmetric_table(3)),
+    "ZxC3": lambda: sy.ProductGroup([sy.FreeAbelianGroup(1), sy.FiniteGroup.cyclic(3)]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_WALKED))
+def test_one_walk_yields_every_ball(name):
+    """One walk yields ball(G, 0), ball(G, 1), ..., and ends after the last
+    ball that grew, which is the ball of every later radius."""
+    G = _WALKED[name]()
+    walked = list(itertools.islice(_balls(G), 7))
+    for r in range(7):
+        assert sy.ball(G, r) == walked[min(r, len(walked) - 1)]
+    assert all(len(a) < len(b) for a, b in zip(walked, walked[1:]))
+    assert (len(walked) < 7) is (G.order() is not None)
+
+
+def test_the_walk_runs_a_layer_only_when_its_ball_is_pulled(monkeypatch):
+    """On Z the first layer takes 2 products and each later one 4."""
+    Z, products = sy.FreeAbelianGroup(1), []
+    mul = Z.mul
+    monkeypatch.setattr(Z, "mul", lambda a, b: products.append(1) or mul(a, b))
+    walk = _balls(Z)
+    for r, made in enumerate([0, 2, 6, 10]):
+        assert next(walk) == sy.ball(sy.FreeAbelianGroup(1), r)
+        assert len(products) == made
+
+
+@pytest.mark.parametrize(
+    "make, cap, radius, message",
+    [
+        (lambda: sy.FreeAbelianGroup(1), 6, 3,
+         r"^a ball over FreeAbelianGroup\(1\) \(counted from below\) would have 7 entries, cap is 6$"),
+        (lambda: sy.FreeGroup(1), 12, 4,
+         r"^a ball over FreeGroup\(1\), counted in letters, would have 20 entries, cap is 12$"),
+        (lambda: sy.FreeAbelianGroup(2), 20, 3, r"^ball enumeration exceeded cap \(21 > 20\)$"),
+    ],
+    ids=["from below", "letters", "walked"],
+)
+def test_the_walk_refuses_where_ball_does(make, cap, radius, message, monkeypatch):
+    """Under a small cap the walk yields the balls below `radius` and is
+    refused at `radius` with ball(G, radius)'s message: the two bounds known
+    up front are checked before each layer, and the walk's count in it."""
+    set_cap(monkeypatch, cap)
+    G = make()
+    with pytest.raises(ResourceCapError, match=message):
+        sy.ball(G, radius)
+    walk = _balls(G)
+    for r in range(radius):
+        assert next(walk) == sy.ball(G, r)
+    with pytest.raises(ResourceCapError, match=message):
+        next(walk)
 
 
 def test_set_product_examples(Z, F2):
@@ -345,7 +411,7 @@ def test_multiplication_tables_are_capped(monkeypatch):
         sy.FiniteGroup.cyclic(1025)
     with pytest.raises(ResourceCapError):
         sy.FiniteGroup([[0] * 1025] * 1025)  # refused before any validation
-    monkeypatch.setenv("SYMBA_CAP", str(1 << 22))
+    set_cap(monkeypatch, str(1 << 22))
     assert sy.FiniteGroup.cyclic(1100).order() == 1100
 
 
@@ -500,7 +566,7 @@ def test_product_window_matches_set_product_and_window_positions(Z2, F2, monkeyp
             assert np.array_equal(pos, window_positions(EM, E, M))
     # the cap on len(E) * len(M), with set_product's message
     E = sy.ball(Z2, 2)
-    monkeypatch.setenv("SYMBA_CAP", str(len(E) ** 2 - 1))
+    set_cap(monkeypatch, str(len(E) ** 2 - 1))
     for product in (sy.set_product, sy.product_window):
         with pytest.raises(ResourceCapError, match="^set product enumeration would have 169 entries"):
             product(Z2, E, E)

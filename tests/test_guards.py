@@ -11,7 +11,7 @@ from symba import cli, serialize
 from symba import linalg
 from symba.errors import InvalidInputError, ResourceCapError
 
-from conftest import xor_ca
+from conftest import set_cap, xor_ca
 
 
 def run(capsys, *argv):
@@ -219,7 +219,7 @@ def test_determinacy_candidate_from_another_group(Z, Z2, bit):
 
 @pytest.mark.parametrize("value, message", [("abc", "must be an integer"), ("0", "must be positive")])
 def test_malformed_symba_cap_exits_three(shift_file, capsys, monkeypatch, value, message):
-    monkeypatch.setenv("SYMBA_CAP", value)
+    set_cap(monkeypatch, value)
     with pytest.raises(ResourceCapError, match=message):
         sy.caps.enumeration_cap()
     code, report = run(capsys, "check-inverse", "--sigma", str(shift_file), "--tau", str(shift_file))

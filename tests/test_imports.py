@@ -1,9 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module, and
+only `caps.py` reads the environment.
 
 CI runs no linter, so this reads each module of `src/symba` (the package's
 `__init__.py`, which imports names to export them, aside) with the standard
 `ast` module: an imported name must occur in the module as a name, or in a
-string annotation.
+string annotation. SYMBA_CAP is read once per process, in `caps.py`; a
+module that read `os.environ` (or `os.getenv`) itself would step round that.
 """
 
 import ast
@@ -13,6 +15,7 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "symba"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 
 def _imported(tree) -> set:
@@ -51,3 +54,21 @@ def test_modules_are_found():
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text())
     assert sorted(_imported(tree) - _used(tree)) == []
+
+
+def _environment_reads(tree) -> list:
+    """The lines that name the process environment: `os.environ`, `os.getenv`
+    and the like, or those names imported from `os`."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT:
+            lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            lines += [node.lineno for alias in node.names if alias.name in ENVIRONMENT]
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_caps_reads_the_environment(path):
+    reads = _environment_reads(ast.parse(path.read_text()))
+    assert bool(reads) is (path.name == "caps.py"), f"{path.name} reads the environment at lines {reads}"

@@ -20,6 +20,7 @@ from conftest import (
     planted_table,
     pointed_permutation,
     random_pointed_table,
+    set_cap,
     symmetric_table,
     xor_ca,
 )
@@ -370,7 +371,7 @@ def test_determinacy_on_live_cells_matches_oracle(Z, Z2, F2, alphabet, monkeypat
                 tables.append(np.broadcast_to(spread, (q,) * m).ravel())
             perm = pointed_permutation(rng, A)
             tables.append(perm[np.arange(q**m) // q ** (m - 1 - live[0]) % q])
-        monkeypatch.setenv("SYMBA_CAP", str(max(q, 2) ** (len(W) - 1)))
+        set_cap(monkeypatch, str(max(q, 2) ** (len(W) - 1)))
         for table in tables:
             tau = make_table_ca(G, A, memory, table)
             live = [M[j] for j in oracle_live_inputs(tau.rule.map)]
@@ -425,7 +426,7 @@ def test_determinacy_on_the_identity_component_matches_oracle(Z, Z2, F2, alphabe
         M = sy.FiniteSubset(G, memory)
         m = len(M)
         for r in range(3):
-            monkeypatch.delenv("SYMBA_CAP", raising=False)  # the last case's cap
+            set_cap(monkeypatch, None)  # the last case's cap
             N, sym = sy.ball(G, r), sy.symmetrize(G, M)
             W = _scan_window(G, N, memory)
             cap = max(q, 2) ** (len(W) - 1)
@@ -439,7 +440,7 @@ def test_determinacy_on_the_identity_component_matches_oracle(Z, Z2, F2, alphabe
                     tables.append(_permutive_table(rng, q, m))
                 perm = pointed_permutation(rng, A)
                 tables.append(perm[np.arange(q**m) // q ** (m - 1 - live[0]) % q])
-            monkeypatch.setenv("SYMBA_CAP", str(cap))
+            set_cap(monkeypatch, str(cap))
             for table in tables:
                 tau = make_table_ca(G, A, list(M), table)
                 live = [M[j] for j in oracle_live_inputs(tau.rule.map)]
@@ -706,14 +707,94 @@ def test_search_stops_once_the_ball_stops_growing(bit, monkeypatch):
     expected = sy.synthesize_left_inverse(xor, 1)
     calls = []
 
+    scan = synthesis._determinacy
+
     def counted(tau, N):
         calls.append(N)
         if len(calls) > 2:
             raise AssertionError("scanned a radius whose ball did not grow")
-        return sy.determinacy_check(tau, N)
+        return scan(tau, N)
 
-    monkeypatch.setattr(synthesis, "determinacy_check", counted)
+    monkeypatch.setattr(synthesis, "_determinacy", counted)
     res = sy.synthesize_left_inverse(xor, 10**6)
     assert not res.found and res.radius is None
     assert res.witness == expected.witness is not None
     assert calls == [sy.ball(z3, 0), sy.ball(z3, 1)]
+
+
+def _search_by_radius(tau, r_max):
+    """The search as a plain loop over determinacy_check: (radius, rule, scans)
+    when found, else (None, the witness of the last radius whose ball grew,
+    scans)."""
+    G, previous, scans = tau.universe, None, 0
+    for r in range(r_max + 1):
+        N = sy.ball(G, r)
+        if N == previous:
+            break
+        previous, scans = N, scans + 1
+        res = sy.determinacy_check(tau, N)
+        if res.is_determined:
+            return r, res.rule, scans
+        witness = res.witness
+    return None, witness, scans
+
+
+def _equivalence_case(where, kind, q, seed):
+    """(tau, r_max): a seeded rule on two cells of `where`."""
+    rng = np.random.default_rng([seed, q, 34])
+    cells = {
+        "Z": (sy.FreeAbelianGroup(1), [(1,), (2,)], 2),
+        "Z2": (sy.FreeAbelianGroup(2), [(0, 1), (1, 0)], 1),
+        "F2": (sy.FreeGroup(2), [(1,), (-2,)], 1),
+        "C3": (sy.FiniteGroup.cyclic(3), [0, 1], 10**6),
+    }
+    G, memory, r_max = cells[where]
+    if kind == "matrix":  # seeded scalars mod q at both cells
+        A = sy.Alphabet.module(q, 1)
+        mats = rng.integers(0, q, size=(2, 1, 1))
+        rule = sy.LocalRule(sy.FiniteSubset(G, memory), sy.StructuredMap(A, 2, matrices=mats))
+        return sy.CellularAutomaton(G, A, rule), r_max
+    A = sy.Alphabet.plain(q)
+    if kind == "table":
+        return make_table_ca(G, A, memory, random_pointed_table(rng, A, 2)), r_max
+    # a seeded permutation of one cell, invertible
+    read = int(rng.integers(0, 2))
+    table = pointed_permutation(rng, A)[np.arange(q * q) // q ** (1 - read) % q]
+    return make_table_ca(G, A, memory, table), r_max
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("kind, q", [("table", 2), ("table", 3), ("perm", 2), ("perm", 3), ("matrix", 2), ("matrix", 3)])
+@pytest.mark.parametrize("where", ["Z", "Z2", "F2", "C3"])
+def test_synthesis_matches_a_loop_over_determinacy_check(where, kind, q, seed, monkeypatch):
+    """synthesize_left_inverse finds the radius and rule of a plain loop over
+    determinacy_check, or reports the witness of its last radius whose ball
+    grew. Each ball is scanned once, and pulled only after the previous
+    radius's scan; one witness is built when none is found, none otherwise."""
+    from symba import synthesis
+
+    tau, r_max = _equivalence_case(where, kind, q, seed)
+    radius, found, scans = _search_by_radius(tau, r_max)
+    events = []
+    balls, scan, witness = synthesis._balls, synthesis._determinacy, synthesis._witness
+
+    def logged_balls(G):
+        for N in balls(G):
+            events.append("ball")
+            yield N
+
+    monkeypatch.setattr(synthesis, "_balls", logged_balls)
+    monkeypatch.setattr(synthesis, "_determinacy", lambda *a: events.append("scan") or scan(*a))
+    monkeypatch.setattr(synthesis, "_witness", lambda *a: events.append("witness") or witness(*a))
+    res = sy.synthesize_left_inverse(tau, r_max)
+    assert events == ["ball", "scan"] * scans + ([] if res.found else ["witness"])
+    assert res.radius == radius
+    if radius is not None:
+        assert _rule_bytes(res.ca.rule) == _rule_bytes(found)
+        return
+    assert res.witness == found
+    # a matrix witness comes from a kernel, not the first conflict; the oracle
+    # decodes every window of N*M' at once, so it stops at 2^18 of them
+    if kind != "matrix" and q ** len(found[0].domain) <= 1 << 18:
+        N = sy.ball(tau.universe, scans - 1)
+        assert (found[0].values, found[1].values) == oracle_determinacy_witness(tau, N)

@@ -27,6 +27,7 @@ from conftest import (
     oracle_verify_embedding,
     pair_CD,
     random_pointed_table,
+    set_cap,
     symmetric_table,
     xor_ca,
 )
@@ -173,7 +174,7 @@ def test_default_modulus_is_the_least_injective_one(monkeypatch):
     for elems in ([(0,), (10**30,)], [(0, 0), (2**64, 1), (2**64, 2**65)]):
         S = sy.FiniteSubset(sy.FreeAbelianGroup(len(elems[0])), elems)
         assert _minimal_modulus(S) == _least_injective_modulus(S) > 1
-    monkeypatch.setenv("SYMBA_CAP", "64")
+    set_cap(monkeypatch, "64")
     Z2 = sy.FreeAbelianGroup(2)
     line = sy.FiniteSubset(Z2, [(x, 0) for x in range(11)])
     assert _minimal_modulus(line) == 9 < _least_injective_modulus(line) == 11
@@ -891,7 +892,7 @@ def test_transport_cap_enforced(Z, monkeypatch):
     ident = sy.identity_ca(Z, big)
     M = sy.symmetrize(Z, ident.memory)
     e = sy.build_embedding(Z, sy.ball(Z, 4), {"kind": "modular", "N": 9})
-    monkeypatch.setenv("SYMBA_CAP", "100")
+    set_cap(monkeypatch, "100")
     with pytest.raises(ResourceCapError):
         sy.transport_endomap(
             sy.CellularAutomaton(Z, big, sy.extend_memory(ident.rule, M)), e
