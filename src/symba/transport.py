@@ -9,18 +9,17 @@ through the embedding, filling the cells outside the image with the
 basepoint. The extracted rule is certified against the original automaton
 by both one-sided inverse checks, an inverse hint by the left one.
 
-A transported matrix is F-equivariant, so its identity block row determines
-it (`division_index`): the matrix is built as the expansion of that row,
-and after an exact equivariance test the inverse's row comes from the group
-ring when F is Z/N (`linalg.cyclic_inverse`), else from `linalg.left_solve`
-(as in matrix-rule synthesis); either way one exact product certifies it.
-On Z/N the expansion is a strided view of the doubled row, so neither the
-division index nor a gather is needed there.
+Matrix maps are their identity block row; equivariance is checked at
+construction. The matrix is that row's expansion (`division_index`), built
+when read; the inverse's row comes from the group ring when F is Z/N
+(`linalg.cyclic_inverse`), else from `linalg.left_solve` (as in matrix-rule
+synthesis), and one exact product with alpha's matrix certifies it. On Z/N
+the expansion is a strided view of the doubled row: no index, no gather.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
@@ -29,6 +28,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import linalg
 from .alphabets import (
     _SCAN_CHUNK,
+    _int64_entries,
     Alphabet,
     StructuredMap,
     decode_assignments,
@@ -224,33 +224,69 @@ def verify_embedding(e: LefEmbedding, M: FiniteSubset) -> bool:
     return holds
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class TransportedEndomap:
     """An endomap of A^F, as a config lookup table or a block matrix (exactly one).
 
-    A matrix built by `_expanded` keeps the layout it was expanded with as `_division`.
+    Matrix maps are their identity block row `row` (mod n), expanded by the
+    layout `_division` on first use of `.matrix`; equivariance is checked at
+    construction, as are a table's shape and entries (InvalidInputError).
+    The library's own maps come in unchecked, by `_trusted`.
     """
 
     embedding: LefEmbedding
     alphabet: Alphabet
     carrier: FiniteSubset  # F in the order of F.elements(); a sequence is converted
-    table: np.ndarray | None = None
-    matrix: np.ndarray | None = None
+    table: np.ndarray | None
+    row: np.ndarray | None
+    _division: np.ndarray | None
 
-    def __post_init__(self):
-        if (self.table is None) == (self.matrix is None):
+    def __init__(self, embedding, alphabet, carrier, table=None, matrix=None):
+        if (table is None) == (matrix is None):
             raise InvalidInputError("give exactly one of table / matrix")
-        if not isinstance(self.carrier, FiniteSubset):
-            carrier = FiniteSubset(self.embedding.target, self.carrier)
-            object.__setattr__(self, "carrier", carrier)
+        if not isinstance(carrier, FiniteSubset):
+            carrier = FiniteSubset(embedding.target, carrier)
+        if carrier.group != embedding.target or len(carrier) != carrier.group.order():
+            raise InvalidInputError("carrier must be all of the embedding's target")
+        nF, row, div = len(carrier), None, None
+        if table is not None:
+            table, count = _int64_entries(table, "table", copy=False), alphabet.size**nF
+            if table.shape != (count,) or not 0 <= table.min() <= table.max() < count:
+                raise InvalidInputError(f"table must hold {count} configuration indices 0..{count - 1}")
+        else:
+            if not alphabet.is_module:
+                raise InvalidInputError("matrix maps need a module alphabet")
+            d = alphabet.dim
+            matrix = _int64_entries(matrix, "matrix", copy=False)
+            if matrix.shape != (nF * d, nF * d):
+                raise InvalidInputError(f"matrix must have shape {(nF * d, nF * d)}, got {matrix.shape}")
+            matrix = linalg.reduce(matrix, alphabet.modulus)
+            one = carrier.index_of(carrier.group.identity())
+            row, div = matrix[one * d : (one + 1) * d].copy(), _layout(carrier)
+            if not np.array_equal(_expansion(row, div), matrix.reshape(nF, d, nF, d)):
+                raise InvalidInputError("transported matrix is not F-equivariant")
+        self._fill(embedding, alphabet, carrier, table, row, div)
+
+    @classmethod
+    def _trusted(cls, embedding, alphabet, carrier, table=None, row=None, division=None):
+        """A map the library built: `_fill` without the public checks."""
+        self = cls.__new__(cls)
+        self._fill(embedding, alphabet, carrier, table, row, division)
+        return self
+
+    def _fill(self, *parts):
+        for f, value in zip(fields(self), parts):
+            object.__setattr__(self, f.name, value)
 
     @property
     def is_matrix(self):
-        return self.matrix is not None
+        return self.row is not None
 
     @cached_property
-    def _division(self) -> np.ndarray | None:
-        return _layout(self.carrier)
+    def matrix(self) -> np.ndarray | None:
+        """The (|F|*d)^2 block matrix: block (h, k) is block h^-1 k of `row`."""
+        row = self.row
+        return None if row is None else _expansion(row, self._division).reshape(row.shape[1], -1)
 
 
 def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
@@ -278,14 +314,14 @@ def _transported(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
         if dim > TRANSPORT_DIM_CAP:
             raise ResourceCapError(f"transport matrix dimension {dim} over cap {TRANSPORT_DIM_CAP}")
         row = tau.rule.map.window_matrix([[carrier.index_of(e.phi[m]) for m in M]], nF)
-        return _expanded(e, A, carrier, row, _layout(carrier))
+        return TransportedEndomap._trusted(e, A, carrier, row=row, division=_layout(carrier))
 
     count = A.size**nF
     if count > transport_cap():
         raise ResourceCapError(f"transport would tabulate {count} configurations")
     pos = window_positions(carrier, carrier, [e.phi[m] for m in M])
     table = tau.rule.map.window_table(pos, nF)
-    return TransportedEndomap(e, A, carrier, table=table)
+    return TransportedEndomap._trusted(e, A, carrier, table=table)
 
 
 def _translations(carrier: FiniteSubset) -> np.ndarray:
@@ -358,51 +394,27 @@ def _expansion(row: np.ndarray, div: np.ndarray | None) -> np.ndarray:
     return out
 
 
-def _expanded(e, A, carrier, row, div) -> TransportedEndomap:
-    """The map whose matrix is the expansion of `row` by `div`, kept as its layout."""
-    dim = len(carrier) * A.dim
-    m = TransportedEndomap(e, A, carrier, matrix=_expansion(row, div).reshape(dim, dim))
-    m.__dict__["_division"] = div  # where cached_property keeps it
-    return m
+def _unit_row(m: TransportedEndomap) -> np.ndarray:
+    """E, the identity block row of I: R @ m.matrix = E when R is m^-1's row."""
+    d, one = m.alphabet.dim, m.carrier.index_of(m.carrier.group.identity())
+    return np.eye(d, m.row.shape[1], one * d, dtype=np.int64)
 
 
-def _identity_row(m: TransportedEndomap, div: np.ndarray | None) -> np.ndarray | None:
-    """m's identity block row mod n if m is its expansion (is F-equivariant), else None."""
-    d, nF = m.alphabet.dim, len(m.carrier)
-    one = m.carrier.index_of(m.carrier.group.identity())
-    matrix = linalg.reduce(m.matrix, m.alphabet.modulus)
-    row = matrix[one * d : (one + 1) * d]
-    return row if np.array_equal(_expansion(row, div), matrix.reshape(nF, d, nF, d)) else None
-
-
-def _equivariant_rows(*maps: TransportedEndomap):
-    """(E, rows): the identity block rows of maps on one carrier, E those of I."""
-    carrier, div = maps[0].carrier, maps[0]._division
-    rows = [_identity_row(m, div) for m in maps]
-    if any(row is None for row in rows):
-        raise InvalidInputError("transported matrix is not F-equivariant")
-    d, n = rows[0].shape
-    one = carrier.index_of(carrier.group.identity())
-    return np.eye(d, n, one * d, dtype=np.int64), rows
-
-
-def _cyclic_inverse_row(alpha: TransportedEndomap, row: np.ndarray, E: np.ndarray):
-    """The inverse's identity block row, certified, through F_p[Z/N], or None.
+def _cyclic_inverse_row(alpha: TransportedEndomap):
+    """The inverse's identity block row through F_p[Z/N], or None.
 
     On Z/N in its natural order (`_cyclic_order`, which leaves alpha no
     division index) the product of two block rows is the product of the
     d x d matrices B(x) = sum_j (block j) x^j over F_p[x]/(x^N - 1). So the
-    inverse's row is B(x)^-1 (`linalg.cyclic_inverse`), kept only when
-    row·alpha = E.
+    inverse's row is B(x)^-1 (`linalg.cyclic_inverse`) for alpha's `row`.
     """
     if alpha._division is not None:
         return None
     d, p, N = alpha.alphabet.dim, alpha.alphabet.modulus, len(alpha.carrier)
-    inverse = linalg.cyclic_inverse(row.reshape(d, N, d).transpose(0, 2, 1), p)
+    inverse = linalg.cyclic_inverse(alpha.row.reshape(d, N, d).transpose(0, 2, 1), p)
     if inverse is None:
         return None
-    inverse = inverse.transpose(0, 2, 1).reshape(d, N * d)
-    return inverse if np.array_equal(linalg.matmul(inverse, alpha.matrix, p), E) else None
+    return inverse.transpose(0, 2, 1).reshape(d, N * d)
 
 
 def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
@@ -411,15 +423,14 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
     A table's inverse, filled with -1 and scattered block by block, is its
     own injectivity test: on a finite set injective means onto, so a -1
     left over is a configuration nothing maps to. Only a failure counts
-    hits, after the inverse is freed, to name its witness. A matrix must be
-    F-equivariant; its inverse is the expansion of one certified block row.
-    On Z/N that row is B(x)^-1 over
-    F_p[x]/(x^N - 1), and its expansion is copied once from a view. Off
-    Z/N, and on Z/N when the ring route finds no unit pivot (B singular, or
-    invertible with no unit left in some column) or its row fails the
-    certificate, left_solve solves for and certifies the row, or returns the
-    kernel whose first vector is the witness. The inverse is unique, so both
-    routes give the same matrix.
+    hits, after the inverse is freed, to name its witness. A matrix map is
+    its identity block row, equivariant since it was built, and so is its
+    inverse: one certified row, left unexpanded. On Z/N that row is B(x)^-1
+    over F_p[x]/(x^N - 1). Off Z/N, and on Z/N when the ring route finds no
+    unit pivot (B singular, or invertible with no unit left in some column)
+    or its row fails the certificate, left_solve solves for and certifies
+    the row, or returns the kernel whose first vector is the witness. The
+    inverse is unique, so both routes give the same matrix.
     """
     A = alpha.alphabet
     table = alpha.table
@@ -437,16 +448,16 @@ def invert_transport(alpha: TransportedEndomap) -> TransportedEndomap:
             raise NotInvertibleError(
                 tuple(tuple(w) for w in pair.tolist()), "transported map is not injective"
             )
-        return TransportedEndomap(alpha.embedding, A, alpha.carrier, table=inverse)
-    E, (block_row,) = _equivariant_rows(alpha)
-    row = _cyclic_inverse_row(alpha, block_row, E)
-    if row is None:
+        return TransportedEndomap._trusted(alpha.embedding, A, alpha.carrier, table=inverse)
+    E = _unit_row(alpha)
+    row = _cyclic_inverse_row(alpha)
+    if row is None or not np.array_equal(linalg.matmul(row, alpha.matrix, A.modulus), E):
         row, kernel = linalg.left_solve(alpha.matrix, E, A.modulus)
     if row is None:
         # a kernel configuration, beside the zero one
         x = tuple(A.cell_values(kernel[0]).tolist())
         raise NotInvertibleError((x, (0,) * len(x)), "transported matrix is singular")
-    return _expanded(alpha.embedding, A, alpha.carrier, row, alpha._division)
+    return TransportedEndomap._trusted(alpha.embedding, A, alpha.carrier, row=row, division=alpha._division)
 
 
 def extract_local_rule(
@@ -460,14 +471,13 @@ def extract_local_rule(
     """
     carrier = gamma.carrier
     cols = [carrier.index_of(e.phi[m]) for m in M]
-    one = carrier.index_of(e.target.identity())
 
     if gamma.is_matrix:
         # the identity cell's block row, read at the cells of M
-        d = A.dim
-        row = gamma.matrix[one * d : (one + 1) * d].reshape(d, len(carrier), d)[:, cols]
+        row = gamma.row.reshape(A.dim, len(carrier), A.dim)[:, cols]
         return LocalRule(M, StructuredMap(A, len(M), matrices=row.transpose(1, 0, 2)))
 
+    one = carrier.index_of(e.target.identity())
     place = radix(A.size, len(carrier))
     X = decode_assignments(A.size, len(M))
     codes = A.basepoint * place.sum() + (X - A.basepoint) @ place[cols]
@@ -478,15 +488,15 @@ def extract_local_rule(
 def check_equivariance(alpha: TransportedEndomap) -> bool:
     """Exhaustively check the transported map commutes with translations.
 
-    A matrix is compared with the expansion of its identity block row. A
+    A matrix map is its identity block row, equivariant by construction. A
     table is tested on every configuration, for the greedy generators only:
     commuting with a generating set of F implies commuting with all of F.
     """
+    if alpha.is_matrix:
+        return True
     A = alpha.alphabet
     carrier = alpha.carrier
     nF = len(carrier)
-    if alpha.is_matrix:
-        return _identity_row(alpha, alpha._division) is not None
     perms = _translations(carrier)
     copy = StructuredMap(A, 1, table=np.arange(A.size))
     table = alpha.table
@@ -504,17 +514,17 @@ def check_equivariance(alpha: TransportedEndomap) -> bool:
 def composes_to_identity(beta: TransportedEndomap, alpha: TransportedEndomap) -> bool:
     """Exhaustively check beta after alpha is the identity on A^F.
 
-    Both must act on one carrier and alphabet, since both are read with
-    alpha's division index. Matrices must be F-equivariant; then so is the
-    composite, which is I exactly when its identity block row is.
+    Both must act on one carrier and alphabet. Matrix maps are their
+    identity block row, equivariance checked at construction; so the
+    composite is I exactly when beta's row times alpha's matrix is I's row.
     """
     if beta.is_matrix != alpha.is_matrix:
         raise InvalidInputError("endomaps use different representations")
     if beta.carrier != alpha.carrier or beta.alphabet != alpha.alphabet:
         raise InvalidInputError("endomaps act on different carriers or alphabets")
     if alpha.is_matrix:
-        E, (_, row) = _equivariant_rows(alpha, beta)
-        return np.array_equal(linalg.matmul(row, alpha.matrix, alpha.alphabet.modulus), E)
+        product = linalg.matmul(beta.row, alpha.matrix, alpha.alphabet.modulus)
+        return np.array_equal(product, _unit_row(alpha))
     return np.array_equal(beta.table[alpha.table], np.arange(alpha.table.size))
 
 

@@ -144,6 +144,7 @@ def test_module_operations_on_a_plain_alphabet(bit):
     for call, message in [
         (bit.vectors, "vectors only exist for module alphabets"),
         (lambda: bit.cell_values([0, 1]), "vectors only exist for module alphabets"),
+        (lambda: bit.vector_to_index([1]), "vectors only exist for module alphabets"),
         (lambda: bit.add(0, 1), "plain alphabets carry no operation"),
         (lambda: bit.scale(1, 1), "scaling needs a module alphabet"),
     ]:
@@ -202,6 +203,11 @@ def test_automata_over_different_universes_or_alphabets(Z, Z2, bit):
         for call in (sy.compose, sy.check_left_inverse):
             with pytest.raises(InvalidInputError, match=message):
                 call(other, shift)
+
+
+def test_pattern_needs_one_value_per_cell(Z):
+    with pytest.raises(InvalidInputError, match="pattern needs 3 values, got 2"):
+        sy.Pattern(sy.ball(Z, 1), (0, 1))
 
 
 def test_negative_step_count_and_radius(Z, bit):

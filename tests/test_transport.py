@@ -631,6 +631,31 @@ def test_hinted_matrix_pipeline_walks_the_division_index_once(G, monkeypatch):
     assert result.alpha._division is result.gamma._division is not None
 
 
+@pytest.mark.parametrize(
+    "G", [functools.partial(sy.FreeAbelianGroup, k) for k in (1, 2)] + [_s3_times_c3]
+)
+def test_a_matrix_map_is_its_identity_block_row(G):
+    """On Z/N, (Z/N)^2 and S3xC3: the pipeline never expands gamma, a
+    library-built map is equivariant without an expansion, and a hand-built
+    matrix that is not the expansion of its own row is refused when built.
+    gamma's matrix, built when read, is the dense inverse byte for byte."""
+    G = G()
+    tau, [(hint, _), _] = _hinted_pair(G, 3, 1, 0, "matrix")
+    M = sy.common_memory(hint, tau)
+    e = sy.build_embedding(G, sy.set_product(G, M, M), None)
+    result = sy.transport_inverse_pipeline(tau, e, sigma_hint=hint)
+    assert "matrix" not in vars(result.gamma)
+    alpha = sy.transport_endomap(tau, e)
+    assert sy.check_equivariance(alpha) and "matrix" not in vars(alpha)
+    as_endomap = lambda m: sy.TransportedEndomap(e, tau.alphabet, alpha.carrier, matrix=m)
+    assert as_endomap(alpha.matrix).row.tobytes() == alpha.row.tobytes()
+    broken = alpha.matrix.copy()
+    broken[-1, 0] = (broken[-1, 0] + 1) % 3
+    with pytest.raises(InvalidInputError, match="^transported matrix is not F-equivariant$"):
+        as_endomap(broken)
+    assert result.gamma.matrix.tobytes() == linalg.invert(alpha.matrix, 3).tobytes()
+
+
 # G is a factory, called in the test under the default caps; a partial has
 # no __name__, so pytest still names each one G<i>.
 @pytest.mark.parametrize(
@@ -674,6 +699,32 @@ def test_transported_endomap_needs_exactly_one_representation(Z, bit):
         for given in ({}, both):
             with pytest.raises(InvalidInputError, match="^give exactly one of table / matrix$"):
                 call(sy.TransportedEndomap(e, bit, (0, 1, 2), **given))
+
+
+@pytest.mark.parametrize(
+    "alphabet, cells, given, message",
+    [
+        ("plain", 3, {"table": np.arange(5)}, r"table must hold 8 configuration indices 0\.\.7"),
+        ("plain", 3, {"table": [0, 1, 2, 3, 4, 5, 6, 9]}, r"table must hold 8 configuration"),
+        ("plain", 3, {"table": np.arange(8.0)}, "table entries must be integers, got dtype float64"),
+        ("module", 3, {"matrix": np.eye(3, dtype=np.int64)}, r"matrix must have shape \(6, 6\)"),
+        ("module", 3, {"matrix": 1.5 * np.eye(6)}, "matrix entries must be integers, got dtype float64"),
+        ("plain", 3, {"matrix": np.eye(3, dtype=np.int64)}, "matrix maps need a module alphabet"),
+        ("plain", 2, {"table": np.arange(4)}, "carrier must be all of the embedding's target"),
+    ],
+    ids=["short-table", "table-entry-past-the-last-config", "float-table",
+         "small-matrix", "float-matrix", "plain-alphabet-matrix", "partial-carrier"],
+)
+def test_hand_built_transported_map_is_checked_when_built(Z, alphabet, cells, given, message):
+    """Z to Z/3, 8 configurations over two symbols and a 6-dimensional
+    carrier over (Z/2)^2. Unchecked, the short table was inverted into
+    another short table, entry 9 and floats indexed out of bounds, the
+    small matrix failed in numpy, 1.5*I was truncated to I, and a map on
+    the cells 0, 1 of Z/3 failed with KeyError in check_equivariance."""
+    e = sy.build_embedding(Z, sy.ball(Z, 1), {"kind": "modular", "N": 3})
+    A = sy.Alphabet.plain(2) if alphabet == "plain" else sy.Alphabet.module(2, 2)
+    with pytest.raises(InvalidInputError, match=message):
+        sy.TransportedEndomap(e, A, tuple(range(cells)), **given)
 
 
 def test_mixed_representation_hint_takes_one_transport(Z, monkeypatch):
@@ -762,7 +813,9 @@ def test_check_equivariance_sees_one_broken_configuration(Z, bit):
 
 
 def test_check_equivariance_sees_one_broken_matrix_entry(Z):
-    """The matrix twin: one changed entry of a transported block matrix."""
+    """The matrix twin: one changed entry of a transported block matrix is
+    refused when the map is built, since a matrix map is its identity block
+    row; the same map mod p builds and checks."""
     C, _ = pair_CD(Z)
     A = sy.Alphabet.module(2, 2)
     tau = sy.to_linear_ca(C, Z, A)
@@ -773,11 +826,13 @@ def test_check_equivariance_sees_one_broken_matrix_entry(Z):
     as_endomap = lambda m: sy.TransportedEndomap(e, A, alpha.carrier, matrix=m)
     broken = alpha.matrix.copy()
     broken[5, 12] ^= 1
-    assert not sy.check_equivariance(as_endomap(broken))
+    with pytest.raises(InvalidInputError, match="not F-equivariant"):
+        as_endomap(broken)
     broken[5, 12] = alpha.matrix[5, 12]
     assert sy.check_equivariance(as_endomap(broken))
     broken[5, 12] += A.modulus  # the same map mod p
     assert sy.check_equivariance(as_endomap(broken))
+    assert as_endomap(broken).matrix.tobytes() == alpha.matrix.tobytes()
 
 
 def _c3xc3_via_z2():
@@ -1131,16 +1186,15 @@ def _matrices_on(Z, N):
 
 def test_broken_wrap_around_block_is_seen_on_z_mod_8(Z):
     """Block (N - 1, 0) is block 1 of the row, read from the doubled row's
-    wrap-around: one changed entry there is not F-equivariant."""
+    wrap-around: one changed entry there is not F-equivariant, and the map
+    is refused when it is built."""
     alpha, A = _matrices_on(Z, 8), sy.Alphabet.module(2, 2)
     assert sy.check_equivariance(alpha)
     for row, col in [(14, 0), (15, 1)]:  # entries (0, 0) and (1, 1) of block (7, 0)
         broken = alpha.matrix.copy()
         broken[row, col] ^= 1
-        as_endomap = sy.TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=broken)
-        assert not sy.check_equivariance(as_endomap)
         with pytest.raises(InvalidInputError, match="not F-equivariant"):
-            sy.invert_transport(as_endomap)
+            sy.TransportedEndomap(alpha.embedding, A, alpha.carrier, matrix=broken)
 
 
 def test_invertible_cyclic_transport_eliminates_nothing(Z, monkeypatch):
@@ -1212,6 +1266,21 @@ def test_transport_refuses_an_embedding_that_fails_verification(Z, bit):
     assert not sy.verify_embedding(e, M)
     with pytest.raises(InvalidInputError, match="fails verification over this memory"):
         sy.transport_endomap(wide, e)
+
+
+def test_pipeline_refuses_an_embedding_verified_over_tau_memory_only(Z, bit):
+    """phi swaps the images of -1 and -2 in Z/5: multiplicative over the
+    shift's memory {1}, so it transports, but not over the common memory
+    {-1, 0, 1} the pipeline extracts its rule over."""
+    shift, back = sy.projection_ca(Z, bit, (1,)), sy.projection_ca(Z, bit, (-1,))
+    S = sy.ball(Z, 2)
+    phi = {v: v[0] % 5 for v in S} | {(-1,): 3, (-2,): 4}
+    e = sy.LefEmbedding(Z, S, sy.FiniteGroup.cyclic(5), phi)
+    assert sy.transport_endomap(shift, e).table.size == 32
+    assert not sy.verify_embedding(e, sy.common_memory(back, shift))
+    for hint in (None, back):
+        with pytest.raises(InvalidInputError, match="^embedding fails verification over this memory$"):
+            sy.transport_inverse_pipeline(shift, e, sigma_hint=hint)
 
 
 def test_composes_to_identity_refuses_mixed_representations(Z):
