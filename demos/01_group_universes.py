@@ -2,8 +2,7 @@
 
 Everything downstream (rule tables, inverse searches, transports) consumes
 finite subsets of a group in a canonical order, so this demo walks the
-basics: canonical encodings, balls, products, symmetrization, and the ball
-of a generated subgroup.
+basics: canonical encodings, balls, products and symmetrization.
 """
 
 import symba as sy
@@ -35,11 +34,6 @@ b1 = sy.ball(F2, 1)
 print("ball(1) * ball(1) == ball(2):", sy.set_product(F2, b1, b1) == sy.ball(F2, 2))
 S = sy.FiniteSubset(F2, [(1,), (1, 2)])
 print("symmetrize {a, ab}:", list(sy.symmetrize(F2, S)))
-
-print()
-print("== the subgroup generated by a^2 inside the free group ==")
-S2 = sy.FiniteSubset(F2, [(1, 1)])
-print("radius-2 ball of <a^2>:", list(sy.generated_ball(F2, S2, 2)))
 
 print()
 print("== a finite universe from a multiplication table ==")

@@ -59,7 +59,6 @@ from .groups import (
     ProductGroup,
     SymmetricGroup,
     ball,
-    generated_ball,
     product_window,
     set_product,
     symmetrize,

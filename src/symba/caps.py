@@ -56,6 +56,7 @@ mod p, so that products of two residues stay exact in int64 and sums of
 8192 of them in float64.
 """
 
+import math
 import os
 
 from .errors import ResourceCapError
@@ -99,9 +100,24 @@ def transport_cap() -> int:
     return _env_cap() or DEFAULT_TRANSPORT_CAP
 
 
+def _count_text(base: int, exponent: int = 1) -> int | str:
+    """base**exponent as a refusal writes it: the number below 2^63, past
+    that (and past every cap) "at least 2^k".
+
+    str() refuses integers over 4300 digits, and such a power is never
+    formed: k is exponent·floor(log2 base) plus the floor of exponent·log2
+    of the rest, that float shaved so that k stays a lower bound. It is
+    exact for a power of two and for exponent 1.
+    """
+    top = base.bit_length() - 1  # floor(log2 base); -1 for 0
+    if exponent * top < 63:  # then the power is below 2^126
+        n = base**exponent
+        return n if n < 1 << 63 else f"at least 2^{n.bit_length() - 1}"
+    rest = exponent * math.log2(base / (1 << top)) * (1 - 2**-40)
+    return f"at least 2^{exponent * top + int(rest)}"
+
+
 def check_size(n: int, what: str) -> None:
     limit = enumeration_cap()
     if n > limit:
-        # str() refuses integers over 4300 digits: write a huge count by its bit length
-        count = n if n < 1 << 63 else f"at least 2^{n.bit_length() - 1}"
-        raise ResourceCapError(f"{what} would have {count} entries, cap is {limit}")
+        raise ResourceCapError(f"{what} would have {_count_text(n)} entries, cap is {limit}")

@@ -151,11 +151,8 @@ def _cmd_transport(args, digests):
 
 
 def _cmd_direct_finiteness(args, digests):
-    sigma = serialize.ca_from_json(_load_json_file(args.sigma, digests, "sigma"))
-    tau = serialize.ca_from_json(_load_json_file(args.tau, digests, "tau"))
-    left = check_left_inverse(sigma, tau)
-    right = check_right_inverse(sigma, tau)
-    outcome = {"left": left, "right": right, "theorem_consistent": (not left) or right}
+    outcome, _ = _cmd_check_inverse(args, digests)  # side "both", set by the subparser
+    outcome["theorem_consistent"] = (not outcome["left"]) or outcome["right"]
     return outcome, EXIT_OK if outcome["theorem_consistent"] else EXIT_PROPERTY_FAILS
 
 
@@ -272,6 +269,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("direct-finiteness", help="check left implies right inverse")
     p.add_argument("--sigma", required=True)
     p.add_argument("--tau", required=True)
+    p.set_defaults(side="both")
 
     p = sub.add_parser("evolve", help="iterate a rule on a finite window")
     p.add_argument("--ca", required=True)

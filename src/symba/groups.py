@@ -575,14 +575,15 @@ class FiniteSubset(_Keyed):
         return f"FiniteSubset[{shown}{more}]"
 
 
-def _walk(G: Group, seeds: list[Elem]) -> Iterator[set]:
+def _walk(G: Group) -> Iterator[set]:
     """The elements within 0, 1, 2, ... steps of the identity, one breadth-first walk.
 
-    Each step multiplies the last layer by every seed on the right. The walk
-    is lazy: step r runs only when its set is pulled, and it ends once a step
-    adds nothing. Each yield is the same set, grown in place, so a caller
-    copies what it keeps before pulling the next.
+    Each step multiplies the last layer on the right by every generator and
+    its inverse. The walk is lazy: step r runs only when its set is pulled,
+    and it ends once a step adds nothing. Each yield is the same set, grown
+    in place, so a caller copies what it keeps before pulling the next.
     """
+    steps = [h for g in G.generators() for h in (g, G.inv(g))]
     cap = enumeration_cap()
     seen = {G.identity()}
     frontier = list(seen)
@@ -590,7 +591,7 @@ def _walk(G: Group, seeds: list[Elem]) -> Iterator[set]:
         yield seen
         nxt = []
         for x in frontier:
-            for s in seeds:
+            for s in steps:
                 y = G.mul(x, s)
                 if y not in seen:
                     seen.add(y)
@@ -601,17 +602,6 @@ def _walk(G: Group, seeds: list[Elem]) -> Iterator[set]:
                             f"ball enumeration exceeded cap ({len(seen)} > {cap})"
                         )
         frontier = nxt
-
-
-def _walked(G: Group, seeds: list[Elem], rounds: int) -> FiniteSubset:
-    """The walk's set after `rounds` steps, or after its last step if sooner."""
-    for seen in itertools.islice(_walk(G, seeds), rounds + 1):
-        pass
-    return FiniteSubset._trusted(G, seen)
-
-
-def _ball_seeds(G: Group) -> list[Elem]:
-    return [h for g in G.generators() for h in (g, G.inv(g))]
 
 
 def _ball_bounds(G: Group, radius: int) -> None:
@@ -625,7 +615,7 @@ def _ball_bounds(G: Group, radius: int) -> None:
 def ball(G: Group, radius: int) -> FiniteSubset:
     """All elements of word length <= radius over the distinguished generators.
 
-    For Z^k and F_k, k >= 1, two sizes are known before any seed is built,
+    For Z^k and F_k, k >= 1, two sizes are known before the walk starts,
     and each is refused up front past the cap. The ball holds the identity,
     every generator and its inverse, and the powers g^j, |j| <= radius, of
     the first generator g: 2(k + radius) - 1 distinct elements. In F_1 these
@@ -636,7 +626,9 @@ def ball(G: Group, radius: int) -> FiniteSubset:
     if radius < 0:
         raise InvalidInputError(f"radius must be >= 0, got {radius}")
     _ball_bounds(G, radius)
-    return _walked(G, _ball_seeds(G), radius)
+    for seen in itertools.islice(_walk(G), radius + 1):
+        pass
+    return FiniteSubset._trusted(G, seen)
 
 
 def _balls(G: Group) -> Iterator[FiniteSubset]:
@@ -646,7 +638,7 @@ def _balls(G: Group) -> Iterator[FiniteSubset]:
     is pulled, so each refusal comes at the radius, and with the message,
     of `ball(G, r)`. The last ball yielded is every later radius's ball.
     """
-    for radius, seen in enumerate(_walk(G, _ball_seeds(G))):
+    for radius, seen in enumerate(_walk(G)):
         yield FiniteSubset._trusted(G, seen)
         _ball_bounds(G, radius + 1)
 
@@ -685,14 +677,3 @@ def symmetrize(G: Group, M: FiniteSubset) -> FiniteSubset:
     out.update(G.inv(m) for m in M)
     out.add(G.identity())
     return FiniteSubset._trusted(G, out)
-
-
-def generated_ball(G: Group, S: FiniteSubset, radius: int) -> FiniteSubset:
-    """Products of at most `radius` factors from symmetrize(S).
-
-    This is the radius-r ball of the subgroup generated by S, in the word
-    metric of S's symmetrization.
-    """
-    if radius < 0:
-        raise InvalidInputError(f"radius must be >= 0, got {radius}")
-    return _walked(G, list(symmetrize(G, S)), radius)

@@ -60,11 +60,15 @@ def _parsing(what: str):
     ragged matrix, or an entry past int64, which numpy refuses with
     OverflowError) exits with the invalid-input code rather than escaping
     as a crash. Numbers are read by json_int, which refuses non-integers.
+    A value nested past the interpreter's recursion limit (a product of
+    products, some 330 deep) is refused the same way.
     """
     try:
         yield
     except KeyError as missing:
         raise InvalidInputError(f"{what} JSON is missing {missing}") from None
+    except RecursionError:
+        raise InvalidInputError(f"{what} JSON nests too deeply") from None
     except (TypeError, ValueError, OverflowError) as err:
         raise InvalidInputError(f"malformed {what} JSON: {err}") from None
 

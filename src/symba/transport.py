@@ -43,7 +43,7 @@ from .ca import (
     common_memory,
     window_positions,
 )
-from .caps import TRANSPORT_DIM_CAP, enumeration_cap, transport_cap
+from .caps import TRANSPORT_DIM_CAP, _count_text, enumeration_cap, transport_cap
 from .errors import (
     EmbeddingCollisionError,
     InvalidInputError,
@@ -304,21 +304,28 @@ def transport_endomap(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEnd
 
 
 def _transported(tau: CellularAutomaton, e: LefEmbedding) -> TransportedEndomap:
-    """`transport_endomap` for an embedding already verified over tau's memory."""
-    A, M = tau.alphabet, tau.memory
-    carrier = FiniteSubset(e.target, e.target.elements())
-    nF = len(carrier)
+    """`transport_endomap` for an embedding already verified over tau's memory.
+
+    `F.elements()` refuses a carrier past the enumeration cap at once but
+    lists lazily, so both transport caps are checked from F's order before
+    any element is listed.
+    """
+    A, M, F = tau.alphabet, tau.memory, e.target
+    listing = F.elements()
+    nF = F.order()
 
     if tau.rule.map.is_matrix:
         dim = A.dim * nF
         if dim > TRANSPORT_DIM_CAP:
             raise ResourceCapError(f"transport matrix dimension {dim} over cap {TRANSPORT_DIM_CAP}")
+        carrier = FiniteSubset(F, listing)
         row = tau.rule.map.window_matrix([[carrier.index_of(e.phi[m]) for m in M]], nF)
         return TransportedEndomap._trusted(e, A, carrier, row=row, division=_layout(carrier))
 
-    count = A.size**nF
-    if count > transport_cap():
+    count = _count_text(A.size, nF)
+    if isinstance(count, str) or count > transport_cap():
         raise ResourceCapError(f"transport would tabulate {count} configurations")
+    carrier = FiniteSubset(F, listing)
     pos = window_positions(carrier, carrier, [e.phi[m] for m in M])
     table = tau.rule.map.window_table(pos, nF)
     return TransportedEndomap._trusted(e, A, carrier, table=table)

@@ -874,6 +874,55 @@ def test_module_entry_point_matches_in_process_run(files, capsys):
     assert report == in_process
 
 
+def test_deeply_nested_product_universe_is_invalid_input(tmp_path):
+    """A product of products 400 deep: json.loads reads it, but building the
+    group passed the recursion limit and exited 4. A fresh interpreter fixes
+    the stack depth the loader starts from."""
+    universe, elem = {"kind": "free_abelian", "rank": 1}, [0]
+    for _ in range(400):
+        universe, elem = {"kind": "product", "factors": [universe]}, [elem]
+    path = tmp_path / "deep.json"
+    tau = {"universe": universe, "alphabet": {"flavor": "plain", "size": 2},
+           "memory": [elem], "map": {"arity": 1, "table": [0, 1]}}
+    path.write_text(json.dumps(tau))
+    f = str(path)
+    for argv in [
+        ["compose", "--sigma", f, "--tau", f],
+        ["check-inverse", "--sigma", f, "--tau", f],
+        ["transport", "--ca", f, "--embedding", "null"],
+        ["verify-embedding", "--ca", f, "--embedding", "null"],
+        ["synthesize-inverse", "--input", f, "--max-radius", "1"],
+    ]:
+        proc = _python("-m", "symba.cli", *argv)
+        report = json.loads(proc.stdout)
+        assert proc.returncode == report["exit_code"] == 2, proc.stderr
+        assert report["outcome"] == {"error": "group JSON nests too deeply"}
+
+
+@pytest.mark.parametrize("N, bits", [(24, 576), (200, 40000)])
+def test_huge_transport_count_exits_three_before_the_target_is_listed(
+    tmp_path, capsys, monkeypatch, N, bits
+):
+    """(Z/N)^2 has N^2 cells, so a table transport would tabulate 2^(N^2)
+    configurations. The count is written by its bit length (written in full,
+    (Z/200)^2's once raised ValueError, exit 4), and refused before the
+    carrier is listed."""
+    tau = sy.projection_ca(sy.FreeAbelianGroup(2), sy.Alphabet.plain(2), (1, 0))
+    path = tmp_path / "ca.json"
+    path.write_text(serialize.canonical_dumps(serialize.ca_to_json(tau)))
+    listed, elements = [], sy.ProductGroup.elements
+
+    def spy(self):  # the target's own refusal runs at once; each element listed is logged
+        return (listed.append(x) or x for x in elements(self))
+
+    monkeypatch.setattr(sy.ProductGroup, "elements", spy)
+    spec = f'{{"kind":"modular","N":{N}}}'
+    code, report = run(capsys, "transport", "--ca", str(path), "--embedding", spec)
+    assert code == 3
+    assert report["outcome"] == {"error": f"transport would tabulate at least 2^{bits} configurations"}
+    assert listed == []
+
+
 def test_report_is_deterministic_apart_from_timing(files, capsys):
     code1, r1 = run(
         capsys, "check-inverse", "--sigma", files["sigma"], "--tau", files["tau"]

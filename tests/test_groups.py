@@ -52,6 +52,12 @@ def test_malformed_encodings_rejected(Z, F2):
 def test_ball_integers(Z):
     assert list(sy.ball(Z, 2)) == [(-2,), (-1,), (0,), (1,), (2,)]
     assert list(sy.ball(Z, 0)) == [(0,)]
+    # Z^2 and Z^3 against the L1 ball {v : sum |v_i| <= r}, built from the box
+    for d in (2, 3):
+        for r in range(4):
+            box = itertools.product(range(-r, r + 1), repeat=d)
+            expected = sorted(v for v in box if sum(map(abs, v)) <= r)
+            assert list(sy.ball(sy.FreeAbelianGroup(d), r)) == expected
 
 
 def test_ball_free_group_against_brute_force(F2):
@@ -173,30 +179,6 @@ def test_symmetrize_properties(F2):
     assert sy.symmetrize(F2, s) == s
     assert F2.identity() in s
     assert all(F2.inv(x) in s for x in s)
-
-
-def test_generated_ball_examples(Z2, F2):
-    S = sy.FiniteSubset(Z2, [(1, 0)])
-    got = sy.generated_ball(Z2, S, 3)
-    assert list(got) == [(k, 0) for k in range(-3, 4)]
-
-    ident_only = sy.FiniteSubset(Z2, [(0, 0)])
-    assert list(sy.generated_ball(Z2, ident_only, 5)) == [(0, 0)]
-
-    S2 = sy.FiniteSubset(F2, [(1, 1)])
-    got2 = sy.generated_ball(F2, S2, 2)
-    # brute-force oracle: products of <= 2 factors from {1, a^2, a^-2}
-    seeds = [(), (1, 1), (-1, -1)]
-    expected = {F2.mul(x, y) for x in seeds for y in seeds}
-    assert set(got2) == expected
-    assert list(got2) == [(), (1,) * 2, (-1,) * 2, (1,) * 4, (-1,) * 4]
-
-
-def test_generated_ball_of_generators_is_ball(Z2, F2):
-    for G in (Z2, F2, sy.FiniteGroup(symmetric_table(3))):
-        gens = sy.FiniteSubset(G, G.generators())
-        for r in range(3):
-            assert sy.generated_ball(G, gens, r) == sy.ball(G, r)
 
 
 @pytest.mark.parametrize(

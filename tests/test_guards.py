@@ -63,7 +63,7 @@ def test_subset_guards(Z, Z2):
     with pytest.raises(InvalidInputError, match="subset must live in the given group"):
         sy.symmetrize(Z, sy.ball(Z2, 1))
     with pytest.raises(InvalidInputError, match="radius must be >= 0, got -1"):
-        sy.generated_ball(Z, ball, -1)
+        sy.ball(Z, -1)
 
 
 # serialize
