@@ -52,24 +52,28 @@ _GROUP_TABLE = 1 << 12  # most entries of one table summing a group of nearby wi
 
 
 class Alphabet(_Keyed):
-    """Finite carrier with a basepoint and optional algebraic structure."""
+    """Finite carrier with a basepoint and optional algebraic structure.
 
-    def __init__(self, flavor, size, modulus=None, dim=None, table=None):
+    Built only by `plain`, `module` and `group`, which check their parts.
+    """
+
+    def _fill(self, flavor, size, modulus=None, dim=None, table=None):
         self.flavor = flavor
-        self.size = json_int(size, "size")
+        self.size = size
         self.basepoint = 0 if table is None else table.identity()
         self.modulus = modulus
         self.dim = dim
         self.table = table
-        if self.size < 1:
-            raise InvalidInputError(f"alphabet size must be >= 1, got {size}")
         if flavor == _MODULE:
             # index = vector in radix `modulus`, index 0 = zero vector = basepoint
             self._radix = radix(modulus, dim)
 
     @classmethod
     def plain(cls, size: int) -> "Alphabet":
-        return cls(_PLAIN, size)
+        size = json_int(size, "size")
+        if size < 1:
+            raise InvalidInputError(f"alphabet size must be >= 1, got {size}")
+        return cls._trusted(_PLAIN, size)
 
     @classmethod
     def module(cls, modulus: int, dim: int) -> "Alphabet":
@@ -85,12 +89,12 @@ class Alphabet(_Keyed):
             raise ResourceCapError(f"module alphabet of dim {dim} is over the enumeration cap")
         size = modulus**dim
         check_size(size, "module alphabet carrier")
-        return cls(_MODULE, size, modulus=modulus, dim=dim)
+        return cls._trusted(_MODULE, size, modulus, dim)
 
     @classmethod
     def group(cls, table) -> "Alphabet":
         carrier = FiniteGroup(table)
-        return cls(_GROUP, carrier.size, table=carrier)
+        return cls._trusted(_GROUP, carrier.size, table=carrier)
 
     @property
     def is_module(self):
@@ -327,6 +331,8 @@ class StructuredMap:
         if X.ndim != 2 or X.shape[1] != self.arity:
             raise InvalidInputError(f"expected shape (n, {self.arity}), got {X.shape}")
         A = self.alphabet
+        if X.size and (X.min() < 0 or X.max() >= A.size):
+            raise InvalidInputError(f"values read must be alphabet indices 0..{A.size - 1}")
         if self.table is not None:
             return self.table[X @ radix(A.size, self.arity)]
         vecs = decode_index(X, A.modulus, A.dim)  # (n, arity, dim)

@@ -26,37 +26,33 @@ would cost more than it saves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .alphabets import _SCAN_CHUNK, Alphabet, StructuredMap, cell_digits, verify_pointed
 from .caps import check_size, enumeration_cap
 from .errors import EmptyWindowError, InvalidInputError, json_int
-from .groups import FiniteSubset, Group, product_window, symmetrize
+from .groups import FiniteSubset, Group, _Keyed, product_window, symmetrize
 
 
-@dataclass(frozen=True)
-class Pattern:
+class Pattern(_Keyed):
     """A finite window: domain subset E plus one alphabet index per cell."""
 
-    domain: FiniteSubset
-    values: tuple
+    __slots__ = ("domain", "values")
 
-    def __post_init__(self):
-        if len(self.values) != len(self.domain):
-            raise InvalidInputError(
-                f"pattern needs {len(self.domain)} values, got {len(self.values)}"
-            )
-        object.__setattr__(self, "values", tuple(json_int(v, "pattern value") for v in self.values))
+    def __init__(self, domain: FiniteSubset, values):
+        if len(values) != len(domain):
+            raise InvalidInputError(f"pattern needs {len(domain)} values, got {len(values)}")
+        self._fill(domain, tuple(json_int(v, "pattern value") for v in values))
 
-    @classmethod
-    def _trusted(cls, domain: FiniteSubset, values: tuple) -> "Pattern":
-        """A pattern of Python ints already checked: no per-value `json_int`."""
-        self = cls.__new__(cls)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
-        return self
+    def _fill(self, domain, values):
+        self.domain = domain
+        self.values = values
+
+    def _key(self):
+        return self.domain, self.values
+
+    def __repr__(self):
+        return f"Pattern(domain={self.domain!r}, values={self.values!r})"
 
     @classmethod
     def from_dict(cls, domain: FiniteSubset, assignment: dict) -> "Pattern":
@@ -66,7 +62,7 @@ class Pattern:
         return self.values[self.domain.index_of(e)]
 
     def restrict(self, sub: FiniteSubset) -> "Pattern":
-        return Pattern(sub, tuple(self.values[self.domain.index_of(e)] for e in sub))
+        return Pattern._trusted(sub, tuple(self.values[self.domain.index_of(e)] for e in sub))
 
     def translate(self, g) -> "Pattern":
         """The left translate: value at g*e equals the old value at e."""
@@ -157,7 +153,7 @@ def induced_map(tau: CellularAutomaton, E: FiniteSubset, p: Pattern) -> Pattern:
         raise InvalidInputError("pattern domain must equal the product window E*M")
     vals = np.asarray(p.values, dtype=np.int64)
     out = tau.rule.map.evaluate_batch(vals[pos])
-    return Pattern(E, tuple(int(v) for v in out))
+    return Pattern._trusted(E, tuple(out.tolist()))
 
 
 def extend_memory(rule: LocalRule, bigger: FiniteSubset) -> LocalRule:
@@ -342,7 +338,7 @@ def evolve(tau: CellularAutomaton, p: Pattern, steps: int) -> Pattern:
         E = FiniteSubset._trusted(G, reads)
         pos = np.array([reads[g] for g in E], dtype=np.int64).reshape(len(E), len(M))
         out = smap.evaluate_batch(np.asarray(p.values, dtype=np.int64)[pos])
-        p = Pattern(E, tuple(out.tolist()))
+        p = Pattern._trusted(E, tuple(out.tolist()))
     return p
 
 

@@ -117,7 +117,10 @@ def _count_text(base: int, exponent: int = 1) -> int | str:
     return f"at least 2^{exponent * top + int(rest)}"
 
 
-def check_size(n: int, what: str) -> None:
+def check_size(n: int, what: str, exponent: int = 1) -> None:
+    """Refuse n**exponent entries past the enumeration cap. As in
+    `_count_text`, the power is formed only below 2^126: from 2^63 on it is
+    past every cap."""
     limit = enumeration_cap()
-    if n > limit:
-        raise ResourceCapError(f"{what} would have {_count_text(n)} entries, cap is {limit}")
+    if n > limit or exponent != 1 and (exponent * (n.bit_length() - 1) >= 63 or n**exponent > limit):
+        raise ResourceCapError(f"{what} would have {_count_text(n, exponent)} entries, cap is {limit}")

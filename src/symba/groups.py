@@ -8,12 +8,16 @@ products (tuples of factor elements), and the symmetric group on n points
 small). Canonical encodings give every subset a deterministic tabulation
 order, which is what makes rule tables reproducible byte for byte.
 
-Groups, subsets, alphabets and group-ring values derive from `_Keyed`:
-equal and hashed by type and `_key()`, and built from validated parts by
-`_trusted`. A new group kind defines `identity`, `mul`, `inv`, `validate`,
-`generators`, `_key` and `to_json` (with `order` and `elements` if finite);
-it inherits equality, hashing, the encoding as `sort_key`, the integer-tuple
-JSON codec worded by `_noun`, and the repr `Kind(key)`.
+Groups, subsets, alphabets, patterns and group-ring values derive from
+`_Keyed`: equal and hashed by type and `_key()`. `_Value._trusted`, which
+`_Keyed` extends, is the one way the library builds a value from parts it
+has already checked: finite groups, subsets, alphabets, patterns,
+group-ring elements and matrices, and transported endomaps (a `_Value`
+without a key, equal only to itself). A new group kind defines `identity`,
+`mul`, `inv`, `validate`, `generators`, `_key` and `to_json` (with `order`
+and `elements` if finite); it inherits equality, hashing, the encoding as
+`sort_key`, the integer-tuple JSON codec worded by `_noun`, and the repr
+`Kind(key)`.
 """
 
 from __future__ import annotations
@@ -32,8 +36,26 @@ from .errors import InvalidInputError, ResourceCapError, json_int
 Elem = Any
 
 
-class _Keyed:
-    """An immutable value identified by its type and `_key()`."""
+class _Value:
+    """A value its public constructor checks and then fills with `_fill`."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _trusted(cls, *args, **kwargs):
+        """The value of already canonical parts: `_fill` without the public checks."""
+        self = cls.__new__(cls)
+        self._fill(*args, **kwargs)
+        return self
+
+
+class _Keyed(_Value):
+    """An immutable value identified by its type and `_key()`.
+
+    Built through `_trusted`: `FiniteGroup`, `FiniteSubset`, `ca.Pattern`,
+    the group-ring values and `alphabets.Alphabet`, which has no other
+    constructor.
+    """
 
     __slots__ = ()
 
@@ -45,13 +67,6 @@ class _Keyed:
 
     def __hash__(self):
         return hash((type(self), self._key()))
-
-    @classmethod
-    def _trusted(cls, *args):
-        """The value of already canonical parts: `_fill` without the public checks."""
-        self = cls.__new__(cls)
-        self._fill(*args)
-        return self
 
 
 class Group(_Keyed):
@@ -112,13 +127,12 @@ class Group(_Keyed):
 
 
 def _check_order(G: Group, what: str) -> None:
-    """check_size on a finite G's order, formed only below 2^64: past that it is
-    over any cap, and forming it can take seconds (degree! does at degree
-    2^20). The rounded log2 is shaved, so that 2^k stays a lower bound."""
+    """check_size on a finite G's order, formed only under 2^16 bits, where
+    degree! takes a few ms at most (it takes seconds at degree 2^20). Past
+    that the count is 2^k, k its rounded log2 shaved to stay a lower bound."""
     bits = G._log2_order()
-    if bits >= 64:
-        count = f"at least 2^{int(bits * (1 - 2**-40))}"
-        raise ResourceCapError(f"{what} would have {count} entries, cap is {enumeration_cap()}")
+    if bits >= 1 << 16:
+        check_size(2, what, exponent=int(bits * (1 - 2**-40)))
     check_size(G.order(), what)
 
 

@@ -19,7 +19,7 @@ the expansion is a strided view of the doubled row: no index, no gather.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -60,6 +60,7 @@ from .groups import (
     Group,
     ProductGroup,
     SymmetricGroup,
+    _Value,
     ball,
     greedy_generators,
 )
@@ -224,22 +225,16 @@ def verify_embedding(e: LefEmbedding, M: FiniteSubset) -> bool:
     return holds
 
 
-@dataclass(frozen=True, eq=False, init=False)
-class TransportedEndomap:
+class TransportedEndomap(_Value):
     """An endomap of A^F, as a config lookup table or a block matrix (exactly one).
 
+    `carrier` is F in the order of F.elements() (a sequence is converted).
     Matrix maps are their identity block row `row` (mod n), expanded by the
     layout `_division` on first use of `.matrix`; equivariance is checked at
     construction, as are a table's shape and entries (InvalidInputError).
-    The library's own maps come in unchecked, by `_trusted`.
+    The library's own maps come in unchecked, by `_trusted`. Two maps are
+    equal only when they are the same object.
     """
-
-    embedding: LefEmbedding
-    alphabet: Alphabet
-    carrier: FiniteSubset  # F in the order of F.elements(); a sequence is converted
-    table: np.ndarray | None
-    row: np.ndarray | None
-    _division: np.ndarray | None
 
     def __init__(self, embedding, alphabet, carrier, table=None, matrix=None):
         if (table is None) == (matrix is None):
@@ -267,16 +262,13 @@ class TransportedEndomap:
                 raise InvalidInputError("transported matrix is not F-equivariant")
         self._fill(embedding, alphabet, carrier, table, row, div)
 
-    @classmethod
-    def _trusted(cls, embedding, alphabet, carrier, table=None, row=None, division=None):
-        """A map the library built: `_fill` without the public checks."""
-        self = cls.__new__(cls)
-        self._fill(embedding, alphabet, carrier, table, row, division)
-        return self
-
-    def _fill(self, *parts):
-        for f, value in zip(fields(self), parts):
-            object.__setattr__(self, f.name, value)
+    def _fill(self, embedding, alphabet, carrier, table=None, row=None, division=None):
+        self.embedding = embedding
+        self.alphabet = alphabet
+        self.carrier = carrier
+        self.table = table
+        self.row = row
+        self._division = division
 
     @property
     def is_matrix(self):

@@ -68,6 +68,15 @@ def test_huge_module_dimension_is_refused_before_the_power(dim):
     assert sy.Alphabet.module(2, 20).size == 1 << 20  # the default cap itself
 
 
+def test_alphabets_come_only_from_their_classmethods():
+    """No constructor takes a flavor and size unchecked: a bogus flavor, or a
+    size that disagrees with modulus^dim, cannot be built."""
+    with pytest.raises(TypeError):
+        sy.Alphabet("bogus", 3)
+    with pytest.raises(TypeError):
+        sy.Alphabet("module", 5, modulus=2, dim=2)
+
+
 def test_group_alphabet_basepoint_is_identity():
     table = symmetric_table(3)
     A = sy.Alphabet.group(table)
@@ -300,6 +309,21 @@ def test_matrix_map_agrees_with_expanded_table():
     x = (A.vector_to_index((1, 2)), A.vector_to_index((0, 1)))
     want = (mats[0] @ v[x[0]] + mats[1] @ v[x[1]]) % 3
     assert smap.evaluate_batch([x])[0] == A.vector_to_index(want)
+
+
+def test_evaluate_batch_refuses_a_negative_value():
+    """-1 is no index into A: it read the last table entry."""
+    xor = sy.StructuredMap(sy.Alphabet.plain(2), 2, table=[0, 1, 1, 0])
+    with pytest.raises(InvalidInputError, match=r"alphabet indices 0\.\.1"):
+        xor.evaluate_batch([[-1, 1]])
+
+
+def test_evaluate_batch_refuses_a_value_past_a_module():
+    """Index 5 is past (Z/3)^1: the matrix path reduced it to 2."""
+    ident = sy.StructuredMap(sy.Alphabet.module(3, 1), 1, matrices=[[[1]]])
+    with pytest.raises(InvalidInputError, match=r"alphabet indices 0\.\.2"):
+        ident.evaluate_batch([[5]])
+    assert ident.evaluate_batch([[2]]).tolist() == [2]
 
 
 def test_finite_map_classify_examples():

@@ -78,6 +78,14 @@ def test_induced_map_domain_mismatch(Z, bit):
         sy.induced_map(shift, E, p)
 
 
+def test_induced_map_refuses_a_value_outside_the_alphabet(Z, bit):
+    """A bit pattern holding 3: (0, 3) read as index 3, configuration (1, 1)."""
+    xor = xor_ca(Z, bit, [(0,), (1,)])
+    p = _pattern(Z, bit, [(0,), (1,)], [0, 3])
+    with pytest.raises(InvalidInputError, match=r"alphabet indices 0\.\.1"):
+        sy.induced_map(xor, sy.FiniteSubset(Z, [(0,)]), p)
+
+
 def test_extend_memory_shift(Z, bit):
     shift = sy.projection_ca(Z, bit, (1,))
     bigger = sy.ball(Z, 1)
@@ -530,6 +538,14 @@ def test_evolve_shift_moves_window(Z, bit):
     out = sy.evolve(shift, p, 1)
     assert [e for e in out.domain] == [(-1,), (0,), (1,)]
     assert out.values == (1, 0, 1)
+
+
+def test_evolve_refuses_a_value_outside_the_alphabet(Z, bit):
+    """A bit pattern holding 7 is refused, not an IndexError from the table."""
+    xor = xor_ca(Z, bit, [(0,), (1,)])
+    p = sy.Pattern(sy.FiniteSubset(Z, [(0,), (1,), (2,)]), (1, 7, 0))
+    with pytest.raises(InvalidInputError, match=r"alphabet indices 0\.\.1"):
+        sy.evolve(xor, p, 1)
 
 
 def test_evolve_empty_window_errors(Z, bit):

@@ -448,6 +448,14 @@ def test_huge_symmetric_carriers_are_refused_without_their_order(monkeypatch):
     assert sy.ProductGroup([sy.FreeGroup(1), huge]).order() is None
 
 
+def test_a_product_order_is_written_exactly():
+    """(Z/1024)^7 has exactly 2^70 elements: the count is the order's bit
+    length, where a shaved log2 once wrote 2^69."""
+    with pytest.raises(ResourceCapError) as refused:
+        sy.ProductGroup([sy.FiniteGroup.cyclic(1024)] * 7).elements()
+    assert str(refused.value).startswith("product group carrier would have at least 2^70 entries")
+
+
 # Values of different kinds whose keys coincide. Here and below, values are
 # built by factories called in the test, under the default caps; a partial
 # has no __name__, so pytest names it by its position.

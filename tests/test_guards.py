@@ -138,6 +138,8 @@ def test_structured_map_shape_guards(bit):
         next(smap.window_codes([[0, 3]], 3))
     with pytest.raises(InvalidInputError, match="alphabet size must be >= 1"):
         sy.Alphabet.plain(0)
+    with pytest.raises(InvalidInputError, match="^size must be an integer, got 2.0$"):
+        sy.Alphabet.plain(2.0)
 
 
 def test_module_operations_on_a_plain_alphabet(bit):

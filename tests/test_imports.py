@@ -1,11 +1,13 @@
 """Every name a module of the package imports is used in that module, and
-only `caps.py` reads the environment.
+only `caps.py` reads the environment or words a refused count.
 
 CI runs no linter, so this reads each module of `src/symba` (the package's
 `__init__.py`, which imports names to export them, aside) with the standard
 `ast` module: an imported name must occur in the module as a name, or in a
 string annotation. SYMBA_CAP is read once per process, in `caps.py`; a
 module that read `os.environ` (or `os.getenv`) itself would step round that.
+A refusal's count ("would have N entries", "at least 2^k") is written by
+`caps` alone, so one count has one wording whichever module refuses it.
 """
 
 import ast
@@ -72,3 +74,21 @@ def _environment_reads(tree) -> list:
 def test_only_caps_reads_the_environment(path):
     reads = _environment_reads(ast.parse(path.read_text()))
     assert bool(reads) is (path.name == "caps.py"), f"{path.name} reads the environment at lines {reads}"
+
+
+def _strings_outside_docstrings(tree) -> list:
+    """(line, text) of every string literal, f-string parts included, but docstrings."""
+    kinds = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs = {id(n.body[0].value) for n in ast.walk(tree) if isinstance(n, kinds) and ast.get_docstring(n)}
+    return [
+        (n.lineno, n.value)
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str) and id(n) not in docs
+    ]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_only_caps_words_a_count(path):
+    strings = _strings_outside_docstrings(ast.parse(path.read_text()))
+    lines = [line for line, text in strings if "at least 2^" in text or "would have" in text]
+    assert bool(lines) is (path.name == "caps.py"), f"{path.name} words a count at lines {lines}"

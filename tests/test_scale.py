@@ -75,3 +75,16 @@ def test_cap_message_writes_a_huge_count_by_its_bit_length():
         check_size(1 << 21, "carrier")
     with pytest.raises(sy.ResourceCapError, match=f"would have {(1 << 63) - 1} entries"):
         check_size((1 << 63) - 1, "carrier")
+
+
+def test_cap_check_of_a_power_forms_no_huge_power():
+    """check_size(n, what, exponent=k) weighs n^k as check_size(n^k) does, in
+    the same words, and never forms a power past 2^126."""
+    check_size(2, "carrier", exponent=20)  # the default cap itself
+    check_size(1, "carrier", exponent=10**12)
+    with pytest.raises(sy.ResourceCapError, match=r"^carrier would have 2097152 entries, cap"):
+        check_size(2, "carrier", exponent=21)
+    with pytest.raises(sy.ResourceCapError, match=r"^carrier would have at least 2\^1584962 entries"):
+        check_size(3, "carrier", exponent=10**6)
+    with pytest.raises(sy.ResourceCapError, match=r"^carrier would have at least 2\^1000000000000 entries"):
+        check_size(2, "carrier", exponent=10**12)
